@@ -3804,7 +3804,6 @@ impl<S: Service> Node<Packet> for Replica<S> {
             return;
         }
         ctx.charge_kind(CostKind::Net, self.cfg.cost.recv(wire));
-        ctx.metrics().incr(packet.body.metric_name());
         ctx.count_received(packet.body.tag());
         if !self.verify_packet(ctx, from, &packet) {
             ctx.metrics().incr("replica.bad_packet_auth");

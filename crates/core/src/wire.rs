@@ -280,6 +280,87 @@ impl Wire for Mac {
     }
 }
 
+/// Declares a plain message struct once: the fields, in wire order,
+/// generate the struct and its [`Wire`] impl — `encode` and `decode` go
+/// field by field, and `wire_len` is the sum of the fields' `wire_len`s,
+/// so the field list cannot disagree with the codec or the charged size.
+macro_rules! wire_struct {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)+
+    }) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)+
+        }
+
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $($crate::wire::Wire::encode(&self.$field, buf);)+
+            }
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok($name { $($field: <$ty as $crate::wire::Wire>::decode(r)?,)+ })
+            }
+            fn wire_len(&self) -> usize {
+                0 $(+ $crate::wire::Wire::wire_len(&self.$field))+
+            }
+        }
+    };
+}
+pub(crate) use wire_struct;
+
+/// Declares a tagged message enum from one table of
+/// `Variant(Payload) = tag` rows: the enum, `tag()`, `TAG_COUNT`, and a
+/// [`Wire`] impl that writes the tag byte then the payload. A tag lives
+/// in exactly one row, so the three directions cannot skew, and a tag
+/// reused by two rows is a compile error (the second decode arm is
+/// unreachable).
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* pub enum $name:ident {
+        $($(#[$vmeta:meta])* $variant:ident($payload:ty) = $tag:literal,)+
+    }) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant($payload),)+
+        }
+
+        impl $name {
+            /// Number of variants, hence of wire tags.
+            pub const TAG_COUNT: usize = [$($tag),+].len();
+
+            /// The wire tag byte: the first byte of the encoding.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $($name::$variant(_) => $tag,)+
+                }
+            }
+        }
+
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant(m) => {
+                        buf.push($tag);
+                        $crate::wire::Wire::encode(m, buf);
+                    })+
+                }
+            }
+            #[deny(unreachable_patterns)]
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(match r.take_byte()? {
+                    $($tag => $name::$variant(<$payload as $crate::wire::Wire>::decode(r)?),)+
+                    t => return Err($crate::wire::WireError::BadTag(t)),
+                })
+            }
+            fn wire_len(&self) -> usize {
+                1 + match self {
+                    $($name::$variant(m) => $crate::wire::Wire::wire_len(m),)+
+                }
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
+
 #[cfg(test)]
 mod tests {
     use super::*;

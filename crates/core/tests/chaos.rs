@@ -6,33 +6,26 @@
 //!
 //! Knobs (environment variables):
 //!
-//! - `CHAOS_SCHEDULES` — total seeded schedules across the four
-//!   `fuzz_smoke_*` tests (default 120; the nightly CI job raises it).
-//! - `CHAOS_BASE_SEED` — base seed the per-run seeds are derived from.
+//! - `CHAOS_BASE_SEED` — base seed every sweep's per-run seeds derive
+//!   from (each family XORs in its own `seed_salt`).
 //! - `CHAOS_SEED` (+ optional `CHAOS_F`) — replay exactly one run via the
-//!   `replay_one` test.
-//! - `CHAOS_RECOVERY_SCHEDULES` — seeded schedules for the recovery-fault
-//!   family (`fuzz_smoke_recovery`, default 24; nightly raises it), with
-//!   `replay_recovery_one` as the matching replay entry point.
-//! - `CHAOS_FASTPATH_SCHEDULES` — seeded schedules for the fast-path
-//!   family (`fuzz_smoke_fastpath`, default 24; nightly raises it), with
-//!   `replay_fastpath_one` as the matching replay entry point.
-//! - `CHAOS_LEASE_SCHEDULES` — seeded schedules for the read-lease
-//!   family (`fuzz_smoke_lease`, default 24; nightly raises it), with
-//!   `replay_lease_one` as the matching replay entry point.
-//! - `CHAOS_OVERLOAD_SCHEDULES` — seeded schedules for the overload
-//!   family (`fuzz_smoke_overload`, default 24; nightly raises it):
-//!   client floods, replay storms, and malformed requests against an
-//!   admission-controlled cluster, with `replay_overload_one` as the
-//!   matching replay entry point.
+//!   family's replay test.
+//! - One sweep budget per row of [`bft_core::fuzz::FAMILIES`] (the nightly
+//!   CI job raises them all):
+//!
+//! | family | budget variable (default) | sweep tests | replay test |
+//! |---|---|---|---|
+//! | `CLASSIC` | `CHAOS_SCHEDULES` (120) | `fuzz_smoke_a`..`d` | `replay_one` |
+//! | `RECOVERY` | `CHAOS_RECOVERY_SCHEDULES` (24) | `fuzz_smoke_recovery` | `replay_recovery_one` |
+//! | `FASTPATH` | `CHAOS_FASTPATH_SCHEDULES` (24) | `fuzz_smoke_fastpath` | `replay_fastpath_one` |
+//! | `LEASE` | `CHAOS_LEASE_SCHEDULES` (24) | `fuzz_smoke_lease` | `replay_lease_one` |
+//! | `OVERLOAD` | `CHAOS_OVERLOAD_SCHEDULES` (24) | `fuzz_smoke_overload` | `replay_overload_one` |
+//!
+//! What each family arms and checks is documented on its table row.
 
 use bft_core::fuzz::{
-    check_schedule, env_u64, failure_report, fastpath_fuzz_config, fastpath_fuzz_plan, fuzz_config,
-    fuzz_plan, lease_fuzz_config, lease_fuzz_plan, overload_fuzz_config, overload_fuzz_plan,
-    recovery_fuzz_config, recovery_fuzz_plan, run_fastpath_fuzz_schedule_traced,
-    run_fuzz_schedule_traced, run_lease_fuzz_schedule_traced, run_overload_fuzz_schedule_traced,
-    run_recovery_fuzz_schedule, run_recovery_fuzz_schedule_traced, ChaosDriver, Workload,
-    FLIGHT_DUMP_LAST, FLIGHT_RING, HEAL_DEADLINE_NS,
+    env_u64, ChaosDriver, FuzzFamily, Workload, CLASSIC, FAMILIES, FASTPATH, FLIGHT_DUMP_LAST,
+    FLIGHT_RING, LEASE, OVERLOAD, RECOVERY,
 };
 use bft_core::prelude::*;
 use bft_sim::chaos::{ByzMode, ClientFault, Fault, FaultEvent, NetFault, NodeFault};
@@ -41,32 +34,52 @@ use bft_sim::dur;
 /// Fixed default base seed so a plain `cargo test` run is reproducible.
 const DEFAULT_BASE_SEED: u64 = 0xCA05_2026;
 
-/// One quarter of the smoke budget, so the four `fuzz_smoke_*` tests run
-/// in parallel under the default test harness.
-fn fuzz_quarter(quarter: u64) {
-    let total = env_u64("CHAOS_SCHEDULES", 120);
+/// One family's sweep: `1/stride` of its budget (`default_total` unless
+/// its environment variable overrides it), so the four classic
+/// `fuzz_smoke_*` tests run in parallel under the default test harness.
+fn smoke(family: &FuzzFamily, default_total: u64, offset: u64, stride: u64) {
+    let total = env_u64(family.schedules_env, default_total);
     let base = env_u64("CHAOS_BASE_SEED", DEFAULT_BASE_SEED);
-    bft_core::fuzz::check_schedules(base, total, quarter, 4, 1);
+    family.check_schedules(base, total, offset, stride, 1);
+}
+
+/// Replays one run printed by a failing sweep of `family`:
+/// `CHAOS_SEED=<seed> [CHAOS_F=<f>] cargo test -p bft-core --test chaos <family.replay_test> -- --nocapture`
+fn replay(family: &FuzzFamily) {
+    let Ok(seed) = std::env::var("CHAOS_SEED") else {
+        return; // nothing to replay; the fuzz tests are the default path
+    };
+    let seed: u64 = seed.parse().expect("CHAOS_SEED must be a u64");
+    let f = env_u64("CHAOS_F", 1) as u32;
+    let plan = family.plan(seed, f);
+    println!("replaying seed {seed} (f = {f}) with plan:\n{plan}");
+    match family.run_traced(seed, f, &plan) {
+        Ok(()) => println!("seed {seed}: all invariants held"),
+        Err((v, flight)) => panic!(
+            "{}",
+            family.failure_report(seed, f, &plan, &v, Some(&flight))
+        ),
+    }
 }
 
 #[test]
 fn fuzz_smoke_a() {
-    fuzz_quarter(0);
+    smoke(&CLASSIC, 120, 0, 4);
 }
 
 #[test]
 fn fuzz_smoke_b() {
-    fuzz_quarter(1);
+    smoke(&CLASSIC, 120, 1, 4);
 }
 
 #[test]
 fn fuzz_smoke_c() {
-    fuzz_quarter(2);
+    smoke(&CLASSIC, 120, 2, 4);
 }
 
 #[test]
 fn fuzz_smoke_d() {
-    fuzz_quarter(3);
+    smoke(&CLASSIC, 120, 3, 4);
 }
 
 /// A handful of schedules against the larger f = 2 (n = 7) group.
@@ -74,144 +87,71 @@ fn fuzz_smoke_d() {
 fn fuzz_smoke_f2() {
     let base = env_u64("CHAOS_BASE_SEED", DEFAULT_BASE_SEED);
     for i in 0..6 {
-        check_schedule(derive_seed(base ^ 0xF2, i), 2);
+        CLASSIC.check_schedule(derive_seed(base ^ 0xF2, i), 2);
     }
 }
 
-/// Replays one run printed by a failing fuzz test:
-/// `CHAOS_SEED=<seed> [CHAOS_F=<f>] cargo test -p bft-core --test chaos replay_one -- --nocapture`
 #[test]
 fn replay_one() {
-    let Ok(seed) = std::env::var("CHAOS_SEED") else {
-        return; // nothing to replay; the fuzz tests are the default path
-    };
-    let seed: u64 = seed.parse().expect("CHAOS_SEED must be a u64");
-    let f = env_u64("CHAOS_F", 1) as u32;
-    let plan = fuzz_plan(seed, f);
-    println!("replaying seed {seed} (f = {f}) with plan:\n{plan}");
-    match run_fuzz_schedule_traced(seed, f, &plan) {
-        Ok(()) => println!("seed {seed}: all invariants held"),
-        Err((v, flight)) => panic!("{}", failure_report(seed, f, &plan, &v, Some(&flight))),
-    }
+    replay(&CLASSIC);
 }
 
-/// Seeded schedules drawing from the recovery-fault family: silent
-/// corruption and stale-state faults with proactive-recovery watchdogs
-/// armed, checked against bounded-heal and recovery-completeness on top
-/// of every existing invariant.
 #[test]
 fn fuzz_smoke_recovery() {
-    let total = env_u64("CHAOS_RECOVERY_SCHEDULES", 24);
-    let base = env_u64("CHAOS_BASE_SEED", DEFAULT_BASE_SEED);
-    bft_core::fuzz::check_recovery_schedules(base ^ 0x9EC0, total, 0, 1, 1);
+    smoke(&RECOVERY, 24, 0, 1);
 }
 
-/// Replays one run printed by a failing recovery-fault fuzz test:
-/// `CHAOS_SEED=<seed> [CHAOS_F=<f>] cargo test -p bft-core --test chaos replay_recovery_one -- --nocapture`
 #[test]
 fn replay_recovery_one() {
-    let Ok(seed) = std::env::var("CHAOS_SEED") else {
-        return; // nothing to replay; the fuzz tests are the default path
-    };
-    let seed: u64 = seed.parse().expect("CHAOS_SEED must be a u64");
-    let f = env_u64("CHAOS_F", 1) as u32;
-    let plan = recovery_fuzz_plan(seed, f);
-    println!("replaying seed {seed} (f = {f}) with plan:\n{plan}");
-    match run_recovery_fuzz_schedule_traced(seed, f, &plan) {
-        Ok(()) => println!("seed {seed}: all invariants held"),
-        Err((v, flight)) => panic!("{}", failure_report(seed, f, &plan, &v, Some(&flight))),
-    }
+    replay(&RECOVERY);
 }
 
-/// Seeded schedules drawing from the fast-path family: the regular
-/// chaos vocabulary (partitions, loss, Byzantine primaries) run against
-/// a cluster with the optimistic fast path armed and a short fallback
-/// window, so runs constantly cross the fast→classic boundary mid-slot.
-/// Checked by the fast-commit safety invariant on top of every existing
-/// one.
 #[test]
 fn fuzz_smoke_fastpath() {
-    let total = env_u64("CHAOS_FASTPATH_SCHEDULES", 24);
-    let base = env_u64("CHAOS_BASE_SEED", DEFAULT_BASE_SEED);
-    bft_core::fuzz::check_fastpath_schedules(base ^ 0xFA57, total, 0, 1, 1);
+    smoke(&FASTPATH, 24, 0, 1);
 }
 
-/// Replays one run printed by a failing fast-path fuzz test:
-/// `CHAOS_SEED=<seed> [CHAOS_F=<f>] cargo test -p bft-core --test chaos replay_fastpath_one -- --nocapture`
 #[test]
 fn replay_fastpath_one() {
-    let Ok(seed) = std::env::var("CHAOS_SEED") else {
-        return; // nothing to replay; the fuzz tests are the default path
-    };
-    let seed: u64 = seed.parse().expect("CHAOS_SEED must be a u64");
-    let f = env_u64("CHAOS_F", 1) as u32;
-    let plan = fastpath_fuzz_plan(seed, f);
-    println!("replaying seed {seed} (f = {f}) with plan:\n{plan}");
-    match run_fastpath_fuzz_schedule_traced(seed, f, &plan) {
-        Ok(()) => println!("seed {seed}: all invariants held"),
-        Err((v, flight)) => panic!("{}", failure_report(seed, f, &plan, &v, Some(&flight))),
-    }
+    replay(&FASTPATH);
 }
 
-/// Seeded schedules drawing from the read-lease family: read leases
-/// armed against the full chaos vocabulary *including* recovery faults,
-/// so lease expiry mid-read, revokes lost in partitions, view changes
-/// with outstanding leases, and recoveries of lease holders all occur —
-/// checked by the stale-lease-read invariant on top of every existing
-/// one.
 #[test]
 fn fuzz_smoke_lease() {
-    let total = env_u64("CHAOS_LEASE_SCHEDULES", 24);
-    let base = env_u64("CHAOS_BASE_SEED", DEFAULT_BASE_SEED);
-    bft_core::fuzz::check_lease_schedules(base ^ 0x1EA5E, total, 0, 1, 1);
+    smoke(&LEASE, 24, 0, 1);
 }
 
-/// Replays one run printed by a failing read-lease fuzz test:
-/// `CHAOS_SEED=<seed> [CHAOS_F=<f>] cargo test -p bft-core --test chaos replay_lease_one -- --nocapture`
 #[test]
 fn replay_lease_one() {
-    let Ok(seed) = std::env::var("CHAOS_SEED") else {
-        return; // nothing to replay; the fuzz tests are the default path
-    };
-    let seed: u64 = seed.parse().expect("CHAOS_SEED must be a u64");
-    let f = env_u64("CHAOS_F", 1) as u32;
-    let plan = lease_fuzz_plan(seed, f);
-    println!("replaying seed {seed} (f = {f}) with plan:\n{plan}");
-    match run_lease_fuzz_schedule_traced(seed, f, &plan) {
-        Ok(()) => println!("seed {seed}: all invariants held"),
-        Err((v, flight)) => panic!("{}", failure_report(seed, f, &plan, &v, Some(&flight))),
-    }
+    replay(&LEASE);
 }
 
-/// Seeded schedules drawing from the overload family: the regular chaos
-/// vocabulary plus client floods, replay storms, and malformed requests
-/// against a cluster with admission control, BUSY pushback, and bounded
-/// retry budgets armed — checked by the bounded-queue and honest-client
-/// starvation invariants on top of every existing one, with per-client
-/// liveness (a flooder's junk completions must not mask a stuck honest
-/// client).
 #[test]
 fn fuzz_smoke_overload() {
-    let total = env_u64("CHAOS_OVERLOAD_SCHEDULES", 24);
-    let base = env_u64("CHAOS_BASE_SEED", DEFAULT_BASE_SEED);
-    bft_core::fuzz::check_overload_schedules(base ^ 0x0BE5, total, 0, 1, 1);
+    smoke(&OVERLOAD, 24, 0, 1);
 }
 
-/// Replays one run printed by a failing overload fuzz test:
-/// `CHAOS_SEED=<seed> [CHAOS_F=<f>] cargo test -p bft-core --test chaos replay_overload_one -- --nocapture`
 #[test]
 fn replay_overload_one() {
-    let Ok(seed) = std::env::var("CHAOS_SEED") else {
-        return; // nothing to replay; the fuzz tests are the default path
+    replay(&OVERLOAD);
+}
+
+/// A failure report must send the user to the entry point that arms the
+/// failing family's feature: replaying a recovery, lease or overload
+/// seed through the classic `replay_one` would run a different cluster.
+#[test]
+fn failure_report_names_the_familys_own_replay_test() {
+    let v = Violation::Liveness {
+        detail: "synthetic".into(),
     };
-    let seed: u64 = seed.parse().expect("CHAOS_SEED must be a u64");
-    let f = env_u64("CHAOS_F", 1) as u32;
-    let plan = overload_fuzz_plan(seed, f);
-    println!("replaying seed {seed} (f = {f}) with plan:\n{plan}");
-    match run_overload_fuzz_schedule_traced(seed, f, &plan) {
-        Ok(()) => println!("seed {seed}: all invariants held"),
-        Err((v, flight)) => panic!("{}", failure_report(seed, f, &plan, &v, Some(&flight))),
+    for family in FAMILIES {
+        let report = family.failure_report(7, 1, &FaultPlan::empty(), &v, None);
+        let line = format!("--test chaos {} -- --nocapture", family.replay_test);
+        assert!(report.contains(&line), "{}: {report}", family.name);
     }
+    let replay_tests: std::collections::BTreeSet<_> =
+        FAMILIES.iter().map(|f| f.replay_test).collect();
+    assert_eq!(replay_tests.len(), FAMILIES.len(), "entry points differ");
 }
 
 // ---------------------------------------------------------------------
@@ -223,7 +163,7 @@ fn replay_overload_one() {
 /// clients' combined completed-op count plus the metric counters the
 /// fairness test asserts on.
 fn overload_goodput(seed: u64, flood_interval_ns: Option<u64>) -> (u64, u64, u64) {
-    let cfg = overload_fuzz_config(1);
+    let cfg = OVERLOAD.config(1);
     let mut cluster = Cluster::builder(cfg).seed(seed).build_counter();
     // Targets far beyond what the window allows: goodput is whatever
     // completes in the fixed window, not a fixed op count.
@@ -324,7 +264,7 @@ fn ten_x_saturating_flood_keeps_half_of_honest_goodput() {
 /// and all client ops still complete.
 #[test]
 fn fastpath_fault_free_commits_without_commit_round() {
-    let mut cluster = Cluster::builder(fastpath_fuzz_config(1))
+    let mut cluster = Cluster::builder(FASTPATH.config(1))
         .seed(0xFA_01)
         .build_counter();
     cluster.add_client(ChaosDriver::new(0xFA_02, 40, Workload::Adds));
@@ -359,7 +299,7 @@ fn fastpath_fault_free_commits_without_commit_round() {
 /// across the mixed fast/classic history.
 #[test]
 fn silent_backup_forces_classic_fallback() {
-    let mut cluster = Cluster::builder(fastpath_fuzz_config(1))
+    let mut cluster = Cluster::builder(FASTPATH.config(1))
         .seed(0xFA_11)
         .build_counter();
     cluster.add_client(ChaosDriver::new(0xFA_12, 30, Workload::Adds));
@@ -410,21 +350,23 @@ fn silent_corruption_converges_after_recovery() {
             },
         }],
     };
-    run_recovery_fuzz_schedule(seed, f, &plan).expect("corruption must heal inside the deadline");
+    RECOVERY
+        .run(seed, f, &plan)
+        .expect("corruption must heal inside the deadline");
     // The set of failing sub-plans is empty: the minimizer, asked for a
     // sub-plan that still violates an invariant, cannot shed a single
     // event (there is nothing failing to shrink towards).
-    let min = plan.minimize(|p| run_recovery_fuzz_schedule(seed, f, p).is_err());
+    let min = plan.minimize(|p| RECOVERY.run(seed, f, p).is_err());
     assert_eq!(min, plan, "no failing sub-plan may exist");
     // Directly examine the healed cluster: run the same schedule by hand
     // and compare every replica's attested partition-digest root (the
     // stable checkpoint's Merkle root) at the end.
-    let cfg = recovery_fuzz_config(f);
+    let cfg = RECOVERY.config(f);
     let mut cluster = Cluster::builder(cfg).seed(seed).build_counter();
     cluster.add_client(ChaosDriver::new(seed, 60, Workload::Adds));
     cluster.add_client(ChaosDriver::new(seed ^ 3, 60, Workload::Mixed).delayed(dur::millis(2)));
     let mut checker = InvariantChecker::new();
-    checker.set_heal_deadline(HEAL_DEADLINE_NS);
+    checker.set_heal_deadline(RECOVERY.heal_deadline_ns);
     cluster
         .run_with_plan::<CounterService, ChaosDriver>(&plan, dur::secs(12), &mut checker)
         .expect("no invariant may break");
@@ -473,7 +415,7 @@ fn injected_broken_quorum_check_is_caught() {
     let seed = 0xB0B;
     // Arm the flight recorder so the failure dumps what every node was
     // doing right before the violation.
-    let mut cluster = Cluster::builder(fuzz_config(1))
+    let mut cluster = Cluster::builder(CLASSIC.config(1))
         .seed(seed)
         .trace_capacity(FLIGHT_RING)
         .build_counter();
@@ -519,7 +461,7 @@ fn injected_broken_quorum_check_is_caught() {
     // The failure report must carry everything needed to replay the run,
     // with the flight-recorder trace next to the replay seed.
     let flight = cluster.sim.trace().flight_dump(FLIGHT_DUMP_LAST);
-    let report = failure_report(seed, 1, &plan, &v, Some(&flight));
+    let report = CLASSIC.failure_report(seed, 1, &plan, &v, Some(&flight));
     assert!(report.contains(&format!("CHAOS_SEED={seed}")), "{report}");
     assert!(report.contains("replay:"), "{report}");
     assert!(
@@ -562,10 +504,11 @@ fn fuzz_failure_report_includes_health_snapshots() {
             },
         ],
     };
-    let (v, flight) = run_fuzz_schedule_traced(seed, 1, &plan)
+    let (v, flight) = CLASSIC
+        .run_traced(seed, 1, &plan)
         .expect_err("two crashed replicas out of four must stall liveness");
     assert!(matches!(v, Violation::Liveness { .. }), "{v}");
-    let report = failure_report(seed, 1, &plan, &v, Some(&flight));
+    let report = CLASSIC.failure_report(seed, 1, &plan, &v, Some(&flight));
     assert!(
         report.contains("health at failure (per-replica snapshots)"),
         "report must embed the health table: {report}"
@@ -588,7 +531,7 @@ fn fuzz_failure_report_includes_health_snapshots() {
 /// never return a stale value.
 #[test]
 fn read_only_conflicts_retry_as_read_write() {
-    let cfg = fuzz_config(1);
+    let cfg = CLASSIC.config(1);
     let mut cluster = Cluster::builder(cfg).seed(7).build_counter();
     let writer = cluster.add_client(ChaosDriver::new(11, 40, Workload::Adds));
     let reader = cluster.add_client(ChaosDriver::new(13, 10, Workload::Reads));
@@ -642,7 +585,7 @@ fn read_only_conflicts_retry_as_read_write() {
 /// above pins that baseline behaviour.
 #[test]
 fn leased_reads_stay_one_round_under_conflicting_writes() {
-    let cfg = lease_fuzz_config(1);
+    let cfg = LEASE.config(1);
     let mut cluster = Cluster::builder(cfg).seed(41).build_counter();
     // A dedicated writer keeps the fence busy: every ordered add must
     // first revoke (or wait out) the outstanding lease round.
@@ -686,7 +629,7 @@ fn leased_reads_stay_one_round_under_conflicting_writes() {
 fn view_change_under_asymmetric_partition() {
     // Enough closed-loop work that the clients are still busy for the
     // whole fault window (an op completes in a couple of milliseconds).
-    let mut cluster = Cluster::builder(fuzz_config(1)).seed(21).build_counter();
+    let mut cluster = Cluster::builder(CLASSIC.config(1)).seed(21).build_counter();
     cluster.add_client(ChaosDriver::new(31, 400, Workload::Mixed));
     cluster.add_client(ChaosDriver::new(37, 400, Workload::Mixed));
     let mut events = vec![];

@@ -8,9 +8,7 @@
 //! node (replicas and clients), element-wise. A divergence anywhere in
 //! timing, view, sequence assignment, or batching shows up here.
 
-use bft_core::fuzz::{
-    fuzz_config, fuzz_plan, overload_fuzz_config, overload_fuzz_plan, ChaosDriver, Workload,
-};
+use bft_core::fuzz::{ChaosDriver, Workload, CLASSIC, OVERLOAD};
 use bft_core::prelude::*;
 use bft_sim::dur;
 use bft_sim::trace::TraceEvent;
@@ -24,7 +22,7 @@ const TRACE_CAPACITY: usize = 8192;
 /// completed-op count, total events processed, and each replica's
 /// final executed sequence number.
 fn run_once(seed: u64, plan: &FaultPlan, rounds: u32) -> RunFingerprint {
-    let cfg = fuzz_config(1);
+    let cfg = CLASSIC.config(1);
     let n = cfg.n();
     let mut cluster = Cluster::builder(cfg)
         .seed(seed)
@@ -134,7 +132,7 @@ fn identical_seeds_produce_identical_traces() {
 #[test]
 fn identical_seeds_identical_traces_under_chaos() {
     for seed in [0xC4A05u64, 0xFEED_5EED] {
-        let plan = fuzz_plan(seed, 1);
+        let plan = CLASSIC.plan(seed, 1);
         let a = run_once(seed, &plan, 16);
         let b = run_once(seed, &plan, 16);
         assert_identical(&a, &b);
@@ -145,7 +143,7 @@ fn identical_seeds_identical_traces_under_chaos() {
 /// (floods, replays, malformed MACs) and fingerprints it — the overload
 /// analogue of [`run_once`].
 fn run_overload_once(seed: u64, plan: &FaultPlan, rounds: u32) -> RunFingerprint {
-    let cfg = overload_fuzz_config(1);
+    let cfg = OVERLOAD.config(1);
     let n = cfg.n();
     let mut cluster = Cluster::builder(cfg)
         .seed(seed)
@@ -191,7 +189,7 @@ fn run_overload_once(seed: u64, plan: &FaultPlan, rounds: u32) -> RunFingerprint
 #[test]
 fn identical_seeds_identical_traces_under_overload() {
     for seed in [0x0BE5_0001u64, 0x0BE5_0002] {
-        let plan = overload_fuzz_plan(seed, 1);
+        let plan = OVERLOAD.plan(seed, 1);
         let a = run_overload_once(seed, &plan, 16);
         let b = run_overload_once(seed, &plan, 16);
         assert_identical(&a, &b);

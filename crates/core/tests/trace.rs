@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use bft_core::fuzz::{fuzz_config, ChaosDriver, Workload};
+use bft_core::fuzz::{ChaosDriver, Workload, CLASSIC};
 use bft_core::prelude::*;
 use bft_sim::trace::{assemble, breakdown, SpanEdge, TracePhase};
 use bft_sim::NodeId;
@@ -17,7 +17,7 @@ const OPS_PER_CLIENT: u64 = 6;
 /// Runs a small fault-free traced cluster to completion; returns it plus
 /// the number of completed operations.
 fn run_traced(seed: u64) -> (Cluster, u64) {
-    let mut cluster = Cluster::builder(fuzz_config(1))
+    let mut cluster = Cluster::builder(CLASSIC.config(1))
         .seed(seed)
         .trace_capacity(4096)
         .build_counter();
@@ -144,7 +144,7 @@ fn breakdown_matches_measured_latency() {
 #[test]
 fn tracing_is_observer_only() {
     let run = |capacity: usize| {
-        let mut cluster = Cluster::builder(fuzz_config(1))
+        let mut cluster = Cluster::builder(CLASSIC.config(1))
             .seed(99)
             .trace_capacity(capacity)
             .build_counter();

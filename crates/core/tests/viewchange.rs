@@ -12,7 +12,7 @@
 //! These tests drive that window end to end through the simulator; the
 //! per-message adoption logic is unit-tested next to `compute_plan`.
 
-use bft_core::fuzz::{fastpath_fuzz_config, ChaosDriver, Workload};
+use bft_core::fuzz::{ChaosDriver, Workload, FASTPATH};
 use bft_core::prelude::*;
 use bft_sim::chaos::{Fault, FaultEvent, NodeFault};
 use bft_sim::dur;
@@ -32,7 +32,7 @@ use bft_sim::dur;
 /// the fast-commit safety invariant cross-checks replica by replica.
 #[test]
 fn fast_committed_slot_survives_primary_crash() {
-    let mut cluster = Cluster::builder(fastpath_fuzz_config(1))
+    let mut cluster = Cluster::builder(FASTPATH.config(1))
         .seed(0xFC_01)
         .build_counter();
     // Enough closed-loop work that both clients are still mid-stream at
@@ -87,7 +87,7 @@ fn fast_committed_slot_survives_primary_crash() {
 /// that was itself installed by a view change*.
 #[test]
 fn fast_path_survives_cascaded_view_changes() {
-    let mut cluster = Cluster::builder(fastpath_fuzz_config(1))
+    let mut cluster = Cluster::builder(FASTPATH.config(1))
         .seed(0xFC_11)
         .build_counter();
     cluster.add_client(ChaosDriver::new(0xFC_12, 600, Workload::Mixed));

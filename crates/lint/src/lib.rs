@@ -25,8 +25,8 @@
 //! model):
 //!
 //! 5. **handler-coverage** — every `Msg` variant has a dispatch arm in
-//!    `replica.rs`/`client.rs`, and the wire tag byte is unique and
-//!    agrees between `Msg::tag()`, encode, and decode.
+//!    `replica.rs`/`client.rs` (wire-tag agreement needs no rule: the
+//!    `Msg` table declares each tag once).
 //! 6. **timer-pairing** — every armed `TIMER_*` token has a fire
 //!    handler; stored one-shot timers have a cancel site.
 //! 7. **span-pairing** — every `TracePhase` opened is closed.

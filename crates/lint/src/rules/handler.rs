@@ -1,44 +1,61 @@
-//! Rule: handler-coverage — every `Msg` variant is dispatched, and the
-//! wire tag bytes agree across `Msg::tag()`, encode, and decode.
+//! Rule: handler-coverage — every `Msg` variant is dispatched.
 //!
 //! The catch-all rule bans `_ =>` wildcards in `Msg` dispatch, so a
 //! variant is handled iff the dispatch file names it; this rule closes
-//! the remaining gap: a variant added to `messages.rs` whose match arms
-//! were *forgotten entirely* would only surface as a compile error in
-//! the same crate — but the wire maps (`tag()`, `encode`, `decode`) are
-//! three hand-maintained parallel tables, and a skew between them is a
-//! silent protocol bug (a message decoded as the wrong kind, or two
-//! kinds sharing a tag byte and corrupting the per-tag health
-//! counters). `TAG_COUNT` in `bft_sim::health` sizes those per-tag
-//! arrays and must track the variant count.
+//! the remaining gap: a variant added to `messages.rs` must be named —
+//! handled or explicitly rejected — in *both* dispatchers, including the
+//! one whose author never thought about it.
+//!
+//! The wire maps need no policing: `Msg` is one `wire_enum!` table of
+//! `Variant(Payload) = tag` rows, so `tag()`, encode and decode cannot
+//! skew, a reused tag does not compile, and a `const` assertion ties
+//! `Msg::TAG_COUNT` to `bft_sim::health::TAG_COUNT`. What the table
+//! must stay is a literal `pub enum Msg { … }` the item model can see;
+//! if it stops being one (file renamed, enum generated wholesale) the
+//! rule says so instead of silently checking nothing.
 
-use crate::model::{matching, num_value, WorkspaceModel};
+use crate::model::WorkspaceModel;
 use crate::rules::DISPATCH_ENUM;
 use crate::{Finding, RULE_HANDLER};
-use std::collections::BTreeMap;
 
-/// The file declaring the `Msg` enum and its wire maps.
+/// The file declaring the `Msg` table.
 const MESSAGES: &str = "crates/core/src/messages.rs";
 /// The files that must dispatch every variant.
 const DISPATCHERS: &[&str] = &["crates/core/src/replica.rs", "crates/core/src/client.rs"];
-/// The file sizing the per-tag counter arrays.
-const HEALTH: &str = "crates/sim/src/health.rs";
 
 pub(crate) fn run(model: &WorkspaceModel, findings: &mut Vec<Finding>) {
-    let Some(msgs) = model.file(MESSAGES) else {
-        return;
-    };
-    let Some(def) = msgs.enum_def(DISPATCH_ENUM) else {
+    let dispatchers = || DISPATCHERS.iter().filter_map(|path| model.file(path));
+    let msgs = model.file(MESSAGES);
+    let Some((msgs, def)) = msgs.and_then(|m| Some((m, m.enum_def(DISPATCH_ENUM)?))) else {
+        let why = match msgs {
+            None => format!("{MESSAGES} is not in the model"),
+            Some(_) => format!("{MESSAGES} declares no literal `enum {DISPATCH_ENUM}`"),
+        };
+        // Only a file that names `Msg::…` is dispatching: fixture sets
+        // for other rules reuse the dispatcher paths and stay quiet.
+        for df in dispatchers() {
+            let Some((_, line, _)) = df.variant_refs(DISPATCH_ENUM).into_iter().next() else {
+                continue;
+            };
+            findings.push(Finding {
+                file: df.path.clone(),
+                line,
+                rule: RULE_HANDLER,
+                message: format!(
+                    "dispatch coverage is off: {} dispatches `{DISPATCH_ENUM}::…` but {why}; \
+                     keep the `{DISPATCH_ENUM}` table a literal enum in that file",
+                    df.path
+                ),
+                snippet: df.snippet(line),
+            });
+        }
         return;
     };
 
-    // 1. Dispatch coverage: each variant must be named in each
-    //    dispatcher present in the model (`#[cfg(test)]`-only variants
-    //    are scaffolding and exempt, like all cfg(test) code).
-    for dispatcher in DISPATCHERS {
-        let Some(df) = model.file(dispatcher) else {
-            continue;
-        };
+    // Each variant must be named in each dispatcher present in the model
+    // (`#[cfg(test)]`-only variants are scaffolding and exempt, like all
+    // cfg(test) code).
+    for df in dispatchers() {
         let named = df.variant_ref_names(DISPATCH_ENUM);
         for variant in def.variants.iter().filter(|v| !v.cfg_test) {
             if !named.contains(&variant.name) {
@@ -47,187 +64,13 @@ pub(crate) fn run(model: &WorkspaceModel, findings: &mut Vec<Finding>) {
                     line: variant.line,
                     rule: RULE_HANDLER,
                     message: format!(
-                        "`{DISPATCH_ENUM}::{}` has no dispatch arm in {dispatcher}; every \
+                        "`{DISPATCH_ENUM}::{}` has no dispatch arm in {}; every \
                          variant must be handled (or rejected) explicitly",
-                        variant.name
+                        variant.name, df.path
                     ),
                     snippet: msgs.snippet(variant.line),
                 });
             }
         }
     }
-
-    // 2. Wire tag agreement across the three hand-maintained maps.
-    let tag_map = scan_tag_arms(msgs);
-    let enc_map = scan_encode_arms(msgs);
-    let dec_map = scan_decode_arms(msgs);
-    for variant in def.variants.iter().filter(|v| !v.cfg_test) {
-        let tag = tag_map.get(&variant.name);
-        let enc = enc_map.get(&variant.name);
-        let dec = dec_map.get(&variant.name);
-        let missing: Vec<&str> = [
-            (tag.is_none(), "Msg::tag()"),
-            (enc.is_none(), "Wire::encode"),
-            (dec.is_none(), "Wire::decode"),
-        ]
-        .iter()
-        .filter(|(absent, _)| *absent)
-        .map(|(_, what)| *what)
-        .collect();
-        if !missing.is_empty() {
-            findings.push(Finding {
-                file: msgs.path.clone(),
-                line: variant.line,
-                rule: RULE_HANDLER,
-                message: format!(
-                    "`{DISPATCH_ENUM}::{}` has no wire tag mapping in {}; tag(), encode and \
-                     decode are parallel tables and must all cover every variant",
-                    variant.name,
-                    missing.join(", ")
-                ),
-                snippet: msgs.snippet(variant.line),
-            });
-        }
-        if let (Some(&(t, line)), Some(&(e, _)), Some(&(d, _))) = (tag, enc, dec) {
-            if t != e || t != d {
-                findings.push(Finding {
-                    file: msgs.path.clone(),
-                    line,
-                    rule: RULE_HANDLER,
-                    message: format!(
-                        "wire tag for `{DISPATCH_ENUM}::{}` disagrees: tag()={t}, \
-                         encode={e}, decode={d}; a skewed table decodes messages as the \
-                         wrong kind",
-                        variant.name
-                    ),
-                    snippet: msgs.snippet(line),
-                });
-            }
-        }
-    }
-
-    // 3. Tag uniqueness within each map.
-    for (map, what) in [
-        (&tag_map, "Msg::tag()"),
-        (&enc_map, "Wire::encode"),
-        (&dec_map, "Wire::decode"),
-    ] {
-        let mut seen: BTreeMap<u64, &str> = BTreeMap::new();
-        for (name, &(value, line)) in map {
-            if let Some(prior) = seen.insert(value, name) {
-                findings.push(Finding {
-                    file: msgs.path.clone(),
-                    line,
-                    rule: RULE_HANDLER,
-                    message: format!(
-                        "wire tag {value} in {what} is claimed by both \
-                         `{DISPATCH_ENUM}::{prior}` and `{DISPATCH_ENUM}::{name}`; tag \
-                         bytes must be unique"
-                    ),
-                    snippet: msgs.snippet(line),
-                });
-            }
-        }
-    }
-
-    // 4. TAG_COUNT in the health registry sizes the per-tag arrays.
-    if let Some(health) = model.file(HEALTH) {
-        if let Some((count, line)) = scan_tag_count(health) {
-            let variants = def.variants.iter().filter(|v| !v.cfg_test).count() as u64;
-            if count != variants {
-                findings.push(Finding {
-                    file: health.path.clone(),
-                    line,
-                    rule: RULE_HANDLER,
-                    message: format!(
-                        "TAG_COUNT is {count} but `{DISPATCH_ENUM}` has {variants} wire \
-                         variants; the per-tag send/receive arrays must cover every tag"
-                    ),
-                    snippet: health.snippet(line),
-                });
-            }
-        }
-    }
-}
-
-/// `Msg::Variant(_) => N` arms (the `tag()` table).
-fn scan_tag_arms(file: &crate::model::FileModel) -> BTreeMap<String, (u64, u32)> {
-    let toks = &file.tokens;
-    let mut out = BTreeMap::new();
-    for i in 0..toks.len().saturating_sub(7) {
-        if toks[i].text == DISPATCH_ENUM
-            && toks[i + 1].text == "::"
-            && toks[i + 3].text == "("
-            && toks[i + 4].text == "_"
-            && toks[i + 5].text == ")"
-            && toks[i + 6].text == "=>"
-        {
-            if let Some(value) = num_value(&toks[i + 7]) {
-                out.entry(toks[i + 2].text.clone())
-                    .or_insert((value, toks[i + 7].line));
-            }
-        }
-    }
-    out
-}
-
-/// `Msg::Variant(m) => { … buf.push(N) … }` arms (the encode table):
-/// the first byte pushed in the arm body is the wire tag.
-fn scan_encode_arms(file: &crate::model::FileModel) -> BTreeMap<String, (u64, u32)> {
-    let toks = &file.tokens;
-    let mut out = BTreeMap::new();
-    for i in 0..toks.len().saturating_sub(7) {
-        if !(toks[i].text == DISPATCH_ENUM
-            && toks[i + 1].text == "::"
-            && toks[i + 3].text == "("
-            && toks[i + 4].text != "_"
-            && toks[i + 5].text == ")"
-            && toks[i + 6].text == "=>"
-            && toks[i + 7].text == "{")
-        {
-            continue;
-        }
-        let close = matching(toks, i + 7, "{", "}");
-        for j in i + 8..close.saturating_sub(2) {
-            if toks[j].text == "push" && toks[j + 1].text == "(" {
-                if let Some(value) = num_value(&toks[j + 2]) {
-                    out.entry(toks[i + 2].text.clone())
-                        .or_insert((value, toks[j + 2].line));
-                }
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// `N => Msg::Variant(…)` arms (the decode table).
-fn scan_decode_arms(file: &crate::model::FileModel) -> BTreeMap<String, (u64, u32)> {
-    let toks = &file.tokens;
-    let mut out = BTreeMap::new();
-    for i in 0..toks.len().saturating_sub(4) {
-        if toks[i + 1].text == "=>" && toks[i + 2].text == DISPATCH_ENUM && toks[i + 3].text == "::"
-        {
-            if let Some(value) = num_value(&toks[i]) {
-                out.entry(toks[i + 4].text.clone())
-                    .or_insert((value, toks[i].line));
-            }
-        }
-    }
-    out
-}
-
-/// `const TAG_COUNT: usize = N` in the health registry.
-fn scan_tag_count(file: &crate::model::FileModel) -> Option<(u64, u32)> {
-    let toks = &file.tokens;
-    for i in 0..toks.len() {
-        if toks[i].text == "TAG_COUNT" && i > 0 && toks[i - 1].text == "const" {
-            for j in i + 1..(i + 6).min(toks.len()) {
-                if toks[j].text == "=" {
-                    return num_value(toks.get(j + 1)?).map(|v| (v, toks[j + 1].line));
-                }
-            }
-        }
-    }
-    None
 }

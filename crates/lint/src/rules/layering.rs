@@ -39,6 +39,8 @@ const ALLOWED_ITEMS: &[&str] = &[
     "Metrics",
     "HealthSnapshot",
     "Role",
+    "tag_name",
+    "TAG_COUNT",
     "dur",
 ];
 

@@ -7,9 +7,8 @@
 //! Model rules (phase 2, cross-file): [`handler`], [`timer`], [`span`],
 //! [`invariant`], [`counter`], [`layering`]. They run over the
 //! assembled [`crate::model::WorkspaceModel`] and check properties no
-//! single file can witness: dispatch coverage, wire-tag agreement,
-//! timer and span pairing, invariant/counter coverage, and the
-//! core↔sim layering boundary.
+//! single file can witness: dispatch coverage, timer and span pairing,
+//! invariant/counter coverage, and the core↔sim layering boundary.
 
 pub mod catchall;
 pub mod counter;

@@ -1,43 +1,14 @@
-//! Fixture (clean): a `Msg` enum whose wire maps agree, plus a
-//! `#[cfg(test)]`-only variant that coverage rules must exempt.
+//! Fixture (clean): a `Msg` table in the declaration style of the real
+//! `messages.rs`, plus a `#[cfg(test)]`-only variant that is exempt.
 
 pub struct Ping;
 pub struct Pong;
 pub struct Probe;
-
-pub enum Msg {
-    Ping(Ping),
-    Pong(Pong),
-    #[cfg(test)]
-    Probe(Probe),
-}
-
-impl Msg {
-    pub fn tag(&self) -> u8 {
-        match self {
-            Msg::Ping(_) => 0,
-            Msg::Pong(_) => 1,
-        }
-    }
-
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Msg::Ping(m) => {
-                buf.push(0);
-                m.encode(buf);
-            }
-            Msg::Pong(m) => {
-                buf.push(1);
-                m.encode(buf);
-            }
-        }
-    }
-
-    pub fn decode(tag: u8) -> Option<Msg> {
-        Some(match tag {
-            0 => Msg::Ping(Ping),
-            1 => Msg::Pong(Pong),
-            _ => return None,
-        })
+wire_enum! {
+    pub enum Msg {
+        Ping(Ping) = 0,
+        Pong(Pong) = 1,
+        #[cfg(test)]
+        Probe(Probe) = 2,
     }
 }

@@ -8,11 +8,9 @@ use bft_lint::{
 };
 
 const MESSAGES: &str = include_str!("fixtures/model/handler_messages.rs");
-const MESSAGES_SKEW: &str = include_str!("fixtures/model/handler_messages_skew.rs");
 const REPLICA: &str = include_str!("fixtures/model/handler_replica.rs");
 const REPLICA_MISSING: &str = include_str!("fixtures/model/handler_replica_missing.rs");
 const CLIENT: &str = include_str!("fixtures/model/handler_client.rs");
-const HEALTH_TAGS: &str = include_str!("fixtures/model/handler_health.rs");
 const TIMER_VIOLATION: &str = include_str!("fixtures/model/timer_violation.rs");
 const TIMER_CLEAN: &str = include_str!("fixtures/model/timer_clean.rs");
 const SPAN_TRACE: &str = include_str!("fixtures/model/span_trace.rs");
@@ -54,7 +52,6 @@ fn handler_clean_fixture_set_passes() {
         (MESSAGES_PATH, MESSAGES),
         (REPLICA_PATH, REPLICA),
         (CLIENT_PATH, CLIENT),
-        (HEALTH_PATH, HEALTH_TAGS),
     ]);
     assert!(findings.is_empty(), "findings: {findings:#?}");
 }
@@ -77,9 +74,9 @@ fn handler_missing_dispatch_arm_is_caught() {
 
 #[test]
 fn handler_cfg_test_variant_is_exempt_from_dispatch() {
-    // `Msg::Probe` is #[cfg(test)]-only and appears in no dispatcher
-    // and no wire map; the clean set above passing already proves the
-    // exemption, but pin it explicitly against a lone dispatcher too.
+    // `Msg::Probe` is #[cfg(test)]-only and appears in no dispatcher;
+    // the clean set above passing already proves the exemption, but
+    // pin it explicitly against a lone dispatcher too.
     let findings = check(&[(MESSAGES_PATH, MESSAGES), (REPLICA_PATH, REPLICA)]);
     assert!(
         !findings.iter().any(|f| f.message.contains("Probe")),
@@ -87,40 +84,27 @@ fn handler_cfg_test_variant_is_exempt_from_dispatch() {
     );
 }
 
+/// A dispatcher with no `Msg` table to check against is a finding, not
+/// a silent pass: renaming `messages.rs` or generating the enum
+/// wholesale must not switch dispatch coverage off without a word.
 #[test]
-fn handler_wire_map_skew_is_caught() {
-    let findings = check(&[(MESSAGES_PATH, MESSAGES_SKEW)]);
-    let hits = rule_findings(&findings, RULE_HANDLER);
-    assert_eq!(hits.len(), 3, "findings: {findings:#?}");
-    // Pong's encode tag disagrees with tag()/decode.
-    assert!(hits
-        .iter()
-        .any(|f| f.message.contains("`Msg::Pong` disagrees")
-            && f.message.contains("tag()=1, encode=2, decode=1")));
-    // Gap is absent from the encode table.
-    assert!(hits.iter().any(|f| f
-        .message
-        .contains("`Msg::Gap` has no wire tag mapping in Wire::encode")));
-    // Gap's decode tag collides with Ping's.
-    assert!(hits.iter().any(|f| f.message.contains("wire tag 0")
-        && f.message.contains("Wire::decode")
-        && f.message.contains("`Msg::Gap`")
-        && f.message.contains("`Msg::Ping`")));
-}
-
-#[test]
-fn handler_tag_count_mismatch_is_caught() {
-    let skewed_health = HEALTH_TAGS.replace("= 2", "= 3");
-    let findings = check(&[
-        (MESSAGES_PATH, MESSAGES),
-        (REPLICA_PATH, REPLICA),
-        (CLIENT_PATH, CLIENT),
-        (HEALTH_PATH, &skewed_health),
-    ]);
-    let hits = rule_findings(&findings, RULE_HANDLER);
-    assert_eq!(hits.len(), 1, "findings: {findings:#?}");
-    assert!(hits[0].message.contains("TAG_COUNT is 3 but `Msg` has 2"));
-    assert_eq!(hits[0].file, HEALTH_PATH);
+fn handler_blindness_is_a_finding() {
+    for (files, why) in [
+        (vec![(REPLICA_PATH, REPLICA)], "is not in the model"),
+        (
+            vec![(MESSAGES_PATH, "pub struct Ping;\n"), (CLIENT_PATH, CLIENT)],
+            "declares no literal `enum Msg`",
+        ),
+    ] {
+        let findings = check(&files);
+        let hits = rule_findings(&findings, RULE_HANDLER);
+        assert_eq!(hits.len(), 1, "findings: {findings:#?}");
+        assert!(hits[0].message.contains("dispatch coverage is off"));
+        assert!(hits[0].message.contains(why), "{}", hits[0].message);
+        // Anchored on the dispatcher's first `Msg::` arm.
+        assert_eq!(hits[0].file, files.last().expect("non-empty").0);
+        assert_eq!(hits[0].line, 5);
+    }
 }
 
 // --- timer-pairing ------------------------------------------------------

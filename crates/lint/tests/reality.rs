@@ -178,8 +178,7 @@ fn handler_coverage_fires_when_a_real_dispatch_arm_is_deleted() {
 }
 
 /// A `#[cfg(test)]`-only variant added to the real Msg enum is test
-/// scaffolding: handler-coverage must not demand dispatch arms or wire
-/// tags for it.
+/// scaffolding: handler-coverage must not demand dispatch arms for it.
 #[test]
 fn cfg_test_only_msg_variant_stays_exempt() {
     let messages = read_rel("crates/core/src/messages.rs");

@@ -32,11 +32,13 @@ use crate::network::NodeId;
 use std::fmt::Write as _;
 
 /// Number of distinct wire tags ([`Counters`] arrays are indexed by
-/// tag byte). Matches `Msg`'s encode tags `0..=24` in `bft-core`.
+/// tag byte). `bft-core` asserts at compile time that this equals
+/// `Msg::TAG_COUNT`.
 pub const TAG_COUNT: usize = 25;
 
-/// Human name for a wire tag byte (mirrors `Msg::kind()` in
-/// `bft-core`; unknown tags render as `"?"`).
+/// Human name for a wire tag byte — the one place message names live
+/// (`Msg::kind()` in `bft-core` reads this table; this crate cannot
+/// depend on that one). Unknown tags render as `"?"`.
 pub fn tag_name(tag: u8) -> &'static str {
     match tag {
         0 => "request",

@@ -46,7 +46,9 @@ pub use chaos::{
 };
 pub use cost::CostModel;
 pub use engine::{Context, Node, Simulation, TimerId};
-pub use health::{Counter, Counters, HealthReport, HealthSnapshot, NodeCounters, Role};
+pub use health::{
+    tag_name, Counter, Counters, HealthReport, HealthSnapshot, NodeCounters, Role, TAG_COUNT,
+};
 pub use metrics::{Histogram, Metrics, Summary};
 pub use network::{DropReason, NetConfig, NetStats, Network, NodeId};
 pub use time::{dur, SimTime};

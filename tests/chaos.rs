@@ -183,24 +183,37 @@ fn chaos_seed_4_with_byzantine_replica() {
 // ---------------------------------------------------------------------
 // The deterministic chaos engine (bft_core::fuzz): seed-replayable
 // FaultPlan schedules with the full protocol invariant checker running
-// after every event. Two tests split the budget so they run in parallel.
-// On failure each panics with the seed, the minimized fault plan, and a
-// replay command (`CHAOS_SEED=… cargo test -p bft-core --test chaos
-// replay_one`). `CHAOS_SCHEDULES` scales the budget (nightly CI).
+// after every event. Two tests split the classic budget so they run in
+// parallel (`CHAOS_SCHEDULES` scales it; nightly CI), and a third gives
+// every family of the table a small fixed budget so tier-1 arms proactive
+// recovery, the fast path, read leases and overload armor at all. On
+// failure each panics with the seed, the minimized fault plan, and the
+// family's replay command (`CHAOS_SEED=… cargo test -p bft-core --test
+// chaos replay_…`).
 // ---------------------------------------------------------------------
 
 const ENGINE_BASE_SEED: u64 = 0xCA05_2026;
 
+fn classic_half(offset: u64) {
+    let total = fuzz::env_u64(fuzz::CLASSIC.schedules_env, 120);
+    let base = fuzz::env_u64("CHAOS_BASE_SEED", ENGINE_BASE_SEED);
+    fuzz::CLASSIC.check_schedules(base, total, offset, 2, 1);
+}
+
 #[test]
 fn fuzz_engine_smoke_a() {
-    let total = fuzz::env_u64("CHAOS_SCHEDULES", 120);
-    let base = fuzz::env_u64("CHAOS_BASE_SEED", ENGINE_BASE_SEED);
-    fuzz::check_schedules(base, total, 0, 2, 1);
+    classic_half(0);
 }
 
 #[test]
 fn fuzz_engine_smoke_b() {
-    let total = fuzz::env_u64("CHAOS_SCHEDULES", 120);
+    classic_half(1);
+}
+
+#[test]
+fn fuzz_engine_smoke_every_family() {
     let base = fuzz::env_u64("CHAOS_BASE_SEED", ENGINE_BASE_SEED);
-    fuzz::check_schedules(base, total, 1, 2, 1);
+    for family in fuzz::FAMILIES {
+        family.check_schedules(base, 6, 0, 1, 1);
+    }
 }
