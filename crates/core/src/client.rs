@@ -335,9 +335,11 @@ impl ClientCore {
         // Verify the point-to-point MAC.
         let AuthTag::Mac(mac) = auth else { return None };
         ctx.charge_kind(CostKind::Mac, cost.mac(16));
-        let mut body_buf = Vec::new();
-        Msg::Reply(reply.clone()).encode(&mut body_buf);
-        let d = bft_crypto::digest(&body_buf);
+        // The MAC covers the encoded `Msg`: wrap the reply to encode it,
+        // then take it back out — no copy of the result bytes.
+        let body = Msg::Reply(reply);
+        let d = bft_crypto::digest(&body.to_bytes());
+        let Msg::Reply(reply) = body else { return None };
         if !self.keychain.verify_from(from, d.as_bytes(), mac) {
             ctx.metrics().incr("client.bad_reply_auth");
             return None;

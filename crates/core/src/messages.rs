@@ -18,7 +18,7 @@
 use crate::types::{ClientId, ReplicaId, SeqNum, Timestamp, View};
 use crate::wire::{wire_enum, wire_struct, Reader, Wire, WireError};
 use bft_crypto::keychain::Authenticator;
-use bft_crypto::md5::{digest_parts, Digest};
+use bft_crypto::md5::{digest_parts, Digest, Md5};
 use bft_crypto::umac::Mac;
 use bft_sim::{tag_name, TAG_COUNT};
 
@@ -215,10 +215,18 @@ impl Wire for BatchEntry {
 /// digests, in batch order.
 pub fn batch_digest(entries: &[BatchEntry]) -> Digest {
     let digests: Vec<Digest> = entries.iter().map(BatchEntry::digest).collect();
-    let parts: Vec<&[u8]> = std::iter::once(b"BATCH".as_slice())
-        .chain(digests.iter().map(|d| d.as_bytes().as_slice()))
-        .collect();
-    digest_parts(&parts)
+    batch_digest_of(&digests)
+}
+
+/// [`batch_digest`] for a caller that already holds the batch's request
+/// digests, in batch order, and must not hash the requests again.
+pub fn batch_digest_of(digests: &[Digest]) -> Digest {
+    let mut ctx = Md5::new();
+    ctx.update(b"BATCH");
+    for d in digests {
+        ctx.update(d.as_bytes());
+    }
+    ctx.finish()
 }
 
 wire_struct! {

@@ -225,7 +225,7 @@ pub struct Replica<S: Service> {
     /// draining can round-robin across senders — one flooding client
     /// fills only its own lane and cannot starve the others. Keys with
     /// empty lanes are removed eagerly.
-    pending_batch: BTreeMap<ClientId, VecDeque<Request>>,
+    pending_batch: BTreeMap<ClientId, VecDeque<(Digest, Request)>>,
     /// Total requests across all `pending_batch` lanes.
     pending_batch_len: usize,
     /// Round-robin drain position: the last client a request was taken
@@ -540,9 +540,9 @@ impl<S: Service> Replica<S> {
     }
 
     /// Remembers a request body for batch resolution and recovery
-    /// serving, with bounded memory.
-    fn store_request(&mut self, req: Request) {
-        let d = req.digest();
+    /// serving, with bounded memory. `d` is the request's identity digest
+    /// as [`Self::verify_request`] returned it.
+    fn store_request(&mut self, d: Digest, req: Request) {
         if self.request_store.insert(d, req).is_none() {
             self.store_order.push_back(d);
             while self.store_order.len() > STORE_CAP {
@@ -618,32 +618,48 @@ impl<S: Service> Replica<S> {
         from: NodeId,
         packet: &Packet,
     ) -> bool {
-        let body_bytes = packet.body.to_bytes();
         let cost = &self.cfg.cost;
-        ctx.charge_kind(CostKind::Digest, cost.digest(body_bytes.len()));
-        let d = bft_crypto::digest(&body_bytes);
+        ctx.charge_kind(CostKind::Digest, cost.digest(packet.body.wire_len()));
         match &packet.auth {
             AuthTag::None => {
-                // Only requests authenticate themselves.
+                // Only requests authenticate themselves: there is no
+                // packet MAC to hold a body digest against, so the body
+                // is not hashed here — `verify_request` hashes it.
                 matches!(packet.body, Msg::Request(_))
             }
             AuthTag::Mac(m) => {
                 ctx.charge_kind(CostKind::Mac, cost.mac(16));
+                let d = packet.body_digest();
                 self.keychain.verify_from(from, d.as_bytes(), m)
             }
             AuthTag::Vector(a) => {
                 ctx.charge_kind(CostKind::Mac, cost.mac(16));
+                let d = packet.body_digest();
                 self.keychain.verify_authenticator(from, d.as_bytes(), a)
             }
         }
     }
 
-    /// Verifies a request's embedded authenticator.
-    fn verify_request(&mut self, ctx: &mut Context<'_, Packet>, req: &Request) -> bool {
+    /// Verifies a request's embedded authenticator. Returns the
+    /// request's identity digest — hashed here, once, from the bytes this
+    /// node received — for the caller to carry wherever the request goes
+    /// next, or `None` if the authenticator does not verify.
+    fn verify_request(&mut self, ctx: &mut Context<'_, Packet>, req: &Request) -> Option<Digest> {
+        let d = req.digest();
+        self.verify_request_digest(ctx, req, d).then_some(d)
+    }
+
+    /// [`Self::verify_request`] for a caller that already hashed the
+    /// request: `d` must be `req.digest()`.
+    fn verify_request_digest(
+        &mut self,
+        ctx: &mut Context<'_, Packet>,
+        req: &Request,
+        d: Digest,
+    ) -> bool {
         let cost = &self.cfg.cost;
         ctx.charge_kind(CostKind::Digest, cost.digest(req.op.len() + 21));
         ctx.charge_kind(CostKind::Mac, cost.mac(16));
-        let d = req.digest();
         match &req.auth {
             AuthTag::Vector(a) => self
                 .keychain
@@ -806,11 +822,11 @@ impl<S: Service> Replica<S> {
 
     /// Appends a request to its client's backlog lane and tracks the
     /// high-watermark. The caller is responsible for `queued` dedup.
-    fn enqueue_pending(&mut self, req: Request) {
+    fn enqueue_pending(&mut self, digest: Digest, req: Request) {
         self.pending_batch
             .entry(req.client)
             .or_default()
-            .push_back(req);
+            .push_back((digest, req));
         self.pending_batch_len += 1;
         self.note_backlog_hw();
     }
@@ -828,11 +844,12 @@ impl<S: Service> Replica<S> {
         self.rr_next_client()
             .and_then(|c| self.pending_batch.get(&c))
             .and_then(|lane| lane.front())
+            .map(|(_, req)| req)
     }
 
-    /// Removes and returns the request [`Self::rr_peek`] would see,
-    /// advancing the cursor past its client.
-    fn rr_pop(&mut self) -> Option<Request> {
+    /// Removes and returns the request [`Self::rr_peek`] would see, with
+    /// its digest, advancing the cursor past its client.
+    fn rr_pop(&mut self) -> Option<(Digest, Request)> {
         let client = self.rr_next_client()?;
         let lane = self.pending_batch.get_mut(&client)?;
         let req = lane.pop_front()?;
@@ -965,10 +982,10 @@ impl<S: Service> Replica<S> {
             self.shed_request(ctx, req.client, req.timestamp);
             return;
         }
-        if !self.verify_request(ctx, &req) {
+        let Some(digest) = self.verify_request(ctx, &req) else {
             ctx.metrics().incr("replica.bad_request_auth");
             return;
-        }
+        };
         ctx.trace(
             SpanEdge::Instant,
             TracePhase::RequestRecv,
@@ -1061,13 +1078,16 @@ impl<S: Service> Replica<S> {
             }
             self.note_admitted(req.client, req.timestamp, now);
         }
-        self.store_request(req.clone());
-        if self.is_primary() && !self.in_view_change {
-            if self.queued.insert(identity) {
-                self.enqueue_pending(req);
-                self.try_propose(ctx);
-            }
-        } else {
+        let ordering = self.is_primary() && !self.in_view_change;
+        if ordering && self.queued.insert(identity) {
+            // The backlog lane and the store each keep the body.
+            self.enqueue_pending(digest, req.clone());
+            self.store_request(digest, req);
+            self.try_propose(ctx);
+            return;
+        }
+        self.store_request(digest, req);
+        if !ordering {
             // Backup: remember the request and make sure the primary
             // eventually orders it.
             self.pending_requests.insert(identity);
@@ -1524,6 +1544,7 @@ impl<S: Service> Replica<S> {
             // bodies with digest references, which is exactly why it
             // "enables more requests per batch" (Section 4.4).
             let mut batch: Vec<Request> = Vec::new();
+            let mut digests: Vec<Digest> = Vec::new();
             let mut bytes = 0usize;
             while let Some(front) = self.rr_peek() {
                 let separate = self.cfg.opts.separate_request_transmission
@@ -1536,7 +1557,7 @@ impl<S: Service> Replica<S> {
                 {
                     break;
                 }
-                let req = self.rr_pop().expect("peeked request exists");
+                let (digest, req) = self.rr_pop().expect("peeked request exists");
                 let stale = self
                     .reply_cache
                     .get(&req.client)
@@ -1546,6 +1567,7 @@ impl<S: Service> Replica<S> {
                 }
                 bytes += sz;
                 batch.push(req);
+                digests.push(digest);
             }
             if batch.is_empty() {
                 continue;
@@ -1554,21 +1576,22 @@ impl<S: Service> Replica<S> {
             let seq = self.next_seq;
             let entries: Vec<BatchEntry> = batch
                 .iter()
-                .map(|req| {
+                .zip(&digests)
+                .map(|(req, &digest)| {
                     if self.cfg.opts.separate_request_transmission
                         && req.op.len() > self.cfg.inline_threshold
                     {
                         BatchEntry::Ref {
                             client: req.client,
                             timestamp: req.timestamp,
-                            digest: req.digest(),
+                            digest,
                         }
                     } else {
                         BatchEntry::Full(req.clone())
                     }
                 })
                 .collect();
-            let d = batch_digest(&entries);
+            let d = batch_digest_of(&digests);
             ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(entries.len() * 16));
             {
                 let view = self.view;
@@ -1658,7 +1681,10 @@ impl<S: Service> Replica<S> {
             }
         }
         // Validate the batch digest and inline request authenticators.
-        if batch_digest(&pp.entries) != pp.batch_digest {
+        // Inline requests are hashed here, once; both checks and the
+        // store use that digest.
+        let digests: Vec<Digest> = pp.entries.iter().map(BatchEntry::digest).collect();
+        if batch_digest_of(&digests) != pp.batch_digest {
             ctx.metrics().incr("replica.bad_batch_digest");
             return;
         }
@@ -1668,14 +1694,14 @@ impl<S: Service> Replica<S> {
         );
         let mut resolved: Vec<Request> = Vec::with_capacity(pp.entries.len());
         let mut missing = false;
-        for entry in &pp.entries {
+        for (entry, &d) in pp.entries.iter().zip(&digests) {
             match entry {
                 BatchEntry::Full(req) => {
-                    if !self.verify_request(ctx, req) {
+                    if !self.verify_request_digest(ctx, req, d) {
                         ctx.metrics().incr("replica.bad_request_auth");
                         return;
                     }
-                    self.store_request(req.clone());
+                    self.store_request(d, req.clone());
                     resolved.push(req.clone());
                 }
                 BatchEntry::Ref { digest, .. } => match self.request_store.get(digest) {
@@ -1684,12 +1710,16 @@ impl<S: Service> Replica<S> {
                 },
             }
         }
+        for entry in &pp.entries {
+            self.pending_requests.insert(entry.identity());
+        }
+        let batch_len = pp.entries.len() as u64;
         {
             let view = self.view;
             let slot = self.log.slot_mut(pp.seq);
             slot.view = view;
             slot.digest = Some(pp.batch_digest);
-            slot.raw_entries = Some(pp.entries.clone());
+            slot.raw_entries = Some(pp.entries);
             if !missing {
                 slot.requests = Some(resolved);
             }
@@ -1704,9 +1734,6 @@ impl<S: Service> Replica<S> {
             let primary = self.cfg.quorums.primary(self.view);
             self.send_to(ctx, primary, Msg::FetchBatch(fb));
         }
-        for entry in &pp.entries {
-            self.pending_requests.insert(entry.identity());
-        }
         self.ensure_vc_timer(ctx);
         ctx.trace(
             SpanEdge::Open,
@@ -1714,7 +1741,7 @@ impl<S: Service> Replica<S> {
             TraceMeta {
                 view: pp.view,
                 seq: pp.seq,
-                bytes: pp.entries.len() as u64,
+                bytes: batch_len,
                 ..TraceMeta::default()
             },
         );
@@ -2120,8 +2147,10 @@ impl<S: Service> Replica<S> {
     }
 
     fn execute_batch(&mut self, ctx: &mut Context<'_, Packet>, seq: SeqNum, tentative: bool) {
-        let slot = self.log.slot(seq).expect("slot exists");
-        let requests: Vec<Request> = slot.requests.clone().unwrap_or_default();
+        // The bodies leave the slot for the loop below (which needs `self`
+        // whole) and go back with the executed flag: no copy.
+        let slot = self.log.slot_mut(seq);
+        let requests = slot.requests.take();
         let is_null = slot.is_null;
         let batch_digest = slot.digest;
         let mut ops = 0usize;
@@ -2149,14 +2178,14 @@ impl<S: Service> Replica<S> {
             TraceMeta {
                 view: self.view,
                 seq,
-                bytes: requests.len() as u64,
+                bytes: requests.as_ref().map_or(0, Vec::len) as u64,
                 ..TraceMeta::default()
             },
         );
         if tentative {
             self.tentative_cache_undo.clear();
         }
-        for req in &requests {
+        for req in requests.iter().flatten() {
             if is_null {
                 break;
             }
@@ -2186,14 +2215,13 @@ impl<S: Service> Replica<S> {
                 tamper(&mut result);
             }
             ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(result.len()));
-            let result_digest = bft_crypto::digest(&result);
             let send_full = !self.cfg.opts.digest_replies
                 || req.replier == self.id
                 || req.replier == REPLIER_ALL;
             let body = if send_full {
                 ReplyBody::Full(result.clone())
             } else {
-                ReplyBody::Digest(result_digest)
+                ReplyBody::Digest(bft_crypto::digest(&result))
             };
             let reply = Reply {
                 view: self.view,
@@ -2244,6 +2272,7 @@ impl<S: Service> Replica<S> {
         self.note_exec_progress(seq);
         {
             let slot = self.log.slot_mut(seq);
+            slot.requests = requests;
             if tentative {
                 slot.executed_tentative = true;
             } else {
@@ -2693,26 +2722,20 @@ impl<S: Service> Replica<S> {
         }
         let votes = self.backfill.entry((cb.seq, cb.batch_digest)).or_default();
         votes.insert(from);
-        if votes.len() < self.cfg.quorums.witness_quorum() {
-            // Stash the bodies either way; they are digest-bound.
-            for entry in &cb.entries {
-                if let BatchEntry::Full(req) = entry {
-                    if self.verify_request(ctx, req) {
-                        self.store_request(req.clone());
-                    }
+        let witnessed = votes.len() >= self.cfg.quorums.witness_quorum();
+        // Stash the bodies either way; they are digest-bound.
+        for entry in &cb.entries {
+            if let BatchEntry::Full(req) = entry {
+                if let Some(d) = self.verify_request(ctx, req) {
+                    self.store_request(d, req.clone());
                 }
             }
+        }
+        if !witnessed {
             return;
         }
         // f+1 distinct peers assert commitment: at least one is correct.
         ctx.metrics().incr("replica.backfilled_batches");
-        for entry in &cb.entries {
-            if let BatchEntry::Full(req) = entry {
-                if self.verify_request(ctx, req) {
-                    self.store_request(req.clone());
-                }
-            }
-        }
         {
             let view = self.view;
             let slot = self.log.slot_mut(cb.seq);
@@ -2805,10 +2828,10 @@ impl<S: Service> Replica<S> {
     fn handle_request_data(&mut self, ctx: &mut Context<'_, Packet>, rd: RequestData) {
         let mut any = false;
         for req in rd.requests {
-            if !self.verify_request(ctx, &req) {
+            let Some(d) = self.verify_request(ctx, &req) else {
                 continue;
-            }
-            self.store_request(req);
+            };
+            self.store_request(d, req);
             any = true;
         }
         if any {
@@ -2851,19 +2874,19 @@ impl<S: Service> Replica<S> {
         }
         let want = slot.digest.expect("checked");
         // The fetched bodies must hash to the digest we prepared against.
-        let entries_digest = batch_digest(&bd.entries);
-        if entries_digest != want {
+        let digests: Vec<Digest> = bd.entries.iter().map(BatchEntry::digest).collect();
+        if batch_digest_of(&digests) != want {
             return;
         }
         let mut resolved = Vec::with_capacity(bd.entries.len());
-        for entry in &bd.entries {
+        for (entry, d) in bd.entries.into_iter().zip(digests) {
             match entry {
                 BatchEntry::Full(req) => {
-                    if !self.verify_request(ctx, req) {
+                    if !self.verify_request_digest(ctx, &req, d) {
                         return;
                     }
-                    self.store_request(req.clone());
-                    resolved.push(req.clone());
+                    self.store_request(d, req.clone());
+                    resolved.push(req);
                 }
                 BatchEntry::Ref { .. } => return, // fetch answers must inline
             }
@@ -3270,19 +3293,19 @@ impl<S: Service> Replica<S> {
             }
         } else {
             // Unexecuted pending requests may need re-proposing.
-            let pending: Vec<Request> = self
+            let pending: Vec<(Digest, Request)> = self
                 .pending_requests
                 .iter()
                 .filter_map(|(c, ts)| {
                     self.request_store
-                        .values()
-                        .find(|r| r.client == *c && r.timestamp == *ts)
-                        .cloned()
+                        .iter()
+                        .find(|(_, r)| r.client == *c && r.timestamp == *ts)
+                        .map(|(d, r)| (*d, r.clone()))
                 })
                 .collect();
-            for req in pending {
+            for (d, req) in pending {
                 if self.queued.insert((req.client, req.timestamp)) {
-                    self.enqueue_pending(req);
+                    self.enqueue_pending(d, req);
                 }
             }
         }
@@ -3931,5 +3954,165 @@ impl<S: Service> std::fmt::Debug for Replica<S> {
             .field("queued", &self.queued.len())
             .field("pending_reqs", &self.pending_requests.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{ClientApi, ClientDriver};
+    use crate::cluster::Cluster;
+    use crate::service::CounterService;
+    use bft_sim::NetConfig;
+
+    fn cluster() -> Cluster {
+        Cluster::builder(Config::new(1))
+            .seed(15)
+            .net(NetConfig::SWITCHED_100MBPS)
+            .build_counter()
+    }
+
+    /// A request exactly as client `client` would authenticate it.
+    fn signed_request(client: ClientId, n: u32, op: Vec<u8>) -> Request {
+        let req = Request {
+            client,
+            timestamp: 1,
+            op,
+            read_only: false,
+            replier: REPLIER_ALL,
+            auth: AuthTag::None,
+        };
+        let auth = KeyChain::new(client, n).authenticate(req.digest().as_bytes());
+        Request {
+            auth: AuthTag::Vector(auth),
+            ..req
+        }
+    }
+
+    fn inject_everywhere(c: &mut Cluster, from: NodeId, body: &Msg) {
+        for r in 0..c.cfg.n() {
+            let packet = Packet::unauthenticated(body.clone());
+            let wire = packet.wire_bytes();
+            c.sim.inject(r, from, packet, wire);
+        }
+        c.run_for(dur::millis(10));
+    }
+
+    fn stores_are_empty(c: &Cluster) -> bool {
+        (0..c.cfg.n()).all(|r| c.replica::<CounterService>(r).request_store.is_empty())
+    }
+
+    /// The simulator hands a receiver the sender's typed `Packet`, so a
+    /// receiver that trusted anything but the bytes in front of it would
+    /// accept this: the authenticator is the client's own, over the
+    /// digest of the op *before* it was altered.
+    #[test]
+    fn request_altered_after_authentication_is_dropped_everywhere() {
+        for len in [1usize, 4096] {
+            let mut c = cluster();
+            let n = c.cfg.n();
+            let mut req = signed_request(n, n, vec![0; len]);
+            req.op[len - 1] ^= 1;
+            inject_everywhere(&mut c, n, &Msg::Request(req));
+            assert_eq!(
+                c.sim.metrics().counter("replica.bad_request_auth"),
+                u64::from(n),
+                "op of {len} bytes"
+            );
+            assert_eq!(c.sim.metrics().counter("replica.bad_packet_auth"), 0);
+            assert!(stores_are_empty(&c));
+        }
+    }
+
+    /// Only a `Request` may arrive without packet authentication — not
+    /// even a body that merely carries a well-authenticated request.
+    #[test]
+    fn unauthenticated_non_request_bodies_are_dropped() {
+        let mut c = cluster();
+        let n = c.cfg.n();
+        let carried = signed_request(n, n, vec![0, 1]);
+        let bodies = [
+            Msg::RequestData(RequestData {
+                requests: vec![carried.clone()],
+            }),
+            Msg::BatchData(BatchData {
+                seq: 1,
+                entries: vec![BatchEntry::Full(carried)],
+            }),
+            Msg::Commit(Commit {
+                view: 0,
+                seq: 1,
+                batch_digest: NULL_DIGEST,
+                replica: 1,
+            }),
+            Msg::FetchRequests(FetchRequests {
+                digests: vec![NULL_DIGEST],
+            }),
+        ];
+        for body in &bodies {
+            inject_everywhere(&mut c, 1, body);
+        }
+        assert_eq!(
+            c.sim.metrics().counter("replica.bad_packet_auth"),
+            u64::from(n) * bodies.len() as u64
+        );
+        assert!(stores_are_empty(&c));
+    }
+
+    /// Submits one empty op (inlined in the pre-prepare), then one 4 KiB
+    /// op (separately transmitted, so the pre-prepare carries its digest).
+    struct TwoSizes {
+        big_sent: bool,
+    }
+
+    impl ClientDriver for TwoSizes {
+        fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
+            api.submit(Vec::new(), false);
+        }
+        fn on_complete(&mut self, api: &mut ClientApi<'_, '_>, _result: &[u8], _lat: u64) {
+            if !std::mem::replace(&mut self.big_sent, true) {
+                api.submit(vec![2; 4096], false);
+            }
+        }
+    }
+
+    /// The digest a node carries alongside a request — the store's key,
+    /// the `Ref` entry the primary proposes — is threaded, not recomputed
+    /// at each use; it must still be the request's digest.
+    #[test]
+    fn threaded_digests_equal_the_digest_recomputed_from_scratch() {
+        let mut c = cluster();
+        let client = c.add_client(TwoSizes { big_sent: false });
+        c.run_for(dur::millis(200));
+        assert_eq!(c.completed_ops(), 2);
+        for r in 0..c.cfg.n() {
+            let replica = c.replica::<CounterService>(r);
+            let mut stored_sizes = Vec::new();
+            for (d, req) in &replica.request_store {
+                assert_eq!(*d, req.digest(), "replica {r}: store key");
+                assert_eq!(req.client, client);
+                stored_sizes.push(req.op.len());
+            }
+            stored_sizes.sort_unstable();
+            assert_eq!(stored_sizes, [0, 4096], "replica {r}");
+            let entries: Vec<&BatchEntry> = replica
+                .log
+                .iter()
+                .filter_map(|(_, slot)| slot.raw_entries.as_ref())
+                .flatten()
+                .collect();
+            let refs: Vec<Digest> = entries
+                .iter()
+                .filter_map(|e| match e {
+                    BatchEntry::Ref { digest, .. } => Some(*digest),
+                    BatchEntry::Full(_) => None,
+                })
+                .collect();
+            assert_eq!(entries.len(), 2, "replica {r}: one inline, one by digest");
+            assert_eq!(refs.len(), 1, "replica {r}: one inline, one by digest");
+            let body = &replica.request_store[&refs[0]];
+            assert_eq!(body.op.len(), 4096);
+            assert_eq!(refs[0], body.digest(), "replica {r}: proposed digest");
+        }
     }
 }

@@ -72,6 +72,36 @@ pub trait Wire: Sized {
         buf.len()
     }
 
+    /// Appends the encodings of `items`, back to back with no length
+    /// prefix. The slice-level hooks exist so that a type whose items are
+    /// their own encoding (`u8`) can move a whole run at once; the bytes
+    /// are always those of the per-item loop.
+    fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
+    /// Decodes `n` items from the front of `r`. The caller has checked
+    /// `n <= r.remaining()`, which bounds the allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first item's [`WireError`].
+    fn decode_slice(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
+
+    /// Encoded size of `items` back to back: what
+    /// [`Wire::encode_slice`] appends.
+    fn slice_wire_len(items: &[Self]) -> usize {
+        items.iter().map(Wire::wire_len).sum()
+    }
+
     /// Decodes a complete message, rejecting trailing bytes.
     ///
     /// # Errors
@@ -149,6 +179,15 @@ impl Wire for u8 {
     fn wire_len(&self) -> usize {
         1
     }
+    fn encode_slice(items: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
+    fn decode_slice(r: &mut Reader<'_>, n: usize) -> Result<Vec<u8>, WireError> {
+        Ok(r.take(n)?.to_vec())
+    }
+    fn slice_wire_len(items: &[u8]) -> usize {
+        items.len()
+    }
 }
 
 impl Wire for u32 {
@@ -194,12 +233,10 @@ impl Wire for bool {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u64).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
     fn wire_len(&self) -> usize {
-        8 + self.iter().map(Wire::wire_len).sum::<usize>()
+        8 + T::slice_wire_len(self)
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = u64::decode(r)?;
@@ -210,11 +247,7 @@ impl<T: Wire> Wire for Vec<T> {
         if len as usize > r.remaining() {
             return Err(WireError::Truncated);
         }
-        let mut out = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_slice(r, len as usize)
     }
 }
 

@@ -108,3 +108,30 @@ proptest! {
         let _ = Msg::from_bytes(&bytes);
     }
 }
+
+/// `Vec<u8>` moves its bytes in bulk; the wire bytes must be exactly the
+/// per-item encoding (length prefix, then each `u8` encoded on its own),
+/// `wire_len` must agree, and the bulk decoder must stay total: every
+/// strict prefix is a clean `Truncated`, the whole decodes back.
+#[test]
+fn bulk_byte_strings_match_the_per_item_encoding() {
+    for len in [0usize, 1, 4096] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        let mut per_item = Vec::new();
+        (len as u64).encode(&mut per_item);
+        for b in &bytes {
+            b.encode(&mut per_item);
+        }
+        let bulk = bytes.to_bytes();
+        assert_eq!(bulk, per_item, "length {len}");
+        assert_eq!(bytes.wire_len(), per_item.len(), "length {len}");
+        assert_eq!(Vec::<u8>::from_bytes(&bulk), Ok(bytes), "length {len}");
+        for cut in 0..bulk.len() {
+            assert_eq!(
+                Vec::<u8>::from_bytes(&bulk[..cut]),
+                Err(bft_core::wire::WireError::Truncated),
+                "length {len} cut at {cut}"
+            );
+        }
+    }
+}

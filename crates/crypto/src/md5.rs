@@ -125,81 +125,153 @@ impl Md5 {
     }
 
     /// Absorbs `data` into the digest.
-    pub fn update(&mut self, data: &[u8]) {
+    pub fn update(&mut self, mut data: &[u8]) {
         self.len = self.len.wrapping_add(data.len() as u64);
-        let mut data = data;
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("64-byte block");
-            self.compress(&block);
-            data = &data[64..];
+        // Whole blocks are compressed where they lie in `data`.
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            let block = block.try_into().expect("chunks_exact yields 64 bytes");
+            compress(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        let rest = blocks.remainder();
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
     /// Finalizes the digest, consuming the context.
     pub fn finish(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit little-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Appending the length must not be double-counted in self.len, but
-        // since we are finishing, self.len no longer matters.
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        self.compress(&block.clone());
+        // Padding: 0x80 then zeros (`pad_len` bytes in all) until the message
+        // is 56 bytes into a block, then the 64-bit little-endian bit length
+        // of the message proper.
+        let pad_len = if self.buf_len < 56 { 56 } else { 120 } - self.buf_len;
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_le_bytes());
+        self.update(&pad[..pad_len + 8]);
+        debug_assert_eq!(self.buf_len, 0, "padding ends on a block boundary");
         let mut out = [0u8; 16];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut m = [0u32; 16];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+/// The MD5 compression function: folds one 64-byte block into `state`.
+///
+/// All 64 steps are written out, so the message-word index, shift and
+/// additive constant of each step are compile-time constants and the four
+/// state words never rotate through a temporary.
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (word, chunk) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
     }
+    let f = |b: u32, c: u32, d: u32| d ^ (b & (c ^ d));
+    // `(b & d) | (c & !d)`: the terms share no set bit, so the OR is an
+    // add, and the term without `b` — the word the previous step has just
+    // produced — folds into the sum off the critical path.
+    let g = |b: u32, c: u32, d: u32| (b & d).wrapping_add(c & !d);
+    let h = |b: u32, c: u32, d: u32| b ^ c ^ d;
+    let i = |b: u32, c: u32, d: u32| c ^ (b | !d);
+    // Step `$n` of RFC 1321, reading message word `$w`:
+    // `a = b + ((a + mix(b, c, d) + m[w] + K[n]) <<< S[n])`.
+    macro_rules! step {
+        ($mix:ident, $a:ident, $b:ident, $c:ident, $d:ident, $n:literal, $w:literal) => {
+            $a = $a
+                .wrapping_add(m[$w])
+                .wrapping_add(K[$n])
+                .wrapping_add($mix($b, $c, $d))
+                .rotate_left(S[$n])
+                .wrapping_add($b);
+        };
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+
+    step!(f, a, b, c, d, 0, 0);
+    step!(f, d, a, b, c, 1, 1);
+    step!(f, c, d, a, b, 2, 2);
+    step!(f, b, c, d, a, 3, 3);
+    step!(f, a, b, c, d, 4, 4);
+    step!(f, d, a, b, c, 5, 5);
+    step!(f, c, d, a, b, 6, 6);
+    step!(f, b, c, d, a, 7, 7);
+    step!(f, a, b, c, d, 8, 8);
+    step!(f, d, a, b, c, 9, 9);
+    step!(f, c, d, a, b, 10, 10);
+    step!(f, b, c, d, a, 11, 11);
+    step!(f, a, b, c, d, 12, 12);
+    step!(f, d, a, b, c, 13, 13);
+    step!(f, c, d, a, b, 14, 14);
+    step!(f, b, c, d, a, 15, 15);
+
+    step!(g, a, b, c, d, 16, 1);
+    step!(g, d, a, b, c, 17, 6);
+    step!(g, c, d, a, b, 18, 11);
+    step!(g, b, c, d, a, 19, 0);
+    step!(g, a, b, c, d, 20, 5);
+    step!(g, d, a, b, c, 21, 10);
+    step!(g, c, d, a, b, 22, 15);
+    step!(g, b, c, d, a, 23, 4);
+    step!(g, a, b, c, d, 24, 9);
+    step!(g, d, a, b, c, 25, 14);
+    step!(g, c, d, a, b, 26, 3);
+    step!(g, b, c, d, a, 27, 8);
+    step!(g, a, b, c, d, 28, 13);
+    step!(g, d, a, b, c, 29, 2);
+    step!(g, c, d, a, b, 30, 7);
+    step!(g, b, c, d, a, 31, 12);
+
+    step!(h, a, b, c, d, 32, 5);
+    step!(h, d, a, b, c, 33, 8);
+    step!(h, c, d, a, b, 34, 11);
+    step!(h, b, c, d, a, 35, 14);
+    step!(h, a, b, c, d, 36, 1);
+    step!(h, d, a, b, c, 37, 4);
+    step!(h, c, d, a, b, 38, 7);
+    step!(h, b, c, d, a, 39, 10);
+    step!(h, a, b, c, d, 40, 13);
+    step!(h, d, a, b, c, 41, 0);
+    step!(h, c, d, a, b, 42, 3);
+    step!(h, b, c, d, a, 43, 6);
+    step!(h, a, b, c, d, 44, 9);
+    step!(h, d, a, b, c, 45, 12);
+    step!(h, c, d, a, b, 46, 15);
+    step!(h, b, c, d, a, 47, 2);
+
+    step!(i, a, b, c, d, 48, 0);
+    step!(i, d, a, b, c, 49, 7);
+    step!(i, c, d, a, b, 50, 14);
+    step!(i, b, c, d, a, 51, 5);
+    step!(i, a, b, c, d, 52, 12);
+    step!(i, d, a, b, c, 53, 3);
+    step!(i, c, d, a, b, 54, 10);
+    step!(i, b, c, d, a, 55, 1);
+    step!(i, a, b, c, d, 56, 8);
+    step!(i, d, a, b, c, 57, 15);
+    step!(i, c, d, a, b, 58, 6);
+    step!(i, b, c, d, a, 59, 13);
+    step!(i, a, b, c, d, 60, 4);
+    step!(i, d, a, b, c, 61, 11);
+    step!(i, c, d, a, b, 62, 2);
+    step!(i, b, c, d, a, 63, 9);
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
 }
 
 /// Computes the MD5 digest of `data` in one shot.
@@ -227,6 +299,56 @@ pub fn digest_parts(parts: &[&[u8]]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+
+    /// The compression function as RFC 1321 states it — one loop, the
+    /// round selected per step — kept as the reference for [`compress`].
+    fn compress_looped(state: &mut [u32; 4], block: &[u8; 64]) {
+        let mut m = [0u32; 16];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            m[i] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+        }
+        let [mut a, mut b, mut c, mut d] = *state;
+        for i in 0..64 {
+            let (f, g) = match i / 16 {
+                0 => ((b & c) | (!b & d), i),
+                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+                2 => (b ^ c ^ d, (3 * i + 5) % 16),
+                _ => (c ^ (b | !d), (7 * i) % 16),
+            };
+            let tmp = d;
+            d = c;
+            c = b;
+            b = b.wrapping_add(
+                a.wrapping_add(f)
+                    .wrapping_add(K[i])
+                    .wrapping_add(m[g])
+                    .rotate_left(S[i]),
+            );
+            a = tmp;
+        }
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+    }
+
+    #[test]
+    fn unrolled_compress_matches_looped_reference() {
+        let mut rng = StdRng::seed_from_u64(0x0d5);
+        for case in 0..1000 {
+            let mut block = [0u8; 64];
+            rng.fill_bytes(&mut block);
+            let state: [u32; 4] = std::array::from_fn(|_| rng.gen());
+            let (mut unrolled, mut looped) = (state, state);
+            compress(&mut unrolled, &block);
+            compress_looped(&mut looped, &block);
+            assert_eq!(
+                unrolled, looped,
+                "case {case}: state {state:x?} block {block:x?}"
+            );
+        }
+    }
 
     /// RFC 1321 appendix A.5 test suite.
     #[test]
@@ -274,16 +396,40 @@ mod tests {
         assert_eq!(digest_parts(&[a, b]), digest(&concat));
     }
 
+    /// MD5 the slow, obvious way: materialize the padded message, then
+    /// run the reference compression over it.
+    fn digest_reference(data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_le_bytes());
+        let mut state = Md5::new().state;
+        for block in padded.chunks_exact(64) {
+            compress_looped(&mut state, block.try_into().expect("64-byte block"));
+        }
+        let mut out = [0u8; 16];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_le_bytes());
+        }
+        Digest(out)
+    }
+
     #[test]
     fn boundary_lengths() {
-        // Exercise padding edge cases around the 56-byte length slot.
-        for len in 54..=66usize {
-            let data = vec![0xabu8; len];
+        // Every padding shape: around the 56-byte length slot and the
+        // block boundary, in the first block and the second, and a 4 KiB
+        // body; fed whole and a byte at a time.
+        for len in (0..=130usize).chain([4095, 4096, 4097]) {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let want = digest_reference(&data);
+            assert_eq!(digest(&data), want, "len {len}");
             let mut ctx = Md5::new();
             for b in &data {
                 ctx.update(std::slice::from_ref(b));
             }
-            assert_eq!(ctx.finish(), digest(&data), "len {len}");
+            assert_eq!(ctx.finish(), want, "len {len}, bytewise");
         }
     }
 

@@ -6,22 +6,29 @@ use bft_crypto::umac::MacKey;
 use proptest::prelude::*;
 
 proptest! {
-    /// Incremental MD5 must equal one-shot MD5 for any chunking.
+    /// Incremental MD5 must equal one-shot MD5 for any chunking, at a
+    /// random length and at every length where the padding changes shape
+    /// (empty, one short of / exactly / past the 56-byte length slot, each
+    /// side of a block boundary, and again one block on).
     #[test]
     fn md5_incremental_matches_oneshot(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
-        splits in proptest::collection::vec(0usize..2048, 0..8),
+        data in proptest::collection::vec(any::<u8>(), 4096..4097),
+        len in 0usize..4096,
+        splits in proptest::collection::vec(0usize..4097, 0..8),
     ) {
-        let mut cuts: Vec<usize> = splits.into_iter().map(|s| s % (data.len() + 1)).collect();
-        cuts.sort_unstable();
-        let mut ctx = Md5::new();
-        let mut prev = 0;
-        for &cut in &cuts {
-            ctx.update(&data[prev..cut]);
-            prev = cut;
+        for len in [len, 0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128, 4096] {
+            let data = &data[..len];
+            let mut cuts: Vec<usize> = splits.iter().map(|s| s % (len + 1)).collect();
+            cuts.sort_unstable();
+            let mut ctx = Md5::new();
+            let mut prev = 0;
+            for &cut in &cuts {
+                ctx.update(&data[prev..cut]);
+                prev = cut;
+            }
+            ctx.update(&data[prev..]);
+            prop_assert_eq!(ctx.finish(), digest(data), "length {}", len);
         }
-        ctx.update(&data[prev..]);
-        prop_assert_eq!(ctx.finish(), digest(&data));
     }
 
     /// Distinct inputs virtually never collide (sanity, not a proof).

@@ -227,7 +227,6 @@ impl<M> Context<'_, M> {
             }
             Err(_) => {
                 self.kernel.metrics.incr("net.dropped");
-                self.kernel.metrics.incr(format!("net.dropped.dst{dst}"));
             }
         }
     }
@@ -271,7 +270,6 @@ impl<M> Context<'_, M> {
                 }
                 Err(_) => {
                     self.kernel.metrics.incr("net.dropped");
-                    self.kernel.metrics.incr(format!("net.dropped.dst{dst}"));
                 }
             }
         }
