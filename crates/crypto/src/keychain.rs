@@ -53,6 +53,38 @@ impl Authenticator {
     }
 }
 
+/// A cached directional key and the epoch it was derived for.
+type EpochKey = Option<(u64, MacKey)>;
+
+/// What one principal holds about one peer: at most three keys, however
+/// many epochs go by.
+#[derive(Clone, Debug, Default)]
+struct PeerKeys {
+    /// The epoch the peer last announced (keys I use sending to it).
+    announced: u64,
+    /// The `me → peer` key.
+    outbound: EpochKey,
+    /// The `peer → me` keys, epoch `e` in slot `e & 1`: the current and the
+    /// previous epoch differ in parity, so neither evicts the other.
+    inbound: [EpochKey; 2],
+}
+
+/// The directional key for `sender → receiver` at `epoch`: the one in
+/// `slot` if it is for that epoch, otherwise derived into `slot`.
+fn cached(slot: &mut EpochKey, sender: PrincipalId, receiver: PrincipalId, epoch: u64) -> &MacKey {
+    if slot.as_ref().is_none_or(|(held, _)| *held != epoch) {
+        let mut material = [0u8; 31];
+        material[..15].copy_from_slice(b"bft-session-key");
+        material[15..19].copy_from_slice(&sender.to_le_bytes());
+        material[19..23].copy_from_slice(&receiver.to_le_bytes());
+        material[23..].copy_from_slice(&epoch.to_le_bytes());
+        let key = MacKey::from_bytes(*md5::digest(&material).as_bytes());
+        *slot = Some((epoch, key));
+    }
+    let (_, key) = slot.as_ref().expect("filled above");
+    key
+}
+
 /// Per-principal key state: directional session keys per epoch, a nonce
 /// counter, and the epochs announced by each peer.
 ///
@@ -73,10 +105,12 @@ pub struct KeyChain {
     nonce: u64,
     /// The epoch of the keys others must use when sending to me.
     my_epoch: u64,
-    /// The epoch each peer last announced (keys I use sending to them).
-    peer_epochs: HashMap<PrincipalId, u64>,
-    /// Cache of derived directional keys: (sender, receiver, epoch) → key.
-    keys: HashMap<(PrincipalId, PrincipalId, u64), MacKey>,
+    /// Replica peers, indexed by id: every MAC of the ordering protocol
+    /// finds its key here without hashing.
+    replicas: Vec<PeerKeys>,
+    /// Client peers. Their ids arrive in messages, so they are looked up,
+    /// not indexed.
+    clients: HashMap<PrincipalId, PeerKeys>,
 }
 
 impl KeyChain {
@@ -92,8 +126,8 @@ impl KeyChain {
             n_replicas,
             nonce: 0,
             my_epoch: 0,
-            peer_epochs: HashMap::new(),
-            keys: HashMap::new(),
+            replicas: vec![PeerKeys::default(); n_replicas as usize],
+            clients: HashMap::new(),
         }
     }
 
@@ -122,11 +156,11 @@ impl KeyChain {
     }
 
     /// Records the epoch `peer` announced for messages sent to it. Stale
-    /// announcements (replays) are ignored.
+    /// announcements (replays) are ignored, and so are announcements by
+    /// clients, whose keys stay at epoch 0.
     pub fn set_peer_epoch(&mut self, peer: PrincipalId, epoch: u64) {
-        let e = self.peer_epochs.entry(peer).or_insert(0);
-        if epoch > *e {
-            *e = epoch;
+        if let Some(keys) = self.replicas.get_mut(peer as usize) {
+            keys.announced = keys.announced.max(epoch);
         }
     }
 
@@ -135,10 +169,12 @@ impl KeyChain {
     /// replica group's NEW-KEY rounds (as in BFT, where client keys are
     /// refreshed on the client's own schedule).
     pub fn peer_epoch(&self, peer: PrincipalId) -> u64 {
-        if self.is_client(peer) || self.is_client(self.my_id) {
+        if self.is_client(self.my_id) {
             return 0;
         }
-        self.peer_epochs.get(&peer).copied().unwrap_or(0)
+        self.replicas
+            .get(peer as usize)
+            .map_or(0, |keys| keys.announced)
     }
 
     fn is_client(&self, id: PrincipalId) -> bool {
@@ -153,28 +189,24 @@ impl KeyChain {
         [self.my_epoch, self.my_epoch.saturating_sub(1)]
     }
 
-    /// The directional key for `sender → receiver` at `epoch`.
-    fn key(&mut self, sender: PrincipalId, receiver: PrincipalId, epoch: u64) -> &MacKey {
-        self.keys
-            .entry((sender, receiver, epoch))
-            .or_insert_with(|| {
-                let mut material = Vec::with_capacity(40);
-                material.extend_from_slice(b"bft-session-key");
-                material.extend_from_slice(&sender.to_le_bytes());
-                material.extend_from_slice(&receiver.to_le_bytes());
-                material.extend_from_slice(&epoch.to_le_bytes());
-                MacKey::from_bytes(*md5::digest(&material).as_bytes())
-            })
+    fn peer_keys(&mut self, peer: PrincipalId) -> &mut PeerKeys {
+        match self.replicas.get_mut(peer as usize) {
+            Some(keys) => keys,
+            None => self.clients.entry(peer).or_default(),
+        }
+    }
+
+    /// MACs `msg` for `peer` under the epoch it announced.
+    fn mac_to(&mut self, peer: PrincipalId, msg: &[u8], nonce: u64) -> Mac {
+        let (me, epoch) = (self.my_id, self.peer_epoch(peer));
+        cached(&mut self.peer_keys(peer).outbound, me, peer, epoch).mac(msg, nonce)
     }
 
     /// MACs `msg` for a single peer (point-to-point messages: requests to
     /// the primary, replies to clients), under the peer's announced epoch.
     pub fn mac_for(&mut self, peer: PrincipalId, msg: &[u8]) -> Mac {
         self.nonce += 1;
-        let nonce = self.nonce;
-        let epoch = self.peer_epoch(peer);
-        let me = self.my_id;
-        self.key(me, peer, epoch).mac(msg, nonce)
+        self.mac_to(peer, msg, self.nonce)
     }
 
     /// Verifies a point-to-point MAC from `peer`, accepting the current
@@ -182,8 +214,10 @@ impl KeyChain {
     pub fn verify_from(&mut self, peer: PrincipalId, msg: &[u8], mac: &Mac) -> bool {
         let me = self.my_id;
         let epochs = self.inbound_epochs(peer);
-        for &e in &epochs {
-            if self.key(peer, me, e).verify(msg, mac.nonce, &mac.tag) {
+        let keys = self.peer_keys(peer);
+        for e in epochs {
+            let key = cached(&mut keys.inbound[(e & 1) as usize], peer, me, e);
+            if key.verify(msg, mac.nonce, &mac.tag) {
                 return true;
             }
             if e == 0 {
@@ -201,10 +235,7 @@ impl KeyChain {
         let me = self.my_id;
         let entries = (0..self.n_replicas)
             .filter(|&r| r != me)
-            .map(|r| {
-                let epoch = self.peer_epoch(r);
-                (r, self.key(me, r, epoch).mac(msg, nonce))
-            })
+            .map(|r| (r, self.mac_to(r, msg, nonce)))
             .collect();
         Authenticator { entries }
     }
@@ -218,20 +249,10 @@ impl KeyChain {
         msg: &[u8],
         auth: &Authenticator,
     ) -> bool {
-        let me = self.my_id;
-        let Some(mac) = auth.entry(me).copied() else {
-            return false;
-        };
-        let epochs = self.inbound_epochs(sender);
-        for &e in &epochs {
-            if self.key(sender, me, e).verify(msg, mac.nonce, &mac.tag) {
-                return true;
-            }
-            if e == 0 {
-                break;
-            }
+        match auth.entry(self.my_id) {
+            Some(mac) => self.verify_from(sender, msg, mac),
+            None => false,
         }
-        false
     }
 
     /// Number of MAC computations needed to authenticate one multicast —
@@ -337,6 +358,78 @@ mod tests {
         let auth = primary.authenticate(b"m");
         assert_eq!(auth.entries.len(), 6);
         assert_eq!(auth.wire_bytes(), 6 * 17);
+    }
+
+    /// Keys, nonces and tags as the `(sender, receiver, epoch)`-keyed map
+    /// this module used to have produced them.
+    #[test]
+    fn keys_nonces_and_tags_are_unchanged() {
+        let tags = |auth: &Authenticator| -> Vec<(PrincipalId, u64, [u8; 8])> {
+            auth.entries
+                .iter()
+                .map(|&(r, m)| (r, m.nonce, m.tag))
+                .collect()
+        };
+        let mut replica = KeyChain::new(0, 4);
+        let mut client = KeyChain::new(9, 4);
+        replica.set_peer_epoch(2, 3);
+        assert_eq!(
+            tags(&replica.authenticate(b"golden")),
+            [
+                (1, 1, [34, 137, 130, 239, 29, 254, 27, 1]),
+                (2, 1, [112, 111, 152, 32, 246, 97, 52, 99]),
+                (3, 1, [156, 83, 234, 217, 177, 70, 169, 166]),
+            ]
+        );
+        let to_client = replica.mac_for(9, b"golden");
+        assert_eq!(to_client.nonce, 2);
+        assert_eq!(to_client.tag, [49, 144, 110, 10, 100, 108, 187, 150]);
+        let to_replica = client.mac_for(0, b"golden");
+        assert_eq!(to_replica.nonce, 1);
+        assert_eq!(to_replica.tag, [206, 180, 216, 129, 86, 173, 42, 166]);
+        assert_eq!(
+            tags(&client.authenticate(b"golden")),
+            [
+                (0, 2, [30, 175, 47, 243, 183, 224, 201, 238]),
+                (1, 2, [205, 120, 112, 158, 154, 185, 48, 25]),
+                (2, 2, [188, 189, 86, 15, 204, 53, 209, 210]),
+                (3, 2, [57, 178, 217, 115, 193, 128, 95, 28]),
+            ]
+        );
+    }
+
+    #[test]
+    fn refresh_rounds_reuse_the_peer_slots() {
+        // Fifty refresh rounds between two replicas, traffic both ways in
+        // every round: the three key slots per peer are overwritten, epoch
+        // after epoch, without the current and previous key colliding.
+        let mut a = KeyChain::new(0, 4);
+        let mut b = KeyChain::new(1, 4);
+        for round in 0..50u64 {
+            let mac = a.mac_for(1, b"ping");
+            assert!(b.verify_from(0, b"ping", &mac), "round {round}");
+            let epoch = b.refresh();
+            // In flight across the refresh: the previous epoch still passes.
+            assert!(b.verify_from(0, b"ping", &mac), "round {round}");
+            a.set_peer_epoch(1, epoch);
+            let mac = b.mac_for(0, b"pong");
+            assert!(a.verify_from(1, b"pong", &mac), "round {round}");
+        }
+        assert!(a.clients.is_empty() && b.clients.is_empty());
+    }
+
+    #[test]
+    fn client_ids_far_outside_the_group_are_looked_up_not_indexed() {
+        let mut replica = KeyChain::new(0, 4);
+        let mut client = KeyChain::new(u32::MAX, 4);
+        let mac = client.mac_for(0, b"request");
+        assert!(replica.verify_from(u32::MAX, b"request", &mac));
+        replica.set_peer_epoch(u32::MAX, 9);
+        assert_eq!(replica.peer_epoch(u32::MAX), 0);
+        let reply = replica.mac_for(u32::MAX, b"reply");
+        assert!(client.verify_from(0, b"reply", &reply));
+        assert_eq!(replica.replicas.len(), 4);
+        assert_eq!(replica.clients.len(), 1);
     }
 
     #[test]

@@ -30,6 +30,16 @@ const NH_KEY_WORDS: usize = NH_BLOCK / 4;
 /// Prime modulus 2^64 - 59 for the polynomial hash.
 const P64: u128 = 0xffff_ffff_ffff_ffc5;
 
+/// `x mod P64`. 2⁶⁴ ≡ 59 (mod P64), so the high word folds down as
+/// `hi·59 + lo`; two folds leave a value below `2·P64` and one conditional
+/// subtract finishes. A `%` on `u128` is a library call per MAC.
+fn reduce(x: u128) -> u64 {
+    const LOW: u128 = u64::MAX as u128;
+    let x = (x >> 64) * 59 + (x & LOW); // < 60·2⁶⁴
+    let x = (x >> 64) * 59 + (x & LOW); // < 2⁶⁴ + 59²
+    (if x >= P64 { x - P64 } else { x }) as u64
+}
+
 /// An 8-byte MAC tag plus the nonce it was computed with.
 ///
 /// BFT messages carry the tag and nonce; the receiver recomputes the tag
@@ -134,19 +144,19 @@ impl MacKey {
     fn universal_hash(&self, msg: &[u8]) -> u64 {
         // Include the length so messages that are prefixes of each other
         // hash differently (UMAC appends the length in its L2 phase).
-        let mut acc: u128 = (msg.len() as u128 + 1) % P64;
+        let mut acc = reduce(msg.len() as u128 + 1);
         if msg.is_empty() {
-            return self.poly_combine(acc, 0);
+            return self.poly_step(acc, 0);
         }
         for block in msg.chunks(NH_BLOCK) {
-            let h = self.nh_block(block);
-            acc = (acc * self.poly_key as u128 + h as u128) % P64;
+            acc = self.poly_step(acc, self.nh_block(block));
         }
-        acc as u64
+        acc
     }
 
-    fn poly_combine(&self, acc: u128, h: u64) -> u64 {
-        ((acc * self.poly_key as u128 + h as u128) % P64) as u64
+    /// One Horner step of the polynomial hash: `acc·k + h` in the field.
+    fn poly_step(&self, acc: u64, h: u64) -> u64 {
+        reduce(acc as u128 * self.poly_key as u128 + h as u128)
     }
 
     /// The NH inner hash of one ≤1024-byte block.
@@ -180,9 +190,64 @@ impl MacKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     fn key(byte: u8) -> MacKey {
         MacKey::from_bytes([byte; 16])
+    }
+
+    #[test]
+    fn reduce_equals_the_remainder() {
+        let p = P64;
+        let mut cases = vec![
+            0,
+            1,
+            58,
+            59,
+            p - 1,
+            p,
+            p + 1,
+            (1 << 64) - 1,
+            1 << 64,
+            (1 << 64) + 59 * 59,
+            2 * p - 1,
+            2 * p,
+            (p - 1) * (p - 1) + (u64::MAX as u128),
+            u128::MAX - 1,
+            u128::MAX,
+        ];
+        // Random u128, plus values with a random high word over a low
+        // word that sits at the edge of the second fold.
+        let mut rng = StdRng::seed_from_u64(59);
+        for _ in 0..100_000 {
+            let (hi, lo) = (rng.next_u64() as u128, rng.next_u64() as u128);
+            cases.push(hi << 64 | lo);
+            cases.push(hi << 64 | (u64::MAX as u128 - lo % 4096));
+        }
+        for x in cases {
+            assert_eq!(reduce(x) as u128, x % p, "x = {x:#x}");
+        }
+    }
+
+    /// Tags computed with the `% P64` reduction this module used to have.
+    #[test]
+    fn tags_are_unchanged() {
+        let k = key(7);
+        let golden: [(usize, [u8; 8]); 8] = [
+            (0, [134, 223, 49, 47, 22, 94, 149, 107]),
+            (1, [148, 18, 159, 222, 135, 80, 62, 75]),
+            (16, [79, 71, 37, 50, 137, 108, 230, 90]),
+            (1023, [152, 208, 67, 80, 152, 142, 134, 247]),
+            (1024, [2, 23, 43, 252, 243, 17, 13, 255]),
+            (1025, [168, 133, 18, 213, 212, 224, 84, 240]),
+            (4096, [226, 40, 78, 240, 58, 248, 77, 193]),
+            (5000, [215, 127, 159, 219, 132, 202, 104, 184]),
+        ];
+        for (len, tag) in golden {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            assert_eq!(k.mac(&msg, len as u64 + 3).tag, tag, "len {len}");
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@ use crate::trace::{CostKind, SpanEdge, TraceEvent, TraceMeta, TracePhase, TraceS
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// A participant in the simulation.
 ///
@@ -46,8 +46,15 @@ pub trait Node<M>: 'static {
 }
 
 /// A handle to a pending timer, used for cancellation.
+///
+/// Names the slab slot the timer occupies and the slot's generation when
+/// it was armed; once the timer fires or is cancelled the slot moves to
+/// its next generation and the handle matches nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
+pub struct TimerId {
+    slot: u32,
+    generation: u32,
+}
 
 enum EventKind<M> {
     Start,
@@ -58,42 +65,232 @@ enum EventKind<M> {
     },
     Timer {
         token: u64,
-        id: TimerId,
     },
 }
 
-struct QueuedEvent<M> {
-    at: SimTime,
+/// A queued event's payload. Written into the slab once; only its
+/// [`Key`] moves while the event waits.
+struct Event<M> {
     /// When the event first entered the queue (deferrals preserve this so
     /// queue-limit checks measure total waiting time).
     born: SimTime,
-    seq: u64,
     dst: NodeId,
     kind: EventKind<M>,
 }
 
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+/// What the heaps order: 24 bytes, whatever `M` is.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
+    at: SimTime,
+    seq: u64,
+    slot: u32,
+    /// The slot's generation when the key was made. A key whose slot has
+    /// moved on (its timer was cancelled) is dead and skipped when popped.
+    generation: u32,
+}
+
+impl Key {
+    /// `(at, seq)` as one number. `seq` is unique, so this is a total
+    /// order, and a sift compares it in two instructions where the
+    /// derived field-by-field order branches.
+    fn rank(&self) -> u128 {
+        u128::from(self.at.nanos()) << 64 | u128::from(self.seq)
     }
 }
-impl<M> Eq for QueuedEvent<M> {}
-impl<M> PartialOrd for QueuedEvent<M> {
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.rank().cmp(&other.rank())
+    }
+}
+
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for QueuedEvent<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest (time, seq) pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+
+struct Slot<M> {
+    /// Bumped every time the slot is vacated. It wraps after 2³² reuses
+    /// of this one slot, far more than happen while any one key or
+    /// [`TimerId`] naming the slot is still around.
+    generation: u32,
+    event: Option<Event<M>>,
+}
+
+/// Which heap the earliest key sits in.
+#[derive(Clone, Copy)]
+enum Head {
+    Near,
+    Timers,
+}
+
+/// The event queue: one total order `(at, seq)` kept in two heaps of keys
+/// over a slab of events.
+///
+/// `near` holds deliveries, starts and every deferred event — a few
+/// hundred keys that churn (an event for a busy node is re-keyed once per
+/// handler that runs ahead of it). `timers` holds keys of armed timers:
+/// thousands, a quarter of a simulated second out, nearly all cancelled
+/// long before they surface; a key there is touched when armed and when
+/// its instant comes up, not by the traffic in between. `seq` is drawn
+/// from one counter, so taking the smaller of the two heads is the order
+/// a single heap would give.
+///
+/// Dead keys are not purged early: drivers peek [`Simulation::next_event_at`]
+/// and then `step()`, so the instant of a cancelled timer is observable.
+struct Queue<M> {
+    seq: u64,
+    near: BinaryHeap<Reverse<Key>>,
+    timers: BinaryHeap<Reverse<Key>>,
+    slab: Vec<Slot<M>>,
+    free: Vec<u32>,
+}
+
+impl<M> Queue<M> {
+    fn new() -> Queue<M> {
+        Queue {
+            seq: 0,
+            near: BinaryHeap::new(),
+            timers: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Stores a new event and returns its key, not yet in either heap.
+    fn insert(&mut self, at: SimTime, dst: NodeId, kind: EventKind<M>) -> Key {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 queued events");
+            self.slab.push(Slot {
+                generation: 0,
+                event: None,
+            });
+            slot
+        });
+        let entry = &mut self.slab[slot as usize];
+        entry.event = Some(Event {
+            born: at,
+            dst,
+            kind,
+        });
+        let generation = entry.generation;
+        Key {
+            at,
+            seq: self.next_seq(),
+            slot,
+            generation,
+        }
+    }
+
+    fn push(&mut self, at: SimTime, dst: NodeId, kind: EventKind<M>) {
+        let key = self.insert(at, dst, kind);
+        self.near.push(Reverse(key));
+    }
+
+    fn arm(&mut self, at: SimTime, dst: NodeId, token: u64) -> TimerId {
+        let key = self.insert(at, dst, EventKind::Timer { token });
+        self.timers.push(Reverse(key));
+        TimerId {
+            slot: key.slot,
+            generation: key.generation,
+        }
+    }
+
+    /// Takes the event out of `slot` and retires the slot's generation, so
+    /// a key or [`TimerId`] still naming it matches nothing.
+    fn vacate(&mut self, slot: u32) -> Option<Event<M>> {
+        let entry = &mut self.slab[slot as usize];
+        entry.generation = entry.generation.wrapping_add(1);
+        self.free.push(slot);
+        entry.event.take()
+    }
+
+    fn cancel(&mut self, id: TimerId) {
+        let armed = self
+            .slab
+            .get(id.slot as usize)
+            .is_some_and(|entry| entry.generation == id.generation);
+        if armed {
+            self.vacate(id.slot);
+        }
+    }
+
+    /// The earliest key, dead or alive, and the heap it is in.
+    fn head(&self) -> Option<(Head, Key)> {
+        match (self.near.peek(), self.timers.peek()) {
+            (None, None) => None,
+            (Some(&Reverse(near)), None) => Some((Head::Near, near)),
+            (None, Some(&Reverse(timer))) => Some((Head::Timers, timer)),
+            (Some(&Reverse(near)), Some(&Reverse(timer))) => Some(if near < timer {
+                (Head::Near, near)
+            } else {
+                (Head::Timers, timer)
+            }),
+        }
+    }
+
+    /// The event `key` refers to, or `None` if the key is dead.
+    fn event(&self, key: Key) -> Option<&Event<M>> {
+        let entry = &self.slab[key.slot as usize];
+        if entry.generation == key.generation {
+            entry.event.as_ref()
+        } else {
+            None
+        }
+    }
+
+    /// Removes the head key, leaving its slot alone.
+    fn pop_key(&mut self, head: Head) {
+        match head {
+            Head::Near => self.near.pop(),
+            Head::Timers => self.timers.pop(),
+        };
+    }
+
+    /// Removes the head key and its (live) event.
+    fn take(&mut self, head: Head, key: Key) -> Event<M> {
+        self.pop_key(head);
+        self.vacate(key.slot).expect("a live key has an event")
+    }
+
+    /// Re-keys the head event to `(at, fresh seq)`: what popping it and
+    /// pushing it again would do, in one sift when it stays in `near`.
+    fn defer(&mut self, head: Head, at: SimTime) {
+        let seq = self.next_seq();
+        match head {
+            Head::Near => {
+                let mut top = self.near.peek_mut().expect("head is in near");
+                top.0.at = at;
+                top.0.seq = seq;
+            }
+            Head::Timers => {
+                let Reverse(key) = self.timers.pop().expect("head is in timers");
+                self.near.push(Reverse(Key { at, seq, ..key }));
+            }
+        }
+    }
+
+    /// Keys in both heaps, dead ones included.
+    fn keys(&self) -> usize {
+        self.near.len() + self.timers.len()
+    }
+
+    /// Events still to be dispatched or dropped.
+    fn live(&self) -> usize {
+        self.slab.len() - self.free.len()
     }
 }
 
 struct Kernel<M> {
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<QueuedEvent<M>>,
+    queue: Queue<M>,
     cpu_free: Vec<SimTime>,
     /// Per-node bound on how long a delivery may wait for the CPU before
     /// being dropped (models a finite UDP socket buffer). Timers are never
@@ -104,29 +301,11 @@ struct Kernel<M> {
     metrics: Metrics,
     trace: TraceSink,
     health: Counters,
-    cancelled: HashSet<u64>,
-    next_timer: u64,
     stopped: bool,
     events_processed: u64,
 }
 
 impl<M> Kernel<M> {
-    fn push(&mut self, at: SimTime, dst: NodeId, kind: EventKind<M>) {
-        self.push_born(at, at, dst, kind);
-    }
-
-    fn push_born(&mut self, at: SimTime, born: SimTime, dst: NodeId, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(QueuedEvent {
-            at,
-            born,
-            seq,
-            dst,
-            kind,
-        });
-    }
-
     /// Enqueues a delivery that the network accepted at `at`, plus an
     /// extra copy when the fault configuration duplicates the frame.
     fn deliver_with_duplicates(
@@ -142,7 +321,7 @@ impl<M> Kernel<M> {
     {
         if let Some(at2) = self.net.maybe_duplicate(slot, src, dst, &mut self.rng) {
             self.metrics.incr("net.duplicated");
-            self.push(
+            self.queue.push(
                 at2,
                 dst,
                 EventKind::Deliver {
@@ -152,7 +331,7 @@ impl<M> Kernel<M> {
                 },
             );
         }
-        self.push(
+        self.queue.push(
             at,
             dst,
             EventKind::Deliver {
@@ -204,7 +383,7 @@ impl<M> Context<'_, M> {
         if dst == self.id {
             // Loopback bypasses the NIC (and fault injection).
             let at = depart.after(1_000);
-            self.kernel.push(
+            self.kernel.queue.push(
                 at,
                 dst,
                 EventKind::Deliver {
@@ -242,7 +421,7 @@ impl<M> Context<'_, M> {
         for &dst in dsts {
             if dst == self.id {
                 let at = depart.after(1_000);
-                self.kernel.push(
+                self.kernel.queue.push(
                     at,
                     dst,
                     EventKind::Deliver {
@@ -278,18 +457,14 @@ impl<M> Context<'_, M> {
     /// Schedules `on_timer(token)` after `delay_ns` (measured from the end
     /// of the work charged so far).
     pub fn set_timer(&mut self, delay_ns: u64, token: u64) -> TimerId {
-        let id = TimerId(self.kernel.next_timer);
-        self.kernel.next_timer += 1;
         let at = self.kernel.now.after(self.cpu_used).after(delay_ns);
-        self.kernel
-            .push(at, self.id, EventKind::Timer { token, id });
-        id
+        self.kernel.queue.arm(at, self.id, token)
     }
 
-    /// Cancels a pending timer. Cancelling an already-fired timer is a
-    /// no-op.
+    /// Cancels a pending timer. Cancelling a timer that already fired or
+    /// was already cancelled is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.kernel.cancelled.insert(id.0);
+        self.kernel.queue.cancel(id);
     }
 
     /// The simulation's RNG (all randomness must come from here).
@@ -409,8 +584,7 @@ impl<M: 'static> Simulation<M> {
             nodes: Vec::new(),
             kernel: Kernel {
                 now: SimTime::ZERO,
-                seq: 0,
-                queue: BinaryHeap::new(),
+                queue: Queue::new(),
                 cpu_free: Vec::new(),
                 cpu_queue_limit: Vec::new(),
                 net: Network::new(net),
@@ -418,8 +592,6 @@ impl<M: 'static> Simulation<M> {
                 metrics: Metrics::new(),
                 trace: TraceSink::new(),
                 health: Counters::new(),
-                cancelled: HashSet::new(),
-                next_timer: 0,
                 stopped: false,
                 events_processed: 0,
             },
@@ -434,7 +606,9 @@ impl<M: 'static> Simulation<M> {
         self.kernel.net.ensure_host(id);
         self.kernel.cpu_free.push(SimTime::ZERO);
         self.kernel.cpu_queue_limit.push(u64::MAX);
-        self.kernel.push(self.kernel.now, id, EventKind::Start);
+        self.kernel
+            .queue
+            .push(self.kernel.now, id, EventKind::Start);
         id
     }
 
@@ -502,7 +676,14 @@ impl<M: 'static> Simulation<M> {
     /// earlier one. Used by drivers that interleave outside interventions
     /// (e.g. chaos fault plans) with stepping.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.kernel.queue.peek().map(|ev| ev.at)
+        self.kernel.queue.head().map(|(_, key)| key.at)
+    }
+
+    /// Events waiting to be dispatched: deliveries, starts and armed
+    /// timers. Keys of cancelled timers that have not yet come up are not
+    /// counted, although [`Simulation::next_event_at`] still sees them.
+    pub fn queued_events(&self) -> usize {
+        self.kernel.queue.live()
     }
 
     /// Places `node` on the same machine as `host`, sharing its network
@@ -523,7 +704,7 @@ impl<M: 'static> Simulation<M> {
     /// fixed 1 µs, bypassing the network model). Test plumbing.
     pub fn inject(&mut self, dst: NodeId, from: NodeId, msg: M, wire_bytes: usize) {
         let at = self.kernel.now.after(1_000);
-        self.kernel.push(
+        self.kernel.queue.push(
             at,
             dst,
             EventKind::Deliver {
@@ -565,32 +746,33 @@ impl<M: 'static> Simulation<M> {
     /// Processes one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         loop {
-            let Some(ev) = self.kernel.queue.pop() else {
+            let Some((head, key)) = self.kernel.queue.head() else {
                 return false;
             };
             // Skip cancelled timers.
-            if let EventKind::Timer { id, .. } = &ev.kind {
-                if self.kernel.cancelled.remove(&id.0) {
-                    continue;
-                }
-            }
+            let Some(ev) = self.kernel.queue.event(key) else {
+                self.kernel.queue.pop_key(head);
+                continue;
+            };
             // Defer events for a busy node until its CPU frees up. A
             // delivery that would wait longer than the node's input-queue
             // limit overflows the (modeled) socket buffer and is dropped.
             let busy_until = self.kernel.cpu_free[ev.dst as usize];
-            if busy_until > ev.at {
+            if busy_until > key.at {
                 let wait = busy_until.since(ev.born);
                 if wait > self.kernel.cpu_queue_limit[ev.dst as usize]
                     && matches!(ev.kind, EventKind::Deliver { .. })
                 {
                     self.kernel.metrics.incr("cpu.dropped");
+                    self.kernel.queue.take(head, key);
                     continue;
                 }
-                self.kernel.push_born(busy_until, ev.born, ev.dst, ev.kind);
+                self.kernel.queue.defer(head, busy_until);
                 continue;
             }
-            debug_assert!(ev.at >= self.kernel.now, "time went backwards");
-            self.kernel.now = ev.at;
+            let ev = self.kernel.queue.take(head, key);
+            debug_assert!(key.at >= self.kernel.now, "time went backwards");
+            self.kernel.now = key.at;
             self.kernel.events_processed += 1;
             let mut node = self.nodes[ev.dst as usize]
                 .take()
@@ -607,7 +789,7 @@ impl<M: 'static> Simulation<M> {
                     msg,
                     wire_bytes,
                 } => node.on_message(&mut ctx, from, msg, wire_bytes),
-                EventKind::Timer { token, .. } => node.on_timer(&mut ctx, token),
+                EventKind::Timer { token } => node.on_timer(&mut ctx, token),
             }
             let used = ctx.cpu_used;
             self.kernel.cpu_free[ev.dst as usize] = self.kernel.now.after(used);
@@ -622,8 +804,8 @@ impl<M: 'static> Simulation<M> {
     pub fn run_until(&mut self, t: SimTime) {
         self.kernel.stopped = false;
         while !self.kernel.stopped {
-            match self.kernel.queue.peek() {
-                Some(ev) if ev.at <= t => {
+            match self.next_event_at() {
+                Some(at) if at <= t => {
                     self.step();
                 }
                 _ => break,
@@ -649,7 +831,7 @@ impl<M: 'static> Simulation<M> {
                 return true;
             }
         }
-        self.kernel.queue.is_empty()
+        self.kernel.queue.keys() == 0
     }
 }
 
@@ -658,10 +840,14 @@ impl<M> std::fmt::Debug for Simulation<M> {
         f.debug_struct("Simulation")
             .field("nodes", &self.nodes.len())
             .field("now", &self.kernel.now)
-            .field("queued", &self.kernel.queue.len())
+            .field("queued", &self.kernel.queue.live())
+            .field("keys", &self.kernel.queue.keys())
             .finish()
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -766,8 +952,162 @@ mod tests {
         }
         let mut s: Simulation<u32> = sim();
         let a = s.add_node(Box::new(TimerNode { fired: vec![] }));
+        s.step();
+        // The cancelled timer no longer counts as queued, but its key is
+        // still what the next step reaches after the first timer's.
+        assert_eq!(s.queued_events(), 2);
+        let shown = format!("{s:?}");
+        assert!(
+            shown.contains("queued: 2") && shown.contains("keys: 3"),
+            "{shown}"
+        );
+        s.step();
+        assert_eq!(s.next_event_at(), Some(SimTime(dur::millis(2))));
         s.run_until_idle(100);
         assert_eq!(s.node_as::<TimerNode>(a).fired, vec![1, 3]);
+    }
+
+    #[test]
+    fn cancel_after_fire_is_a_noop() {
+        struct LateCanceller {
+            first: Option<TimerId>,
+            fired: Vec<u64>,
+        }
+        impl Node<u32> for LateCanceller {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                self.first = Some(ctx.set_timer(dur::millis(1), 1));
+            }
+            fn on_message(&mut self, _: &mut Context<'_, u32>, _: NodeId, _: u32, _: usize) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_, u32>, token: u64) {
+                self.fired.push(token);
+                if token == 1 {
+                    // The fired timer's slot is free again and the next
+                    // timer takes it; the old handle must not reach it.
+                    let second = ctx.set_timer(dur::millis(1), 2);
+                    let first = self.first.expect("armed in on_start");
+                    assert_eq!(first.slot, second.slot, "the slot is reused");
+                    assert_ne!(first, second);
+                    ctx.cancel_timer(first);
+                    ctx.cancel_timer(first);
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut s: Simulation<u32> = sim();
+        let a = s.add_node(Box::new(LateCanceller {
+            first: None,
+            fired: vec![],
+        }));
+        s.run_until(SimTime(dur::millis(1)));
+        assert_eq!(s.queued_events(), 1, "the second timer is still armed");
+        assert!(s.run_until_idle(100));
+        assert_eq!(s.node_as::<LateCanceller>(a).fired, vec![1, 2]);
+        // Nothing is left behind for the rest of the run.
+        assert_eq!(s.queued_events(), 0);
+        assert_eq!(s.kernel.queue.keys(), 0);
+        assert_eq!(s.kernel.queue.free.len(), s.kernel.queue.slab.len());
+    }
+
+    #[test]
+    fn slab_slots_are_reused() {
+        const CYCLES: u32 = 100_000;
+        /// Arms, cancels and re-arms as a protocol node does with its
+        /// retransmit timer: a 1 ms tick keeps it going, and on every tick the
+        /// 250 ms timer of the previous tick is cancelled and a new one armed.
+        struct Rearmer {
+            ticks_left: u32,
+            doomed: Option<TimerId>,
+            stale: Vec<TimerId>,
+            fired: Vec<u64>,
+        }
+
+        impl Node<u32> for Rearmer {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                ctx.set_timer(dur::millis(1), 0);
+            }
+            fn on_message(&mut self, _: &mut Context<'_, u32>, _: NodeId, _: u32, _: usize) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_, u32>, token: u64) {
+                self.fired.push(token);
+                if token != 0 || self.ticks_left == 0 {
+                    return;
+                }
+                self.ticks_left -= 1;
+                if let Some(doomed) = self.doomed.take() {
+                    ctx.cancel_timer(doomed);
+                    self.stale.push(doomed);
+                }
+                self.doomed = Some(ctx.set_timer(dur::millis(250), 1));
+                let tick = ctx.set_timer(dur::millis(1), 0);
+                self.stale.push(tick);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut s: Simulation<u32> = sim();
+        let a = s.add_node(Box::new(Rearmer {
+            ticks_left: CYCLES,
+            doomed: None,
+            stale: vec![],
+            fired: vec![],
+        }));
+        let (mut peak_keys, mut peak_live) = (0, 0);
+        while s.step() {
+            peak_keys = peak_keys.max(s.kernel.queue.keys());
+            peak_live = peak_live.max(s.queued_events());
+        }
+        // Live at once: the tick and the 250 ms timer. Keys at once: those
+        // two and the cancelled keys of the last 250 ticks.
+        assert_eq!(peak_live, 2);
+        assert!(peak_keys <= 252, "{peak_keys}");
+        assert!(
+            s.kernel.queue.slab.len() <= 3,
+            "{}",
+            s.kernel.queue.slab.len()
+        );
+        assert!(s.kernel.queue.timers.capacity() <= 1024);
+        assert!(s.kernel.queue.near.capacity() <= 16);
+        let node = s.node_as::<Rearmer>(a);
+        // Every tick fired; of the 250 ms timers only the last survived.
+        assert_eq!(node.fired.len() as u32, CYCLES + 2);
+        assert_eq!(node.fired.iter().filter(|&&t| t == 1).count(), 1);
+        assert_eq!(s.queued_events(), 0);
+        // Handles of fired and cancelled timers match nothing any more.
+        let stale = node.stale.clone();
+        assert_eq!(stale.len() as u32, 2 * CYCLES - 1);
+        let b = s.add_node(Box::<Probe>::default());
+        s.inject(b, a, 7, 8);
+        struct Sweeper(Vec<TimerId>);
+        impl Node<u32> for Sweeper {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                ctx.set_timer(dur::millis(1), 9);
+                for &id in &self.0 {
+                    ctx.cancel_timer(id);
+                }
+            }
+            fn on_message(&mut self, _: &mut Context<'_, u32>, _: NodeId, _: u32, _: usize) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        // The sweeper's own timer reuses a slot some stale handle names.
+        s.add_node(Box::new(Sweeper(stale)));
+        s.step();
+        s.step();
+        assert_eq!(s.queued_events(), 2, "the delivery and the new timer");
+        s.run_until_idle(10);
+        assert_eq!(s.node_as::<Probe>(b).messages, vec![(a, 7)]);
     }
 
     #[test]
