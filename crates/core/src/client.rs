@@ -6,7 +6,7 @@
 //! micro-benchmark, Andrew, and PostMark.
 
 use crate::config::Config;
-use crate::invariants::OpEvent;
+use crate::invariants::{push_within_budget, OpEvent};
 use crate::messages::{AuthTag, Busy, Msg, Packet, Reply, Request, REPLIER_ALL};
 use crate::types::{ClientId, ReplicaId, Timestamp, View};
 use crate::wire::Wire;
@@ -127,8 +127,10 @@ pub struct ClientCore {
     /// Completed operation count (also mirrored into the metrics).
     pub completed_ops: u64,
     /// Invoke/complete events for the chaos linearizability checker;
-    /// bounded when nobody drains it.
+    /// held to a byte budget when nobody drains it.
     audit: Vec<OpEvent>,
+    /// Bytes `audit` retains, operation and result payloads included.
+    audit_bytes: usize,
     /// Fault-injection behavior (chaos testing); `Correct` in production.
     behavior: ClientBehavior,
     /// A `TIMER_FAULT` pacing timer is outstanding.
@@ -154,6 +156,7 @@ impl ClientCore {
             latency_ewma: 0.0,
             completed_ops: 0,
             audit: Vec::new(),
+            audit_bytes: 0,
             behavior: ClientBehavior::Correct,
             fault_timer_armed: false,
             starved_ops: 0,
@@ -175,15 +178,16 @@ impl ClientCore {
         (z ^ (z >> 31)) % bound
     }
 
-    /// Retention bound for undrained audit events (long benchmark runs
-    /// never read them; the checker drains after every event).
-    const AUDIT_CAP: usize = 16_384;
-
+    /// Long benchmark runs never read the audit, and its events carry
+    /// whole operations and results: it is bounded in bytes, not events
+    /// (the checker drains after every event and never gets near).
     fn note_audit(&mut self, event: OpEvent) {
-        self.audit.push(event);
-        if self.audit.len() > Self::AUDIT_CAP {
-            self.audit.drain(..Self::AUDIT_CAP / 2);
-        }
+        push_within_budget(
+            &mut self.audit,
+            &mut self.audit_bytes,
+            event,
+            OpEvent::retained_bytes,
+        );
     }
 
     fn send_request(&mut self, ctx: &mut Context<'_, Packet>) {
@@ -734,7 +738,15 @@ impl<D: ClientDriver> Client<D> {
     /// empty. The chaos linearizability checker drains this after every
     /// simulation event.
     pub fn drain_audit(&mut self) -> Vec<OpEvent> {
+        self.core.audit_bytes = 0;
         std::mem::take(&mut self.core.audit)
+    }
+
+    /// Bytes the undrained audit retains — at most the per-node audit
+    /// budget plus one event.
+    #[cfg(test)]
+    pub(crate) fn audit_bytes(&self) -> usize {
+        self.core.audit_bytes
     }
 
     /// Overrides the client's behavior (chaos fault injection). The

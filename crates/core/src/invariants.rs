@@ -43,6 +43,35 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+/// Byte budget of one node's undrained audit trail of operation and
+/// result bytes ([`OpEvent`]s at a client, lease reads at a replica).
+/// Those events carry payloads, so counting them would let a run of
+/// 4 KiB operations retain every body it ever sent; the budget makes
+/// the trail a constant. It must still cover a checker that attaches
+/// late: the benchmark's `crash-primary` workload runs a 625-operation
+/// warm-up per client before its [`InvariantChecker`] first drains, and
+/// the linearizability ceilings need every one of those 1 250 events
+/// (about 66 KB of them) — hence 256 KiB and not a tighter fit.
+pub(crate) const AUDIT_BUDGET_BYTES: usize = 256 * 1024;
+
+/// Appends `event`, which retains `size` bytes, to an undrained audit
+/// trail of `bytes` bytes; past [`AUDIT_BUDGET_BYTES`] the older half of
+/// the trail is dropped. The newest event always stays, so the trail
+/// holds at most the budget plus one event.
+pub(crate) fn push_within_budget<T>(
+    trail: &mut Vec<T>,
+    bytes: &mut usize,
+    event: T,
+    size: impl Fn(&T) -> usize,
+) {
+    *bytes += size(&event);
+    trail.push(event);
+    if *bytes > AUDIT_BUDGET_BYTES {
+        let dropped: usize = trail.drain(..trail.len() / 2).map(|e| size(&e)).sum();
+        *bytes -= dropped;
+    }
+}
+
 /// Safety-relevant events recorded by a replica for the checker: batches
 /// finalized with a commit certificate and checkpoints announced to the
 /// cluster. Drained via [`Replica::drain_audit`]; bounded when nobody
@@ -67,10 +96,14 @@ pub struct ReplicaAudit {
     /// completed operation returned, and at most the sum of increments
     /// invoked so far.
     pub lease_reads: Vec<(ClientId, Timestamp, u64, Vec<u8>)>,
+    /// Bytes `lease_reads` retains (entries and result bytes), held to
+    /// [`AUDIT_BUDGET_BYTES`].
+    lease_read_bytes: usize,
 }
 
 impl ReplicaAudit {
-    /// Retention bound when the audit is never drained.
+    /// Retention bound, in events, of each fixed-size trail when the
+    /// audit is never drained.
     const CAP: usize = 8_192;
 
     /// Records a finalized batch.
@@ -113,10 +146,12 @@ impl ReplicaAudit {
         at_ns: u64,
         result: Vec<u8>,
     ) {
-        self.lease_reads.push((client, timestamp, at_ns, result));
-        if self.lease_reads.len() > Self::CAP {
-            self.lease_reads.drain(..Self::CAP / 2);
-        }
+        push_within_budget(
+            &mut self.lease_reads,
+            &mut self.lease_read_bytes,
+            (client, timestamp, at_ns, result),
+            |read| std::mem::size_of_val(read) + read.3.len(),
+        );
     }
 }
 
@@ -153,6 +188,15 @@ impl OpEvent {
         match self {
             OpEvent::Invoke { at_ns, .. } | OpEvent::Complete { at_ns, .. } => *at_ns,
         }
+    }
+
+    /// Bytes an undrained event retains: itself plus its payload.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        let payload = match self {
+            OpEvent::Invoke { op, .. } => op.len(),
+            OpEvent::Complete { result, .. } => result.len(),
+        };
+        std::mem::size_of::<OpEvent>() + payload
     }
 }
 

@@ -51,6 +51,7 @@
 //! assert_eq!(cluster.replica::<CounterService>(0).service().value(), 10);
 //! ```
 
+mod bodies;
 pub mod checkpoint;
 pub mod client;
 pub mod cluster;

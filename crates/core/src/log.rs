@@ -1,10 +1,43 @@
 //! The replica message log: per-sequence-number slots accumulating
 //! pre-prepare/prepare/commit certificates within the water marks.
 
-use crate::messages::{BatchEntry, Request, NULL_DIGEST};
-use crate::types::{Quorums, ReplicaId, SeqNum, View};
+use crate::messages::{batch_digest_of, BatchEntry, Request, NULL_DIGEST};
+use crate::types::{ClientId, Quorums, ReplicaId, SeqNum, Timestamp, View};
 use bft_crypto::md5::Digest;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// One request of an ordered batch as a slot records it: who issued it
+/// and the digest its body must hash to. Exactly what
+/// [`BatchEntry::Ref`] carries — the body, when known, is in
+/// [`Slot::requests`] at the same index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestRef {
+    /// Issuing client.
+    pub client: ClientId,
+    /// The client's timestamp.
+    pub timestamp: Timestamp,
+    /// The request digest.
+    pub digest: Digest,
+}
+
+impl RequestRef {
+    /// The request `entry` names, whose digest the caller already
+    /// computed (an inline entry is not hashed again).
+    pub fn new(entry: &BatchEntry, digest: Digest) -> RequestRef {
+        let (client, timestamp) = entry.identity();
+        RequestRef {
+            client,
+            timestamp,
+            digest,
+        }
+    }
+
+    /// The batch digest of `entries`.
+    pub fn batch_digest(entries: &[RequestRef]) -> Digest {
+        batch_digest_of(entries.iter().map(|e| &e.digest))
+    }
+}
 
 /// Protocol state for one sequence number.
 #[derive(Debug, Clone, Default)]
@@ -13,11 +46,13 @@ pub struct Slot {
     pub view: View,
     /// Batch digest from the accepted pre-prepare.
     pub digest: Option<Digest>,
-    /// Resolved request bodies (present once every `Ref` entry has been
-    /// matched with a multicast request body).
-    pub requests: Option<Vec<Request>>,
-    /// The raw batch entries as proposed (served to fetchers).
-    pub raw_entries: Option<Vec<BatchEntry>>,
+    /// The batch's request bodies in batch order, shared with the
+    /// replica's body table — present once every one of them is known.
+    pub requests: Option<Vec<Arc<Request>>>,
+    /// The batch as ordered: one reference per request, no bodies. Known
+    /// from the pre-prepare on, so before `requests` whenever a body
+    /// that travelled separately is still missing.
+    pub entries: Option<Vec<RequestRef>>,
     /// Prepares received, by sender, with the digest each vouched for.
     /// Ordered (BTreeMap) so certificate iteration order can never leak
     /// hasher randomness into protocol behaviour.
@@ -86,6 +121,33 @@ impl Slot {
         }
         let matching = self.commits.values().filter(|&&cd| cd == d).count();
         matching >= q.commit_quorum()
+    }
+
+    /// The batch as it travels in a pre-prepare or a backfill: a body
+    /// inline where `inline` says so, by reference otherwise. `None`
+    /// until the bodies are known.
+    pub fn wire_entries(&self, inline: impl Fn(&Request) -> bool) -> Option<Vec<BatchEntry>> {
+        let (entries, requests) = (self.entries.as_ref()?, self.requests.as_ref()?);
+        let wire = entries.iter().zip(requests).map(|(e, req)| {
+            if inline(req) {
+                BatchEntry::Full(Request::clone(req))
+            } else {
+                BatchEntry::Ref {
+                    client: e.client,
+                    timestamp: e.timestamp,
+                    digest: e.digest,
+                }
+            }
+        });
+        Some(wire.collect())
+    }
+
+    /// Drops the batch (references and bodies), returning the references
+    /// so the caller can tell the body table what this slot stopped
+    /// holding.
+    pub fn take_batch(&mut self) -> Option<Vec<RequestRef>> {
+        self.requests = None;
+        self.entries.take()
     }
 
     /// Number of fast-path prepare votes observed for the accepted
@@ -186,13 +248,19 @@ impl Log {
     }
 
     /// Advances the low water mark to a new stable checkpoint, discarding
-    /// everything at or below it.
-    pub fn collect_garbage(&mut self, new_low: SeqNum) {
+    /// everything at or below it. Returns the batches that went with the
+    /// discarded slots, for the body table to release.
+    pub fn collect_garbage(&mut self, new_low: SeqNum) -> Vec<(SeqNum, Vec<RequestRef>)> {
         if new_low <= self.low {
-            return;
+            return Vec::new();
         }
         self.low = new_low;
-        self.slots = self.slots.split_off(&(new_low + 1));
+        let kept = self.slots.split_off(&(new_low + 1));
+        let dropped = std::mem::replace(&mut self.slots, kept);
+        dropped
+            .into_iter()
+            .filter_map(|(seq, slot)| slot.entries.map(|e| (seq, e)))
+            .collect()
     }
 
     /// Summaries of prepared batches above the low water mark — the `P`
@@ -237,9 +305,9 @@ impl Log {
             .collect()
     }
 
-    /// Resets certificate state for a new view, preserving request bodies
-    /// (so the new primary can re-propose them and fetches can be served)
-    /// and execution flags.
+    /// Resets certificate state for a new view, preserving the batches
+    /// (the new view re-adopts those its NEW-VIEW re-proposes; the caller
+    /// voids the rest) and execution flags.
     pub fn reset_for_view(&mut self) {
         for slot in self.slots.values_mut() {
             slot.digest = None;
@@ -251,8 +319,19 @@ impl Log {
             slot.fast_wait = false;
             slot.fast_fallback = false;
             slot.fast_committed = false;
-            // requests/raw_entries retained; executed_* retained.
+            // requests/entries retained; executed_* retained.
         }
+    }
+
+    /// Takes the batch out of every slot that accepted nothing in the
+    /// current view (what [`Log::reset_for_view`] cleared and the new
+    /// view did not assign again), returning what each stopped holding.
+    pub fn void_batches(&mut self) -> Vec<(SeqNum, Vec<RequestRef>)> {
+        self.slots
+            .iter_mut()
+            .filter(|(_, slot)| slot.digest.is_none())
+            .filter_map(|(&seq, slot)| slot.take_batch().map(|e| (seq, e)))
+            .collect()
     }
 
     /// Clears execution markers on every slot above `seq`. Adopting a
@@ -278,26 +357,39 @@ impl Log {
     /// and legally re-order that sequence number), and a batch it merely
     /// *prepared* may be exactly the certificate protecting someone
     /// else's commit — PBFT's commit safety counts on every honest
-    /// preparer reporting it in the next view change. Batch bodies are
-    /// re-verified against the accepted digest (null batches carry
-    /// nothing to check); a mismatch strips just the bodies — the
-    /// certificate survives and the bodies are re-fetched from peers
-    /// before execution.
-    pub fn reset_keep_certs(&mut self, low: SeqNum) {
-        self.slots
-            .retain(|&s, slot| s > low && slot.has_pre_prepare());
-        for slot in self.slots.values_mut() {
-            let bodies_ok = slot.is_null
-                || slot
-                    .raw_entries
-                    .as_deref()
-                    .is_some_and(|e| Some(crate::messages::batch_digest(e)) == slot.digest);
-            if !bodies_ok {
-                slot.raw_entries = None;
-                slot.requests = None;
+    /// preparer reporting it in the next view change. Batches are
+    /// re-verified against the accepted digest, every retained body
+    /// against its reference (null batches carry nothing to check); a
+    /// mismatch strips just the batch — the certificate survives and the
+    /// bodies are re-fetched from peers before execution. Returns the
+    /// batches that went, with their slot or without it, for the body
+    /// table to release.
+    pub fn reset_keep_certs(&mut self, low: SeqNum) -> Vec<(SeqNum, Vec<RequestRef>)> {
+        let mut gone = Vec::new();
+        self.slots.retain(|&s, slot| {
+            let keep = s > low && slot.has_pre_prepare();
+            if !keep {
+                gone.extend(slot.take_batch().map(|e| (s, e)));
+            }
+            keep
+        });
+        for (&s, slot) in self.slots.iter_mut() {
+            let batch_ok = slot.is_null
+                || slot.entries.as_deref().is_some_and(|entries| {
+                    Some(RequestRef::batch_digest(entries)) == slot.digest
+                        && slot
+                            .requests
+                            .iter()
+                            .flatten()
+                            .zip(entries)
+                            .all(|(r, e)| r.digest() == e.digest)
+                });
+            if !batch_ok {
+                gone.extend(slot.take_batch().map(|e| (s, e)));
             }
         }
         self.low = low;
+        gone
     }
 
     /// Number of populated slots (diagnostics).
@@ -312,7 +404,7 @@ impl Log {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn q() -> Quorums {
@@ -465,29 +557,51 @@ mod tests {
         log.slot_mut(1000);
     }
 
+    /// A request of client 1 and the reference a slot would record.
+    pub(crate) fn body(ts: u64) -> (RequestRef, Arc<Request>) {
+        let req = Request {
+            client: 1,
+            timestamp: ts,
+            op: vec![7; 300],
+            read_only: false,
+            replier: crate::messages::REPLIER_ALL,
+            auth: crate::messages::AuthTag::None,
+        };
+        let entry = RequestRef {
+            client: 1,
+            timestamp: ts,
+            digest: req.digest(),
+        };
+        (entry, Arc::new(req))
+    }
+
     #[test]
     fn reset_keep_certs_retains_certificates_and_verified_bodies() {
-        use crate::messages::{batch_digest, BatchEntry};
-        let entries = vec![BatchEntry::Ref {
-            client: 1,
-            timestamp: 1,
-            digest: digest(9),
-        }];
+        let (entry, req) = body(1);
+        let entries = vec![entry];
+        let d = RequestRef::batch_digest(&entries);
         let mut log = Log::new(256);
+        // Below the checkpoint: goes, and its batch is reported.
+        {
+            let s = log.slot_mut(48);
+            s.digest = Some(d);
+            s.entries = Some(entries.clone());
+        }
         // Finalized, digest-verified: survives whole.
         {
             let s = log.slot_mut(49);
-            s.digest = Some(batch_digest(&entries));
-            s.raw_entries = Some(entries.clone());
+            s.digest = Some(d);
+            s.entries = Some(entries.clone());
+            s.requests = Some(vec![req.clone()]);
             s.executed_final = true;
-            s.prepares.insert(1, batch_digest(&entries));
+            s.prepares.insert(1, d);
         }
         // Stored batch no longer matches its digest: the certificate
-        // survives but the bodies are stripped for re-fetch.
+        // survives but the batch is stripped for re-fetch.
         {
             let s = log.slot_mut(50);
             s.digest = Some(digest(2));
-            s.raw_entries = Some(entries.clone());
+            s.entries = Some(entries.clone());
             s.prepares.insert(1, digest(2));
             s.prepares.insert(3, digest(2));
         }
@@ -496,23 +610,34 @@ mod tests {
         // change.
         {
             let s = log.slot_mut(51);
-            s.digest = Some(batch_digest(&entries));
-            s.raw_entries = Some(entries);
+            s.digest = Some(d);
+            s.entries = Some(entries.clone());
             s.prepares.insert(1, digest(1));
         }
-        log.reset_keep_certs(48);
+        // The references add up but a retained body does not hash to
+        // its own: stripped like a batch mismatch.
+        {
+            let s = log.slot_mut(52);
+            s.digest = Some(d);
+            s.entries = Some(entries.clone());
+            s.requests = Some(vec![body(2).1]);
+        }
+        let gone = log.reset_keep_certs(48);
         assert_eq!(log.low(), 48);
+        let seqs: Vec<SeqNum> = gone.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, [48, 50, 52], "the batches no slot holds any more");
+        assert!(gone.iter().all(|(_, e)| *e == entries));
         let kept = log.slot(49).expect("finalized slot survives recovery");
         assert!(kept.executed_final);
+        assert!(kept.requests.is_some() && kept.entries.is_some());
         assert_eq!(kept.prepares.len(), 1, "certificates survive with it");
         let stripped = log.slot(50).expect("certificate survives mismatch");
-        assert!(
-            stripped.raw_entries.is_none(),
-            "corrupt bodies are stripped"
-        );
+        assert!(stripped.entries.is_none(), "corrupt batches are stripped");
         assert!(stripped.requests.is_none());
         assert_eq!(stripped.prepares.len(), 2);
         assert!(log.slot(51).is_some(), "prepared-only slots survive");
+        let rehashed = log.slot(52).expect("certificate survives a bad body");
+        assert!(rehashed.entries.is_none() && rehashed.requests.is_none());
     }
 
     #[test]
@@ -531,12 +656,16 @@ mod tests {
         log.slot_mut(1).digest = Some(digest(1));
         log.slot_mut(128).digest = Some(digest(2));
         log.slot_mut(129).digest = Some(digest(3));
-        log.collect_garbage(128);
+        let (entry, _) = body(1);
+        log.slot_mut(2).entries = Some(vec![entry]);
+        log.slot_mut(130).entries = Some(vec![entry]);
+        let gone = log.collect_garbage(128);
+        assert_eq!(gone, [(2, vec![entry])], "the batches that went with them");
         assert!(log.slot(1).is_none());
         assert!(log.slot(128).is_none());
         assert!(log.slot(129).is_some());
         // GC never regresses.
-        log.collect_garbage(1);
+        assert!(log.collect_garbage(1).is_empty());
         assert_eq!(log.low(), 128);
     }
 
@@ -564,7 +693,7 @@ mod tests {
         {
             let s = log.slot_mut(3);
             s.digest = Some(digest(1));
-            s.raw_entries = Some(vec![]);
+            s.entries = Some(vec![]);
             s.requests = Some(vec![]);
             s.prepares.insert(1, digest(1));
             s.prepare_sent = true;
@@ -577,6 +706,47 @@ mod tests {
         assert!(!s.prepare_sent);
         assert!(s.requests.is_some(), "bodies survive view changes");
         assert!(s.executed_final, "execution state survives");
+    }
+
+    #[test]
+    fn wire_entries_inline_or_name_each_body_and_hash_to_the_batch_digest() {
+        use crate::messages::batch_digest;
+        let (e1, r1) = body(1);
+        let (e2, r2) = body(2);
+        let mut slot = Slot {
+            entries: Some(vec![e1, e2]),
+            ..Slot::default()
+        };
+        assert!(slot.wire_entries(|_| true).is_none(), "no bodies yet");
+        slot.requests = Some(vec![r1.clone(), r2]);
+        let wire = slot
+            .wire_entries(|req| req.timestamp == 1)
+            .expect("resolved");
+        assert_eq!(wire[0], BatchEntry::Full(Request::clone(&r1)));
+        assert!(matches!(wire[1], BatchEntry::Ref { digest, .. } if digest == e2.digest));
+        // However the bodies travel, it is the same batch.
+        assert_eq!(batch_digest(&wire), RequestRef::batch_digest(&[e1, e2]));
+    }
+
+    #[test]
+    fn void_batches_empties_exactly_the_slots_without_a_digest() {
+        let (e1, r1) = body(1);
+        let mut log = Log::new(256);
+        for seq in [3, 4] {
+            let s = log.slot_mut(seq);
+            s.digest = Some(digest(seq as u8));
+            s.entries = Some(vec![e1]);
+            s.requests = Some(vec![r1.clone()]);
+            s.executed_final = true;
+        }
+        log.reset_for_view();
+        log.slot_mut(4).digest = Some(digest(4)); // the new view re-adopts 4
+        assert_eq!(log.void_batches(), [(3, vec![e1])]);
+        let voided = log.slot(3).expect("the slot itself stays");
+        assert!(voided.entries.is_none() && voided.requests.is_none());
+        assert!(voided.executed_final, "execution state survives");
+        assert!(log.slot(4).expect("kept").requests.is_some());
+        assert!(log.void_batches().is_empty());
     }
 
     #[test]

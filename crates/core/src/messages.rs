@@ -220,7 +220,7 @@ pub fn batch_digest(entries: &[BatchEntry]) -> Digest {
 
 /// [`batch_digest`] for a caller that already holds the batch's request
 /// digests, in batch order, and must not hash the requests again.
-pub fn batch_digest_of(digests: &[Digest]) -> Digest {
+pub fn batch_digest_of<'a>(digests: impl IntoIterator<Item = &'a Digest>) -> Digest {
     let mut ctx = Md5::new();
     ctx.update(b"BATCH");
     for d in digests {

@@ -2,10 +2,11 @@
 //! normal-case three-phase ordering with all the paper's optimizations,
 //! checkpoints and garbage collection, view changes, and state transfer.
 
+use crate::bodies::Bodies;
 use crate::checkpoint::{CheckpointSet, CheckpointTracker, OwnCheckpoint};
 use crate::config::Config;
 use crate::invariants::ReplicaAudit;
-use crate::log::{Log, Slot};
+use crate::log::{Log, RequestRef, Slot};
 use crate::messages::*;
 use crate::recovery::{RecoveryManager, RecoveryStage};
 use crate::service::Service;
@@ -21,6 +22,7 @@ use bft_sim::{
 };
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Timer tokens.
 const TIMER_RESEND: u64 = 1;
@@ -38,10 +40,6 @@ const TIMER_FASTPATH_BASE: u64 = 1 << 32;
 /// read is evicted — counted, and its client told via BUSY so it backs
 /// off instead of waiting out a retransmission timeout.
 const LEASE_RO_CAP: usize = 256;
-
-/// Bound on request bodies retained for batch resolution and recovery
-/// serving ([`Replica::store_request`] evicts in insertion order).
-const STORE_CAP: usize = 20_000;
 
 /// Fault-injection behaviours for testing. A correct deployment uses
 /// [`Behavior::Correct`]; the others make this replica Byzantine in a
@@ -225,7 +223,7 @@ pub struct Replica<S: Service> {
     /// draining can round-robin across senders — one flooding client
     /// fills only its own lane and cannot starve the others. Keys with
     /// empty lanes are removed eagerly.
-    pending_batch: BTreeMap<ClientId, VecDeque<(Digest, Request)>>,
+    pending_batch: BTreeMap<ClientId, VecDeque<(Digest, Arc<Request>)>>,
     /// Total requests across all `pending_batch` lanes.
     pending_batch_len: usize,
     /// Round-robin drain position: the last client a request was taken
@@ -233,14 +231,19 @@ pub struct Replica<S: Service> {
     rr_cursor: ClientId,
     /// Identities already queued or proposed, to drop duplicates cheaply.
     queued: BTreeSet<(ClientId, Timestamp)>,
-    /// Request bodies known by digest (separate request transmission and
-    /// recovery serving). Bounded by `store_order` eviction.
-    request_store: BTreeMap<Digest, Request>,
-    /// Insertion order of `request_store`, for capacity eviction.
-    store_order: VecDeque<Digest>,
+    /// Request bodies known by digest (batch resolution, fetch serving,
+    /// re-proposal after a view change): held by the slot that ordered
+    /// them and released with it at the stable checkpoint, or loose in a
+    /// FIFO capped at one window of full batches.
+    bodies: Bodies,
+    /// Slots that accepted a batch digest without all of its bodies —
+    /// what a newly stored body may complete. Entries whose slot has
+    /// since resolved or gone are dropped at the next attempt.
+    unresolved: BTreeSet<SeqNum>,
     /// Requests this backup believes are outstanding (drives the
-    /// view-change timer).
-    pending_requests: BTreeSet<(ClientId, Timestamp)>,
+    /// view-change timer), each with its digest — the key its body is
+    /// found by when a new view needs it forwarded or re-proposed.
+    pending_requests: BTreeMap<(ClientId, Timestamp), Digest>,
     in_view_change: bool,
     /// The view we are trying to move to while `in_view_change`.
     pending_view: View,
@@ -345,6 +348,9 @@ impl<S: Service> Replica<S> {
         let checkpoints = CheckpointSet::new(cfg.quorums, genesis);
         let vc_timeout_ns = cfg.view_change_timeout_ns;
         let log = Log::new(cfg.log_window);
+        // One window of full batches: more bodies than that cannot all
+        // be ordered before the window moves.
+        let bodies = Bodies::new(cfg.log_window as usize * cfg.max_batch_requests);
         Replica {
             cfg,
             id,
@@ -364,9 +370,9 @@ impl<S: Service> Replica<S> {
             pending_batch_len: 0,
             rr_cursor: 0,
             queued: BTreeSet::new(),
-            request_store: BTreeMap::new(),
-            store_order: VecDeque::new(),
-            pending_requests: BTreeSet::new(),
+            bodies,
+            unresolved: BTreeSet::new(),
+            pending_requests: BTreeMap::new(),
             in_view_change: false,
             pending_view: 0,
             vc_set: ViewChangeSet::new(),
@@ -501,34 +507,40 @@ impl<S: Service> Replica<S> {
         }
     }
 
-    /// The armed bounds of every capped request-holding collection, as
+    /// The bounds of every capped request-holding collection, as
     /// `(name, len, cap)` — what the chaos checker's `UnboundedGrowth`
-    /// invariant audits after every event. The ingest backlog's cap has
-    /// window slack on top of [`Config::admission_queue_cap`]: requests
-    /// arriving inside already-ordered batches (pre-prepares, new-view
-    /// requeues) were admitted upstream and bypass the local gate, but
-    /// the log window bounds how many of those can be in flight.
-    pub fn queue_bounds(&self) -> Vec<(&'static str, usize, usize)> {
-        let mut out = vec![
-            ("request_store", self.request_store.len(), STORE_CAP),
+    /// invariant audits after every event, so the rows are a fixed array
+    /// and cost no allocation. `request_store` is the FIFO of bodies no
+    /// slot holds (those a slot holds go with the slot at the stable
+    /// checkpoint). The last three are armed by admission control and
+    /// unbounded without it. The ingest backlog's cap has window slack
+    /// on top of [`Config::admission_queue_cap`]: requests arriving
+    /// inside already-ordered batches (pre-prepares, new-view requeues)
+    /// were admitted upstream and bypass the local gate, but the log
+    /// window bounds how many of those can be in flight.
+    pub fn queue_bounds(&self) -> [(&'static str, usize, usize); 5] {
+        let cap = if self.cfg.admission_control {
+            let slack = self.cfg.log_window as usize * self.cfg.max_batch_requests;
+            self.cfg.admission_queue_cap + slack
+        } else {
+            usize::MAX
+        };
+        let backlog = self.pending_batch_len + self.pending_requests.len();
+        [
+            (
+                "request_store",
+                self.bodies.loose_len(),
+                self.bodies.loose_cap(),
+            ),
             (
                 "waiting_lease_ro",
                 self.waiting_lease_ro.len(),
                 LEASE_RO_CAP,
             ),
-        ];
-        if self.cfg.admission_control {
-            let slack = self.cfg.log_window as usize * self.cfg.max_batch_requests;
-            let cap = self.cfg.admission_queue_cap + slack;
-            out.push((
-                "ingest_backlog",
-                self.pending_batch_len + self.pending_requests.len(),
-                cap,
-            ));
-            out.push(("queued", self.queued.len(), cap));
-            out.push(("waiting_ro", self.waiting_ro.len(), cap));
-        }
-        out
+            ("ingest_backlog", backlog, cap),
+            ("queued", self.queued.len(), cap),
+            ("waiting_ro", self.waiting_ro.len(), cap),
+        ]
     }
 
     // ------------------------------------------------------------------
@@ -539,17 +551,17 @@ impl<S: Service> Replica<S> {
         self.cfg.quorums.others(self.id)
     }
 
-    /// Remembers a request body for batch resolution and recovery
-    /// serving, with bounded memory. `d` is the request's identity digest
-    /// as [`Self::verify_request`] returned it.
-    fn store_request(&mut self, d: Digest, req: Request) {
-        if self.request_store.insert(d, req).is_none() {
-            self.store_order.push_back(d);
-            while self.store_order.len() > STORE_CAP {
-                if let Some(old) = self.store_order.pop_front() {
-                    self.request_store.remove(&old);
-                }
-            }
+    /// Whether `req` travels inside a pre-prepare rather than by
+    /// reference to a body the client multicast itself.
+    fn travels_inline(cfg: &Config, req: &Request) -> bool {
+        !(cfg.opts.separate_request_transmission && req.op.len() > cfg.inline_threshold)
+    }
+
+    /// Advances the log's low water mark to the stable checkpoint `seq`;
+    /// the bodies the discarded slots held go with them.
+    fn collect_garbage(&mut self, seq: SeqNum) {
+        for (s, entries) in self.log.collect_garbage(seq) {
+            self.bodies.release(s, &entries);
         }
     }
 
@@ -822,7 +834,7 @@ impl<S: Service> Replica<S> {
 
     /// Appends a request to its client's backlog lane and tracks the
     /// high-watermark. The caller is responsible for `queued` dedup.
-    fn enqueue_pending(&mut self, digest: Digest, req: Request) {
+    fn enqueue_pending(&mut self, digest: Digest, req: Arc<Request>) {
         self.pending_batch
             .entry(req.client)
             .or_default()
@@ -844,12 +856,12 @@ impl<S: Service> Replica<S> {
         self.rr_next_client()
             .and_then(|c| self.pending_batch.get(&c))
             .and_then(|lane| lane.front())
-            .map(|(_, req)| req)
+            .map(|(_, req)| &**req)
     }
 
     /// Removes and returns the request [`Self::rr_peek`] would see, with
     /// its digest, advancing the cursor past its client.
-    fn rr_pop(&mut self) -> Option<(Digest, Request)> {
+    fn rr_pop(&mut self) -> Option<(Digest, Arc<Request>)> {
         let client = self.rr_next_client()?;
         let lane = self.pending_batch.get_mut(&client)?;
         let req = lane.pop_front()?;
@@ -966,7 +978,9 @@ impl<S: Service> Replica<S> {
         self.send_to(ctx, client, Msg::Busy(busy));
     }
 
-    fn handle_request(&mut self, ctx: &mut Context<'_, Packet>, req: Request) {
+    /// Returns whether the request's body was stored as new — the one
+    /// outcome that can complete a batch waiting in `unresolved`.
+    fn handle_request(&mut self, ctx: &mut Context<'_, Packet>, req: Request) -> bool {
         // Penalty-box fast path, deliberately *before* MAC verification:
         // under a flood the verify itself is the cost the shed exists to
         // avoid. Safe unverified because a penalty is only ever earned by
@@ -977,14 +991,16 @@ impl<S: Service> Replica<S> {
         if self.cfg.admission_control
             && self.client_penalized(req.client, ctx.now().nanos())
             && !self.queued.contains(&(req.client, req.timestamp))
-            && !self.pending_requests.contains(&(req.client, req.timestamp))
+            && !self
+                .pending_requests
+                .contains_key(&(req.client, req.timestamp))
         {
             self.shed_request(ctx, req.client, req.timestamp);
-            return;
+            return false;
         }
         let Some(digest) = self.verify_request(ctx, &req) else {
             ctx.metrics().incr("replica.bad_request_auth");
-            return;
+            return false;
         };
         ctx.trace(
             SpanEdge::Instant,
@@ -1000,7 +1016,7 @@ impl<S: Service> Replica<S> {
         // Reply-cache interaction: drop stale, answer executed.
         if let Some(cached) = self.reply_cache.get(&req.client) {
             if req.timestamp < cached.timestamp {
-                return;
+                return false;
             }
             if req.timestamp == cached.timestamp {
                 let reply = Reply {
@@ -1014,7 +1030,7 @@ impl<S: Service> Replica<S> {
                 let client = req.client;
                 self.note_served(client, req.timestamp);
                 self.send_to(ctx, client, Msg::Reply(reply));
-                return;
+                return false;
             }
         }
         if req.read_only && self.cfg.opts.read_only && self.service.is_read_only(&req.op) {
@@ -1026,7 +1042,7 @@ impl<S: Service> Replica<S> {
                 // retry through the ordered read-write path
                 // (arXiv:2107.11144's read-liveness concern).
                 ctx.metrics().incr("replica.ro_dropped_in_recovery");
-                return;
+                return false;
             }
             if self.cfg.read_leases && !self.is_primary() {
                 // Lease path: answer only inside a servable window (valid
@@ -1051,10 +1067,10 @@ impl<S: Service> Replica<S> {
                     self.waiting_lease_ro.push(req);
                     ctx.metrics().incr("replica.lease_reads_queued");
                 }
-                return;
+                return false;
             }
             self.execute_read_only(ctx, req, false);
-            return;
+            return false;
         }
         let identity = (req.client, req.timestamp);
         // Admission control: shed before admitting anything new. A
@@ -1064,7 +1080,7 @@ impl<S: Service> Replica<S> {
         // quota describes — distinct in-flight requests per client.
         if self.cfg.admission_control
             && !self.queued.contains(&identity)
-            && !self.pending_requests.contains(&identity)
+            && !self.pending_requests.contains_key(&identity)
         {
             let now = ctx.now().nanos();
             let backlog = self.pending_batch_len + self.pending_requests.len();
@@ -1074,26 +1090,28 @@ impl<S: Service> Replica<S> {
             {
                 self.penalize(req.client, now);
                 self.shed_request(ctx, req.client, req.timestamp);
-                return;
+                return false;
             }
             self.note_admitted(req.client, req.timestamp, now);
         }
         let ordering = self.is_primary() && !self.in_view_change;
+        let req = Arc::new(req);
         if ordering && self.queued.insert(identity) {
-            // The backlog lane and the store each keep the body.
-            self.enqueue_pending(digest, req.clone());
-            self.store_request(digest, req);
+            // The backlog lane and the table share the body.
+            self.enqueue_pending(digest, Arc::clone(&req));
+            let stored = self.bodies.insert(digest, req);
             self.try_propose(ctx);
-            return;
+            return stored;
         }
-        self.store_request(digest, req);
+        let stored = self.bodies.insert(digest, req);
         if !ordering {
             // Backup: remember the request and make sure the primary
             // eventually orders it.
-            self.pending_requests.insert(identity);
+            self.pending_requests.insert(identity, digest);
             self.note_backlog_hw();
             self.ensure_vc_timer(ctx);
         }
+        stored
     }
 
     fn execute_read_only(&mut self, ctx: &mut Context<'_, Packet>, req: Request, leased: bool) {
@@ -1543,13 +1561,15 @@ impl<S: Service> Replica<S> {
             // pre-prepare: separate request transmission replaces large
             // bodies with digest references, which is exactly why it
             // "enables more requests per batch" (Section 4.4).
-            let mut batch: Vec<Request> = Vec::new();
-            let mut digests: Vec<Digest> = Vec::new();
+            let mut batch: Vec<Arc<Request>> = Vec::new();
+            let mut refs: Vec<RequestRef> = Vec::new();
             let mut bytes = 0usize;
             while let Some(front) = self.rr_peek() {
-                let separate = self.cfg.opts.separate_request_transmission
-                    && front.op.len() > self.cfg.inline_threshold;
-                let sz = if separate { 48 } else { front.op.len() + 32 };
+                let sz = if Self::travels_inline(&self.cfg, front) {
+                    front.op.len() + 32
+                } else {
+                    48
+                };
                 if !batch.is_empty()
                     && (!self.cfg.opts.batching
                         || bytes + sz > self.cfg.max_batch_bytes
@@ -1566,41 +1586,33 @@ impl<S: Service> Replica<S> {
                     continue;
                 }
                 bytes += sz;
+                refs.push(RequestRef {
+                    client: req.client,
+                    timestamp: req.timestamp,
+                    digest,
+                });
                 batch.push(req);
-                digests.push(digest);
             }
             if batch.is_empty() {
                 continue;
             }
             self.next_seq += 1;
             let seq = self.next_seq;
-            let entries: Vec<BatchEntry> = batch
-                .iter()
-                .zip(&digests)
-                .map(|(req, &digest)| {
-                    if self.cfg.opts.separate_request_transmission
-                        && req.op.len() > self.cfg.inline_threshold
-                    {
-                        BatchEntry::Ref {
-                            client: req.client,
-                            timestamp: req.timestamp,
-                            digest,
-                        }
-                    } else {
-                        BatchEntry::Full(req.clone())
-                    }
-                })
-                .collect();
-            let d = batch_digest_of(&digests);
-            ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(entries.len() * 16));
-            {
+            let d = RequestRef::batch_digest(&refs);
+            ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(refs.len() * 16));
+            // The slot takes the bodies from the lanes; the only copy
+            // made is the one that travels.
+            self.bodies.hold(seq, &refs, &batch);
+            let entries = {
                 let view = self.view;
                 let slot = self.log.slot_mut(seq);
                 slot.view = view;
                 slot.digest = Some(d);
-                slot.raw_entries = Some(entries.clone());
+                slot.entries = Some(refs);
                 slot.requests = Some(batch);
-            }
+                slot.wire_entries(|req| Self::travels_inline(&self.cfg, req))
+                    .expect("the batch was just set")
+            };
             let piggy = self.take_piggy(ctx);
             let pp = PrePrepare {
                 view: self.view,
@@ -1682,7 +1694,7 @@ impl<S: Service> Replica<S> {
         }
         // Validate the batch digest and inline request authenticators.
         // Inline requests are hashed here, once; both checks and the
-        // store use that digest.
+        // slot's references use that digest.
         let digests: Vec<Digest> = pp.entries.iter().map(BatchEntry::digest).collect();
         if batch_digest_of(&digests) != pp.batch_digest {
             ctx.metrics().incr("replica.bad_batch_digest");
@@ -1692,8 +1704,8 @@ impl<S: Service> Replica<S> {
             CostKind::Digest,
             self.cfg.cost.digest(pp.entries.len() * 16),
         );
-        let mut resolved: Vec<Request> = Vec::with_capacity(pp.entries.len());
         let mut missing = false;
+        let mut refs: Vec<RequestRef> = Vec::with_capacity(pp.entries.len());
         for (entry, &d) in pp.entries.iter().zip(&digests) {
             match entry {
                 BatchEntry::Full(req) => {
@@ -1701,28 +1713,52 @@ impl<S: Service> Replica<S> {
                         ctx.metrics().incr("replica.bad_request_auth");
                         return;
                     }
-                    self.store_request(d, req.clone());
-                    resolved.push(req.clone());
                 }
-                BatchEntry::Ref { digest, .. } => match self.request_store.get(digest) {
-                    Some(req) => resolved.push(req.clone()),
-                    None => missing = true,
-                },
+                BatchEntry::Ref { .. } => missing |= !self.bodies.contains(&d),
             }
+            refs.push(RequestRef::new(entry, d));
         }
-        for entry in &pp.entries {
-            self.pending_requests.insert(entry.identity());
+        for e in &refs {
+            self.pending_requests
+                .insert((e.client, e.timestamp), e.digest);
         }
-        let batch_len = pp.entries.len() as u64;
+        let batch_len = refs.len() as u64;
+        // An inline body moves out of the pre-prepare into the slot; one
+        // that travelled separately is shared with the table.
+        let requests = if missing {
+            // Parked loose until the rest of the batch shows up.
+            for (entry, d) in pp.entries.into_iter().zip(digests) {
+                if let BatchEntry::Full(req) = entry {
+                    self.bodies.insert(d, Arc::new(req));
+                }
+            }
+            self.unresolved.insert(pp.seq);
+            None
+        } else {
+            let requests: Vec<Arc<Request>> = pp
+                .entries
+                .into_iter()
+                .zip(&refs)
+                .map(|(entry, e)| match entry {
+                    BatchEntry::Full(req) => Arc::new(req),
+                    BatchEntry::Ref { .. } => {
+                        Arc::clone(self.bodies.get(&e.digest).expect("checked above"))
+                    }
+                })
+                .collect();
+            self.bodies.hold(pp.seq, &refs, &requests);
+            Some(requests)
+        };
         {
             let view = self.view;
             let slot = self.log.slot_mut(pp.seq);
+            // A slot without a digest in this view holds no batch either:
+            // `install_new_view` voided whatever it did not re-adopt.
+            debug_assert!(slot.entries.is_none() && slot.requests.is_none());
             slot.view = view;
             slot.digest = Some(pp.batch_digest);
-            slot.raw_entries = Some(pp.entries);
-            if !missing {
-                slot.requests = Some(resolved);
-            }
+            slot.entries = Some(refs);
+            slot.requests = requests;
         }
         if missing {
             // Separate transmission raced ahead of the request multicast;
@@ -2376,7 +2412,7 @@ impl<S: Service> Replica<S> {
             Some(own) if own.digest == digest => {
                 self.checkpoints.make_stable(seq, digest);
                 self.service.release_checkpoints_below(seq);
-                self.log.collect_garbage(seq);
+                self.collect_garbage(seq);
                 self.backfill.retain(|&(s, _), _| s > seq);
                 ctx.metrics().incr("replica.stable_checkpoints");
                 ctx.count(Counter::StableCheckpoints);
@@ -2632,7 +2668,7 @@ impl<S: Service> Replica<S> {
         self.checkpoints.mark_announced(seq);
         self.checkpoints.make_stable(seq, digest);
         self.service.release_checkpoints_below(seq);
-        self.log.collect_garbage(seq);
+        self.collect_garbage(seq);
         ctx.metrics().incr("replica.state_transfers_completed");
         ctx.count(Counter::StateTransfers);
         ctx.trace(
@@ -2674,27 +2710,19 @@ impl<S: Service> Replica<S> {
             let Some(slot) = self.log.slot(seq) else {
                 continue;
             };
-            let (Some(d), Some(raw)) = (slot.digest, slot.raw_entries.clone()) else {
-                continue;
-            };
             if !slot.executed_final {
                 continue;
             }
-            // Keep backfill frames small: strip bodies beyond the inline
-            // threshold (the peer fetches them separately).
-            let entries: Vec<BatchEntry> = raw
-                .into_iter()
-                .map(|e| match e {
-                    BatchEntry::Full(r) if r.op.len() > self.cfg.inline_threshold => {
-                        BatchEntry::Ref {
-                            client: r.client,
-                            timestamp: r.timestamp,
-                            digest: r.digest(),
-                        }
-                    }
-                    other => other,
-                })
-                .collect();
+            // Keep backfill frames small: bodies beyond the inline
+            // threshold go by reference (the peer fetches them
+            // separately).
+            let threshold = self.cfg.inline_threshold;
+            let (Some(d), Some(entries)) = (
+                slot.digest,
+                slot.wire_entries(|req| req.op.len() <= threshold),
+            ) else {
+                continue;
+            };
             sent += 1;
             self.send_to(
                 ctx,
@@ -2717,17 +2745,20 @@ impl<S: Service> Replica<S> {
         if !self.log.in_window(cb.seq) || cb.seq <= self.last_executed {
             return;
         }
-        if batch_digest(&cb.entries) != cb.batch_digest {
+        let digests: Vec<Digest> = cb.entries.iter().map(BatchEntry::digest).collect();
+        if batch_digest_of(&digests) != cb.batch_digest {
             return;
         }
         let votes = self.backfill.entry((cb.seq, cb.batch_digest)).or_default();
         votes.insert(from);
         let witnessed = votes.len() >= self.cfg.quorums.witness_quorum();
         // Stash the bodies either way; they are digest-bound.
-        for entry in &cb.entries {
+        let mut refs = Vec::with_capacity(digests.len());
+        for (entry, d) in cb.entries.into_iter().zip(digests) {
+            refs.push(RequestRef::new(&entry, d));
             if let BatchEntry::Full(req) = entry {
-                if let Some(d) = self.verify_request(ctx, req) {
-                    self.store_request(d, req.clone());
+                if self.verify_request_digest(ctx, &req, d) {
+                    self.bodies.insert(d, Arc::new(req));
                 }
             }
         }
@@ -2744,47 +2775,50 @@ impl<S: Service> Replica<S> {
                 slot.digest = Some(cb.batch_digest);
             }
             if slot.digest == Some(cb.batch_digest) {
-                slot.raw_entries.get_or_insert(cb.entries);
+                slot.entries.get_or_insert(refs);
                 slot.force_committed = true;
             }
         }
+        self.unresolved.insert(cb.seq);
         self.resolve_pending_batches(ctx);
     }
 
     /// Recovers the missing bodies blocking slot `seq`: individual
     /// requests when the batch entries are known, the whole batch
-    /// otherwise (post-view-change).
+    /// otherwise (post-view-change) — or the state, once a checkpoint
+    /// quorum at or past `seq` says the peers have released both.
     fn recover_bodies(&mut self, ctx: &mut Context<'_, Packet>, seq: SeqNum) {
         let Some(slot) = self.log.slot(seq) else {
             return;
         };
         let Some(d) = slot.digest else { return };
+        let missing: Option<Vec<Digest>> = slot.entries.as_ref().map(|entries| {
+            let known = |d: &Digest| self.bodies.contains(d);
+            entries
+                .iter()
+                .map(|e| e.digest)
+                .filter(|d| !known(d))
+                .collect()
+        });
+        if missing.as_ref().is_some_and(Vec::is_empty) {
+            self.unresolved.insert(seq);
+            self.resolve_pending_batches(ctx);
+            return;
+        }
+        // Bodies go with their slot at the stable checkpoint, so what a
+        // quorum has checkpointed past nobody can be counted on to serve
+        // any more: the checkpoint itself is what is left to fetch.
+        if let Some(stable) = self.checkpoints.quorum_beyond(seq - 1) {
+            self.start_state_transfer(ctx, stable.seq, stable.digest);
+            return;
+        }
         // Rotate recovery targets deterministically.
         let step = 1 + ((ctx.now().nanos() / 20_000_000) as u32 % (self.cfg.n() - 1));
         let target = (self.id + step) % self.cfg.n();
-        match &slot.raw_entries {
-            Some(raw) => {
-                let missing: Vec<Digest> = raw
-                    .iter()
-                    .filter_map(|e| match e {
-                        BatchEntry::Ref { digest, .. }
-                            if !self.request_store.contains_key(digest) =>
-                        {
-                            Some(*digest)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                if missing.is_empty() {
-                    self.resolve_pending_batches(ctx);
-                    return;
-                }
+        match missing {
+            Some(digests) => {
                 ctx.metrics().incr("replica.body_recoveries");
-                self.send_to(
-                    ctx,
-                    target,
-                    Msg::FetchRequests(FetchRequests { digests: missing }),
-                );
+                self.send_to(ctx, target, Msg::FetchRequests(FetchRequests { digests }));
             }
             None => {
                 ctx.metrics().incr("replica.batch_recoveries");
@@ -2811,14 +2845,14 @@ impl<S: Service> Replica<S> {
         let mut budget = 64 * 1024usize;
         let mut requests: Vec<Request> = Vec::new();
         for d in fr.digests.iter().take(64) {
-            let Some(req) = self.request_store.get(d) else {
+            let Some(req) = self.bodies.get(d) else {
                 continue;
             };
             if req.op.len() + 64 > budget {
                 break;
             }
             budget -= req.op.len() + 64;
-            requests.push(req.clone());
+            requests.push(Request::clone(req));
         }
         if !requests.is_empty() {
             self.send_to(ctx, from, Msg::RequestData(RequestData { requests }));
@@ -2831,7 +2865,7 @@ impl<S: Service> Replica<S> {
             let Some(d) = self.verify_request(ctx, &req) else {
                 continue;
             };
-            self.store_request(d, req);
+            self.bodies.insert(d, Arc::new(req));
             any = true;
         }
         if any {
@@ -2850,8 +2884,9 @@ impl<S: Service> Replica<S> {
         if slot.digest != Some(fb.batch_digest) {
             return;
         }
-        let Some(reqs) = &slot.requests else { return };
-        let entries: Vec<BatchEntry> = reqs.iter().cloned().map(BatchEntry::Full).collect();
+        let Some(entries) = slot.wire_entries(|_| true) else {
+            return;
+        };
         self.send_to(
             ctx,
             from,
@@ -2878,58 +2913,57 @@ impl<S: Service> Replica<S> {
         if batch_digest_of(&digests) != want {
             return;
         }
+        let mut refs = Vec::with_capacity(bd.entries.len());
         let mut resolved = Vec::with_capacity(bd.entries.len());
         for (entry, d) in bd.entries.into_iter().zip(digests) {
+            refs.push(RequestRef::new(&entry, d));
             match entry {
                 BatchEntry::Full(req) => {
                     if !self.verify_request_digest(ctx, &req, d) {
                         return;
                     }
-                    self.store_request(d, req.clone());
-                    resolved.push(req);
+                    resolved.push(Arc::new(req));
                 }
                 BatchEntry::Ref { .. } => return, // fetch answers must inline
             }
         }
-        self.log.slot_mut(bd.seq).requests = Some(resolved);
+        self.bodies.hold(bd.seq, &refs, &resolved);
+        let slot = self.log.slot_mut(bd.seq);
+        slot.entries = Some(refs);
+        slot.requests = Some(resolved);
         self.try_execute(ctx);
     }
 
-    /// Called when a request body arrives that might complete a pending
-    /// pre-prepare (separate request transmission).
+    /// Called when a request body arrives that might complete a batch
+    /// accepted without it (separate request transmission).
     fn resolve_pending_batches(&mut self, ctx: &mut Context<'_, Packet>) {
-        let pending: Vec<SeqNum> = self
-            .log
-            .iter()
-            .filter(|(_, slot)| slot.digest.is_some() && slot.requests.is_none())
-            .map(|(seq, _)| seq)
-            .collect();
-        for seq in pending {
-            let Some(slot) = self.log.slot(seq) else {
-                continue;
-            };
-            let Some(raw) = slot.raw_entries.clone() else {
-                continue;
-            };
-            let mut resolved = Vec::with_capacity(raw.len());
-            let mut complete = true;
-            for entry in &raw {
-                match entry {
-                    BatchEntry::Full(req) => resolved.push(req.clone()),
-                    BatchEntry::Ref { digest, .. } => match self.request_store.get(digest) {
-                        Some(req) => resolved.push(req.clone()),
-                        None => {
-                            complete = false;
-                            break;
-                        }
-                    },
-                }
-            }
-            if complete {
-                self.log.slot_mut(seq).requests = Some(resolved);
-            }
-        }
+        let mut waiting = std::mem::take(&mut self.unresolved);
+        waiting.retain(|&seq| !self.try_resolve(seq));
+        self.unresolved.append(&mut waiting);
         self.try_execute(ctx);
+    }
+
+    /// Completes slot `seq` from the body table if every body of its
+    /// batch is there. Returns `false` while the slot still waits — for
+    /// a body, or for a BATCH-DATA answer when not even the references
+    /// are known — and `true` once nothing is left to wait for (it has
+    /// its bodies, or it is gone, or a new view voided it).
+    fn try_resolve(&mut self, seq: SeqNum) -> bool {
+        let Some(slot) = self.log.slot(seq) else {
+            return true;
+        };
+        if slot.digest.is_none() || slot.executable() {
+            return true;
+        }
+        let Some(requests) = slot
+            .entries
+            .as_ref()
+            .and_then(|entries| self.bodies.resolve(seq, entries))
+        else {
+            return false;
+        };
+        self.log.slot_mut(seq).requests = Some(requests);
+        true
     }
 
     /// Records execution of `seq` as view-change-timer progress — but
@@ -3076,7 +3110,7 @@ impl<S: Service> Replica<S> {
             }
             if let Some(slot) = self.log.slot(seq) {
                 if slot.digest == Some(d)
-                    || slot.raw_entries.as_deref().map(batch_digest) == Some(d)
+                    || slot.entries.as_deref().map(RequestRef::batch_digest) == Some(d)
                 {
                     if let Some(reqs) = &slot.requests {
                         let size: usize = reqs.iter().map(|r| r.op.len() + 64).sum();
@@ -3084,13 +3118,7 @@ impl<S: Service> Replica<S> {
                             continue;
                         }
                         attached += size;
-                        batches.push((
-                            seq,
-                            reqs.iter()
-                                .cloned()
-                                .map(BatchEntry::Full)
-                                .collect::<Vec<_>>(),
-                        ));
+                        batches.extend(slot.wire_entries(|_| true).map(|b| (seq, b)));
                     }
                 }
             }
@@ -3166,7 +3194,7 @@ impl<S: Service> Replica<S> {
                 self.checkpoints.make_stable(plan.min_s, digest);
             }
             if plan.min_s > self.log.low() {
-                self.log.collect_garbage(plan.min_s);
+                self.collect_garbage(plan.min_s);
             }
         }
         let is_primary = self.cfg.quorums.primary(view) == self.id;
@@ -3179,24 +3207,37 @@ impl<S: Service> Replica<S> {
                 let slot = self.log.slot_mut(seq);
                 slot.view = view;
                 slot.digest = Some(d);
-                if d == NULL_DIGEST {
-                    slot.is_null = true;
+                slot.is_null = d == NULL_DIGEST;
+                // The batch this slot kept from the old view stays only
+                // if it is the one the new view orders here.
+                if slot.entries.as_deref().map(RequestRef::batch_digest) != Some(d) {
+                    if let Some(voided) = slot.take_batch() {
+                        self.bodies.unhold(seq, &voided);
+                    }
+                }
+                if slot.is_null {
                     slot.requests = Some(Vec::new());
-                    slot.raw_entries = Some(Vec::new());
+                    slot.entries = Some(Vec::new());
                 } else if slot.requests.is_none() {
                     if let Some(entries) = shipped.remove(&seq) {
-                        if batch_digest(&entries) == d {
-                            let reqs: Vec<Request> = entries
+                        let digests: Vec<Digest> = entries.iter().map(BatchEntry::digest).collect();
+                        let all_inline = entries.iter().all(|e| matches!(e, BatchEntry::Full(_)));
+                        if all_inline && batch_digest_of(&digests) == d {
+                            let refs: Vec<RequestRef> = entries
                                 .iter()
+                                .zip(digests)
+                                .map(|(e, digest)| RequestRef::new(e, digest))
+                                .collect();
+                            let reqs: Vec<Arc<Request>> = entries
+                                .into_iter()
                                 .filter_map(|e| match e {
-                                    BatchEntry::Full(r) => Some(r.clone()),
+                                    BatchEntry::Full(r) => Some(Arc::new(r)),
                                     BatchEntry::Ref { .. } => None,
                                 })
                                 .collect();
-                            if reqs.len() == entries.len() {
-                                slot.raw_entries = Some(entries);
-                                slot.requests = Some(reqs);
-                            }
+                            self.bodies.hold(seq, &refs, &reqs);
+                            slot.entries = Some(refs);
+                            slot.requests = Some(reqs);
                         }
                     }
                 }
@@ -3226,6 +3267,7 @@ impl<S: Service> Replica<S> {
                 slot.requests.is_none()
             };
             if need_fetch {
+                self.unresolved.insert(seq);
                 let primary = self.cfg.quorums.primary(view);
                 let target = if is_primary {
                     (self.id + 1) % self.cfg.n()
@@ -3241,6 +3283,12 @@ impl<S: Service> Replica<S> {
                     }),
                 );
             }
+        }
+        // A slot the new view did not re-adopt orders nothing any more:
+        // its bodies are loose again, to be forwarded or re-proposed
+        // below, or named by a later pre-prepare.
+        for (seq, voided) in self.log.void_batches() {
+            self.bodies.unhold(seq, &voided);
         }
         // Lease state is view-scoped: epochs restart, old grants and
         // leases are void. A new primary additionally waits out twice the
@@ -3273,13 +3321,9 @@ impl<S: Service> Replica<S> {
             let primary = self.cfg.quorums.primary(view);
             let pending: Vec<Request> = self
                 .pending_requests
-                .iter()
-                .filter_map(|(c, ts)| {
-                    self.request_store
-                        .values()
-                        .find(|r| r.client == *c && r.timestamp == *ts)
-                        .cloned()
-                })
+                .values()
+                .filter_map(|d| self.bodies.get(d))
+                .map(|req| Request::clone(req))
                 .collect();
             for req in pending {
                 let packet = Packet::unauthenticated(Msg::Request(req));
@@ -3293,15 +3337,10 @@ impl<S: Service> Replica<S> {
             }
         } else {
             // Unexecuted pending requests may need re-proposing.
-            let pending: Vec<(Digest, Request)> = self
+            let pending: Vec<(Digest, Arc<Request>)> = self
                 .pending_requests
-                .iter()
-                .filter_map(|(c, ts)| {
-                    self.request_store
-                        .iter()
-                        .find(|(_, r)| r.client == *c && r.timestamp == *ts)
-                        .map(|(d, r)| (*d, r.clone()))
-                })
+                .values()
+                .filter_map(|d| self.bodies.get(d).map(|req| (*d, Arc::clone(req))))
                 .collect();
             for (d, req) in pending {
                 if self.queued.insert((req.client, req.timestamp)) {
@@ -3664,7 +3703,8 @@ impl<S: Service> Replica<S> {
         for (seq, d, prepare_sent, commit_sent) in stalled {
             if self.is_primary() {
                 if let Some(slot) = self.log.slot(seq) {
-                    if let Some(entries) = slot.raw_entries.clone() {
+                    let inline = |req: &Request| Self::travels_inline(&self.cfg, req);
+                    if let Some(entries) = slot.wire_entries(inline) {
                         let pp = PrePrepare {
                             view: self.view,
                             seq,
@@ -3832,11 +3872,9 @@ impl<S: Service> Node<Packet> for Replica<S> {
             ctx.metrics().incr("replica.bad_packet_auth");
             return;
         }
-        let had_store = self.request_store.len();
         match packet.body {
             Msg::Request(req) => {
-                self.handle_request(ctx, req);
-                if self.request_store.len() != had_store {
+                if self.handle_request(ctx, req) && !self.unresolved.is_empty() {
                     self.resolve_pending_batches(ctx);
                 }
             }
@@ -3973,10 +4011,10 @@ mod tests {
     }
 
     /// A request exactly as client `client` would authenticate it.
-    fn signed_request(client: ClientId, n: u32, op: Vec<u8>) -> Request {
+    fn signed_request(client: ClientId, n: u32, timestamp: Timestamp, op: Vec<u8>) -> Request {
         let req = Request {
             client,
-            timestamp: 1,
+            timestamp,
             op,
             read_only: false,
             replier: REPLIER_ALL,
@@ -3999,7 +4037,7 @@ mod tests {
     }
 
     fn stores_are_empty(c: &Cluster) -> bool {
-        (0..c.cfg.n()).all(|r| c.replica::<CounterService>(r).request_store.is_empty())
+        (0..c.cfg.n()).all(|r| c.replica::<CounterService>(r).bodies.len() == 0)
     }
 
     /// The simulator hands a receiver the sender's typed `Packet`, so a
@@ -4011,7 +4049,7 @@ mod tests {
         for len in [1usize, 4096] {
             let mut c = cluster();
             let n = c.cfg.n();
-            let mut req = signed_request(n, n, vec![0; len]);
+            let mut req = signed_request(n, n, 1, vec![0; len]);
             req.op[len - 1] ^= 1;
             inject_everywhere(&mut c, n, &Msg::Request(req));
             assert_eq!(
@@ -4030,7 +4068,7 @@ mod tests {
     fn unauthenticated_non_request_bodies_are_dropped() {
         let mut c = cluster();
         let n = c.cfg.n();
-        let carried = signed_request(n, n, vec![0, 1]);
+        let carried = signed_request(n, n, 1, vec![0, 1]);
         let bodies = [
             Msg::RequestData(RequestData {
                 requests: vec![carried.clone()],
@@ -4076,9 +4114,10 @@ mod tests {
         }
     }
 
-    /// The digest a node carries alongside a request — the store's key,
-    /// the `Ref` entry the primary proposes — is threaded, not recomputed
-    /// at each use; it must still be the request's digest.
+    /// The digest a node carries alongside a request — the table's key,
+    /// the slot's reference, the `Ref` entry the primary proposes — is
+    /// threaded, not recomputed at each use; it must still be the
+    /// request's digest. And the slot and the table share one body.
     #[test]
     fn threaded_digests_equal_the_digest_recomputed_from_scratch() {
         let mut c = cluster();
@@ -4087,32 +4126,318 @@ mod tests {
         assert_eq!(c.completed_ops(), 2);
         for r in 0..c.cfg.n() {
             let replica = c.replica::<CounterService>(r);
-            let mut stored_sizes = Vec::new();
-            for (d, req) in &replica.request_store {
-                assert_eq!(*d, req.digest(), "replica {r}: store key");
-                assert_eq!(req.client, client);
-                stored_sizes.push(req.op.len());
-            }
-            stored_sizes.sort_unstable();
-            assert_eq!(stored_sizes, [0, 4096], "replica {r}");
-            let entries: Vec<&BatchEntry> = replica
-                .log
-                .iter()
-                .filter_map(|(_, slot)| slot.raw_entries.as_ref())
-                .flatten()
-                .collect();
-            let refs: Vec<Digest> = entries
-                .iter()
-                .filter_map(|e| match e {
+            assert_eq!(replica.bodies.len(), 2, "replica {r}");
+            let mut sizes = Vec::new();
+            let mut by_ref = Vec::new();
+            for (_, slot) in replica.log.iter() {
+                let (entries, requests) = (
+                    slot.entries.as_ref().expect("ordered"),
+                    slot.requests.as_ref().expect("resolved"),
+                );
+                for (e, req) in entries.iter().zip(requests) {
+                    assert_eq!(e.digest, req.digest(), "replica {r}: slot reference");
+                    assert_eq!((e.client, e.timestamp), (client, req.timestamp));
+                    let tabled = replica.bodies.get(&e.digest).expect("held");
+                    assert!(Arc::ptr_eq(tabled, req), "replica {r}: one body, shared");
+                    sizes.push(req.op.len());
+                }
+                let wire = slot
+                    .wire_entries(|req| Replica::<CounterService>::travels_inline(&c.cfg, req))
+                    .expect("resolved");
+                by_ref.extend(wire.iter().filter_map(|e| match e {
                     BatchEntry::Ref { digest, .. } => Some(*digest),
                     BatchEntry::Full(_) => None,
-                })
-                .collect();
-            assert_eq!(entries.len(), 2, "replica {r}: one inline, one by digest");
-            assert_eq!(refs.len(), 1, "replica {r}: one inline, one by digest");
-            let body = &replica.request_store[&refs[0]];
+                }));
+            }
+            assert_eq!(sizes, [0, 4096], "replica {r}: one inline, one by digest");
+            assert_eq!(by_ref.len(), 1, "replica {r}: one inline, one by digest");
+            let body = replica.bodies.get(&by_ref[0]).expect("held");
             assert_eq!(body.op.len(), 4096);
-            assert_eq!(refs[0], body.digest(), "replica {r}: proposed digest");
         }
+    }
+
+    /// Checkpoint every 8 slots, a 16-slot window, two requests a batch:
+    /// small enough that a short run crosses many stable checkpoints.
+    fn small_window() -> Config {
+        let mut cfg = Config::new(1);
+        cfg.checkpoint_interval = 8;
+        cfg.log_window = 16;
+        cfg.max_batch_requests = 2;
+        cfg
+    }
+
+    /// What [`small_window`] lets a replica retain: the loose FIFO plus
+    /// one window of full batches held by slots.
+    fn body_bound(cfg: &Config) -> usize {
+        2 * cfg.log_window as usize * cfg.max_batch_requests
+    }
+
+    /// `add(1)` padded to 4 KiB, so it travels by separate transmission.
+    fn big_add() -> Vec<u8> {
+        let mut op = vec![0u8; 4096];
+        op[1] = 1;
+        op
+    }
+
+    /// Closed loop of `left` 4 KiB adds.
+    struct BigAdds {
+        left: u32,
+    }
+
+    impl ClientDriver for BigAdds {
+        fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
+            api.submit(big_add(), false);
+        }
+        fn on_complete(&mut self, api: &mut ClientApi<'_, '_>, _result: &[u8], _lat: u64) {
+            self.left -= 1;
+            if self.left > 0 {
+                api.submit(big_add(), false);
+            }
+        }
+    }
+
+    fn replica(c: &Cluster, r: ReplicaId) -> &Replica<CounterService> {
+        c.replica::<CounterService>(r)
+    }
+
+    /// Runs in 1 ms steps until `done` holds (at most `limit_ms`).
+    fn run_until(c: &mut Cluster, limit_ms: u64, done: impl Fn(&Cluster) -> bool) {
+        for _ in 0..limit_ms {
+            if done(c) {
+                return;
+            }
+            c.run_for(dur::millis(1));
+        }
+        panic!("condition not reached in {limit_ms} ms");
+    }
+
+    /// Every batch a live slot accepted has its bodies, and what the
+    /// replica retains is within the configured bound.
+    fn assert_resolved_and_bounded(c: &Cluster, replicas: std::ops::Range<ReplicaId>) {
+        for r in replicas {
+            let rep = replica(c, r);
+            for (seq, slot) in rep.log.iter() {
+                assert!(
+                    slot.digest.is_none() || slot.executable(),
+                    "replica {r}: slot {seq} still waits for a body"
+                );
+            }
+            assert!(
+                rep.bodies.len() <= body_bound(&c.cfg),
+                "replica {r} retains {} bodies",
+                rep.bodies.len()
+            );
+        }
+    }
+
+    /// The parent commit decided whether a REQUEST may complete a
+    /// waiting batch by comparing the store's length before and after:
+    /// at its cap an insert evicts, the length stands still, and the
+    /// batch waited for the 20 ms body-recovery detour.
+    #[test]
+    fn a_body_after_its_pre_prepare_resolves_it_even_with_the_table_at_its_cap() {
+        let mut cfg = small_window();
+        cfg.max_batch_requests = 1;
+        let cap = cfg.log_window as usize;
+        let mut c = Cluster::builder(cfg)
+            .seed(15)
+            .net(NetConfig::SWITCHED_100MBPS)
+            .build_counter();
+        let n = c.cfg.n();
+        let to_backup = |c: &mut Cluster, from: NodeId, packet: Packet| {
+            let wire = packet.wire_bytes();
+            c.sim.inject(1, from, packet, wire);
+            c.run_for(dur::millis(1));
+        };
+        // Fill backup 1's loose table to its cap.
+        for ts in 1..=cap as u64 {
+            let filler = signed_request(n, n, ts, vec![0, ts as u8]);
+            to_backup(&mut c, n, Packet::unauthenticated(Msg::Request(filler)));
+        }
+        let bounds = replica(&c, 1).queue_bounds();
+        assert_eq!(bounds[0], ("request_store", cap, cap));
+        // The primary's pre-prepare names a 4 KiB body by digest...
+        let body = signed_request(n, n, cap as u64 + 1, big_add());
+        let d = body.digest();
+        let pp = Msg::PrePrepare(PrePrepare {
+            view: 0,
+            seq: 1,
+            entries: vec![BatchEntry::Ref {
+                client: n,
+                timestamp: body.timestamp,
+                digest: d,
+            }],
+            batch_digest: batch_digest_of([&d]),
+            piggy_commits: Vec::new(),
+        });
+        let auth = KeyChain::new(0, n).authenticate(bft_crypto::digest(&pp.to_bytes()).as_bytes());
+        let pp = Packet {
+            body: pp,
+            auth: AuthTag::Vector(auth),
+        };
+        to_backup(&mut c, 0, pp);
+        let slot = replica(&c, 1).log.slot(1).expect("accepted");
+        assert!(slot.prepare_sent && slot.requests.is_none());
+        assert!(replica(&c, 1).unresolved.contains(&1));
+        // ...and the body arrives after it: resolved in that very event.
+        to_backup(&mut c, n, Packet::unauthenticated(Msg::Request(body)));
+        let rep = replica(&c, 1);
+        let slot = rep.log.slot(1).expect("accepted");
+        assert_eq!(slot.requests.as_ref().map(Vec::len), Some(1));
+        assert!(rep.unresolved.is_empty());
+        assert_eq!(rep.queue_bounds()[0], ("request_store", cap - 1, cap));
+        assert_eq!(c.sim.metrics().counter("replica.body_recoveries"), 1);
+    }
+
+    /// A body every backup stored but no primary ever ordered: the new
+    /// view finds it through the pending-request index (the backups
+    /// forward it, the new primary re-proposes it) and it runs once.
+    #[test]
+    fn a_never_ordered_body_survives_a_view_change_and_executes_once() {
+        let mut c = cluster();
+        c.replica_mut::<CounterService>(0)
+            .set_behavior(Behavior::Crashed);
+        c.add_client(BigAdds { left: 1 });
+        c.run_for(dur::millis(100));
+        for r in 1..4 {
+            let rep = replica(&c, r);
+            assert_eq!((rep.bodies.len(), rep.bodies.loose_len()), (1, 1));
+            assert_eq!(rep.pending_requests.len(), 1, "replica {r}");
+        }
+        c.run_for(dur::secs(4));
+        assert_eq!(c.completed_ops(), 1);
+        assert_eq!(c.sim.metrics().counter("replica.ops_executed"), 3);
+        for r in 1..4 {
+            let rep = replica(&c, r);
+            assert_eq!((rep.view(), rep.service().value()), (1, 1), "replica {r}");
+            assert_eq!(
+                rep.bodies.loose_len(),
+                0,
+                "replica {r}: a slot holds it now"
+            );
+            assert!(rep.pending_requests.is_empty());
+        }
+    }
+
+    /// Eviction fence (i): the primary dies right after a stable
+    /// checkpoint released a stretch of bodies, so the VIEW-CHANGE
+    /// messages and the NEW-VIEW straddle it.
+    #[test]
+    fn a_view_change_across_a_fresh_stable_checkpoint_resolves_every_batch() {
+        let mut c = Cluster::builder(small_window())
+            .seed(21)
+            .net(NetConfig::SWITCHED_100MBPS)
+            .build_counter();
+        c.add_client(BigAdds { left: 40 });
+        c.add_client(BigAdds { left: 40 });
+        run_until(&mut c, 2_000, |c| replica(c, 1).stable_checkpoint() >= 8);
+        assert!(replica(&c, 1).log.low() >= 8, "the checkpoint evicted");
+        c.replica_mut::<CounterService>(0)
+            .set_behavior(Behavior::Crashed);
+        run_until(&mut c, 20_000, |c| c.completed_ops() == 80);
+        c.run_for(dur::secs(1));
+        assert!(c.sim.metrics().counter("replica.views_installed") >= 3);
+        assert_resolved_and_bounded(&c, 1..4);
+        let reference = replica(&c, 1).stable_proof();
+        assert!(reference.0 >= 32, "stable at {}", reference.0);
+        for r in 2..4 {
+            assert_eq!(replica(&c, r).stable_proof(), reference, "replica {r}");
+            assert_eq!(replica(&c, r).service().value(), 80);
+        }
+    }
+
+    /// Eviction fence (ii): a replica that was down while its peers
+    /// ordered, executed and released two checkpoint intervals of 4 KiB
+    /// operations cannot fetch those bodies from anyone — it must come
+    /// back by state transfer, and then keep up.
+    #[test]
+    fn a_lagging_replica_state_transfers_past_released_bodies() {
+        let mut c = Cluster::builder(small_window())
+            .seed(22)
+            .net(NetConfig::SWITCHED_100MBPS)
+            .build_counter();
+        c.replica_mut::<CounterService>(3)
+            .set_behavior(Behavior::Crashed);
+        c.add_client(BigAdds { left: 60 });
+        run_until(&mut c, 2_000, |c| replica(c, 0).stable_checkpoint() >= 16);
+        c.replica_mut::<CounterService>(3)
+            .set_behavior(Behavior::Correct);
+        run_until(&mut c, 20_000, |c| c.completed_ops() == 60);
+        c.run_for(dur::secs(1));
+        assert!(c.sim.metrics().counter("replica.state_transfers_completed") >= 1);
+        assert_resolved_and_bounded(&c, 0..4);
+        let reference = replica(&c, 0).stable_proof();
+        assert_eq!(reference.0, 56);
+        for r in 1..4 {
+            assert_eq!(replica(&c, r).stable_proof(), reference, "replica {r}");
+        }
+        assert_eq!(replica(&c, 3).service().value(), 60);
+    }
+
+    /// The other side of the fence: a replica that lags by *less* than a
+    /// checkpoint interval is not sent to state transfer by the stable
+    /// checkpoint alone, and the bodies it waits for went with its
+    /// peers' slots. Replica 3 hears its peers but not the client, and
+    /// nobody hears replica 3: it accepts every pre-prepare and can
+    /// fetch nothing. Once the links heal the system is idle — nothing
+    /// but its own body recovery can notice that only the checkpoint is
+    /// left to fetch.
+    #[test]
+    fn a_replica_blocked_on_released_bodies_takes_the_checkpoint_instead() {
+        let mut c = Cluster::builder(small_window())
+            .seed(24)
+            .net(NetConfig::SWITCHED_100MBPS)
+            .build_counter();
+        let client = c.add_client(BigAdds { left: 12 });
+        c.sim.network_mut().partition_one_way(client, 3);
+        for peer in 0..3 {
+            c.sim.network_mut().partition_one_way(3, peer);
+        }
+        run_until(&mut c, 2_000, |c| c.completed_ops() == 12);
+        assert_eq!(replica(&c, 0).stable_checkpoint(), 8);
+        assert_eq!(replica(&c, 3).last_executed(), 0);
+        assert!(replica(&c, 3).unresolved.contains(&1));
+        c.sim.network_mut().heal();
+        c.run_for(dur::secs(1));
+        assert_eq!(
+            c.sim.metrics().counter("replica.state_transfers_completed"),
+            1
+        );
+        assert_resolved_and_bounded(&c, 0..4);
+        let rep = replica(&c, 3);
+        assert_eq!((rep.last_executed(), rep.service().value()), (12, 12));
+        assert_eq!(rep.stable_proof(), replica(&c, 0).stable_proof());
+    }
+
+    /// Eviction fence (iii): what a node retains is a function of the
+    /// configuration, not of how long it has been running. A hundred
+    /// 4 KiB operations cross twelve stable checkpoints; at the parent
+    /// commit every replica kept all hundred bodies and the client's
+    /// audit all hundred operations.
+    #[test]
+    fn retention_does_not_grow_with_the_run() {
+        let mut c = Cluster::builder(small_window())
+            .seed(23)
+            .net(NetConfig::SWITCHED_100MBPS)
+            .build_counter();
+        let client = c.add_client(BigAdds { left: 100 });
+        run_until(&mut c, 20_000, |c| c.completed_ops() == 100);
+        c.run_for(dur::millis(500));
+        assert_resolved_and_bounded(&c, 0..4);
+        for r in 0..4 {
+            let rep = replica(&c, r);
+            assert_eq!(rep.stable_checkpoint(), 96, "replica {r}");
+            // Slots 97..=100 hold one body each; nothing is loose.
+            assert_eq!((rep.bodies.len(), rep.bodies.loose_len()), (4, 0));
+            let cap = c.cfg.log_window as usize * c.cfg.max_batch_requests;
+            assert_eq!(rep.queue_bounds()[0], ("request_store", 0, cap));
+        }
+        let audit = c.client::<BigAdds>(client).audit_bytes();
+        let one_event = std::mem::size_of::<crate::invariants::OpEvent>() + 4096;
+        assert!(
+            audit <= crate::invariants::AUDIT_BUDGET_BYTES + one_event,
+            "client audit retains {audit} bytes"
+        );
+        assert!(audit > 0, "and is not simply off");
     }
 }

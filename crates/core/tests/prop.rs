@@ -509,7 +509,7 @@ proptest! {
                         log.slot_mut(seq).commits.insert(replica, d(tag));
                     }
                 }
-                LogEvent::Gc { to } => log.collect_garbage(to),
+                LogEvent::Gc { to } => drop(log.collect_garbage(to)),
             }
             // Invariants after every step.
             for (seq, slot) in log.iter() {
@@ -555,7 +555,7 @@ proptest! {
                             log.slot_mut(seq).commits.insert(replica, d(tag));
                         }
                     }
-                    LogEvent::Gc { to } => log.collect_garbage(to),
+                    LogEvent::Gc { to } => drop(log.collect_garbage(to)),
                 }
             }
             (log.low(), log.len())
