@@ -217,7 +217,11 @@ impl Cluster {
 
     /// Runs for `delta_ns` of simulated time while applying `plan`'s
     /// faults at their scheduled instants (absolute, measured from time
-    /// zero) and checking every invariant after every event.
+    /// zero) and checking every invariant after every event. The checker
+    /// visits every node once on entry (the caller may have reached into
+    /// any of them since the last run) and after every fault applied;
+    /// after an event it visits the node the event ran on, the only one
+    /// that event can have changed.
     ///
     /// `S` and `D` are the cluster's service and client-driver types
     /// (chaos runs use one driver type for all clients). A plan should be
@@ -232,6 +236,7 @@ impl Cluster {
     ) -> Result<(), Violation> {
         let deadline = self.sim.now().after(delta_ns);
         let mut next_fault = 0;
+        checker.nodes_touched();
         loop {
             let next_event = self.sim.next_event_at().filter(|&t| t <= deadline);
             // Apply every fault due before the next event we will step
@@ -254,11 +259,14 @@ impl Cluster {
         Ok(())
     }
 
-    fn apply_fault<S: Service, D: ClientDriver>(
+    /// Applies one fault of a plan. Faults reach into nodes between
+    /// events, so the checker is told to visit every node next.
+    pub(crate) fn apply_fault<S: Service, D: ClientDriver>(
         &mut self,
         fault: &Fault,
         checker: &mut InvariantChecker,
     ) {
+        checker.nodes_touched();
         match fault {
             Fault::Net(nf) => nf.apply(self.sim.network_mut()),
             Fault::Client { client, fault } => {

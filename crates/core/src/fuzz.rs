@@ -335,13 +335,9 @@ impl FuzzFamily {
         self.run_inner(seed, f, plan, FLIGHT_RING)
     }
 
-    fn run_inner(
-        &self,
-        seed: u64,
-        f: u32,
-        plan: &FaultPlan,
-        trace_capacity: usize,
-    ) -> Result<(), (Violation, String)> {
+    /// The cluster one iteration runs on: the family's configuration, a
+    /// builder seeded with `seed`, and the fuzz clients.
+    pub(crate) fn cluster(&self, seed: u64, f: u32, trace_capacity: usize) -> Cluster {
         let mut cluster = Cluster::builder(self.config(f))
             .seed(seed)
             .trace_capacity(trace_capacity)
@@ -353,6 +349,29 @@ impl FuzzFamily {
                 Workload::Mixed,
             ));
         }
+        cluster
+    }
+
+    /// Whether every operation the fuzz clients were given has completed.
+    pub(crate) fn workload_done(&self, cluster: &Cluster) -> bool {
+        if self.per_client_liveness {
+            cluster
+                .clients
+                .iter()
+                .all(|&id| cluster.client::<ChaosDriver>(id).completed_ops() >= FUZZ_OPS_PER_CLIENT)
+        } else {
+            cluster.completed_ops() >= FUZZ_CLIENTS * FUZZ_OPS_PER_CLIENT
+        }
+    }
+
+    fn run_inner(
+        &self,
+        seed: u64,
+        f: u32,
+        plan: &FaultPlan,
+        trace_capacity: usize,
+    ) -> Result<(), (Violation, String)> {
+        let mut cluster = self.cluster(seed, f, trace_capacity);
         let mut checker = InvariantChecker::new();
         checker.set_heal_deadline(self.heal_deadline_ns);
         // Fuzz clusters run `CounterService`, which is what the health
@@ -378,16 +397,7 @@ impl FuzzFamily {
         // loop just keeps the simulation running long enough to reach it).
         let target = FUZZ_CLIENTS * FUZZ_OPS_PER_CLIENT;
         let mut rounds = 0;
-        let workload_done = |cluster: &Cluster| {
-            if self.per_client_liveness {
-                cluster.clients.iter().all(|&id| {
-                    cluster.client::<ChaosDriver>(id).completed_ops() >= FUZZ_OPS_PER_CLIENT
-                })
-            } else {
-                cluster.completed_ops() >= target
-            }
-        };
-        while !workload_done(&cluster) || checker.corrupted_replicas().next().is_some() {
+        while !self.workload_done(&cluster) || checker.corrupted_replicas().next().is_some() {
             if rounds == LIVENESS_ROUNDS {
                 let v = Violation::Liveness {
                     detail: format!(

@@ -13,6 +13,17 @@
 //!   including read-only replies (reads must never return a value older
 //!   than any operation that completed before they were invoked).
 //!
+//! Everything those checks read — a node's audit trail, its queue
+//! lengths, its view, its starvation counter — changes only inside that
+//! node's own event handler, or when the harness reaches into a node
+//! between events (a fault plan being applied, a test holding
+//! `&mut Cluster`). So after an event [`InvariantChecker::observe`]
+//! visits the one node the event was dispatched to, and every node after
+//! anything else: its first call, several events since its last call, or
+//! [`InvariantChecker::nodes_touched`]. Either way every record a node
+//! writes is drained and checked; what an event did not change is not
+//! re-read.
+//!
 //! Replicas the fault plan makes Byzantine are *tainted*: their local
 //! state is arbitrary by definition, so their audit records are drained
 //! but not checked (the protocol promises safety to correct replicas and
@@ -106,36 +117,33 @@ impl ReplicaAudit {
     /// audit is never drained.
     const CAP: usize = 8_192;
 
+    /// Appends to a fixed-size trail; past [`Self::CAP`] undrained events
+    /// the older half is dropped.
+    fn push_capped<T>(trail: &mut Vec<T>, event: T) {
+        trail.push(event);
+        if trail.len() > Self::CAP {
+            trail.drain(..Self::CAP / 2);
+        }
+    }
+
     /// Records a finalized batch.
     pub fn note_committed(&mut self, seq: SeqNum, digest: Digest) {
-        self.committed.push((seq, digest));
-        if self.committed.len() > Self::CAP {
-            self.committed.drain(..Self::CAP / 2);
-        }
+        Self::push_capped(&mut self.committed, (seq, digest));
     }
 
     /// Records a fast-path commit.
     pub fn note_fast_committed(&mut self, seq: SeqNum, digest: Digest) {
-        self.fast_committed.push((seq, digest));
-        if self.fast_committed.len() > Self::CAP {
-            self.fast_committed.drain(..Self::CAP / 2);
-        }
+        Self::push_capped(&mut self.fast_committed, (seq, digest));
     }
 
     /// Records an announced checkpoint.
     pub fn note_checkpoint(&mut self, seq: SeqNum, digest: Digest) {
-        self.checkpoints.push((seq, digest));
-        if self.checkpoints.len() > Self::CAP {
-            self.checkpoints.drain(..Self::CAP / 2);
-        }
+        Self::push_capped(&mut self.checkpoints, (seq, digest));
     }
 
     /// Records a completed proactive recovery.
     pub fn note_recovery(&mut self, seq: SeqNum, digest: Digest, at_ns: u64) {
-        self.recoveries.push((seq, digest, at_ns));
-        if self.recoveries.len() > Self::CAP {
-            self.recoveries.drain(..Self::CAP / 2);
-        }
+        Self::push_capped(&mut self.recoveries, (seq, digest, at_ns));
     }
 
     /// Records a read-only request answered locally under a read lease.
@@ -420,8 +428,11 @@ struct PendingLin {
     invoked_ns: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct DoneLin {
+/// One step of the completed-value staircase: some operation completed
+/// at `completed_ns` with `value`, and none that completed at or before
+/// then returned more.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Step {
     completed_ns: u64,
     value: u64,
 }
@@ -430,8 +441,12 @@ struct DoneLin {
 #[derive(Debug, Default)]
 struct CounterLinearizability {
     pending: BTreeMap<(ClientId, Timestamp), PendingLin>,
-    /// Completed operations, used for the real-time lower bound.
-    done: Vec<DoneLin>,
+    /// The running maximum of completed values over completion time, for
+    /// the real-time lower bound: sorted by `completed_ns`, strictly
+    /// increasing in `value`. A completion that does not raise the
+    /// maximum at its instant adds no step, so this holds at most one
+    /// entry per distinct register total, however many operations ran.
+    done: Vec<Step>,
     /// `(invoke time, cumulative add amount invoked so far)`, in invoke
     /// order; upper bound on any observable register value.
     invoked_adds: Vec<(u64, u64)>,
@@ -477,6 +492,36 @@ impl CounterLinearizability {
         }
     }
 
+    /// The largest value returned by any operation that completed at or
+    /// before `t` (0 if none did).
+    fn floor_at(&self, t: u64) -> u64 {
+        match self.done.partition_point(|s| s.completed_ns <= t) {
+            0 => 0,
+            i => self.done[i - 1].value,
+        }
+    }
+
+    /// Records a completion on the staircase. Completions may arrive out
+    /// of time order (a late drain): the new step then also stands in for
+    /// every later step it reaches, which it replaces.
+    fn note_done(&mut self, completed_ns: u64, value: u64) {
+        let at = self
+            .done
+            .partition_point(|s| s.completed_ns <= completed_ns);
+        let floor = if at == 0 { 0 } else { self.done[at - 1].value };
+        if value <= floor {
+            return;
+        }
+        let reached = self.done[at..].partition_point(|s| s.value <= value);
+        self.done.splice(
+            at..at + reached,
+            [Step {
+                completed_ns,
+                value,
+            }],
+        );
+    }
+
     fn complete(
         &mut self,
         client: ClientId,
@@ -498,13 +543,7 @@ impl CounterLinearizability {
         let value = u64::from_le_bytes(bytes);
         // Real-time lower bound: the largest value returned by any
         // operation that completed before this one was invoked.
-        let floor = self
-            .done
-            .iter()
-            .filter(|d| d.completed_ns <= p.invoked_ns)
-            .map(|d| d.value)
-            .max()
-            .unwrap_or(0);
+        let floor = self.floor_at(p.invoked_ns);
         // Upper bound: everything invoked before this op completed.
         let ceiling = self.invoked_sum_at(at_ns);
         if value > ceiling {
@@ -550,10 +589,7 @@ impl CounterLinearizability {
                 self.add_values.insert(value, (client, timestamp, k));
             }
         }
-        self.done.push(DoneLin {
-            completed_ns: at_ns,
-            value,
-        });
+        self.note_done(at_ns, value);
         Ok(())
     }
 
@@ -578,13 +614,7 @@ impl CounterLinearizability {
             return Err(fail(format!("malformed result ({} bytes)", result.len())));
         };
         let value = u64::from_le_bytes(bytes);
-        let floor = self
-            .done
-            .iter()
-            .filter(|d| d.completed_ns <= serve_ns)
-            .map(|d| d.value)
-            .max()
-            .unwrap_or(0);
+        let floor = self.floor_at(serve_ns);
         if value < floor {
             return Err(fail(format!(
                 "served {value} at {serve_ns}ns after an op had completed with {floor}"
@@ -636,7 +666,8 @@ pub struct InvariantChecker {
     committed: BTreeMap<SeqNum, (ReplicaId, Digest)>,
     fast_committed: BTreeMap<SeqNum, (ReplicaId, Digest)>,
     checkpoints: BTreeMap<SeqNum, (ReplicaId, Digest)>,
-    views: BTreeMap<ReplicaId, View>,
+    /// Last observed view of each replica, indexed by replica id.
+    views: Vec<View>,
     tainted: BTreeSet<ReplicaId>,
     /// Replicas with silently corrupted service state, keyed by injection
     /// time. Unlike `tainted` this exemption is *revocable*: it only
@@ -652,10 +683,18 @@ pub struct InvariantChecker {
     /// may legitimately never complete, so the starvation audit absorbs
     /// (rather than reports) their budget exhaustions.
     tainted_clients: BTreeSet<ClientId>,
-    /// Last observed per-client starvation counter, for delta detection.
-    starved_seen: BTreeMap<ClientId, u64>,
+    /// Last observed starvation counter of each client, indexed by node
+    /// id, for delta detection.
+    starved_seen: Vec<u64>,
     lin: CounterLinearizability,
+    /// `events_processed()` at the previous [`InvariantChecker::observe`],
+    /// while no node can have changed since except by running an event;
+    /// `None` makes the next `observe` visit every node.
+    synced_at: Option<u64>,
 }
+
+/// A lease-served read held back until the round's client events are fed.
+type LeaseRead = (ReplicaId, ClientId, Timestamp, u64, Vec<u8>);
 
 impl InvariantChecker {
     /// Creates a fresh checker.
@@ -714,169 +753,48 @@ impl InvariantChecker {
         self.corrupted.keys().copied()
     }
 
-    /// Drains every node's audit records and checks all invariants.
-    /// `S` and `D` are the cluster's service and client-driver types.
+    /// Tells the checker that nodes may have changed outside an event
+    /// handler: a fault was applied, or the caller held `&mut Cluster`
+    /// between two runs. The next [`InvariantChecker::observe`] visits
+    /// every node.
+    pub fn nodes_touched(&mut self) {
+        self.synced_at = None;
+    }
+
+    /// Checks all invariants after an event. When exactly one event ran
+    /// since the previous call and nobody reported
+    /// [`InvariantChecker::nodes_touched`], only the node that event was
+    /// dispatched to can have new audit records, queue lengths, a new
+    /// view or a new starvation count, and only it is visited; otherwise
+    /// every node is. `S` and `D` are the cluster's service and
+    /// client-driver types.
     pub fn observe<S: Service, D: ClientDriver>(
         &mut self,
         cluster: &mut Cluster,
     ) -> Result<(), Violation> {
+        let n = cluster.cfg.n();
+        let processed = cluster.sim.events_processed();
+        let ran = match self.synced_at.replace(processed) {
+            Some(at) if at + 1 == processed => cluster.sim.last_dispatched(),
+            _ => None,
+        };
+        let (replicas, clients) = match ran {
+            None => (0..n, 0..cluster.clients.len()),
+            Some(id) if id < n => (id..id + 1, 0..0),
+            Some(id) => {
+                let at = cluster.clients.iter().position(|&c| c == id);
+                (0..0, at.map_or(0..0, |k| k..k + 1))
+            }
+        };
+        // Nodes are only ever added, so these grow or stay.
+        self.views.resize(n as usize, 0);
+        self.starved_seen.resize(cluster.sim.node_count(), 0);
         // Lease-served reads are checked only after this round's client
         // events are fed to the linearizability model below: a completion
         // that precedes the serve instant may sit in the same drain batch.
-        let mut lease_reads: Vec<(ReplicaId, ClientId, Timestamp, u64, Vec<u8>)> = Vec::new();
-        for i in 0..cluster.cfg.n() {
-            let replica: &mut Replica<S> = cluster.replica_mut(i);
-            let view = replica.view();
-            let audit = replica.drain_audit();
-            // *Bounded queues*: every request-holding collection must
-            // respect its cap at every observable instant — checked even
-            // on tainted replicas, since admission control is local code
-            // that runs regardless of the protocol-level behavior mode.
-            for (queue, len, cap) in replica.queue_bounds() {
-                if len > cap {
-                    return Err(Violation::UnboundedGrowth {
-                        replica: i,
-                        queue,
-                        len,
-                        cap,
-                    });
-                }
-            }
-            if self.tainted.contains(&i) {
-                continue;
-            }
-            // Captured before the checkpoint loop below, which may heal
-            // (and unmark) the replica within this same drain batch.
-            let corrupt_since_ns = self.corrupted.get(&i).copied();
-            let prev = self.views.entry(i).or_insert(0);
-            if view < *prev {
-                return Err(Violation::ViewRegression {
-                    replica: i,
-                    from: *prev,
-                    to: view,
-                });
-            }
-            *prev = view;
-            for (seq, digest) in audit.committed {
-                if let Some(&(other, other_digest)) = self.fast_committed.get(&seq) {
-                    if other_digest != digest {
-                        return Err(Violation::FastCommitDivergence {
-                            seq,
-                            a: (other, other_digest),
-                            b: (i, digest),
-                        });
-                    }
-                }
-                match self.committed.entry(seq) {
-                    Entry::Occupied(e) => {
-                        let &(other, other_digest) = e.get();
-                        if other_digest != digest {
-                            return Err(Violation::Agreement {
-                                seq,
-                                a: (other, other_digest),
-                                b: (i, digest),
-                            });
-                        }
-                    }
-                    Entry::Vacant(v) => {
-                        v.insert((i, digest));
-                    }
-                }
-            }
-            // *Fast-commit safety*: fast commits must agree across
-            // replicas and with whatever the cluster finalizes at the
-            // same sequence number — a per-slot fallback or a view
-            // change must never land a different batch there, and no two
-            // replicas may fast-commit different batches at one seq.
-            for (seq, digest) in audit.fast_committed {
-                if let Some(&(other, other_digest)) = self.committed.get(&seq) {
-                    if other_digest != digest {
-                        return Err(Violation::FastCommitDivergence {
-                            seq,
-                            a: (i, digest),
-                            b: (other, other_digest),
-                        });
-                    }
-                }
-                match self.fast_committed.entry(seq) {
-                    Entry::Occupied(e) => {
-                        let &(other, other_digest) = e.get();
-                        if other_digest != digest {
-                            return Err(Violation::FastCommitDivergence {
-                                seq,
-                                a: (other, other_digest),
-                                b: (i, digest),
-                            });
-                        }
-                    }
-                    Entry::Vacant(v) => {
-                        v.insert((i, digest));
-                    }
-                }
-            }
-            // A corrupted replica's checkpoint digests legitimately
-            // diverge until it heals; its batch digests and views above
-            // do not (corruption touches service state, not the log), so
-            // only this check is suspended — and never used as the
-            // reference other replicas are compared against.
-            if !self.corrupted.contains_key(&i) {
-                for (seq, digest) in audit.checkpoints {
-                    match self.checkpoints.entry(seq) {
-                        Entry::Occupied(e) => {
-                            let &(other, other_digest) = e.get();
-                            if other_digest != digest {
-                                return Err(Violation::CheckpointDivergence {
-                                    seq,
-                                    a: (other, other_digest),
-                                    b: (i, digest),
-                                });
-                            }
-                        }
-                        Entry::Vacant(v) => {
-                            v.insert((i, digest));
-                        }
-                    }
-                }
-            }
-            // *Recovery completeness*: a completed recovery's attested
-            // root must agree with the honest quorum's digest for that
-            // checkpoint. A match also heals a corrupted replica — the
-            // audit provably brought its state back to the quorum root —
-            // which revokes its checkpoint exemption from here on.
-            for (seq, digest, _at_ns) in audit.recoveries {
-                match self.checkpoints.entry(seq) {
-                    Entry::Occupied(e) => {
-                        let &(_, quorum) = e.get();
-                        if quorum != digest {
-                            return Err(Violation::RecoveryDivergence {
-                                replica: i,
-                                seq,
-                                ours: digest,
-                                quorum,
-                            });
-                        }
-                    }
-                    Entry::Vacant(v) => {
-                        // No honest announcement seen yet for this seq;
-                        // the recovered root carried f+1 attestations, so
-                        // it can serve as the reference.
-                        v.insert((i, digest));
-                    }
-                }
-                self.corrupted.remove(&i);
-            }
-            for (client, timestamp, at_ns, result) in audit.lease_reads {
-                // A silently corrupted replica serves garbage until its
-                // recovery audit heals it; the client's 2f+1 matching
-                // rule discards those replies, so they are excused here
-                // exactly like the checkpoint-digest check above — the
-                // lease invariant binds only reads served from state no
-                // fault was injected into.
-                if corrupt_since_ns.is_some_and(|at| at_ns >= at) {
-                    continue;
-                }
-                lease_reads.push((i, client, timestamp, at_ns, result));
-            }
+        let mut lease_reads = Vec::new();
+        for i in replicas {
+            self.visit_replica(i, cluster.replica_mut::<S>(i), &mut lease_reads)?;
         }
         // *Bounded heal*: every corrupted replica must have completed a
         // clean recovery within the deadline of its injection.
@@ -894,23 +812,9 @@ impl InvariantChecker {
             }
         }
         let mut events = Vec::new();
-        for id in cluster.clients.clone() {
-            let client: &mut Client<D> = cluster.client_mut(id);
-            events.extend(client.drain_audit());
-            // *Overload fairness*: an honest client must never exhaust
-            // its retry budget. Misbehaving clients have their deltas
-            // absorbed so only post-restore exhaustions can fire.
-            let starved = client.starvation_events();
-            let seen = self.starved_seen.entry(id).or_insert(0);
-            if starved > *seen {
-                *seen = starved;
-                if !self.tainted_clients.contains(&id) {
-                    return Err(Violation::ClientStarvation {
-                        client: id,
-                        starved_ops: starved,
-                    });
-                }
-            }
+        for k in clients {
+            let id = cluster.clients[k];
+            self.visit_client(id, cluster.client_mut::<D>(id), &mut events)?;
         }
         // Drains may interleave clients; feed the checker in time order.
         events.sort_by_key(OpEvent::at_ns);
@@ -939,11 +843,203 @@ impl InvariantChecker {
         Ok(())
     }
 
+    /// Drains replica `i`'s audit and checks its queue bounds, its view
+    /// and every drained record; its lease reads are queued on
+    /// `lease_reads`.
+    fn visit_replica<S: Service>(
+        &mut self,
+        i: ReplicaId,
+        replica: &mut Replica<S>,
+        lease_reads: &mut Vec<LeaseRead>,
+    ) -> Result<(), Violation> {
+        let view = replica.view();
+        let audit = replica.drain_audit();
+        // *Bounded queues*: every request-holding collection must
+        // respect its cap at every observable instant — checked even
+        // on tainted replicas, since admission control is local code
+        // that runs regardless of the protocol-level behavior mode.
+        for (queue, len, cap) in replica.queue_bounds() {
+            if len > cap {
+                return Err(Violation::UnboundedGrowth {
+                    replica: i,
+                    queue,
+                    len,
+                    cap,
+                });
+            }
+        }
+        if self.tainted.contains(&i) {
+            return Ok(());
+        }
+        // Captured before the checkpoint loop below, which may heal
+        // (and unmark) the replica within this same drain batch.
+        let corrupt_since_ns = self.corrupted.get(&i).copied();
+        let prev = &mut self.views[i as usize];
+        if view < *prev {
+            return Err(Violation::ViewRegression {
+                replica: i,
+                from: *prev,
+                to: view,
+            });
+        }
+        *prev = view;
+        for (seq, digest) in audit.committed {
+            if let Some(&(other, other_digest)) = self.fast_committed.get(&seq) {
+                if other_digest != digest {
+                    return Err(Violation::FastCommitDivergence {
+                        seq,
+                        a: (other, other_digest),
+                        b: (i, digest),
+                    });
+                }
+            }
+            match self.committed.entry(seq) {
+                Entry::Occupied(e) => {
+                    let &(other, other_digest) = e.get();
+                    if other_digest != digest {
+                        return Err(Violation::Agreement {
+                            seq,
+                            a: (other, other_digest),
+                            b: (i, digest),
+                        });
+                    }
+                }
+                Entry::Vacant(v) => {
+                    v.insert((i, digest));
+                }
+            }
+        }
+        // *Fast-commit safety*: fast commits must agree across
+        // replicas and with whatever the cluster finalizes at the
+        // same sequence number — a per-slot fallback or a view
+        // change must never land a different batch there, and no two
+        // replicas may fast-commit different batches at one seq.
+        for (seq, digest) in audit.fast_committed {
+            if let Some(&(other, other_digest)) = self.committed.get(&seq) {
+                if other_digest != digest {
+                    return Err(Violation::FastCommitDivergence {
+                        seq,
+                        a: (i, digest),
+                        b: (other, other_digest),
+                    });
+                }
+            }
+            match self.fast_committed.entry(seq) {
+                Entry::Occupied(e) => {
+                    let &(other, other_digest) = e.get();
+                    if other_digest != digest {
+                        return Err(Violation::FastCommitDivergence {
+                            seq,
+                            a: (other, other_digest),
+                            b: (i, digest),
+                        });
+                    }
+                }
+                Entry::Vacant(v) => {
+                    v.insert((i, digest));
+                }
+            }
+        }
+        // A corrupted replica's checkpoint digests legitimately
+        // diverge until it heals; its batch digests and views above
+        // do not (corruption touches service state, not the log), so
+        // only this check is suspended — and never used as the
+        // reference other replicas are compared against.
+        if !self.corrupted.contains_key(&i) {
+            for (seq, digest) in audit.checkpoints {
+                match self.checkpoints.entry(seq) {
+                    Entry::Occupied(e) => {
+                        let &(other, other_digest) = e.get();
+                        if other_digest != digest {
+                            return Err(Violation::CheckpointDivergence {
+                                seq,
+                                a: (other, other_digest),
+                                b: (i, digest),
+                            });
+                        }
+                    }
+                    Entry::Vacant(v) => {
+                        v.insert((i, digest));
+                    }
+                }
+            }
+        }
+        // *Recovery completeness*: a completed recovery's attested
+        // root must agree with the honest quorum's digest for that
+        // checkpoint. A match also heals a corrupted replica — the
+        // audit provably brought its state back to the quorum root —
+        // which revokes its checkpoint exemption from here on.
+        for (seq, digest, _at_ns) in audit.recoveries {
+            match self.checkpoints.entry(seq) {
+                Entry::Occupied(e) => {
+                    let &(_, quorum) = e.get();
+                    if quorum != digest {
+                        return Err(Violation::RecoveryDivergence {
+                            replica: i,
+                            seq,
+                            ours: digest,
+                            quorum,
+                        });
+                    }
+                }
+                Entry::Vacant(v) => {
+                    // No honest announcement seen yet for this seq;
+                    // the recovered root carried f+1 attestations, so
+                    // it can serve as the reference.
+                    v.insert((i, digest));
+                }
+            }
+            self.corrupted.remove(&i);
+        }
+        for (client, timestamp, at_ns, result) in audit.lease_reads {
+            // A silently corrupted replica serves garbage until its
+            // recovery audit heals it; the client's 2f+1 matching
+            // rule discards those replies, so they are excused here
+            // exactly like the checkpoint-digest check above — the
+            // lease invariant binds only reads served from state no
+            // fault was injected into.
+            if corrupt_since_ns.is_some_and(|at| at_ns >= at) {
+                continue;
+            }
+            lease_reads.push((i, client, timestamp, at_ns, result));
+        }
+        Ok(())
+    }
+
+    /// Drains client `id`'s operation events onto `events` and checks its
+    /// starvation counter.
+    fn visit_client<D: ClientDriver>(
+        &mut self,
+        id: ClientId,
+        client: &mut Client<D>,
+        events: &mut Vec<OpEvent>,
+    ) -> Result<(), Violation> {
+        events.append(&mut client.drain_audit());
+        // *Overload fairness*: an honest client must never exhaust
+        // its retry budget. Misbehaving clients have their deltas
+        // absorbed so only post-restore exhaustions can fire.
+        let starved = client.starvation_events();
+        let seen = &mut self.starved_seen[id as usize];
+        if starved > *seen {
+            *seen = starved;
+            if !self.tainted_clients.contains(&id) {
+                return Err(Violation::ClientStarvation {
+                    client: id,
+                    starved_ops: starved,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Final quiescence checks (exact add-chain reconstruction).
     pub fn finish(&self) -> Result<(), Violation> {
         self.lin.finish()
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1079,5 +1175,162 @@ mod tests {
         lin.complete(5, 1, &val(8), 20).unwrap();
         lin.complete(4, 1, &val(5), 21).unwrap();
         lin.finish().unwrap();
+    }
+
+    // ------------------------------------------------------------------
+    // Which nodes `observe` visits
+    // ------------------------------------------------------------------
+
+    use super::reference::forge_commit;
+    use crate::fuzz::{ChaosDriver, Workload, CLASSIC, OVERLOAD};
+    use crate::service::CounterService;
+    use bft_sim::chaos::{ClientFault, Fault, FaultPlan, NetFault, NodeFault};
+    use bft_sim::dur;
+
+    type Svc = CounterService;
+
+    /// Four replicas and clients 4 and 5, each with `ops` mixed operations.
+    fn cluster(cfg: crate::config::Config, ops: u64) -> Cluster {
+        let mut cluster = Cluster::builder(cfg).seed(23).build_counter();
+        for salt in [1, 2] {
+            cluster.add_client(ChaosDriver::new(salt, ops, Workload::Mixed));
+        }
+        cluster
+    }
+
+    /// A cluster partway through its workload, every event so far observed.
+    fn observed(cfg: crate::config::Config) -> (Cluster, InvariantChecker) {
+        let mut cluster = cluster(cfg, 24);
+        let mut checker = InvariantChecker::new();
+        cluster
+            .run_with_plan::<Svc, ChaosDriver>(&FaultPlan::empty(), dur::millis(5), &mut checker)
+            .unwrap();
+        assert!(cluster.replica::<Svc>(2).last_committed_executed() > 0);
+        (cluster, checker)
+    }
+
+    /// One event under the checker, as `run_with_plan` takes it.
+    fn step(cluster: &mut Cluster, checker: &mut InvariantChecker) -> Result<(), Violation> {
+        assert!(cluster.sim.step());
+        checker.observe::<Svc, ChaosDriver>(cluster)
+    }
+
+    /// The `crash-primary` warm-up shape: 625 operations per client run
+    /// before the checker exists. Its first `observe` follows a single
+    /// event and still takes in every node's backlog.
+    #[test]
+    fn checker_attached_late_sees_every_backlog() {
+        let mut cluster = cluster(CLASSIC.config(1), 625);
+        while cluster.completed_ops() < 1_250 && cluster.sim.step() {}
+        assert_eq!(cluster.completed_ops(), 1_250);
+        let mut checker = InvariantChecker::new();
+        step(&mut cluster, &mut checker).unwrap();
+        for i in 0..4 {
+            let audit = cluster.replica_mut::<Svc>(i).drain_audit();
+            assert!(audit.committed.is_empty() && audit.checkpoints.is_empty());
+        }
+        for id in [4, 5] {
+            assert!(cluster
+                .client_mut::<ChaosDriver>(id)
+                .drain_audit()
+                .is_empty());
+        }
+        let finalized = (0..4).map(|i| cluster.replica::<Svc>(i).last_committed_executed());
+        assert_eq!(checker.committed.len() as u64, finalized.max().unwrap());
+        assert!(checker.lin.pending.is_empty());
+        let total = cluster.replica::<Svc>(0).service().value();
+        assert_eq!(checker.lin.floor_at(u64::MAX), total);
+        // The add chain reaches back to zero only if no add was missed.
+        checker.finish().unwrap();
+    }
+
+    /// After one event only the node it ran on is visited: a record
+    /// slipped into another node's audit is found when that node next
+    /// runs. (Nothing in the harness does this without saying so; the
+    /// next three tests are the ways it says so.)
+    #[test]
+    fn one_event_visits_the_node_it_ran_on() {
+        let (mut cluster, mut checker) = observed(CLASSIC.config(1));
+        forge_commit(&mut cluster);
+        let mut elsewhere = 0;
+        let caught = loop {
+            let verdict = step(&mut cluster, &mut checker);
+            if cluster.sim.last_dispatched() == Some(2) {
+                break verdict;
+            }
+            assert_eq!(verdict, Ok(()));
+            elsewhere += 1;
+        };
+        assert!(elsewhere > 0);
+        assert!(matches!(
+            caught,
+            Err(Violation::Agreement { b: (2, _), .. })
+        ));
+    }
+
+    #[test]
+    fn run_with_plan_visits_every_node_on_entry() {
+        let (mut cluster, mut checker) = observed(CLASSIC.config(1));
+        forge_commit(&mut cluster);
+        let before = cluster.sim.events_processed();
+        let caught = cluster.run_with_plan::<Svc, ChaosDriver>(
+            &FaultPlan::empty(),
+            dur::millis(20),
+            &mut checker,
+        );
+        assert!(
+            matches!(caught, Err(Violation::Agreement { b: (2, _), .. })),
+            "{caught:?}"
+        );
+        assert_eq!(cluster.sim.events_processed(), before + 1);
+    }
+
+    /// A restart that lost the replica's view is reported after the next
+    /// event, wherever that event ran.
+    #[test]
+    fn node_fault_between_events_forces_a_full_pass() {
+        let (mut cluster, mut checker) = observed(CLASSIC.config(1));
+        let fault = |cluster: &mut Cluster, checker: &mut InvariantChecker, fault| {
+            cluster.apply_fault::<Svc, ChaosDriver>(&fault, checker);
+        };
+        let node = |fault| Fault::Node { node: 3, fault };
+        fault(&mut cluster, &mut checker, node(NodeFault::Crash));
+        cluster.replica_mut::<Svc>(3).set_view(2);
+        fault(&mut cluster, &mut checker, Fault::Net(NetFault::Loss(0)));
+        step(&mut cluster, &mut checker).unwrap();
+        assert_eq!(checker.views[3], 2);
+        cluster.replica_mut::<Svc>(3).set_view(0);
+        fault(&mut cluster, &mut checker, node(NodeFault::Restart));
+        let caught = step(&mut cluster, &mut checker);
+        assert_ne!(cluster.sim.last_dispatched(), Some(3));
+        let regression = Violation::ViewRegression {
+            replica: 3,
+            from: 2,
+            to: 0,
+        };
+        assert_eq!(caught, Err(regression));
+    }
+
+    /// A queue over its cap is reported after the next event although
+    /// that event — the kick the client fault injects — runs on the client.
+    #[test]
+    fn client_fault_between_events_forces_a_full_pass() {
+        let (mut cluster, mut checker) = observed(OVERLOAD.config(1));
+        cluster.replica_mut::<Svc>(2).pad_backlog(1_000_000);
+        let restore = Fault::Client {
+            client: 5,
+            fault: ClientFault::Restore,
+        };
+        cluster.apply_fault::<Svc, ChaosDriver>(&restore, &mut checker);
+        let caught = step(&mut cluster, &mut checker);
+        assert_ne!(cluster.sim.last_dispatched(), Some(2));
+        assert!(matches!(
+            caught,
+            Err(Violation::UnboundedGrowth {
+                replica: 2,
+                queue: "ingest_backlog",
+                ..
+            })
+        ));
     }
 }

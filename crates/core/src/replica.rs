@@ -471,6 +471,24 @@ impl<S: Service> Replica<S> {
         std::mem::take(&mut self.audit)
     }
 
+    /// The undrained audit, for checker tests that feed it by hand.
+    #[cfg(test)]
+    pub(crate) fn audit_mut(&mut self) -> &mut ReplicaAudit {
+        &mut self.audit
+    }
+
+    /// Checker-test hook: forces the view, as no handler would.
+    #[cfg(test)]
+    pub(crate) fn set_view(&mut self, view: View) {
+        self.view = view;
+    }
+
+    /// Checker-test hook: inflates the ingest backlog by `by` requests.
+    #[cfg(test)]
+    pub(crate) fn pad_backlog(&mut self, by: usize) {
+        self.pending_batch_len += by;
+    }
+
     /// An observer-only, typed snapshot of this replica's externally
     /// observable state at simulated time `at_ns` — views, execution and
     /// checkpoint watermarks, queue depths, lease/recovery status. Pure

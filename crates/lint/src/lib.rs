@@ -408,11 +408,18 @@ fn executed_rules(scope: Scope, token_phase: bool, model_phase: bool) -> Vec<&'s
 // ---------------------------------------------------------------------
 
 /// Splits the token stream into (production tokens, `#[cfg(test)]`
-/// tokens). The lint targets production protocol code; test modules may
-/// build whatever scaffolding they like — but their tokens still count
-/// as test references for coverage rules.
+/// tokens). The lint targets production protocol code; test modules,
+/// inline or a whole file under `#![cfg(test)]`, may build whatever
+/// scaffolding they like — but their tokens still count as test
+/// references for coverage rules.
 fn split_cfg_test(lexed: &Lexed) -> (Vec<Token>, Vec<Token>) {
     let toks = &lexed.tokens;
+    // A file that opens with `#![cfg(test)]` is test code throughout
+    // (an out-of-line test module, e.g. a reference model).
+    let opening = toks.iter().take(8).map(|t| t.text.as_str());
+    if opening.eq(["#", "!", "[", "cfg", "(", "test", ")", "]"]) {
+        return (Vec::new(), toks.clone());
+    }
     let mut skip = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {

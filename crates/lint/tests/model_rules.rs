@@ -259,6 +259,18 @@ fn layering_harness_modules_are_exempt() {
     assert!(findings.is_empty(), "findings: {findings:#?}");
 }
 
+#[test]
+fn layering_cfg_test_files_are_exempt() {
+    // An out-of-line test module (a reference model beside the code it
+    // checks) says so with an inner attribute and may drive the
+    // simulator like any inline `#[cfg(test)] mod tests`.
+    let gated = format!("#![cfg(test)]\n{LAYERING_VIOLATION}");
+    let path = "crates/core/src/invariants/reference.rs";
+    assert!(check(&[(path, &gated)]).is_empty());
+    let hits = check(&[(path, LAYERING_VIOLATION)]);
+    assert_eq!(rule_findings(&hits, RULE_LAYERING).len(), 3);
+}
+
 // --- pragmas across phases ----------------------------------------------
 
 #[test]

@@ -303,6 +303,8 @@ struct Kernel<M> {
     health: Counters,
     stopped: bool,
     events_processed: u64,
+    /// The node the last processed event was dispatched to.
+    last_dispatched: Option<NodeId>,
 }
 
 impl<M> Kernel<M> {
@@ -594,6 +596,7 @@ impl<M: 'static> Simulation<M> {
                 health: Counters::new(),
                 stopped: false,
                 events_processed: 0,
+                last_dispatched: None,
             },
         }
     }
@@ -668,6 +671,14 @@ impl<M: 'static> Simulation<M> {
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.kernel.events_processed
+    }
+
+    /// The node whose handler ran the last processed event (`None` before
+    /// the first). Together with [`Simulation::events_processed`] it tells
+    /// an observer called after every [`Simulation::step`] which node is
+    /// the only one that can have changed since its previous call.
+    pub fn last_dispatched(&self) -> Option<NodeId> {
+        self.kernel.last_dispatched
     }
 
     /// The time of the earliest queued event, if any. Cancelled timers may
@@ -774,6 +785,7 @@ impl<M: 'static> Simulation<M> {
             debug_assert!(key.at >= self.kernel.now, "time went backwards");
             self.kernel.now = key.at;
             self.kernel.events_processed += 1;
+            self.kernel.last_dispatched = Some(ev.dst);
             let mut node = self.nodes[ev.dst as usize]
                 .take()
                 .expect("node present outside dispatch");
@@ -903,6 +915,28 @@ mod tests {
         s.inject(b, a, 2, 8);
         s.run_until_idle(100);
         assert_eq!(s.node_as::<Probe>(b).messages, vec![(a, 1), (a, 2)]);
+    }
+
+    #[test]
+    fn last_dispatched_is_the_node_the_last_event_ran_on() {
+        let mut s = sim();
+        assert_eq!(s.last_dispatched(), None);
+        let a = s.add_node(Box::<Probe>::default());
+        let b = s.add_node(Box::<Probe>::default());
+        s.run_until_idle(10);
+        s.inject(b, a, 1, 8);
+        assert!(s.step());
+        assert_eq!(s.last_dispatched(), Some(b));
+        s.inject(a, b, 2, 8);
+        assert!(s.step());
+        assert_eq!(s.last_dispatched(), Some(a));
+        // An empty queue runs nothing and changes nothing.
+        let events = s.events_processed();
+        assert!(!s.step());
+        assert_eq!(
+            (s.last_dispatched(), s.events_processed()),
+            (Some(a), events)
+        );
     }
 
     #[test]
