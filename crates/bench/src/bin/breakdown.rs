@@ -343,17 +343,11 @@ fn run_lease_workload(samples: u64) -> (String, u64, u64) {
         "lease workload stalled at {}/{samples} requests",
         cluster.completed_ops()
     );
-    let lease_reads = cluster.sim.health().total(Counter::LeaseReads);
-    assert_eq!(
-        lease_reads,
-        cluster.sim.metrics().counter("replica.lease_reads"),
-        "health counter and metrics counter disagree on lease reads"
-    );
-    let fallbacks = cluster.sim.metrics().counter("client.ro_fallbacks");
+    let health = cluster.sim.health();
     (
         cluster.sim.trace().chrome_trace_json(),
-        lease_reads,
-        fallbacks,
+        health.total(Counter::LeaseReads),
+        health.total(Counter::RoFallbacks),
     )
 }
 

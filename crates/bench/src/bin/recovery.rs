@@ -72,9 +72,9 @@ fn main() {
         }
         // Warm up, then take the undisturbed baseline.
         cluster.run_for(dur::secs(1));
-        cluster.sim.metrics_mut().reset();
+        let warm = cluster.completed_ops();
         cluster.run_for(dur::secs(1));
-        let steady = cluster.sim.metrics().counter("client.ops_completed") as f64;
+        let steady = (cluster.completed_ops() - warm) as f64;
 
         // Land the corruption mid-interval: the victim's watchdog fires
         // at 375 ms + k*500 ms, so injecting at 2.6 s leaves its ongoing
@@ -102,7 +102,7 @@ fn main() {
         // audit's re-fetch path), then step until the next watchdog
         // fire audits and heals it.
         cluster.replica_mut::<CounterService>(2).corrupt_state(63);
-        cluster.sim.metrics_mut().reset();
+        let corrupted = cluster.completed_ops();
         let step = dur::millis(5);
         let mut waited = 0u64;
         while !healed(&cluster, 2) && waited < dur::secs(30) {
@@ -110,17 +110,13 @@ fn main() {
             waited += step;
         }
         let heal_secs = waited as f64 / 1e9;
-        let during = cluster.sim.metrics().counter("client.ops_completed") as f64 / heal_secs;
+        let during = (cluster.completed_ops() - corrupted) as f64 / heal_secs;
         assert!(
             healed(&cluster, 2),
             "cluster failed to heal within 30 s at payload {pad}"
         );
         assert!(
-            cluster
-                .sim
-                .metrics()
-                .counter("replica.recovery_audit_refetch")
-                > 0,
+            cluster.sim.health().total(Counter::RecoveryAuditRefetch) > 0,
             "the heal must have come through the recovery audit"
         );
         table_row(&[

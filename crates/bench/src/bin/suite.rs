@@ -97,8 +97,9 @@ fn saturation(quick: bool, out: &mut BenchDoc) {
     }
     cluster.run_for(warmup);
     cluster.sim.metrics_mut().reset();
+    let warm = cluster.completed_ops();
     cluster.run_for(window);
-    let ops = cluster.sim.metrics().counter("client.ops_completed");
+    let ops = cluster.completed_ops() - warm;
     let window_s = window as f64 / 1e9;
     let lat = cluster.sim.metrics().summary("client.latency");
     out.results.push(BenchResult {
@@ -228,10 +229,9 @@ fn recovery(quick: bool, out: &mut BenchDoc) {
         dur::secs(1)
     };
     cluster.run_for(dur::secs(1));
-    cluster.sim.metrics_mut().reset();
+    let warm = cluster.completed_ops();
     cluster.run_for(baseline);
-    let steady =
-        cluster.sim.metrics().counter("client.ops_completed") as f64 / (baseline as f64 / 1e9);
+    let steady = (cluster.completed_ops() - warm) as f64 / (baseline as f64 / 1e9);
     // Land the corruption mid-watchdog-interval, with the victim idle
     // and caught up (see the `recovery` binary for the full rationale).
     cluster.run_for(dur::millis(600));
@@ -244,7 +244,7 @@ fn recovery(quick: bool, out: &mut BenchDoc) {
         cluster.run_for(dur::millis(5));
     }
     cluster.replica_mut::<CounterService>(2).corrupt_state(63);
-    cluster.sim.metrics_mut().reset();
+    let corrupted = cluster.completed_ops();
     let step = dur::millis(5);
     let mut waited = 0u64;
     while !healed(&cluster) && waited < dur::secs(30) {
@@ -253,7 +253,7 @@ fn recovery(quick: bool, out: &mut BenchDoc) {
     }
     assert!(healed(&cluster), "cluster failed to heal within 30 s");
     let heal_s = waited as f64 / 1e9;
-    let during = cluster.sim.metrics().counter("client.ops_completed") as f64 / heal_s;
+    let during = (cluster.completed_ops() - corrupted) as f64 / heal_s;
     out.results.push(BenchResult {
         bench: "recovery".to_string(),
         workload: "corrupt-top-bit".to_string(),
@@ -342,6 +342,7 @@ fn overload(quick: bool, out: &mut BenchDoc) {
         cluster.run_for(window);
         let window_s = window as f64 / 1e9;
         let honest = cluster.sim.metrics().summary("bench.honest_latency");
+        // Sheds and BUSYs are whole-run totals, warm-up included.
         let shed = cluster.sim.health().total(bft_sim::Counter::RequestsShed);
         let busy = cluster.sim.health().total(bft_sim::Counter::BusySent);
         merge_counters(&mut out.counters, cluster.sim.health().flattened());

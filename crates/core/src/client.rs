@@ -345,7 +345,7 @@ impl ClientCore {
         let d = bft_crypto::digest(&body.to_bytes());
         let Msg::Reply(reply) = body else { return None };
         if !self.keychain.verify_from(from, d.as_bytes(), mac) {
-            ctx.metrics().incr("client.bad_reply_auth");
+            ctx.count(Counter::BadReplyAuth);
             return None;
         }
         self.view_guess = self.view_guess.max(reply.view);
@@ -372,7 +372,7 @@ impl ClientCore {
             0.8 * self.latency_ewma + 0.2 * latency as f64
         };
         self.completed_ops += 1;
-        ctx.metrics().incr("client.ops_completed");
+        ctx.count(Counter::OpsCompleted);
         ctx.metrics().record("client.latency", latency);
         // The span close is the reply-recv edge of the request lifecycle;
         // `trace_now` stamps it at `now`, matching the latency recorded
@@ -451,9 +451,6 @@ impl ClientCore {
         p.retries += 1;
         p.replier = REPLIER_ALL;
         p.broadcast = true;
-        ctx.metrics().incr("client.ro_retries");
-        ctx.metrics().incr("client.ro_split_retries");
-        ctx.metrics().incr("client.retransmissions");
         ctx.count(Counter::RoRetries);
         ctx.count(Counter::Retransmissions);
         self.send_request(ctx);
@@ -482,7 +479,7 @@ impl ClientCore {
         Msg::Busy(busy).encode(&mut body_buf);
         let d = bft_crypto::digest(&body_buf);
         if !self.keychain.verify_from(from, d.as_bytes(), mac) {
-            ctx.metrics().incr("client.bad_busy_auth");
+            ctx.count(Counter::BadBusyAuth);
             return;
         }
         let (rounds, salt) = {
@@ -491,14 +488,13 @@ impl ClientCore {
                 return;
             }
             p.busy_rounds += 1;
-            ctx.metrics().incr("client.busy_received");
+            ctx.count(Counter::BusyReceived);
             if p.busy_rounds >= 2 && p.read_only {
                 // Persistent pushback: fall back from the optimistic
                 // one-round read to classic ordering.
                 p.read_only = false;
                 p.replier = REPLIER_ALL;
-                ctx.metrics().incr("client.busy_ro_fallbacks");
-                ctx.count(Counter::RoFallbacks);
+                ctx.count(Counter::BusyRoFallbacks);
             }
             (p.busy_rounds, p.timestamp)
         };
@@ -527,7 +523,6 @@ impl ClientCore {
             // The budget is an observability boundary, not a liveness
             // one: flag the op as starved (once) and keep retrying.
             self.starved_ops += 1;
-            ctx.metrics().incr("client.retry_budget_exhausted");
             ctx.count(Counter::RetryBudgetExhausted);
         }
         let Some(p) = &mut self.pending else { return };
@@ -546,8 +541,6 @@ impl ClientCore {
         // then re-elect.
         if p.read_only && self.cfg.read_leases && p.retries <= 2 {
             p.replier = REPLIER_ALL;
-            ctx.metrics().incr("client.ro_retries");
-            ctx.metrics().incr("client.retransmissions");
             ctx.count(Counter::RoRetries);
             ctx.count(Counter::Retransmissions);
             self.send_request(ctx);
@@ -560,12 +553,10 @@ impl ClientCore {
         // withholds its tentative reply and the remaining matches cannot
         // reach 2f+1 (arXiv:2107.11144).
         if p.read_only {
-            ctx.metrics().incr("client.ro_fallbacks");
             ctx.count(Counter::RoFallbacks);
         }
         p.read_only = false;
         p.replier = REPLIER_ALL;
-        ctx.metrics().incr("client.retransmissions");
         ctx.count(Counter::Retransmissions);
         self.send_request(ctx);
     }
@@ -600,14 +591,13 @@ impl ClientCore {
                     if let Some(t) = self.retry_timer.take() {
                         ctx.cancel_timer(t);
                     }
-                    ctx.metrics().incr("client.flood_abandoned");
+                    ctx.count(Counter::FloodAbandoned);
                 }
-                ctx.metrics().incr("client.flood_requests");
+                ctx.count(Counter::FloodRequests);
                 self.submit_inner(ctx, vec![1], false);
             }
             ClientBehavior::Replay { .. } => {
                 if self.pending.is_some() {
-                    ctx.metrics().incr("client.replayed_requests");
                     self.send_request(ctx);
                 }
             }
@@ -616,7 +606,6 @@ impl ClientCore {
                 // verification-cost pressure. The timestamp is past the
                 // reply cache but never reserved via `self.ts`, so no
                 // real op is ever shadowed by it.
-                ctx.metrics().incr("client.malformed_requests");
                 let req = Request {
                     client: self.id,
                     timestamp: self.ts + 1,

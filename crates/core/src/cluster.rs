@@ -10,7 +10,7 @@ use crate::replica::{Behavior, Replica};
 use crate::service::{CounterService, Service};
 use crate::types::ClientId;
 use bft_sim::chaos::{ByzMode, ClientFault, Fault, FaultPlan, NodeFault};
-use bft_sim::{HealthReport, HealthSnapshot, NetConfig, NodeId, Simulation};
+use bft_sim::{Counter, HealthReport, HealthSnapshot, NetConfig, NodeId, Simulation};
 
 /// Mixes an index into a base seed (splitmix64), giving well-separated
 /// per-run seeds for fuzz loops and multi-cluster tests.
@@ -193,9 +193,9 @@ impl Cluster {
         self.sim.run_for(delta_ns);
     }
 
-    /// Total completed client operations (from the metrics).
+    /// Client operations completed since the counters were last reset.
     pub fn completed_ops(&self) -> u64 {
-        self.sim.metrics().counter("client.ops_completed")
+        self.sim.health().total(Counter::OpsCompleted)
     }
 
     /// Per-replica health snapshots at the current simulated time, in

@@ -88,5 +88,5 @@ pub mod prelude {
     pub use crate::service::{CounterService, NullService, Service};
     pub use crate::types::{ClientId, Quorums, ReplicaId};
     pub use bft_sim::chaos::{ChaosConfig, FaultPlan};
-    pub use bft_sim::{dur, NetConfig, SimTime};
+    pub use bft_sim::{dur, Counter, NetConfig, SimTime};
 }

@@ -35,16 +35,12 @@ pub enum RecoveryStage {
     AwaitingAttestation {
         /// Per-peer (stable seq, Merkle root) claims, in replica order.
         votes: BTreeMap<ReplicaId, (SeqNum, Digest)>,
-        /// When the recovery began (ns), for time-to-heal accounting.
-        since_ns: u64,
     },
     /// Attested root obtained; auditing state against it (re-fetching
     /// mismatched partitions through the state-transfer path).
     Auditing {
         /// The attested stable checkpoint being audited against.
         seq: SeqNum,
-        /// When the recovery began (ns).
-        since_ns: u64,
     },
 }
 
@@ -77,17 +73,16 @@ impl RecoveryManager {
     }
 
     /// Starts our own recovery: begins collecting attestations.
-    pub fn begin(&mut self, now_ns: u64) {
+    pub fn begin(&mut self) {
         self.stage = RecoveryStage::AwaitingAttestation {
             votes: BTreeMap::new(),
-            since_ns: now_ns,
         };
     }
 
     /// Records a peer's stable-checkpoint attestation. Ignored unless we
     /// are awaiting attestations; a peer's latest claim wins.
     pub fn note_vote(&mut self, from: ReplicaId, seq: SeqNum, digest: Digest) {
-        if let RecoveryStage::AwaitingAttestation { votes, .. } = &mut self.stage {
+        if let RecoveryStage::AwaitingAttestation { votes } = &mut self.stage {
             votes.insert(from, (seq, digest));
         }
     }
@@ -97,7 +92,7 @@ impl RecoveryManager {
     /// replica, so the root is trustworthy even though we trust nothing
     /// local.
     pub fn attested(&self, q: &Quorums) -> Option<(SeqNum, Digest)> {
-        let RecoveryStage::AwaitingAttestation { votes, .. } = &self.stage else {
+        let RecoveryStage::AwaitingAttestation { votes } = &self.stage else {
             return None;
         };
         let mut counts: BTreeMap<(SeqNum, Digest), usize> = BTreeMap::new();
@@ -113,28 +108,14 @@ impl RecoveryManager {
 
     /// Moves from attestation-collecting to auditing against `seq`.
     pub fn start_audit(&mut self, seq: SeqNum) {
-        let since_ns = match &self.stage {
-            RecoveryStage::AwaitingAttestation { since_ns, .. } => *since_ns,
-            RecoveryStage::Auditing { since_ns, .. } => *since_ns,
-            RecoveryStage::Idle => 0,
-        };
-        self.stage = RecoveryStage::Auditing { seq, since_ns };
+        self.stage = RecoveryStage::Auditing { seq };
     }
 
     /// The checkpoint under audit, if auditing.
     pub fn auditing_seq(&self) -> Option<SeqNum> {
         match &self.stage {
-            RecoveryStage::Auditing { seq, .. } => Some(*seq),
+            RecoveryStage::Auditing { seq } => Some(*seq),
             _ => None,
-        }
-    }
-
-    /// When the in-progress recovery began (ns), if any.
-    pub fn since_ns(&self) -> Option<u64> {
-        match &self.stage {
-            RecoveryStage::Idle => None,
-            RecoveryStage::AwaitingAttestation { since_ns, .. }
-            | RecoveryStage::Auditing { since_ns, .. } => Some(*since_ns),
         }
     }
 
@@ -184,9 +165,8 @@ mod tests {
     #[test]
     fn attestation_needs_a_witness_quorum() {
         let mut rm = RecoveryManager::new();
-        rm.begin(5);
+        rm.begin();
         assert!(rm.in_progress());
-        assert_eq!(rm.since_ns(), Some(5));
         rm.note_vote(1, 128, digest(1));
         assert_eq!(rm.attested(&q()), None, "one claim is not enough");
         rm.note_vote(2, 128, digest(1));
@@ -196,7 +176,7 @@ mod tests {
     #[test]
     fn mismatched_attestations_do_not_combine() {
         let mut rm = RecoveryManager::new();
-        rm.begin(0);
+        rm.begin();
         rm.note_vote(1, 128, digest(1));
         rm.note_vote(2, 128, digest(2));
         rm.note_vote(3, 64, digest(1));
@@ -206,7 +186,7 @@ mod tests {
     #[test]
     fn highest_attested_checkpoint_wins() {
         let mut rm = RecoveryManager::new();
-        rm.begin(0);
+        rm.begin();
         rm.note_vote(0, 64, digest(1));
         rm.note_vote(1, 64, digest(1));
         rm.note_vote(2, 128, digest(2));
@@ -221,7 +201,7 @@ mod tests {
     #[test]
     fn a_peers_latest_claim_replaces_its_earlier_one() {
         let mut rm = RecoveryManager::new();
-        rm.begin(0);
+        rm.begin();
         rm.note_vote(1, 64, digest(1));
         rm.note_vote(1, 128, digest(2));
         rm.note_vote(2, 128, digest(2));
@@ -232,10 +212,9 @@ mod tests {
     fn stage_transitions() {
         let mut rm = RecoveryManager::new();
         assert!(!rm.in_progress());
-        rm.begin(7);
+        rm.begin();
         rm.start_audit(128);
         assert_eq!(rm.auditing_seq(), Some(128));
-        assert_eq!(rm.since_ns(), Some(7), "audit keeps the start time");
         assert!(rm.in_progress());
         rm.finish();
         assert!(!rm.in_progress());

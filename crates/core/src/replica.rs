@@ -308,10 +308,6 @@ pub struct Replica<S: Service> {
     /// plus the shed penalty window and BUSY send throttle. One entry
     /// per authenticated client — bounded by the principal set.
     gate: BTreeMap<ClientId, ClientGate>,
-    /// Requests shed by admission control since startup (observer-only).
-    requests_shed: u64,
-    /// BUSY pushbacks sent since startup (observer-only).
-    busy_sent: u64,
     /// Peak ingest-backlog depth ever reached (observer-only).
     backlog_high_watermark: u64,
     behavior: Behavior,
@@ -397,8 +393,6 @@ impl<S: Service> Replica<S> {
             waiting_lease_ro: Vec::new(),
             recovery: RecoveryManager::new(),
             gate: BTreeMap::new(),
-            requests_shed: 0,
-            busy_sent: 0,
             backlog_high_watermark: 0,
             behavior: Behavior::Correct,
             audit: ReplicaAudit::default(),
@@ -519,8 +513,6 @@ impl<S: Service> Replica<S> {
             lease_held: lease.is_some(),
             lease_expiry_ns: lease.map_or(0, |l| l.expires_at_ns),
             fast_path: self.cfg.fast_path,
-            requests_shed: self.requests_shed,
-            busy_sent: self.busy_sent,
             backlog_high_watermark: self.backlog_high_watermark,
         }
     }
@@ -754,7 +746,6 @@ impl<S: Service> Replica<S> {
             // Fault injection: the checkpointing machinery is wedged. The
             // replica keeps executing but never produces (or announces)
             // this checkpoint, so its stable point freezes.
-            ctx.metrics().incr("replica.checkpoints_skipped_stale");
             return;
         }
         let cache_bytes = Self::encode_cache(&self.reply_cache);
@@ -781,8 +772,8 @@ impl<S: Service> Replica<S> {
         ctx.trace(SpanEdge::Open, TracePhase::Checkpoint, cp_meta);
         ctx.charge_kind(CostKind::Digest, digest_ns);
         ctx.trace(SpanEdge::Close, TracePhase::Checkpoint, cp_meta);
-        ctx.metrics().incr("replica.checkpoints_made");
-        ctx.metrics().add("replica.checkpoint_digest_ns", digest_ns);
+        ctx.count(Counter::CheckpointsMade);
+        ctx.count_add(Counter::CheckpointDigestNs, digest_ns);
         let parts = if self.service.retain_checkpoint(seq) {
             None
         } else {
@@ -967,8 +958,6 @@ impl<S: Service> Replica<S> {
     /// client hears BUSY and backs off instead of retransmitting into
     /// the same wall.
     fn shed_request(&mut self, ctx: &mut Context<'_, Packet>, client: ClientId, ts: Timestamp) {
-        self.requests_shed += 1;
-        ctx.metrics().incr("replica.requests_shed");
         ctx.count(Counter::RequestsShed);
         self.send_busy(ctx, client, ts);
     }
@@ -984,8 +973,6 @@ impl<S: Service> Replica<S> {
             return;
         }
         g.last_busy_ns = now;
-        self.busy_sent += 1;
-        ctx.metrics().incr("replica.busy_sent");
         ctx.count(Counter::BusySent);
         let busy = Busy {
             client,
@@ -1017,7 +1004,7 @@ impl<S: Service> Replica<S> {
             return false;
         }
         let Some(digest) = self.verify_request(ctx, &req) else {
-            ctx.metrics().incr("replica.bad_request_auth");
+            ctx.count(Counter::BadRequestAuth);
             return false;
         };
         ctx.trace(
@@ -1059,7 +1046,7 @@ impl<S: Service> Replica<S> {
                 // assemble its 2f+1 quorum from the healthy replicas or
                 // retry through the ordered read-write path
                 // (arXiv:2107.11144's read-liveness concern).
-                ctx.metrics().incr("replica.ro_dropped_in_recovery");
+                ctx.count(Counter::RoDroppedInRecovery);
                 return false;
             }
             if self.cfg.read_leases && !self.is_primary() {
@@ -1079,11 +1066,10 @@ impl<S: Service> Replica<S> {
                         // with BUSY so it re-issues after a backoff
                         // instead of waiting out a full retry timeout.
                         let evicted = self.waiting_lease_ro.remove(0);
-                        ctx.metrics().incr("replica.lease_reads_evicted");
+                        ctx.count(Counter::LeaseReadsEvicted);
                         self.shed_request(ctx, evicted.client, evicted.timestamp);
                     }
                     self.waiting_lease_ro.push(req);
-                    ctx.metrics().incr("replica.lease_reads_queued");
                 }
                 return false;
             }
@@ -1150,7 +1136,6 @@ impl<S: Service> Replica<S> {
                 ctx.now().nanos(),
                 result.clone(),
             );
-            ctx.metrics().incr("replica.lease_reads");
             ctx.count(Counter::LeaseReads);
             ctx.trace(
                 SpanEdge::Instant,
@@ -1195,7 +1180,7 @@ impl<S: Service> Replica<S> {
                 reply,
             });
         }
-        ctx.metrics().incr("replica.read_only_execs");
+        ctx.count(Counter::ReadOnlyExecs);
     }
 
     // ------------------------------------------------------------------
@@ -1302,7 +1287,6 @@ impl<S: Service> Replica<S> {
     fn issue_lease_grant(&mut self, ctx: &mut Context<'_, Packet>) {
         let now = ctx.now().nanos();
         if !self.lease_evidence_ok(now) {
-            ctx.metrics().incr("replica.lease_grants_withheld");
             return;
         }
         self.lease_epoch += 1;
@@ -1318,7 +1302,6 @@ impl<S: Service> Replica<S> {
             revoke_epoch: 0,
             acks: BTreeSet::new(),
         });
-        ctx.metrics().incr("replica.lease_grants");
         ctx.count(Counter::LeaseGrants);
         self.multicast(ctx, Msg::Lease(lease));
     }
@@ -1357,7 +1340,6 @@ impl<S: Service> Replica<S> {
             return false;
         };
         if now >= g.expires_at_ns {
-            ctx.metrics().incr("replica.lease_fence_expiries");
             self.lease_grant = None;
             return false;
         }
@@ -1371,7 +1353,6 @@ impl<S: Service> Replica<S> {
             let g = self.lease_grant.as_mut().expect("checked above");
             g.revoking = true;
             g.revoke_epoch = epoch;
-            ctx.metrics().incr("replica.lease_revokes");
             ctx.count(Counter::LeaseRevokes);
             let rv = LeaseRevoke {
                 view: self.view,
@@ -1416,7 +1397,6 @@ impl<S: Service> Replica<S> {
             seq: l.seq,
             expires_at_ns: now + l.duration_ns,
         });
-        ctx.metrics().incr("replica.leases_held");
         // The ack doubles as the primary's liveness evidence: a primary
         // that stops hearing these (and other view-matching traffic)
         // stops granting.
@@ -1433,7 +1413,7 @@ impl<S: Service> Replica<S> {
     /// A holder's grant acknowledgment (primary side).
     fn handle_lease_renew(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, lr: LeaseRenew) {
         if lr.replica != from {
-            ctx.metrics().incr("replica.spoofed_sender");
+            ctx.count(Counter::SpoofedSender);
             return;
         }
         if !self.cfg.read_leases {
@@ -1458,7 +1438,7 @@ impl<S: Service> Replica<S> {
         rv: LeaseRevoke,
     ) {
         if rv.replica != from {
-            ctx.metrics().incr("replica.spoofed_sender");
+            ctx.count(Counter::SpoofedSender);
             return;
         }
         if !self.cfg.read_leases {
@@ -1485,7 +1465,6 @@ impl<S: Service> Replica<S> {
             g.acks.insert(rv.replica);
             if g.acks.len() >= self.cfg.quorums.lease_revoke_quorum() {
                 self.lease_grant = None;
-                ctx.metrics().incr("replica.lease_fence_acked");
                 self.try_propose(ctx);
             }
         } else {
@@ -1501,7 +1480,6 @@ impl<S: Service> Replica<S> {
             // primary's fence until expiry.
             self.lease_epoch_seen = rv.epoch;
             self.held_lease = None;
-            ctx.metrics().incr("replica.lease_revoke_acks");
             let ack = LeaseRevoke {
                 view: rv.view,
                 epoch: rv.epoch,
@@ -1639,7 +1617,7 @@ impl<S: Service> Replica<S> {
                 batch_digest: d,
                 piggy_commits: piggy,
             };
-            ctx.metrics().incr("replica.batches_proposed");
+            ctx.count(Counter::BatchesProposed);
             ctx.trace(
                 SpanEdge::Open,
                 TracePhase::PrePrepare,
@@ -1704,7 +1682,7 @@ impl<S: Service> Replica<S> {
             if slot.view == pp.view {
                 if let Some(d) = slot.digest {
                     if d != pp.batch_digest {
-                        ctx.metrics().incr("replica.conflicting_pre_prepare");
+                        ctx.count(Counter::ConflictingPrePrepare);
                     }
                     return; // already accepted (or conflicting: ignore)
                 }
@@ -1715,7 +1693,7 @@ impl<S: Service> Replica<S> {
         // slot's references use that digest.
         let digests: Vec<Digest> = pp.entries.iter().map(BatchEntry::digest).collect();
         if batch_digest_of(&digests) != pp.batch_digest {
-            ctx.metrics().incr("replica.bad_batch_digest");
+            ctx.count(Counter::BadBatchDigest);
             return;
         }
         ctx.charge_kind(
@@ -1728,7 +1706,7 @@ impl<S: Service> Replica<S> {
             match entry {
                 BatchEntry::Full(req) => {
                     if !self.verify_request_digest(ctx, req, d) {
-                        ctx.metrics().incr("replica.bad_request_auth");
+                        ctx.count(Counter::BadRequestAuth);
                         return;
                     }
                 }
@@ -1823,7 +1801,7 @@ impl<S: Service> Replica<S> {
         // another replica's id is a forgery (one Byzantine replica could
         // otherwise single-handedly complete a vote quorum).
         if prep.replica != from {
-            ctx.metrics().incr("replica.spoofed_sender");
+            ctx.count(Counter::SpoofedSender);
             return;
         }
         self.process_piggy(ctx, prep.replica, &prep.piggy_commits);
@@ -1911,7 +1889,6 @@ impl<S: Service> Replica<S> {
         if slot.fast_quorum_complete(&q) {
             let d = slot.digest.expect("prepared implies digest");
             self.log.slot_mut(seq).fast_committed = true;
-            ctx.metrics().incr("replica.fast_commits");
             ctx.count(Counter::FastCommits);
             self.audit.note_fast_committed(seq, d);
             self.try_execute(ctx);
@@ -1941,7 +1918,6 @@ impl<S: Service> Replica<S> {
             slot.commit_sent = true;
             slot.commits.insert(me, d);
         }
-        ctx.metrics().incr("replica.fast_fallbacks");
         ctx.count(Counter::FastFallbacks);
         let meta = TraceMeta {
             view: self.view,
@@ -2005,7 +1981,7 @@ impl<S: Service> Replica<S> {
         // Same sender check as prepares: a commit claiming another
         // replica's id is a forgery.
         if c.replica != from {
-            ctx.metrics().incr("replica.spoofed_sender");
+            ctx.count(Counter::SpoofedSender);
             return;
         }
         if self.cfg.read_leases && c.view == self.view {
@@ -2299,7 +2275,7 @@ impl<S: Service> Replica<S> {
             }
             let client = req.client;
             self.send_to(ctx, client, Msg::Reply(reply));
-            ctx.metrics().incr("replica.ops_executed");
+            ctx.count(Counter::OpsExecuted);
             ctx.trace(
                 SpanEdge::Instant,
                 TracePhase::ExecuteRequest,
@@ -2432,7 +2408,6 @@ impl<S: Service> Replica<S> {
                 self.service.release_checkpoints_below(seq);
                 self.collect_garbage(seq);
                 self.backfill.retain(|&(s, _), _| s > seq);
-                ctx.metrics().incr("replica.stable_checkpoints");
                 ctx.count(Counter::StableCheckpoints);
             }
             _ => {
@@ -2456,7 +2431,6 @@ impl<S: Service> Replica<S> {
         let target = (self.id + 1) % self.cfg.n();
         self.fetching = Some(StateFetch::new(seq, digest, target));
         self.send_to(ctx, target, Msg::FetchState(FetchState { seq }));
-        ctx.metrics().incr("replica.state_transfers_started");
         ctx.trace(
             SpanEdge::Open,
             TracePhase::StateTransfer,
@@ -2510,7 +2484,7 @@ impl<S: Service> Replica<S> {
         // checkpoint digest before trusting any of them.
         ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(sm.leaves.len() * 16));
         if CheckpointTracker::root_of(&sm.leaves) != fetch.digest {
-            ctx.metrics().incr("replica.state_transfer_bad_meta");
+            ctx.count(Counter::StateTransferBadMeta);
             self.retry_state_transfer(ctx);
             return;
         }
@@ -2528,8 +2502,8 @@ impl<S: Service> Replica<S> {
         if bft_crypto::digest(&Self::encode_cache(&self.reply_cache)) != sm.leaves[count as usize] {
             missing.insert(count);
         }
-        ctx.metrics().add(
-            "replica.state_parts_skipped",
+        ctx.count_add(
+            Counter::StatePartsSkipped,
             u64::from(count + 1) - missing.len() as u64,
         );
         let fetch = self.fetching.as_mut().expect("checked above");
@@ -2614,15 +2588,13 @@ impl<S: Service> Replica<S> {
             fetch.missing.remove(&p);
             fetched_bytes += bytes.len() as u64;
         }
-        ctx.metrics()
-            .add("replica.state_bytes_fetched", fetched_bytes);
         ctx.count_add(Counter::StateTransferBytes, fetched_bytes);
         let done = fetch.missing.is_empty();
         self.fetching = Some(fetch);
         if corrupt {
             // A faulty replica sent bytes that do not match the verified
             // leaves; the bad partitions stay missing. Try another peer.
-            ctx.metrics().incr("replica.state_transfer_bad_snapshot");
+            ctx.count(Counter::StateTransferBadSnapshot);
             self.retry_state_transfer(ctx);
         } else if done {
             self.finish_state_transfer(ctx);
@@ -2652,7 +2624,7 @@ impl<S: Service> Replica<S> {
         if self.tracker.root() != digest {
             // Partition layout mismatch or a service restore bug; restart
             // the transfer from scratch against another peer.
-            ctx.metrics().incr("replica.state_transfer_bad_snapshot");
+            ctx.count(Counter::StateTransferBadSnapshot);
             let target = (fetch.target + 1) % self.cfg.n();
             self.fetching = Some(StateFetch::new(seq, digest, target));
             self.send_to(ctx, target, Msg::FetchState(FetchState { seq }));
@@ -2687,7 +2659,6 @@ impl<S: Service> Replica<S> {
         self.checkpoints.make_stable(seq, digest);
         self.service.release_checkpoints_below(seq);
         self.collect_garbage(seq);
-        ctx.metrics().incr("replica.state_transfers_completed");
         ctx.count(Counter::StateTransfers);
         ctx.trace(
             SpanEdge::Close,
@@ -2784,7 +2755,6 @@ impl<S: Service> Replica<S> {
             return;
         }
         // f+1 distinct peers assert commitment: at least one is correct.
-        ctx.metrics().incr("replica.backfilled_batches");
         {
             let view = self.view;
             let slot = self.log.slot_mut(cb.seq);
@@ -2835,11 +2805,10 @@ impl<S: Service> Replica<S> {
         let target = (self.id + step) % self.cfg.n();
         match missing {
             Some(digests) => {
-                ctx.metrics().incr("replica.body_recoveries");
+                ctx.count(Counter::BodyRecoveries);
                 self.send_to(ctx, target, Msg::FetchRequests(FetchRequests { digests }));
             }
             None => {
-                ctx.metrics().incr("replica.batch_recoveries");
                 self.send_to(
                     ctx,
                     target,
@@ -3032,7 +3001,6 @@ impl<S: Service> Replica<S> {
             replica: self.id,
         };
         self.vc_set.add(vc.clone());
-        ctx.metrics().incr("replica.view_changes_started");
         ctx.count(Counter::ViewChanges);
         ctx.trace(
             SpanEdge::Open,
@@ -3077,7 +3045,6 @@ impl<S: Service> Replica<S> {
         }
         *gate = now + self.cfg.resend_interval_ns.max(20_000_000);
         let nv = nv.clone();
-        ctx.metrics().incr("replica.new_view_retransmits");
         ctx.count(Counter::NewViewRetransmits);
         self.send_to(ctx, to, Msg::NewView(nv));
     }
@@ -3152,7 +3119,6 @@ impl<S: Service> Replica<S> {
             pre_prepares,
             batches: batches.clone(),
         };
-        ctx.metrics().incr("replica.new_views_sent");
         if self.behavior != Behavior::BadNewView {
             self.last_new_view = Some(nv.clone());
         }
@@ -3170,7 +3136,7 @@ impl<S: Service> Replica<S> {
             Ok(p) => p,
             Err(_) => {
                 // The new primary is faulty too: move on.
-                ctx.metrics().incr("replica.bad_new_view");
+                ctx.count(Counter::BadNewView);
                 self.start_view_change(ctx, nv.view + 1);
                 return;
             }
@@ -3324,7 +3290,6 @@ impl<S: Service> Replica<S> {
         if is_primary && self.cfg.read_leases {
             self.lease_order_gate_ns = ctx.now().nanos() + 2 * self.cfg.read_lease_ns;
         }
-        ctx.metrics().incr("replica.views_installed");
         ctx.count(Counter::ViewsInstalled);
         ctx.trace(
             SpanEdge::Close,
@@ -3387,7 +3352,7 @@ impl<S: Service> Replica<S> {
     /// survives the boundary.
     fn refresh_keys(&mut self, ctx: &mut Context<'_, Packet>) {
         let epoch = self.keychain.refresh();
-        ctx.metrics().incr("replica.key_refreshes");
+        ctx.count(Counter::KeyRefreshes);
         // Paper-era cost: the real NEW-KEY encrypts one session key per
         // principal under RSA and signs the message.
         ctx.charge_kind(
@@ -3433,7 +3398,6 @@ impl<S: Service> Replica<S> {
         }
         let now = ctx.now().nanos();
         if let Some(until) = self.recovery.lease_blocking(self.id, now) {
-            ctx.metrics().incr("replica.recovery_deferred");
             ctx.set_timer(until.saturating_sub(now) + dur::millis(1), TIMER_RECOVERY);
             return;
         }
@@ -3446,7 +3410,7 @@ impl<S: Service> Replica<S> {
     /// the group to attest its stable checkpoint root. Nothing local is
     /// trusted until a witness quorum (`f+1`) agrees on that root.
     fn begin_recovery(&mut self, ctx: &mut Context<'_, Packet>) {
-        ctx.metrics().incr("replica.proactive_recoveries");
+        ctx.count(Counter::RecoveriesStarted);
         ctx.trace(
             SpanEdge::Open,
             TracePhase::Recovery,
@@ -3464,7 +3428,7 @@ impl<S: Service> Replica<S> {
         // promise made to holders outlives the reboot within the view.
         self.held_lease = None;
         self.waiting_lease_ro.clear();
-        self.recovery.begin(ctx.now().nanos());
+        self.recovery.begin();
         let rc = Recover {
             replica: self.id,
             epoch: self.keychain.epoch(),
@@ -3495,7 +3459,6 @@ impl<S: Service> Replica<S> {
         let now = ctx.now().nanos();
         self.recovery
             .grant_lease(from, now + self.cfg.recovery_lease_ns);
-        ctx.metrics().incr("replica.recover_leases_granted");
         let (seq, state_digest) = self.checkpoints.stable_proof();
         let ra = RecoverAttest {
             seq,
@@ -3634,7 +3597,7 @@ impl<S: Service> Replica<S> {
         } else {
             // Local copy is missing, stale, or corrupt: audit against the
             // group. Only mismatched partitions cross the network.
-            ctx.metrics().incr("replica.recovery_audit_refetch");
+            ctx.count(Counter::RecoveryAuditRefetch);
             let target = (self.id + 1) % self.cfg.n();
             self.fetching = Some(StateFetch::new(seq, digest, target));
             ctx.trace(
@@ -3654,10 +3617,6 @@ impl<S: Service> Replica<S> {
     /// Announce completion so peers release the in-recovery lease, and
     /// gossip status so they backfill what committed while we recovered.
     fn complete_recovery(&mut self, ctx: &mut Context<'_, Packet>, seq: SeqNum, digest: Digest) {
-        let now = ctx.now().nanos();
-        let heal_ns = now.saturating_sub(self.recovery.since_ns().unwrap_or(now));
-        ctx.metrics().add("replica.recovery_heal_ns", heal_ns);
-        ctx.metrics().incr("replica.recoveries_completed");
         ctx.count(Counter::Recoveries);
         self.recovery.finish();
         self.audit.note_recovery(seq, digest, ctx.now().nanos());
@@ -3806,7 +3765,7 @@ impl<S: Service> Replica<S> {
             .slot(seq)
             .is_some_and(|slot| slot.fast_wait && !slot.fast_committed && !slot.commit_sent);
         if waiting {
-            ctx.metrics().incr("replica.fast_timeouts");
+            ctx.count(Counter::FastTimeouts);
             self.fall_back_to_classic(ctx, seq);
         }
     }
@@ -3887,7 +3846,7 @@ impl<S: Service> Node<Packet> for Replica<S> {
         ctx.charge_kind(CostKind::Net, self.cfg.cost.recv(wire));
         ctx.count_received(packet.body.tag());
         if !self.verify_packet(ctx, from, &packet) {
-            ctx.metrics().incr("replica.bad_packet_auth");
+            ctx.count(Counter::BadPacketAuth);
             return;
         }
         match packet.body {
@@ -4071,11 +4030,11 @@ mod tests {
             req.op[len - 1] ^= 1;
             inject_everywhere(&mut c, n, &Msg::Request(req));
             assert_eq!(
-                c.sim.metrics().counter("replica.bad_request_auth"),
+                c.sim.health().total(Counter::BadRequestAuth),
                 u64::from(n),
                 "op of {len} bytes"
             );
-            assert_eq!(c.sim.metrics().counter("replica.bad_packet_auth"), 0);
+            assert_eq!(c.sim.health().total(Counter::BadPacketAuth), 0);
             assert!(stores_are_empty(&c));
         }
     }
@@ -4109,7 +4068,7 @@ mod tests {
             inject_everywhere(&mut c, 1, body);
         }
         assert_eq!(
-            c.sim.metrics().counter("replica.bad_packet_auth"),
+            c.sim.health().total(Counter::BadPacketAuth),
             u64::from(n) * bodies.len() as u64
         );
         assert!(stores_are_empty(&c));
@@ -4304,7 +4263,7 @@ mod tests {
         assert_eq!(slot.requests.as_ref().map(Vec::len), Some(1));
         assert!(rep.unresolved.is_empty());
         assert_eq!(rep.queue_bounds()[0], ("request_store", cap - 1, cap));
-        assert_eq!(c.sim.metrics().counter("replica.body_recoveries"), 1);
+        assert_eq!(c.sim.health().total(Counter::BodyRecoveries), 1);
     }
 
     /// A body every backup stored but no primary ever ordered: the new
@@ -4324,7 +4283,7 @@ mod tests {
         }
         c.run_for(dur::secs(4));
         assert_eq!(c.completed_ops(), 1);
-        assert_eq!(c.sim.metrics().counter("replica.ops_executed"), 3);
+        assert_eq!(c.sim.health().total(Counter::OpsExecuted), 3);
         for r in 1..4 {
             let rep = replica(&c, r);
             assert_eq!((rep.view(), rep.service().value()), (1, 1), "replica {r}");
@@ -4354,7 +4313,7 @@ mod tests {
             .set_behavior(Behavior::Crashed);
         run_until(&mut c, 20_000, |c| c.completed_ops() == 80);
         c.run_for(dur::secs(1));
-        assert!(c.sim.metrics().counter("replica.views_installed") >= 3);
+        assert!(c.sim.health().total(Counter::ViewsInstalled) >= 3);
         assert_resolved_and_bounded(&c, 1..4);
         let reference = replica(&c, 1).stable_proof();
         assert!(reference.0 >= 32, "stable at {}", reference.0);
@@ -4382,7 +4341,7 @@ mod tests {
             .set_behavior(Behavior::Correct);
         run_until(&mut c, 20_000, |c| c.completed_ops() == 60);
         c.run_for(dur::secs(1));
-        assert!(c.sim.metrics().counter("replica.state_transfers_completed") >= 1);
+        assert!(c.sim.health().total(Counter::StateTransfers) >= 1);
         assert_resolved_and_bounded(&c, 0..4);
         let reference = replica(&c, 0).stable_proof();
         assert_eq!(reference.0, 56);
@@ -4417,10 +4376,7 @@ mod tests {
         assert!(replica(&c, 3).unresolved.contains(&1));
         c.sim.network_mut().heal();
         c.run_for(dur::secs(1));
-        assert_eq!(
-            c.sim.metrics().counter("replica.state_transfers_completed"),
-            1
-        );
+        assert_eq!(c.sim.health().total(Counter::StateTransfers), 1);
         assert_resolved_and_bounded(&c, 0..4);
         let rep = replica(&c, 3);
         assert_eq!((rep.last_executed(), rep.service().value()), (12, 12));

@@ -190,32 +190,16 @@ fn overload_goodput(seed: u64, flood_interval_ns: Option<u64>) -> (u64, u64, u64
         .iter()
         .map(|&id| cluster.client::<ChaosDriver>(id).completed_ops())
         .sum();
-    let metrics = cluster.sim.metrics();
+    let health = cluster.sim.health();
     if std::env::var("CHAOS_DEBUG").is_ok() {
-        for c in [
-            "replica.requests_shed",
-            "replica.busy_sent",
-            "replica.batches_proposed",
-            "replica.view_changes_started",
-            "replica.lease_reads",
-            "replica.lease_revokes",
-            "replica.lease_reads_evicted",
-            "client.flood_requests",
-            "client.flood_abandoned",
-            "client.busy_received",
-            "client.busy_ro_fallbacks",
-            "client.retransmissions",
-            "client.ro_fallbacks",
-            "client.ops_completed",
-            "client.retry_budget_exhausted",
-        ] {
-            println!("  {c}: {}", metrics.counter(c));
+        for (name, value) in health.flattened() {
+            println!("  {name}: {value}");
         }
     }
     (
         goodput,
-        metrics.counter("replica.requests_shed"),
-        metrics.counter("replica.busy_sent"),
+        health.total(Counter::RequestsShed),
+        health.total(Counter::BusySent),
     )
 }
 
@@ -258,6 +242,43 @@ fn ten_x_saturating_flood_keeps_half_of_honest_goodput() {
     );
 }
 
+/// Two ways a read leaves the one-round path, counted apart: the retry
+/// timer (`RoFallbacks`) and persistent BUSY pushback
+/// (`BusyRoFallbacks`). 140 read-only clients lose their lease holders
+/// when the primary crashes; the backups park reads past their cap and
+/// evict the oldest with BUSY, so some reads fall back on pushback
+/// before any retry timer gives up on them.
+#[test]
+fn busy_driven_read_fallbacks_are_not_timer_fallbacks() {
+    let mut cluster = Cluster::builder(OVERLOAD.config(1)).seed(7).build_counter();
+    for i in 0..140 {
+        cluster.add_client(ChaosDriver::new(7 ^ (i + 1), 100_000, Workload::Reads));
+    }
+    let plan = FaultPlan {
+        events: vec![FaultEvent {
+            at_ns: dur::millis(100),
+            fault: Fault::Node {
+                node: 0,
+                fault: NodeFault::Crash,
+            },
+        }],
+    };
+    let mut checker = InvariantChecker::new();
+    cluster
+        .run_with_plan::<CounterService, ChaosDriver>(&plan, dur::millis(900), &mut checker)
+        .expect("no invariant may break");
+    let health = cluster.sim.health();
+    assert!(
+        health.total(Counter::BusyRoFallbacks) > 0,
+        "parked reads evicted with BUSY must fall back to ordering"
+    );
+    assert_eq!(
+        health.total(Counter::RoFallbacks),
+        0,
+        "no read waited out its retry timer, so none fell back on it"
+    );
+}
+
 /// Fault-free fast path: with no faults every slot should assemble its
 /// fast quorum (all n prepare votes) and commit in two rounds — no
 /// replica ever falls back, no commit messages are sent for fast slots,
@@ -279,13 +300,13 @@ fn fastpath_fault_free_commits_without_commit_round() {
         .expect("no invariant may break");
     checker.finish().expect("linearizability must hold");
     assert_eq!(cluster.completed_ops(), 80, "all ops must complete");
-    let metrics = cluster.sim.metrics();
+    let health = cluster.sim.health();
     assert!(
-        metrics.counter("replica.fast_commits") > 0,
+        health.total(Counter::FastCommits) > 0,
         "fault-free slots must fast-commit"
     );
     assert_eq!(
-        metrics.counter("replica.fast_fallbacks"),
+        health.total(Counter::FastFallbacks),
         0,
         "no fault-free slot may fall back to the classic path"
     );
@@ -318,13 +339,13 @@ fn silent_backup_forces_classic_fallback() {
         .expect("no invariant may break");
     checker.finish().expect("linearizability must hold");
     assert_eq!(cluster.completed_ops(), 30, "all ops must complete");
-    let metrics = cluster.sim.metrics();
+    let health = cluster.sim.health();
     assert!(
-        metrics.counter("replica.fast_fallbacks") > 0,
+        health.total(Counter::FastFallbacks) > 0,
         "sub-fast-quorum participation must fall back to the classic path"
     );
     assert!(
-        metrics.counter("replica.fast_timeouts") > 0,
+        health.total(Counter::FastTimeouts) > 0,
         "the per-slot fast-path timer must have fired"
     );
 }
@@ -377,11 +398,7 @@ fn silent_corruption_converges_after_recovery() {
         "the corrupted replica must have healed"
     );
     assert!(
-        cluster
-            .sim
-            .metrics()
-            .counter("replica.recoveries_completed")
-            > 0,
+        cluster.sim.health().total(Counter::Recoveries) > 0,
         "the recovery watchdog must have fired"
     );
     // Every replica (the ex-corrupt one included) has converged to the
@@ -568,7 +585,7 @@ fn read_only_conflicts_retry_as_read_write() {
         "every read must complete despite the unreachable read-only quorum"
     );
     assert!(
-        cluster.sim.metrics().counter("client.retransmissions") > 0,
+        cluster.sim.health().total(Counter::Retransmissions) > 0,
         "reads must have timed out and retried as read-write"
     );
     let _ = writer;
@@ -603,17 +620,17 @@ fn leased_reads_stay_one_round_under_conflicting_writes() {
         .expect("no invariant may break (incl. stale lease reads)");
     checker.finish().expect("linearizability must hold");
     assert_eq!(cluster.completed_ops(), 720, "all ops must complete");
-    let metrics = cluster.sim.metrics();
+    let health = cluster.sim.health();
     assert!(
-        metrics.counter("replica.lease_reads") > 0,
+        health.total(Counter::LeaseReads) > 0,
         "reads must have been served locally under a lease"
     );
     assert!(
-        metrics.counter("replica.lease_revokes") > 0,
+        health.total(Counter::LeaseRevokes) > 0,
         "concurrent writes must have exercised the revoke fence"
     );
     assert_eq!(
-        metrics.counter("client.ro_fallbacks"),
+        health.total(Counter::RoFallbacks),
         0,
         "no read may fall back to the ordered read-write path"
     );
@@ -651,11 +668,7 @@ fn view_change_under_asymmetric_partition() {
     checker.finish().expect("linearizability must hold");
     assert_eq!(cluster.completed_ops(), 800, "progress must resume");
     assert!(
-        cluster
-            .sim
-            .metrics()
-            .counter("replica.view_changes_started")
-            > 0,
+        cluster.sim.health().total(Counter::ViewChanges) > 0,
         "the backups must have run a view change"
     );
     for i in 0..4 {

@@ -84,7 +84,7 @@ fn normal_case_completes_all_operations() {
     assert_eq!(cluster.completed_ops(), 60);
     assert_replica_agreement(&cluster, 60);
     assert_eq!(
-        cluster.sim.metrics().counter("client.retransmissions"),
+        cluster.sim.health().total(Counter::Retransmissions),
         0,
         "lossless normal case should not retransmit"
     );
@@ -174,7 +174,7 @@ fn checkpoints_become_stable_and_gc_runs() {
             rep.stable_checkpoint()
         );
     }
-    assert!(cluster.sim.metrics().counter("replica.stable_checkpoints") > 0);
+    assert!(cluster.sim.health().total(Counter::StableCheckpoints) > 0);
 }
 
 #[test]
@@ -200,7 +200,7 @@ fn read_only_operations_are_fast_and_consistent() {
         let writes_so_far = (i as u64 + 2) / 2;
         assert_eq!(v, writes_so_far, "op #{i}");
     }
-    assert!(cluster.sim.metrics().counter("replica.read_only_execs") > 0);
+    assert!(cluster.sim.health().total(Counter::ReadOnlyExecs) > 0);
 }
 
 #[test]
@@ -321,7 +321,7 @@ fn corrupt_auth_replica_is_ignored() {
     cluster.run_for(dur::secs(10));
     assert_eq!(cluster.completed_ops(), 15);
     assert!(
-        cluster.sim.metrics().counter("replica.bad_packet_auth") > 0,
+        cluster.sim.health().total(Counter::BadPacketAuth) > 0,
         "corrupted MACs must be detected"
     );
 }
@@ -365,11 +365,7 @@ fn partitioned_replica_catches_up_via_state_transfer() {
         r3.service().value()
     );
     assert!(
-        cluster
-            .sim
-            .metrics()
-            .counter("replica.state_transfers_completed")
-            > 0,
+        cluster.sim.health().total(Counter::StateTransfers) > 0,
         "state transfer should have run"
     );
 }

@@ -22,7 +22,21 @@ const TRACE_CAPACITY: usize = 8192;
 /// completed-op count, total events processed, and each replica's
 /// final executed sequence number.
 fn run_once(seed: u64, plan: &FaultPlan, rounds: u32) -> RunFingerprint {
-    let cfg = CLASSIC.config(1);
+    fingerprint(CLASSIC.config(1), seed, plan, rounds, false)
+}
+
+/// The shared body of every run: `cfg`, two fuzz clients, `plan` in the
+/// first of `rounds` 100 ms slices. With `churn_registry`, every round
+/// ends by flattening the registry, reading each event counter in it by
+/// dotted name, and resetting both `metrics_mut()` and `health_mut()` —
+/// which must not change a single simulated event.
+fn fingerprint(
+    cfg: Config,
+    seed: u64,
+    plan: &FaultPlan,
+    rounds: u32,
+    churn_registry: bool,
+) -> RunFingerprint {
     let n = cfg.n();
     let mut cluster = Cluster::builder(cfg)
         .seed(seed)
@@ -42,6 +56,15 @@ fn run_once(seed: u64, plan: &FaultPlan, rounds: u32) -> RunFingerprint {
         // Snapshot after every round: the health observatory must be as
         // deterministic as the protocol it observes.
         health_seq.push(cluster.health_snapshots::<CounterService>());
+        if churn_registry {
+            for (name, total) in cluster.sim.health().flattened() {
+                if !name.starts_with("sent.") && !name.starts_with("recv.") {
+                    assert_eq!(cluster.sim.metrics().counter(&name), total, "{name}");
+                }
+            }
+            cluster.sim.metrics_mut().reset();
+            cluster.sim.health_mut().reset();
+        }
     }
 
     let sink = cluster.sim.trace();
@@ -78,6 +101,13 @@ struct RunFingerprint {
 /// (node + ring index + both events) on the first divergence.
 fn assert_identical(a: &RunFingerprint, b: &RunFingerprint) {
     assert_eq!(a.completed_ops, b.completed_ops, "completed ops differ");
+    assert_same_behaviour(a, b);
+    assert_eq!(a.counters, b.counters, "health counters diverge");
+}
+
+/// Everything the simulation did, as opposed to what the counter
+/// registry says about it.
+fn assert_same_behaviour(a: &RunFingerprint, b: &RunFingerprint) {
     assert_eq!(
         a.events_processed, b.events_processed,
         "simulator event counts differ"
@@ -105,7 +135,6 @@ fn assert_identical(a: &RunFingerprint, b: &RunFingerprint) {
     for (round, (sa, sb)) in a.health_seq.iter().zip(&b.health_seq).enumerate() {
         assert_eq!(sa, sb, "health snapshots diverge after round {round}");
     }
-    assert_eq!(a.counters, b.counters, "health counters diverge");
 }
 
 /// Fault-free: same seed, same schedule, identical traces.
@@ -143,42 +172,7 @@ fn identical_seeds_identical_traces_under_chaos() {
 /// (floods, replays, malformed MACs) and fingerprints it — the overload
 /// analogue of [`run_once`].
 fn run_overload_once(seed: u64, plan: &FaultPlan, rounds: u32) -> RunFingerprint {
-    let cfg = OVERLOAD.config(1);
-    let n = cfg.n();
-    let mut cluster = Cluster::builder(cfg)
-        .seed(seed)
-        .trace_capacity(TRACE_CAPACITY)
-        .build_counter();
-    cluster.add_client(ChaosDriver::new(seed ^ 1, OPS_PER_CLIENT, Workload::Adds));
-    cluster.add_client(ChaosDriver::new(seed ^ 2, OPS_PER_CLIENT, Workload::Mixed));
-
-    let mut checker = InvariantChecker::new();
-    let empty = FaultPlan::empty();
-    let mut health_seq: Vec<Vec<HealthSnapshot>> = Vec::new();
-    for round in 0..rounds {
-        let p = if round == 0 { plan } else { &empty };
-        cluster
-            .run_with_plan::<CounterService, ChaosDriver>(p, dur::millis(100), &mut checker)
-            .expect("invariants hold in both runs");
-        health_seq.push(cluster.health_snapshots::<CounterService>());
-    }
-
-    let sink = cluster.sim.trace();
-    let rings: Vec<Vec<TraceEvent>> = (0..sink.node_count() as NodeId)
-        .map(|node| sink.node_events(node).copied().collect())
-        .collect();
-    let executed: Vec<u64> = (0..n)
-        .map(|r| cluster.replica::<CounterService>(r).last_executed())
-        .collect();
-    RunFingerprint {
-        rings,
-        completed_ops: cluster.completed_ops(),
-        events_processed: cluster.sim.events_processed(),
-        now_ns: cluster.sim.now().0,
-        executed,
-        health_seq,
-        counters: cluster.sim.health().clone(),
-    }
+    fingerprint(OVERLOAD.config(1), seed, plan, rounds, false)
 }
 
 /// Overload armor end to end: admission gates, BUSY pushback, the
@@ -193,6 +187,25 @@ fn identical_seeds_identical_traces_under_overload() {
         let a = run_overload_once(seed, &plan, 16);
         let b = run_overload_once(seed, &plan, 16);
         assert_identical(&a, &b);
+    }
+}
+
+/// The counter registry is observer-only: a run that reads every
+/// counter, flattens the registry and resets `metrics_mut()` and
+/// `health_mut()` after every round behaves, event for event, like one
+/// that never touches it — under the classic and the overload plans.
+#[test]
+fn reading_and_resetting_the_registry_changes_nothing() {
+    for (family, seed) in [(&CLASSIC, 0xC4A05u64), (&OVERLOAD, 0x0BE5_0001)] {
+        let plan = family.plan(seed, 1);
+        let churned = fingerprint(family.config(1), seed, &plan, 16, true);
+        let untouched = fingerprint(family.config(1), seed, &plan, 16, false);
+        assert!(
+            untouched.counters.flattened().len() > churned.counters.flattened().len(),
+            "{}: the churned registry must have been reset",
+            family.name
+        );
+        assert_same_behaviour(&churned, &untouched);
     }
 }
 

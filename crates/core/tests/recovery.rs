@@ -58,10 +58,10 @@ fn key_refresh_under_load_is_transparent() {
     for id in ids {
         assert_eq!(cluster.client::<LoopDriver>(id).driver().done, 50);
     }
-    let refreshes = cluster.sim.metrics().counter("replica.key_refreshes");
+    let refreshes = cluster.sim.health().total(Counter::KeyRefreshes);
     assert!(refreshes >= 8, "only {refreshes} refreshes happened");
     assert_eq!(
-        cluster.sim.metrics().counter("replica.bad_packet_auth"),
+        cluster.sim.health().total(Counter::BadPacketAuth),
         0,
         "the grace window must cover in-flight traffic"
     );
@@ -82,10 +82,7 @@ fn proactive_recovery_under_load_keeps_liveness() {
             "ops must complete despite periodic recoveries"
         );
     }
-    let recoveries = cluster
-        .sim
-        .metrics()
-        .counter("replica.proactive_recoveries");
+    let recoveries = cluster.sim.health().total(Counter::RecoveriesStarted);
     assert!(recoveries >= 4, "only {recoveries} recoveries happened");
     // All replicas converge to the final value.
     let total = 4 * 150;
@@ -120,13 +117,7 @@ fn recovered_replica_rejoins_from_its_checkpoint() {
     for id in ids2 {
         assert_eq!(cluster2.client::<LoopDriver>(id).driver().done, 100);
     }
-    assert!(
-        cluster2
-            .sim
-            .metrics()
-            .counter("replica.proactive_recoveries")
-            > 0
-    );
+    assert!(cluster2.sim.health().total(Counter::RecoveriesStarted) > 0);
     // All replicas converge to the final state after their recoveries.
     let total = 2 * 100;
     let agreeing = (0..4)
@@ -186,11 +177,7 @@ fn silent_corruption_is_healed_by_the_next_recovery() {
         );
     }
     assert!(
-        cluster
-            .sim
-            .metrics()
-            .counter("replica.recovery_audit_refetch")
-            > 0,
+        cluster.sim.health().total(Counter::RecoveryAuditRefetch) > 0,
         "the audit must have caught the corrupt partition and re-fetched"
     );
 }
@@ -229,11 +216,7 @@ fn view_change_timeout_cap_bounds_reelection_after_partition() {
         );
     }
     assert!(
-        cluster
-            .sim
-            .metrics()
-            .counter("replica.view_changes_started")
-            > 0,
+        cluster.sim.health().total(Counter::ViewChanges) > 0,
         "the partition must have triggered view changes"
     );
 }
@@ -291,15 +274,11 @@ fn reads_fall_back_to_read_write_while_a_replica_recovers() {
         "every read must complete despite the in-recovery replica"
     );
     assert!(
-        cluster
-            .sim
-            .metrics()
-            .counter("replica.ro_dropped_in_recovery")
-            > 0,
+        cluster.sim.health().total(Counter::RoDroppedInRecovery) > 0,
         "the recovering replica must have dropped read-only requests"
     );
     assert!(
-        cluster.sim.metrics().counter("client.ro_fallbacks") > 0,
+        cluster.sim.health().total(Counter::RoFallbacks) > 0,
         "at least one read must have fallen back to the ordered path"
     );
 }

@@ -32,8 +32,8 @@
 //! 7. **span-pairing** — every `TracePhase` opened is closed.
 //! 8. **invariant-coverage** — every `Violation` variant is constructed
 //!    by a checker and referenced by at least one test.
-//! 9. **counter-coverage** — every registered health counter has an
-//!    emission site.
+//! 9. **counter-coverage** — every registered health counter is bumped
+//!    (`count` / `count_add`) somewhere in non-test code.
 //! 10. **layering** — protocol modules in `crates/core` name only the
 //!     sanctioned `bft_sim` surface (the future `Host` boundary).
 //!

@@ -6,5 +6,5 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 2] = [Counter::Sent, Counter::Retries];
+    pub const COUNT: usize = Counter::Retries as usize + 1;
 }

@@ -22,6 +22,7 @@ const INV_TESTS: &str = include_str!("fixtures/model/inv_tests.rs");
 const COUNTER_HEALTH: &str = include_str!("fixtures/model/counter_health.rs");
 const COUNTER_VIOLATION: &str = include_str!("fixtures/model/counter_core_violation.rs");
 const COUNTER_CLEAN: &str = include_str!("fixtures/model/counter_core_clean.rs");
+const COUNTER_ENGINE: &str = include_str!("fixtures/model/counter_engine.rs");
 const LAYERING_VIOLATION: &str = include_str!("fixtures/model/layering_violation.rs");
 const LAYERING_CLEAN: &str = include_str!("fixtures/model/layering_clean.rs");
 
@@ -218,8 +219,8 @@ fn counter_without_emission_site_is_caught() {
     let hits = rule_findings(&findings, RULE_COUNTER);
     assert_eq!(hits.len(), 1, "findings: {findings:#?}");
     assert!(hits[0].message.contains("`Counter::Retries`"));
-    // The `Counter::ALL` table in health.rs itself is not an emission
-    // site — only protocol code in crates/core counts.
+    // Neither the registry's own mention in health.rs nor a read
+    // (`total(Counter::Retries)`) is an emission site.
     assert_eq!(hits[0].file, HEALTH_PATH);
     assert_eq!(hits[0].line, 5);
 }
@@ -227,6 +228,16 @@ fn counter_without_emission_site_is_caught() {
 #[test]
 fn counter_clean_fixture_passes() {
     let findings = check(&[(HEALTH_PATH, COUNTER_HEALTH), (CLIENT_PATH, COUNTER_CLEAN)]);
+    assert!(findings.is_empty(), "findings: {findings:#?}");
+}
+
+#[test]
+fn counter_emitted_only_outside_core_is_covered() {
+    let findings = check(&[
+        (HEALTH_PATH, COUNTER_HEALTH),
+        (CLIENT_PATH, COUNTER_VIOLATION),
+        ("crates/sim/src/engine.rs", COUNTER_ENGINE),
+    ]);
     assert!(findings.is_empty(), "findings: {findings:#?}");
 }
 

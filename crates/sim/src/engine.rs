@@ -298,9 +298,9 @@ struct Kernel<M> {
     cpu_queue_limit: Vec<u64>,
     net: Network,
     rng: StdRng,
+    /// Sample histograms plus the counter registry.
     metrics: Metrics,
     trace: TraceSink,
-    health: Counters,
     stopped: bool,
     events_processed: u64,
     /// The node the last processed event was dispatched to.
@@ -322,7 +322,6 @@ impl<M> Kernel<M> {
         M: Clone,
     {
         if let Some(at2) = self.net.maybe_duplicate(slot, src, dst, &mut self.rng) {
-            self.metrics.incr("net.duplicated");
             self.queue.push(
                 at2,
                 dst,
@@ -376,7 +375,7 @@ impl<M> Context<'_, M> {
     }
 
     /// Sends `msg` (`payload_bytes` on the wire) to `dst`. Dropped packets
-    /// are counted in the metrics under `net.dropped`.
+    /// are counted as [`Counter::NetDropped`] on the sender.
     pub fn send(&mut self, dst: NodeId, msg: M, payload_bytes: usize)
     where
         M: Clone,
@@ -406,9 +405,7 @@ impl<M> Context<'_, M> {
                 self.kernel
                     .deliver_with_duplicates(slot, self.id, dst, at, msg, payload_bytes);
             }
-            Err(_) => {
-                self.kernel.metrics.incr("net.dropped");
-            }
+            Err(_) => self.count(Counter::NetDropped),
         }
     }
 
@@ -449,9 +446,7 @@ impl<M> Context<'_, M> {
                         payload_bytes,
                     );
                 }
-                Err(_) => {
-                    self.kernel.metrics.incr("net.dropped");
-                }
+                Err(_) => self.count(Counter::NetDropped),
             }
         }
     }
@@ -474,7 +469,8 @@ impl<M> Context<'_, M> {
         &mut self.kernel.rng
     }
 
-    /// The shared metrics registry.
+    /// The shared sample histograms (counting goes through
+    /// [`Context::count`]).
     pub fn metrics(&mut self) -> &mut Metrics {
         &mut self.kernel.metrics
     }
@@ -482,23 +478,26 @@ impl<M> Context<'_, M> {
     /// Records one logical send of a message with wire tag `tag` in the
     /// health counter registry (a multicast counts once).
     pub fn count_sent(&mut self, tag: u8) {
-        self.kernel.health.count_sent(self.id, tag);
+        self.kernel.metrics.counters.count_sent(self.id, tag);
     }
 
     /// Records one delivery of a message with wire tag `tag` in the
     /// health counter registry.
     pub fn count_received(&mut self, tag: u8) {
-        self.kernel.health.count_received(self.id, tag);
+        self.kernel.metrics.counters.count_received(self.id, tag);
     }
 
     /// Bumps a protocol event counter for this node.
     pub fn count(&mut self, counter: Counter) {
-        self.kernel.health.count(self.id, counter);
+        self.kernel.metrics.counters.count(self.id, counter);
     }
 
     /// Bumps a protocol event counter for this node by `delta`.
     pub fn count_add(&mut self, counter: Counter, delta: u64) {
-        self.kernel.health.count_add(self.id, counter, delta);
+        self.kernel
+            .metrics
+            .counters
+            .count_add(self.id, counter, delta);
     }
 
     /// Whether trace-event recording is enabled (cheap; lets emitters
@@ -593,7 +592,6 @@ impl<M: 'static> Simulation<M> {
                 rng: StdRng::seed_from_u64(seed),
                 metrics: Metrics::new(),
                 trace: TraceSink::new(),
-                health: Counters::new(),
                 stopped: false,
                 events_processed: 0,
                 last_dispatched: None,
@@ -630,8 +628,9 @@ impl<M: 'static> Simulation<M> {
         &self.kernel.metrics
     }
 
-    /// Mutable access to the metrics (e.g. to reset between warmup and
-    /// measurement phases).
+    /// Mutable access to the metrics (e.g. to clear the histograms
+    /// between warmup and measurement phases; counters are windowed by
+    /// difference or cleared through [`Simulation::health_mut`]).
     pub fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.kernel.metrics
     }
@@ -647,15 +646,15 @@ impl<M: 'static> Simulation<M> {
         &mut self.kernel.trace
     }
 
-    /// The health counter registry (messages by tag, protocol events).
+    /// The counter registry (messages by tag, every counted event).
     pub fn health(&self) -> &Counters {
-        &self.kernel.health
+        &self.kernel.metrics.counters
     }
 
     /// Mutable health-counter access (e.g. to reset between warmup and
     /// measurement phases).
     pub fn health_mut(&mut self) -> &mut Counters {
-        &mut self.kernel.health
+        &mut self.kernel.metrics.counters
     }
 
     /// The network, for fault injection.
@@ -705,8 +704,8 @@ impl<M: 'static> Simulation<M> {
 
     /// Bounds how long deliveries to `node` may queue behind its busy CPU
     /// before being dropped — a finite UDP socket buffer, expressed in
-    /// time. Default: unlimited. Dropped deliveries count under the
-    /// `cpu.dropped` metric; timers are never dropped.
+    /// time. Default: unlimited. Dropped deliveries count as
+    /// [`Counter::CpuDropped`] on `node`; timers are never dropped.
     pub fn set_cpu_queue_limit(&mut self, node: NodeId, limit_ns: u64) {
         self.kernel.cpu_queue_limit[node as usize] = limit_ns;
     }
@@ -774,7 +773,10 @@ impl<M: 'static> Simulation<M> {
                 if wait > self.kernel.cpu_queue_limit[ev.dst as usize]
                     && matches!(ev.kind, EventKind::Deliver { .. })
                 {
-                    self.kernel.metrics.incr("cpu.dropped");
+                    self.kernel
+                        .metrics
+                        .counters
+                        .count(ev.dst, Counter::CpuDropped);
                     self.kernel.queue.take(head, key);
                     continue;
                 }
@@ -1269,7 +1271,7 @@ mod tests {
         s.run_until_idle(1_000);
         let delivered = s.node_as::<Probe>(a).messages.len();
         assert!(delivered < 6, "some deliveries must drop");
-        assert_eq!(s.metrics().counter("cpu.dropped"), 6 - delivered as u64);
+        assert_eq!(s.health().total(Counter::CpuDropped), 6 - delivered as u64);
         // Timers are never dropped.
         let b = s.add_node(Box::new(Probe {
             cpu_per_event: dur::millis(10),
@@ -1304,6 +1306,6 @@ mod tests {
         s.network_mut().partition(c, b);
         s.run_until_idle(100);
         assert!(s.node_as::<Probe>(b).messages.is_empty());
-        assert_eq!(s.metrics().counter("net.dropped"), 1);
+        assert_eq!(s.health().total(Counter::NetDropped), 1);
     }
 }

@@ -478,7 +478,7 @@ fn run_both(seed: u64) -> Coverage {
     assert_eq!(*seen_by_sim.borrow(), *seen_by_reference.borrow());
     assert_eq!(sim.events_processed(), reference.kernel.events_processed);
     assert_eq!(
-        sim.metrics().counter("cpu.dropped"),
+        sim.health().total(crate::health::Counter::CpuDropped),
         reference.kernel.cpu_dropped
     );
     assert_eq!(sim.queued_events(), 0);

@@ -1,5 +1,5 @@
-//! Observer-only cluster health: typed per-replica snapshots and an
-//! always-on counter registry.
+//! Observer-only cluster health: typed per-replica snapshots and the
+//! simulation's one counter registry.
 //!
 //! Like [`crate::trace`] and [`crate::metrics`], this module is an
 //! *observer*: protocol code writes into it through [`Context`]
@@ -11,12 +11,14 @@
 //! Two halves:
 //!
 //! - [`Counters`]: a per-node registry of messages sent/received by
-//!   wire tag plus a fixed set of protocol event counters
-//!   ([`Counter`]) — retransmissions, fast-path fallbacks, lease
-//!   grants/revokes, view changes, recoveries, state-transfer bytes.
-//!   It lives in the simulation kernel beside the trace sink and is
-//!   bumped from the hot paths via `Context::count_*`, so it is exact
-//!   (never sampled) and deterministic (a pure function of the run).
+//!   wire tag plus every protocol event the simulation counts
+//!   ([`Counter`]) — completions, retransmissions, fast-path fallbacks,
+//!   lease grants, view changes, recoveries, drops, and the Byzantine
+//!   evidence replicas reject. It is the only counter store:
+//!   [`crate::Metrics::counter`] reads it by dotted name. It is bumped
+//!   from the hot paths via `Context::count_*` (the engine books its own
+//!   drops directly), so it is exact (never sampled) and deterministic
+//!   (a pure function of the run).
 //! - [`HealthSnapshot`] / [`HealthReport`]: a point-in-time, typed
 //!   view of one replica's externally observable state (view, role,
 //!   execution/checkpoint watermarks, queue depths, lease and
@@ -70,106 +72,173 @@ pub fn tag_name(tag: u8) -> &'static str {
     }
 }
 
-/// Protocol event counters tracked per node in [`Counters`].
+/// Every event the simulation counts, tracked per node in [`Counters`].
 ///
-/// These are the features PRs 5–7 added, consolidated: each variant is
-/// bumped at exactly the site that emits the matching metric/trace
-/// event, so cross-checks against assembled traces are exact.
+/// One variant per event, bumped where the event happens and nowhere
+/// else, so cross-checks against assembled traces are exact. Each
+/// variant has one dotted name ([`Counter::name`]); the discriminant
+/// indexes the per-node array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
-    /// Client request retransmissions (retry timer fired and re-sent).
+    /// Packets the network dropped, booked on the sender.
+    NetDropped,
+    /// Deliveries dropped at a full input queue, booked on the receiver.
+    CpuDropped,
+    /// Client operations completed (a reply quorum accepted).
+    OpsCompleted,
+    /// Client request retransmissions.
     Retransmissions,
-    /// New-view retransmissions to straggling backups.
-    NewViewRetransmits,
+    /// Read-only quorum retries at the client.
+    RoRetries,
+    /// Read-only requests the retry timer sent to the ordered path.
+    RoFallbacks,
+    /// Read-only requests persistent BUSY sent to the ordered path.
+    BusyRoFallbacks,
+    /// Authenticated BUSY replies the client backed off on.
+    BusyReceived,
+    /// Client operations whose bounded retry budget ran out.
+    RetryBudgetExhausted,
+    /// Requests a flooding (Byzantine) client issued.
+    FloodRequests,
+    /// Outstanding operations a flooding client abandoned.
+    FloodAbandoned,
+    /// Operations a replica executed and replied to.
+    OpsExecuted,
+    /// Read-only requests executed without ordering.
+    ReadOnlyExecs,
+    /// Batches the primary pre-prepared.
+    BatchesProposed,
     /// Slots committed on the optimistic fast path (all `n` prepares).
     FastCommits,
     /// Fast-path slots that fell back to the classic commit round.
     FastFallbacks,
-    /// Read-only quorum retries at the client.
-    RoRetries,
-    /// Read-only requests that fell back to the ordered path.
-    RoFallbacks,
+    /// Fast-path timers that fired before the fast quorum formed.
+    FastTimeouts,
     /// Reads answered locally under a held lease.
     LeaseReads,
+    /// Parked lease reads evicted (and answered BUSY) at the cap.
+    LeaseReadsEvicted,
     /// Leases granted by the primary.
     LeaseGrants,
     /// Lease revocations initiated (write fencing).
     LeaseRevokes,
-    /// View changes started.
-    ViewChanges,
-    /// New views installed.
-    ViewsInstalled,
+    /// Requests shed by replica admission control.
+    RequestsShed,
+    /// BUSY pushback messages sent to clients.
+    BusySent,
+    /// Read-only requests dropped while the replica recovers.
+    RoDroppedInRecovery,
+    /// Local checkpoints produced.
+    CheckpointsMade,
+    /// Simulated ns charged for checkpoint digests.
+    CheckpointDigestNs,
     /// Stable checkpoints formed.
     StableCheckpoints,
     /// State transfers completed.
     StateTransfers,
     /// Partition payload bytes applied during state transfer.
     StateTransferBytes,
+    /// Partitions a state transfer already held and skipped.
+    StatePartsSkipped,
+    /// Fetches of missing request bodies from a peer.
+    BodyRecoveries,
+    /// View changes started.
+    ViewChanges,
+    /// New-view retransmissions to straggling backups.
+    NewViewRetransmits,
+    /// New views installed.
+    ViewsInstalled,
+    /// Session-key refreshes.
+    KeyRefreshes,
+    /// Proactive recoveries started.
+    RecoveriesStarted,
+    /// Recovery audits that re-fetched state from the group.
+    RecoveryAuditRefetch,
     /// Proactive recoveries completed.
     Recoveries,
-    /// Requests shed by replica admission control (over quota or cap).
-    RequestsShed,
-    /// BUSY pushback messages sent to clients.
-    BusySent,
-    /// Client operations whose bounded retry budget ran out.
-    RetryBudgetExhausted,
+    /// Evidence: a reply whose MAC failed at the client.
+    BadReplyAuth,
+    /// Evidence: a BUSY whose MAC failed at the client.
+    BadBusyAuth,
+    /// Evidence: a packet whose authenticator failed at a replica.
+    BadPacketAuth,
+    /// Evidence: a request whose client authenticator failed.
+    BadRequestAuth,
+    /// Evidence: a message claiming a replica other than its sender.
+    SpoofedSender,
+    /// Evidence: a second pre-prepare for a slot, with another digest.
+    ConflictingPrePrepare,
+    /// Evidence: a pre-prepare whose batch digest does not match.
+    BadBatchDigest,
+    /// Evidence: a new-view message that failed validation.
+    BadNewView,
+    /// Evidence: state-transfer metadata that failed validation.
+    StateTransferBadMeta,
+    /// Evidence: state-transfer data that failed its digest.
+    StateTransferBadSnapshot,
 }
 
 impl Counter {
-    /// Number of variants (sizes the per-node array).
-    pub const COUNT: usize = 18;
+    /// Number of variants (sizes the per-node array). Counts up to the
+    /// last variant, so a variant appended after it must move this.
+    pub const COUNT: usize = Counter::StateTransferBadSnapshot as usize + 1;
 
-    /// All variants in index order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::Retransmissions,
-        Counter::NewViewRetransmits,
-        Counter::FastCommits,
-        Counter::FastFallbacks,
-        Counter::RoRetries,
-        Counter::RoFallbacks,
-        Counter::LeaseReads,
-        Counter::LeaseGrants,
-        Counter::LeaseRevokes,
-        Counter::ViewChanges,
-        Counter::ViewsInstalled,
-        Counter::StableCheckpoints,
-        Counter::StateTransfers,
-        Counter::StateTransferBytes,
-        Counter::Recoveries,
-        Counter::RequestsShed,
-        Counter::BusySent,
-        Counter::RetryBudgetExhausted,
+    /// Dotted names, one row per variant in declaration order.
+    pub(crate) const NAMES: [&'static str; Counter::COUNT] = [
+        "net.dropped",
+        "cpu.dropped",
+        "client.ops_completed",
+        "client.retransmissions",
+        "client.ro_retries",
+        "client.ro_fallbacks",
+        "client.busy_ro_fallbacks",
+        "client.busy_received",
+        "client.retry_budget_exhausted",
+        "client.flood_requests",
+        "client.flood_abandoned",
+        "replica.ops_executed",
+        "replica.read_only_execs",
+        "replica.batches_proposed",
+        "replica.fast_commits",
+        "replica.fast_fallbacks",
+        "replica.fast_timeouts",
+        "replica.lease_reads",
+        "replica.lease_reads_evicted",
+        "replica.lease_grants",
+        "replica.lease_revokes",
+        "replica.requests_shed",
+        "replica.busy_sent",
+        "replica.ro_dropped_in_recovery",
+        "replica.checkpoints_made",
+        "replica.checkpoint_digest_ns",
+        "replica.stable_checkpoints",
+        "replica.state_transfers_completed",
+        "replica.state_bytes_fetched",
+        "replica.state_parts_skipped",
+        "replica.body_recoveries",
+        "replica.view_changes_started",
+        "replica.new_view_retransmits",
+        "replica.views_installed",
+        "replica.key_refreshes",
+        "replica.proactive_recoveries",
+        "replica.recovery_audit_refetch",
+        "replica.recoveries_completed",
+        "client.bad_reply_auth",
+        "client.bad_busy_auth",
+        "replica.bad_packet_auth",
+        "replica.bad_request_auth",
+        "replica.spoofed_sender",
+        "replica.conflicting_pre_prepare",
+        "replica.bad_batch_digest",
+        "replica.bad_new_view",
+        "replica.state_transfer_bad_meta",
+        "replica.state_transfer_bad_snapshot",
     ];
 
-    /// Stable snake_case name (used as a JSON key in `BENCH_*.json`).
+    /// The dotted name (`layer.event`): the key in `BENCH_*.json`'s
+    /// `counters` block and what [`crate::Metrics::counter`] looks up.
     pub fn name(self) -> &'static str {
-        match self {
-            Counter::Retransmissions => "retransmissions",
-            Counter::NewViewRetransmits => "new_view_retransmits",
-            Counter::FastCommits => "fast_commits",
-            Counter::FastFallbacks => "fast_fallbacks",
-            Counter::RoRetries => "ro_retries",
-            Counter::RoFallbacks => "ro_fallbacks",
-            Counter::LeaseReads => "lease_reads",
-            Counter::LeaseGrants => "lease_grants",
-            Counter::LeaseRevokes => "lease_revokes",
-            Counter::ViewChanges => "view_changes",
-            Counter::ViewsInstalled => "views_installed",
-            Counter::StableCheckpoints => "stable_checkpoints",
-            Counter::StateTransfers => "state_transfers",
-            Counter::StateTransferBytes => "state_transfer_bytes",
-            Counter::Recoveries => "recoveries",
-            Counter::RequestsShed => "requests_shed",
-            Counter::BusySent => "busy_sent",
-            Counter::RetryBudgetExhausted => "retry_budget_exhausted",
-        }
-    }
-
-    fn index(self) -> usize {
-        Counter::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("Counter::ALL covers every variant")
+        Counter::NAMES[self as usize]
     }
 }
 
@@ -184,7 +253,7 @@ pub struct NodeCounters {
     pub sent: [u64; TAG_COUNT],
     /// Deliveries by wire tag.
     pub received: [u64; TAG_COUNT],
-    /// Protocol events, indexed per [`Counter::ALL`].
+    /// Events, indexed by [`Counter`] discriminant.
     pub events: [u64; Counter::COUNT],
 }
 
@@ -201,17 +270,7 @@ impl Default for NodeCounters {
 impl NodeCounters {
     /// Value of one event counter.
     pub fn event(&self, c: Counter) -> u64 {
-        self.events[c.index()]
-    }
-
-    /// Total logical sends across all tags.
-    pub fn sent_total(&self) -> u64 {
-        self.sent.iter().sum()
-    }
-
-    /// Total deliveries across all tags.
-    pub fn received_total(&self) -> u64 {
-        self.received.iter().sum()
+        self.events[c as usize]
     }
 }
 
@@ -259,7 +318,7 @@ impl Counters {
 
     /// Bumps an event counter by `delta` (byte counters).
     pub fn count_add(&mut self, node: NodeId, c: Counter, delta: u64) {
-        self.node_mut(node).events[c.index()] += delta;
+        self.node_mut(node).events[c as usize] += delta;
     }
 
     /// One node's counters (all-zero if the node never counted).
@@ -267,14 +326,13 @@ impl Counters {
         self.nodes.get(id as usize).cloned().unwrap_or_default()
     }
 
-    /// Number of node slots allocated so far.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Cluster-wide total for one event counter.
     pub fn total(&self, c: Counter) -> u64 {
-        let i = c.index();
+        self.total_at(c as usize)
+    }
+
+    /// Cluster-wide total for the counter with discriminant `i`.
+    pub(crate) fn total_at(&self, i: usize) -> u64 {
         self.nodes.iter().map(|n| n.events[i]).sum()
     }
 
@@ -319,10 +377,10 @@ impl Counters {
                 out.push((format!("recv.{}", tag_name(tag as u8)), recv[tag]));
             }
         }
-        for c in Counter::ALL {
-            let v = self.total(c);
+        for (i, name) in Counter::NAMES.iter().enumerate() {
+            let v = self.total_at(i);
             if v > 0 {
-                out.push((c.name().to_string(), v));
+                out.push((name.to_string(), v));
             }
         }
         out.sort();
@@ -393,10 +451,6 @@ pub struct HealthSnapshot {
     pub lease_expiry_ns: u64,
     /// Fast-path commit enabled in this replica's config.
     pub fast_path: bool,
-    /// Requests shed by admission control since startup.
-    pub requests_shed: u64,
-    /// BUSY pushback messages sent since startup.
-    pub busy_sent: u64,
     /// Peak depth the ingest backlog (pending batch + pending
     /// requests) ever reached — the high-watermark admission control
     /// is judged against.
@@ -477,7 +531,7 @@ impl HealthReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(
-            "node  view  role     status          exec   final  stable  next  log  pb/pr/ro/lro  shed/busy/hw  lease\n",
+            "node  view  role     status          exec   final  stable  next  log  pb/pr/ro/lro  backlog-hw  lease\n",
         );
         for s in &self.snapshots {
             let lease = if s.lease_held {
@@ -487,7 +541,7 @@ impl HealthReport {
             };
             let _ = writeln!(
                 out,
-                "{:>4}  {:>4}  {:<7}  {:<14}  {:>5}  {:>5}  {:>6}  {:>4}  {:>3}  {:>2}/{}/{}/{}  {:>4}/{}/{}  {}",
+                "{:>4}  {:>4}  {:<7}  {:<14}  {:>5}  {:>5}  {:>6}  {:>4}  {:>3}  {:>2}/{}/{}/{}  {:>10}  {}",
                 s.node,
                 s.view,
                 s.role.name(),
@@ -501,8 +555,6 @@ impl HealthReport {
                 s.pending_requests,
                 s.waiting_ro,
                 s.waiting_lease_ro,
-                s.requests_shed,
-                s.busy_sent,
                 s.backlog_high_watermark,
                 lease,
             );
@@ -545,8 +597,6 @@ mod tests {
             lease_held: false,
             lease_expiry_ns: 0,
             fast_path: true,
-            requests_shed: 0,
-            busy_sent: 0,
             backlog_high_watermark: 1,
         }
     }
@@ -565,9 +615,9 @@ mod tests {
         assert_eq!(c.total(Counter::StateTransferBytes), 4096);
         assert_eq!(c.sent_by_tag()[1], 2);
         // Unknown node ids read as zero; out-of-range tags are ignored.
-        assert_eq!(c.node(99).sent_total(), 0);
+        assert_eq!(c.node(99), NodeCounters::default());
         c.count_sent(0, 200);
-        assert_eq!(c.node(0).sent_total(), 2);
+        assert_eq!(c.node(0).sent.iter().sum::<u64>(), 2);
     }
 
     #[test]
@@ -578,10 +628,32 @@ mod tests {
         c.count(0, Counter::LeaseReads);
         let flat = c.flattened();
         let names: Vec<&str> = flat.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(names, vec!["lease_reads", "recv.prepare", "sent.prepare"]);
+        assert_eq!(
+            names,
+            vec!["recv.prepare", "replica.lease_reads", "sent.prepare"]
+        );
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
+    }
+
+    #[test]
+    fn counter_names_are_distinct_and_dotted() {
+        let mut seen = std::collections::BTreeSet::new();
+        for name in Counter::NAMES {
+            let (layer, event) = name.split_once('.').expect("dotted");
+            assert!(
+                ["net", "cpu", "client", "replica"].contains(&layer),
+                "{name}"
+            );
+            assert!(!event.is_empty() && !event.contains('.'), "{name}");
+            assert!(seen.insert(name), "{name} named twice");
+        }
+        assert_eq!(
+            Counter::StateTransferBadSnapshot.name(),
+            "replica.state_transfer_bad_snapshot"
+        );
+        assert_eq!(Counter::BusyRoFallbacks.name(), "client.busy_ro_fallbacks");
     }
 
     #[test]

@@ -18,12 +18,13 @@
 //!   mutations — with a generator and a shrinking minimizer for fuzzing;
 //! - [`cost`]: the CPU cost model (MD5, UMAC, UDP stack, RSA) calibrated
 //!   to the paper's hardware;
-//! - [`metrics`]: counters and log-bucketed latency histograms the
-//!   experiment harness reads;
+//! - [`metrics`]: log-bucketed latency histograms the experiment
+//!   harness reads, plus a by-name view of the counter registry;
 //! - [`health`]: observer-only cluster health — per-replica
 //!   [`HealthSnapshot`]s diffed into a [`HealthReport`], and the
-//!   always-on [`Counters`] registry (messages by wire tag, protocol
-//!   events) threaded through [`Context`];
+//!   simulation's one counter registry, [`Counters`] (messages by wire
+//!   tag, one typed [`Counter`] per event), threaded through
+//!   [`Context`];
 //! - [`trace`]: structured span tracing — bounded per-node event rings,
 //!   a per-request latency-breakdown assembler, a Chrome-trace exporter,
 //!   and the chaos flight recorder;

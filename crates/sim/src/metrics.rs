@@ -1,24 +1,31 @@
-//! Measurement plumbing: counters and log-bucketed latency histograms.
+//! Measurement plumbing: log-bucketed sample histograms, plus a by-name
+//! view of the counter registry.
 //!
 //! Experiment drivers read these after a run to produce the paper's tables.
-//! Everything is keyed by string series names so protocol code can record
+//! Sample series are keyed by string names so protocol code can record
 //! without the harness pre-registering anything. Hot paths pass `&'static
 //! str` names, which are stored as borrowed [`Cow`]s — recording into an
 //! existing (or even a fresh) series never allocates a key.
+//!
+//! Counting is not done here: every counted event is a typed
+//! [`Counter`] in the per-node [`Counters`] registry, which this struct
+//! carries so that [`Metrics::counter`] can read it by dotted name.
 //!
 //! Sample series are [`Histogram`]s rather than raw `Vec<u64>` so that
 //! multi-hour fuzz sweeps and million-op benchmark runs stay bounded in
 //! memory: a histogram is at most ~8 KB regardless of how many samples it
 //! absorbs, at the price of ~3% relative error above 64.
 
+use crate::health::{Counter, Counters};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// A set of named counters and sample histograms.
+/// Named sample histograms and the simulation's counter registry.
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
-    counters: HashMap<Cow<'static, str>, u64>,
     samples: HashMap<Cow<'static, str>, Histogram>,
+    /// The one counter registry (`Simulation::health` hands it out).
+    pub(crate) counters: Counters,
 }
 
 impl Metrics {
@@ -27,19 +34,20 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Adds `delta` to the counter `name`.
-    pub fn add(&mut self, name: impl Into<Cow<'static, str>>, delta: u64) {
-        *self.counters.entry(name.into()).or_insert(0) += delta;
-    }
-
-    /// Increments the counter `name` by one.
-    pub fn incr(&mut self, name: impl Into<Cow<'static, str>>) {
-        self.add(name, 1);
-    }
-
-    /// Reads a counter (zero if never written).
+    /// Cluster-wide total of the counter whose dotted name is `name`
+    /// (e.g. `"net.dropped"`) — a by-name read of [`Counters`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no [`Counter`] carries `name`: every name is a
+    /// constant, so an unknown one is a typo that would otherwise read
+    /// as a silent zero.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        let i = Counter::NAMES
+            .iter()
+            .position(|&n| n == name)
+            .unwrap_or_else(|| panic!("no counter is named `{name}`"));
+        self.counters.total_at(i)
     }
 
     /// Records a sample (e.g. a latency in nanoseconds) into series `name`.
@@ -59,21 +67,11 @@ impl Metrics {
             .map_or_else(Summary::default, Histogram::summary)
     }
 
-    /// Removes all data, keeping allocations where possible.
+    /// Removes every sample. The counters are left alone: a reader
+    /// windows them by difference (read before, read after, subtract),
+    /// or clears them with [`Counters::reset`].
     pub fn reset(&mut self) {
-        self.counters.clear();
         self.samples.clear();
-    }
-
-    /// Iterates over counters in name order (stable output for reports).
-    pub fn counters_sorted(&self) -> Vec<(&str, u64)> {
-        let mut all: Vec<_> = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.as_ref(), *v))
-            .collect();
-        all.sort();
-        all
     }
 }
 
@@ -274,13 +272,31 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The four names `benchmark/src/harness.rs` reads through
+    /// `Metrics::counter` resolve to their variants.
     #[test]
-    fn counters() {
+    fn counter_reads_the_registry_by_dotted_name() {
         let mut m = Metrics::new();
-        m.incr("ops");
-        m.add("ops", 4);
-        assert_eq!(m.counter("ops"), 5);
-        assert_eq!(m.counter("missing"), 0);
+        let names = [
+            ("net.dropped", Counter::NetDropped),
+            ("cpu.dropped", Counter::CpuDropped),
+            ("replica.ops_executed", Counter::OpsExecuted),
+            ("client.busy_received", Counter::BusyReceived),
+        ];
+        for (i, &(name, c)) in names.iter().enumerate() {
+            assert_eq!(c.name(), name);
+            m.counters.count_add(i as u32, c, i as u64 + 1);
+            m.counters.count(7, c);
+        }
+        for (i, &(name, _)) in names.iter().enumerate() {
+            assert_eq!(m.counter(name), i as u64 + 2, "{name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no counter is named `client.ops_complete`")]
+    fn counter_panics_on_an_unknown_name() {
+        Metrics::new().counter("client.ops_complete");
     }
 
     #[test]
@@ -305,22 +321,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
+    fn reset_clears_samples_not_counters() {
         let mut m = Metrics::new();
-        m.incr("a");
+        m.counters.count(0, Counter::OpsCompleted);
         m.record("b", 1);
         m.reset();
-        assert_eq!(m.counter("a"), 0);
         assert!(m.histogram("b").is_none());
-    }
-
-    #[test]
-    fn counters_sorted_is_stable() {
-        let mut m = Metrics::new();
-        m.incr("zeta");
-        m.incr("alpha");
-        let names: Vec<&str> = m.counters_sorted().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
+        assert_eq!(m.counter("client.ops_completed"), 1);
     }
 
     #[test]

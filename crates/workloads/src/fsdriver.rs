@@ -48,8 +48,6 @@ impl BfsScriptDriver {
                         self.finished_at_ns = Some(api.now().nanos());
                         let now = api.now().nanos();
                         api.metrics().record("fs.script_done_ns", now);
-                        let marks = self.runner.marks;
-                        api.metrics().add("fs.marks", marks);
                     }
                     return;
                 }
@@ -105,8 +103,6 @@ impl DirectScriptDriver {
                         self.finished_at_ns = Some(api.now().nanos());
                         let now = api.now().nanos();
                         api.metrics().record("fs.script_done_ns", now);
-                        let marks = self.runner.marks;
-                        api.metrics().add("fs.marks", marks);
                     }
                     return;
                 }

@@ -13,7 +13,7 @@ use bft_fs::disk::ServerMode;
 use bft_fs::service::FsService;
 use bft_fs::state::DataMode;
 use bft_sim::time::dur;
-use bft_sim::{CostModel, NetConfig, Simulation, Summary};
+use bft_sim::{CostModel, Counter, NetConfig, Simulation, Summary};
 
 /// Default seed for experiments (results are deterministic anyway; the
 /// seed only feeds fault injection and workload mixes).
@@ -58,12 +58,13 @@ pub fn bft_latency(cfg: Config, shape: OpShape, samples: u64) -> Summary {
         MicroDriver::new(shape.arg, shape.result, shape.read_only).with_max_ops(samples + WARMUP),
     );
     // Step one event at a time through the warmup operations, then reset
-    // the metrics so exactly the measured operations land in the latency
-    // histogram.
+    // the histograms so exactly the measured operations land in the
+    // latency histogram.
     while cluster.completed_ops() < WARMUP && cluster.sim.step() {}
     cluster.sim.metrics_mut().reset();
+    let warm = cluster.completed_ops();
     let mut guard = 0;
-    while cluster.completed_ops() < samples && guard < 10_000 {
+    while cluster.completed_ops() - warm < samples && guard < 10_000 {
         cluster.run_for(dur::millis(50));
         guard += 1;
     }
@@ -86,10 +87,12 @@ pub fn norep_latency(shape: OpShape, samples: u64) -> Summary {
         },
     )));
     // Warmup, reset, measure — as in [`bft_latency`].
-    while sim.metrics().counter("client.ops_completed") < 10 && sim.step() {}
+    let completed = |sim: &Simulation<DirectMsg>| ops_and_drops(sim).0;
+    while completed(&sim) < 10 && sim.step() {}
     sim.metrics_mut().reset();
+    let warm = completed(&sim);
     let mut guard = 0;
-    while sim.metrics().counter("client.ops_completed") < samples && guard < 10_000 {
+    while completed(&sim) - warm < samples && guard < 10_000 {
         sim.run_for(dur::millis(50));
         guard += 1;
     }
@@ -103,6 +106,14 @@ pub struct Throughput {
     pub ops_per_sec: f64,
     /// Deliveries dropped (network or socket-buffer) during the window.
     pub drops: u64,
+}
+
+/// Completed operations and dropped deliveries (network or socket
+/// buffer) so far; a window is the difference of two reads.
+fn ops_and_drops<M: 'static>(sim: &Simulation<M>) -> (u64, u64) {
+    let h = sim.health();
+    let drops = h.total(Counter::NetDropped) + h.total(Counter::CpuDropped);
+    (h.total(Counter::OpsCompleted), drops)
 }
 
 /// Measures BFT throughput with `clients` closed-loop clients.
@@ -136,14 +147,12 @@ pub fn bft_throughput_windowed(
         }
     }
     cluster.run_for(warmup_ns);
-    cluster.sim.metrics_mut().reset();
+    let (ops0, drops0) = ops_and_drops(&cluster.sim);
     cluster.run_for(window_ns);
-    let ops = cluster.sim.metrics().counter("client.ops_completed");
-    let drops =
-        cluster.sim.metrics().counter("net.dropped") + cluster.sim.metrics().counter("cpu.dropped");
+    let (ops1, drops1) = ops_and_drops(&cluster.sim);
     Throughput {
-        ops_per_sec: ops as f64 / (window_ns as f64 / 1e9),
-        drops,
+        ops_per_sec: (ops1 - ops0) as f64 / (window_ns as f64 / 1e9),
+        drops: drops1 - drops0,
     }
 }
 
@@ -192,17 +201,14 @@ pub fn norep_throughput_windowed(
     // start together), and with no retransmission an initial overload is
     // permanent — matching the paper's missing data points.
     sim.run_for(warmup_ns);
-    let warmup_drops = sim.metrics().counter("net.dropped") + sim.metrics().counter("cpu.dropped");
-    sim.metrics_mut().reset();
+    let (ops0, _) = ops_and_drops(&sim);
     sim.run_for(window_ns);
-    let ops = sim.metrics().counter("client.ops_completed");
     // NO-REP never retransmits, so a request lost at any point (including
     // ramp-up) permanently stalls its client — count drops over the whole
     // run, as the paper's missing data points do.
-    let drops =
-        warmup_drops + sim.metrics().counter("net.dropped") + sim.metrics().counter("cpu.dropped");
+    let (ops1, drops) = ops_and_drops(&sim);
     Throughput {
-        ops_per_sec: ops as f64 / (window_ns as f64 / 1e9),
+        ops_per_sec: (ops1 - ops0) as f64 / (window_ns as f64 / 1e9),
         drops,
     }
 }

@@ -16,7 +16,7 @@ use bft_core::cluster::Cluster;
 use bft_core::config::Config;
 use bft_core::service::CounterService;
 use bft_sim::time::dur;
-use bft_sim::NetConfig;
+use bft_sim::{Counter, NetConfig};
 
 /// A closed-loop client issuing counter reads and writes at a fixed
 /// ratio, with the per-operation choice drawn from a deterministic
@@ -193,16 +193,16 @@ pub fn read_mix_run(
     }
     reads_ns.sort_unstable();
     writes_ns.sort_unstable();
-    let metrics = cluster.sim.metrics();
+    let health = cluster.sim.health();
     MixStats {
         reads: reads_ns.len() as u64,
         writes: writes_ns.len() as u64,
         read_p50_us: percentile_us(&reads_ns, 0.50),
         read_p99_us: percentile_us(&reads_ns, 0.99),
         write_p50_us: percentile_us(&writes_ns, 0.50),
-        lease_reads: metrics.counter("replica.lease_reads"),
-        ro_retries: metrics.counter("client.ro_retries"),
-        ro_fallbacks: metrics.counter("client.ro_fallbacks"),
+        lease_reads: health.total(Counter::LeaseReads),
+        ro_retries: health.total(Counter::RoRetries),
+        ro_fallbacks: health.total(Counter::RoFallbacks),
     }
 }
 

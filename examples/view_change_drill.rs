@@ -67,9 +67,6 @@ fn main() {
         "view change must have happened"
     );
     assert!(after > before + 100, "service must keep making progress");
-    let vc = cluster
-        .sim
-        .metrics()
-        .counter("replica.view_changes_started");
+    let vc = cluster.sim.health().total(Counter::ViewChanges);
     println!("view changes started: {vc}");
 }
