@@ -1,82 +1,13 @@
 #![warn(missing_docs)]
 
-//! Shared reporting utilities for the benchmark harness.
+//! The benchmark harness behind the `suite` binary: one measuring system
+//! for the whole evaluation.
 //!
-//! Every figure/table of the paper has a bench target (with
-//! `harness = false`) under `benches/` that runs the corresponding
-//! experiment in the simulator and prints the same series the paper
-//! plots, next to the paper's qualitative claims.
-//!
-//! [`suite`] holds the machine-readable side: the `BENCH_*.json`
-//! document schema and the `--compare` regression gate used by the
-//! `suite` binary and CI.
+//! [`suite`] holds the `BENCH_*.json` document schema and the `--compare`
+//! regression gate used by the `suite` binary and CI. [`paper`] is the
+//! suite's `paper` family: every figure, §4.4 text claim and ablation of
+//! the paper as gated rows, and the claims table that turns the paper's
+//! shapes into a hard pass/fail over those rows.
 
+pub mod paper;
 pub mod suite;
-
-/// Prints a section header for one reproduced figure or table.
-pub fn figure_header(id: &str, title: &str, paper_claim: &str) {
-    println!();
-    println!("================================================================================");
-    println!("{id}: {title}");
-    println!("paper: {paper_claim}");
-    println!("================================================================================");
-}
-
-/// Prints a table header row followed by a rule.
-pub fn table_header(cols: &[&str]) {
-    let row = cols
-        .iter()
-        .map(|c| format!("{c:>14}"))
-        .collect::<Vec<_>>()
-        .join(" ");
-    println!("{row}");
-    println!("{}", "-".repeat(row.len()));
-}
-
-/// Prints one table row of preformatted cells.
-pub fn table_row(cells: &[String]) {
-    let row = cells
-        .iter()
-        .map(|c| format!("{c:>14}"))
-        .collect::<Vec<_>>()
-        .join(" ");
-    println!("{row}");
-}
-
-/// Formats a nanosecond latency as microseconds.
-pub fn us(ns: f64) -> String {
-    format!("{:.0}us", ns / 1e3)
-}
-
-/// Formats an operations-per-second value.
-pub fn ops(v: f64) -> String {
-    format!("{v:.0}")
-}
-
-/// Formats a ratio like the paper's slowdown numbers.
-pub fn ratio(v: f64) -> String {
-    format!("{v:.2}x")
-}
-
-/// Formats seconds.
-pub fn secs(v: f64) -> String {
-    format!("{v:.1}s")
-}
-
-/// Prints a closing observation line for the figure.
-pub fn observe(s: &str) {
-    println!("observed: {s}");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn formatting() {
-        assert_eq!(us(1500.0), "2us");
-        assert_eq!(ops(6624.7), "6625");
-        assert_eq!(ratio(1.264), "1.26x");
-        assert_eq!(secs(12.34), "12.3s");
-    }
-}

@@ -87,6 +87,11 @@ impl BenchDoc {
     }
 }
 
+/// A metrics map from `(name, value)` pairs.
+pub fn metrics(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
+    pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+}
+
 /// Whether a larger value of `metric` is an improvement. Throughput-like
 /// metrics (rates) and retained-goodput fractions improve upward;
 /// everything else — latencies, heal times, fallback counts — improves
