@@ -28,6 +28,8 @@
 //!                    exits non-zero on any failure
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bft_core::cluster::Cluster;
 use bft_core::config::Config;
 use bft_sim::trace::{

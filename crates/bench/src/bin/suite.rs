@@ -40,6 +40,8 @@
 //!   --threshold PCT   regression threshold in percent (default 10)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 
 use bft_bench::paper;

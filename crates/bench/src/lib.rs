@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! The benchmark harness behind the `suite` binary: one measuring system

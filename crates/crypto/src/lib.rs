@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Cryptographic substrate for the BFT library.
 //!
@@ -11,8 +13,8 @@
 //! - [`md5`]: the MD5 digest (incremental and one-shot),
 //! - [`merkle`]: Merkle trees over partition digests, the basis of
 //!   incremental hierarchical checkpointing,
-//! - [`xtea`]: the XTEA block cipher used as the MAC pad generator,
-//! - [`umac`]: a UMAC-style fast universal-hash MAC,
+//! - [`umac`]: a UMAC-style fast universal-hash MAC, padded with AES-128
+//!   (AES-NI when the CPU has it; the crate's only `unsafe` is that path),
 //! - [`bignum`] and [`rsa`]: a small unsigned bignum and textbook RSA used
 //!   for session-key exchange (`NEW-KEY` messages),
 //! - [`keychain`]: per-principal session-key management and MAC
@@ -32,13 +34,13 @@
 //! let _ = KeyChain::new(0, 4);
 //! ```
 
+mod aes;
 pub mod bignum;
 pub mod keychain;
 pub mod md5;
 pub mod merkle;
 pub mod rsa;
 pub mod umac;
-pub mod xtea;
 
 pub use keychain::{Authenticator, KeyChain};
 pub use md5::{digest, Digest, Md5};

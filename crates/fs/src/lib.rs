@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! BFS — the Byzantine-fault-tolerant NFS file service from the paper —

@@ -49,6 +49,8 @@
 //! *stale* pragma and also reported, so the exemption list can only
 //! shrink as code is fixed.
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod model;
 pub mod rules;

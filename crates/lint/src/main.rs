@@ -9,6 +9,8 @@
 //! crate stays dependency-free), and `github` (`::error …` workflow
 //! commands so findings annotate PR diffs inline).
 
+#![forbid(unsafe_code)]
+
 use bft_lint::{Finding, Phase};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Workloads and experiment drivers for the DSN 2001 evaluation.

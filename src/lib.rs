@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Umbrella crate for the DSN 2001 "Byzantine Fault Tolerance Can Be Fast"
