@@ -37,7 +37,6 @@ use bft_sim::trace::{
 };
 use bft_sim::{dur, Counter, NetConfig};
 use bft_workloads::micro::{MicroDriver, SimpleService};
-use bft_workloads::mix::ReadMixDriver;
 
 const SEED: u64 = 7;
 const WARMUP_OPS: u64 = 50;
@@ -320,47 +319,6 @@ fn validate_chrome_trace(json: &str, node_count: u64) -> Result<usize, String> {
     Ok(doc.traceEvents.len())
 }
 
-/// The read-lease path run: a read-mostly leased workload (1% counter
-/// writes) whose exported trace must carry `lease-read` instant events.
-/// Returns the Chrome trace JSON plus the lease-read and fallback
-/// counters (the lease-read count comes from the health counter
-/// registry, so `--validate` cross-checks it against the trace).
-fn run_lease_workload(samples: u64) -> (String, u64, u64) {
-    let mut cfg = Config::new(1);
-    cfg.read_leases = true;
-    cfg.read_lease_ns = dur::millis(100);
-    let mut cluster = Cluster::builder(cfg)
-        .seed(SEED)
-        .net(NetConfig::SWITCHED_100MBPS)
-        .trace_capacity(TRACE_CAPACITY)
-        .build_counter();
-    cluster.add_client(ReadMixDriver::new(10, SEED).with_max_ops(samples));
-    let mut guard = 0;
-    while cluster.completed_ops() < samples && guard < 10_000 {
-        cluster.run_for(dur::millis(10));
-        guard += 1;
-    }
-    assert!(
-        cluster.completed_ops() >= samples,
-        "lease workload stalled at {}/{samples} requests",
-        cluster.completed_ops()
-    );
-    let health = cluster.sim.health();
-    (
-        cluster.sim.trace().chrome_trace_json(),
-        health.total(Counter::LeaseReads),
-        health.total(Counter::RoFallbacks),
-    )
-}
-
-/// Counts trace events with the given name (used to require that the
-/// lease workload actually exercised the lease-read path).
-fn count_events(json: &str, name: &str) -> Result<usize, String> {
-    let doc: ChromeDoc =
-        serde_json::from_str(json).map_err(|e| format!("document does not parse: {e:?}"))?;
-    Ok(doc.traceEvents.iter().filter(|e| e.name == name).count())
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut samples: u64 = 200;
@@ -461,40 +419,6 @@ fn main() {
             } else {
                 classic.push(out.report);
             }
-        }
-    }
-
-    // The lease-read path never joins the ordered span chain (it is a
-    // single instant event at the serving holder), so it gets its own
-    // validation run instead of a phase table: the exported trace must
-    // conform to the schema, contain lease-read events, and the workload
-    // must complete without a single ordered-path fallback.
-    if validate {
-        let (lease_json, lease_reads, fallbacks) = run_lease_workload(samples);
-        match validate_chrome_trace(&lease_json, node_count) {
-            Ok(n) => eprintln!("validate lease [read-mix]: {n} events conform to the schema"),
-            Err(e) => failures.push(format!("lease [read-mix]: chrome trace schema: {e}")),
-        }
-        match count_events(&lease_json, "lease-read") {
-            Ok(0) => failures
-                .push("lease [read-mix]: no lease-read events in exported trace".to_string()),
-            // Counter-vs-trace cross-check: every lease-served read
-            // emits exactly one `lease-read` instant, so the health
-            // counter and the trace must agree on the count.
-            Ok(n) if n as u64 != lease_reads => failures.push(format!(
-                "lease [read-mix]: counter/trace mismatch: {lease_reads} lease reads counted \
-                 vs {n} lease-read events in the trace"
-            )),
-            Ok(n) => eprintln!(
-                "validate lease [read-mix]: {n} lease-read events ({lease_reads} lease reads \
-                 served, {fallbacks} fallbacks) — counters and trace agree"
-            ),
-            Err(e) => failures.push(format!("lease [read-mix]: {e}")),
-        }
-        if fallbacks > 0 {
-            failures.push(format!(
-                "lease [read-mix]: {fallbacks} reads fell back to the ordered path"
-            ));
         }
     }
 

@@ -59,6 +59,7 @@ pub mod cluster;
 pub mod config;
 pub mod fuzz;
 pub mod invariants;
+mod lease;
 pub mod log;
 pub mod messages;
 pub mod recovery;

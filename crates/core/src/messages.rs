@@ -617,7 +617,7 @@ wire_struct! {
         /// The primary's highest assigned sequence number at grant time; a
         /// holder serves reads only once it has executed through it.
         pub seq: SeqNum,
-        /// Lease validity window, measured from receipt.
+        /// Validity from receipt; a holder caps it at its own duration.
         pub duration_ns: u64,
     }
 }

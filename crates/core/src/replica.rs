@@ -6,6 +6,7 @@ use crate::bodies::Bodies;
 use crate::checkpoint::{CheckpointSet, CheckpointTracker, OwnCheckpoint};
 use crate::config::Config;
 use crate::invariants::ReplicaAudit;
+use crate::lease::{Facts, Fence, Leases, Tick};
 use crate::log::{Log, RequestRef, Slot};
 use crate::messages::*;
 use crate::recovery::{RecoveryManager, RecoveryStage};
@@ -34,12 +35,6 @@ const TIMER_LEASE: u64 = 6;
 /// One-shot fast-path fallback timers: token is `TIMER_FASTPATH_BASE + seq`
 /// (well above every sequence number a log window can reach).
 const TIMER_FASTPATH_BASE: u64 = 1 << 32;
-
-/// Bound on reads queued at a lease holder waiting for the next servable
-/// window (lease handoff or state catch-up). Beyond it the oldest queued
-/// read is evicted — counted, and its client told via BUSY so it backs
-/// off instead of waiting out a retransmission timeout.
-const LEASE_RO_CAP: usize = 256;
 
 /// Fault-injection behaviours for testing. A correct deployment uses
 /// [`Behavior::Correct`]; the others make this replica Byzantine in a
@@ -125,38 +120,6 @@ struct ClientGate {
 /// [`Config::busy_retry_after_ns`]: past this the admitted-but-unserved
 /// gap is treated as abandoned rather than in flight.
 const ADMIT_FORGIVE_MULT: u64 = 8;
-
-/// Primary-side record of the outstanding read-lease grant round
-/// (arXiv:2107.11144). One record covers all backups: grants are
-/// multicast, and the write fence holds until every backup acked the
-/// revoke or the conservative expiry passed.
-#[derive(Debug, Clone)]
-struct LeaseGrant {
-    /// Conservative expiry at the primary: grant send time + duration.
-    /// A holder measures from receipt, so its lease outlives this bound
-    /// by at most one network delay — strictly less than the three
-    /// delays the first post-fence write needs to complete, so the
-    /// overhang cannot produce a stale read of a completed write.
-    expires_at_ns: u64,
-    /// A revoke is in flight for this grant.
-    revoking: bool,
-    /// The epoch the in-flight revoke carries (acks must echo it).
-    revoke_epoch: u64,
-    /// Backups that acked the revoke; the fence lifts at
-    /// [`crate::types::Quorums::lease_revoke_quorum`] of them.
-    acks: BTreeSet<ReplicaId>,
-}
-
-/// Holder-side record of the current read lease.
-#[derive(Debug, Clone, Copy)]
-struct HeldLease {
-    /// Reads are served only once `last_executed` reached this sequence
-    /// number (the primary's highest assignment at grant time), so the
-    /// served state includes every write ordered before the grant.
-    seq: SeqNum,
-    /// Local expiry, measured from grant receipt.
-    expires_at_ns: u64,
-}
 
 /// An in-flight hierarchical state transfer. The fetcher first obtains
 /// the checkpoint's partition leaves (STATE-META), verifies them against
@@ -277,29 +240,8 @@ pub struct Replica<S: Service> {
     /// Backfill votes: which peers asserted each (seq, digest) committed.
     backfill: BTreeMap<(SeqNum, Digest), BTreeSet<ReplicaId>>,
     waiting_ro: Vec<WaitingRo>,
-    /// Primary: per-view grant/revoke epoch counter. Epochs totally order
-    /// lease messages within a view, so a grant delayed past its own
-    /// revoke cannot resurrect a lease.
-    lease_epoch: u64,
-    /// Primary: the outstanding read-lease grant round, if any.
-    lease_grant: Option<LeaseGrant>,
-    /// Primary: per-backup timestamps of view-matching liveness evidence
-    /// (prepares, commits, status gossip, lease acks carrying our view).
-    /// Grants are withheld without fresh evidence from `2f` backups, so a
-    /// deposed or partitioned primary stops extending leases and its
-    /// holders drain out within one duration.
-    lease_evidence_ns: BTreeMap<ReplicaId, u64>,
-    /// Primary: no new batch is proposed before this instant — the
-    /// post-view-change wait-out for leases the previous primary granted.
-    lease_order_gate_ns: u64,
-    /// Holder: highest grant/revoke epoch seen in the current view.
-    lease_epoch_seen: u64,
-    /// Holder: the current read lease, if any.
-    held_lease: Option<HeldLease>,
-    /// Holder: reads queued for the next servable window (waiting out a
-    /// write burst, a lease handoff, or state catch-up). Bounded by
-    /// [`LEASE_RO_CAP`].
-    waiting_lease_ro: Vec<Request>,
+    /// Read-lease state, `Some` exactly when [`Config::read_leases`] is on.
+    leases: Option<Leases>,
     /// Proactive-recovery state: our own recovery stage plus peer leases.
     recovery: RecoveryManager,
     /// Per-client admission bookkeeping: timestamp watermarks whose
@@ -347,6 +289,7 @@ impl<S: Service> Replica<S> {
         // One window of full batches: more bodies than that cannot all
         // be ordered before the window moves.
         let bodies = Bodies::new(cfg.log_window as usize * cfg.max_batch_requests);
+        let leases = Leases::armed(id, &cfg);
         Replica {
             cfg,
             id,
@@ -384,13 +327,7 @@ impl<S: Service> Replica<S> {
             exec_high_water: 0,
             backfill: BTreeMap::new(),
             waiting_ro: Vec::new(),
-            lease_epoch: 0,
-            lease_grant: None,
-            lease_evidence_ns: BTreeMap::new(),
-            lease_order_gate_ns: 0,
-            lease_epoch_seen: 0,
-            held_lease: None,
-            waiting_lease_ro: Vec::new(),
+            leases,
             recovery: RecoveryManager::new(),
             gate: BTreeMap::new(),
             backlog_high_watermark: 0,
@@ -488,7 +425,9 @@ impl<S: Service> Replica<S> {
     /// checkpoint watermarks, queue depths, lease/recovery status. Pure
     /// read: taking a snapshot never changes protocol behaviour.
     pub fn health_snapshot(&self, at_ns: u64) -> HealthSnapshot {
-        let lease = self.held_lease.as_ref().filter(|l| at_ns < l.expires_at_ns);
+        let leases = self.leases.as_ref();
+        let lease_expiry = leases.and_then(|l| l.held_until(at_ns));
+        let (_, parked, _) = Leases::parked_bound(leases);
         HealthSnapshot {
             node: self.id,
             at_ns,
@@ -509,9 +448,9 @@ impl<S: Service> Replica<S> {
             pending_batch: self.pending_batch_len as u64,
             pending_requests: self.pending_requests.len() as u64,
             waiting_ro: self.waiting_ro.len() as u64,
-            waiting_lease_ro: self.waiting_lease_ro.len() as u64,
-            lease_held: lease.is_some(),
-            lease_expiry_ns: lease.map_or(0, |l| l.expires_at_ns),
+            waiting_lease_ro: parked as u64,
+            lease_held: lease_expiry.is_some(),
+            lease_expiry_ns: lease_expiry.unwrap_or(0),
             fast_path: self.cfg.fast_path,
             backlog_high_watermark: self.backlog_high_watermark,
         }
@@ -542,11 +481,7 @@ impl<S: Service> Replica<S> {
                 self.bodies.loose_len(),
                 self.bodies.loose_cap(),
             ),
-            (
-                "waiting_lease_ro",
-                self.waiting_lease_ro.len(),
-                LEASE_RO_CAP,
-            ),
+            Leases::parked_bound(self.leases.as_ref()),
             ("ingest_backlog", backlog, cap),
             ("queued", self.queued.len(), cap),
             ("waiting_ro", self.waiting_ro.len(), cap),
@@ -1049,27 +984,18 @@ impl<S: Service> Replica<S> {
                 ctx.count(Counter::RoDroppedInRecovery);
                 return false;
             }
-            if self.cfg.read_leases && !self.is_primary() {
-                // Lease path: answer only inside a servable window (valid
-                // lease, state caught up through the grant's sequence
-                // number, nothing tentative outstanding) so every
+            let f = self.lease_facts(ctx.now().nanos());
+            if let Some(leases) = self.leases.as_mut().filter(|_| !f.primary) {
+                // Lease path: answer only inside a servable window, so every
                 // up-to-date holder replies from the same quiescent state
                 // and the client's 2f+1 matching rule completes in one
-                // round. Otherwise queue the read for the next window
-                // rather than answering from a state that cannot match.
-                if self.lease_servable(ctx.now().nanos()) {
+                // round; otherwise park the read for the next window.
+                if leases.servable(f) {
                     self.execute_read_only(ctx, req, true);
-                } else {
-                    if self.waiting_lease_ro.len() >= LEASE_RO_CAP {
-                        // Evict the oldest parked read — but never
-                        // silently: count it and push its client back
-                        // with BUSY so it re-issues after a backoff
-                        // instead of waiting out a full retry timeout.
-                        let evicted = self.waiting_lease_ro.remove(0);
-                        ctx.count(Counter::LeaseReadsEvicted);
-                        self.shed_request(ctx, evicted.client, evicted.timestamp);
-                    }
-                    self.waiting_lease_ro.push(req);
+                } else if let Some(evicted) = leases.park(req) {
+                    // Never silently: counted, and its client told BUSY.
+                    ctx.count(Counter::LeaseReadsEvicted);
+                    self.send_busy(ctx, evicted.client, evicted.timestamp);
                 }
                 return false;
             }
@@ -1184,253 +1110,99 @@ impl<S: Service> Replica<S> {
     }
 
     // ------------------------------------------------------------------
-    // Read leases (arXiv:2107.11144)
+    // Read leases: the protocol is `lease.rs`, this is its I/O
     // ------------------------------------------------------------------
 
-    /// True while this holder may answer read-only requests locally: the
-    /// lease is unexpired, the state is caught up through the grant's
-    /// sequence number, and nothing tentative is outstanding (the served
-    /// prefix is fully committed).
-    fn lease_servable(&self, now: u64) -> bool {
-        if self.in_view_change || self.recovery.in_progress() {
-            return false;
-        }
-        let Some(l) = &self.held_lease else {
-            return false;
-        };
-        now < l.expires_at_ns
-            && self.last_executed >= l.seq
-            && self.last_executed == self.last_final
-    }
-
-    /// Notes view-matching liveness evidence from a backup. Grants
-    /// require fresh evidence from `2f` distinct backups, so a primary
-    /// cut off from the majority — or deposed by a view change it has not
-    /// learned about — stops extending leases within one evidence window.
-    fn note_lease_evidence(&mut self, from: NodeId, now: u64) {
-        if from < self.cfg.n() && from != self.id {
-            self.lease_evidence_ns.insert(from, now);
+    /// The replica facts the lease rules read, as of `now`.
+    fn lease_facts(&self, now: u64) -> Facts {
+        Facts {
+            now,
+            view: self.view,
+            primary: self.is_primary(),
+            paused: self.in_view_change || self.recovery.in_progress(),
+            last_executed: self.last_executed,
+            last_final: self.last_final,
+            next_seq: self.next_seq,
+            writes_pending: !self.pending_batch.is_empty(),
+            writes_in_flight: !self.queued.is_empty(),
         }
     }
 
-    fn lease_evidence_ok(&self, now: u64) -> bool {
-        let window = 2 * self.cfg.read_lease_ns;
-        let fresh = self
-            .lease_evidence_ns
-            .values()
-            .filter(|&&t| now.saturating_sub(t) <= window)
-            .count();
-        fresh >= self.cfg.quorums.lease_evidence_quorum()
+    /// Applies a lease rule to the current facts; its default if leases
+    /// are off.
+    fn with_leases<T: Default>(
+        &mut self,
+        ctx: &Context<'_, Packet>,
+        rule: impl FnOnce(&mut Leases, Facts) -> T,
+    ) -> T {
+        let f = self.lease_facts(ctx.now().nanos());
+        self.leases.as_mut().map_or_else(T::default, |l| rule(l, f))
     }
 
-    /// Serves every queued read once a servable window opens (a fresh
-    /// grant arrived, or execution caught up to the grant's sequence
-    /// number and finality).
+    /// Serves every parked read once a servable window opens (a fresh
+    /// grant, or execution caught up to the grant and to finality).
     fn flush_lease_reads(&mut self, ctx: &mut Context<'_, Packet>) {
-        if self.waiting_lease_ro.is_empty() || !self.lease_servable(ctx.now().nanos()) {
-            return;
-        }
-        let queued = std::mem::take(&mut self.waiting_lease_ro);
-        for req in queued {
+        for req in self.with_leases(ctx, Leases::take_servable) {
             self.execute_read_only(ctx, req, true);
         }
     }
 
-    /// Drops all lease state a view change or recovery invalidates:
-    /// the held lease, the grant round, and queued reads (the client's
-    /// retransmission covers those).
-    fn drop_lease_state(&mut self) {
-        self.held_lease = None;
-        self.lease_grant = None;
-        self.waiting_lease_ro.clear();
+    fn arm_lease_tick(&self, ctx: &mut Context<'_, Packet>) {
+        if self.leases.is_some() {
+            ctx.set_timer(self.cfg.read_lease_ns / 2, TIMER_LEASE);
+        }
     }
 
-    /// The recurring lease tick (period: half the lease duration). The
-    /// primary renews the group-wide grant — or, with writes pending,
-    /// re-sends a possibly lost revoke and re-checks the fence. Holders
-    /// only use it for expiry hygiene.
+    fn multicast_grant(&mut self, ctx: &mut Context<'_, Packet>, grant: Option<Lease>) {
+        if let Some(lease) = grant {
+            ctx.count(Counter::LeaseGrants);
+            self.multicast(ctx, Msg::Lease(lease));
+        }
+    }
+
     fn on_lease_timer(&mut self, ctx: &mut Context<'_, Packet>) {
-        let now = ctx.now().nanos();
-        if self.held_lease.is_some_and(|l| now >= l.expires_at_ns) {
-            self.held_lease = None;
-        }
-        if !self.is_primary() || self.in_view_change || self.recovery.in_progress() {
-            return;
-        }
-        if !self.pending_batch.is_empty() {
-            // Writes take priority over renewal: re-send the revoke in
-            // case the first multicast was lost (a holder that never
-            // hears it keeps serving until expiry, which only delays the
-            // fence — never breaks it), and re-run the fence check so an
-            // expired grant lifts it without waiting for more traffic.
-            if let Some(g) = &self.lease_grant {
-                if g.revoking && now < g.expires_at_ns {
-                    let rv = LeaseRevoke {
-                        view: self.view,
-                        epoch: g.revoke_epoch,
-                        replica: self.id,
-                        ack: false,
-                    };
+        match self.with_leases(ctx, Leases::tick) {
+            Tick::Idle => {}
+            Tick::Grant(lease) => self.multicast_grant(ctx, Some(lease)),
+            Tick::Writes(resend) => {
+                if let Some(rv) = resend {
                     self.multicast(ctx, Msg::LeaseRevoke(rv));
                 }
+                self.try_propose(ctx);
             }
-            self.try_propose(ctx);
-            return;
         }
-        self.issue_lease_grant(ctx);
     }
 
-    /// Multicasts a fresh group-wide grant (or renewal), evidence
-    /// permitting. The grant's sequence number is `next_seq`, so holders
-    /// behind any in-flight writes refuse to serve until they execute
-    /// past them — granting while writes are still committing is safe.
-    fn issue_lease_grant(&mut self, ctx: &mut Context<'_, Packet>) {
-        let now = ctx.now().nanos();
-        if !self.lease_evidence_ok(now) {
-            return;
-        }
-        self.lease_epoch += 1;
-        let lease = Lease {
-            view: self.view,
-            epoch: self.lease_epoch,
-            seq: self.next_seq,
-            duration_ns: self.cfg.read_lease_ns,
-        };
-        self.lease_grant = Some(LeaseGrant {
-            expires_at_ns: now + self.cfg.read_lease_ns,
-            revoking: false,
-            revoke_epoch: 0,
-            acks: BTreeSet::new(),
-        });
-        ctx.count(Counter::LeaseGrants);
-        self.multicast(ctx, Msg::Lease(lease));
-    }
-
-    /// Re-grants as soon as a write burst drains rather than waiting out
-    /// the half-period renewal tick: holders park conflicting reads in
-    /// `waiting_lease_ro` from revoke until the next grant, so leaving
-    /// the re-grant to the timer stretches the read tail to half a lease
-    /// period (tens of milliseconds) under even a 1% write mix.
-    fn regrant_after_writes(&mut self, ctx: &mut Context<'_, Packet>) {
-        if !self.cfg.read_leases
-            || !self.is_primary()
-            || self.in_view_change
-            || self.recovery.in_progress()
-            || self.lease_grant.is_some()
-            || !self.pending_batch.is_empty()
-            || !self.queued.is_empty()
-        {
-            return;
-        }
-        self.issue_lease_grant(ctx);
-    }
-
-    /// The primary's write fence: true while an unexpired grant is
-    /// outstanding and not every backup has acked its revoke, or while
-    /// the post-view-change wait-out is running. Sends the revoke on
-    /// first entry. [`Replica::try_propose`] defers while this holds.
-    fn lease_fence_holds(&mut self, ctx: &mut Context<'_, Packet>) -> bool {
-        let now = ctx.now().nanos();
-        if now < self.lease_order_gate_ns {
-            // Leases granted by the previous primary are still draining;
-            // ordering a write now could race one of them.
-            return true;
-        }
-        let Some(g) = &self.lease_grant else {
-            return false;
-        };
-        if now >= g.expires_at_ns {
-            self.lease_grant = None;
-            return false;
-        }
-        if g.acks.len() >= self.cfg.quorums.lease_revoke_quorum() {
-            self.lease_grant = None;
-            return false;
-        }
-        if !g.revoking {
-            self.lease_epoch += 1;
-            let epoch = self.lease_epoch;
-            let g = self.lease_grant.as_mut().expect("checked above");
-            g.revoking = true;
-            g.revoke_epoch = epoch;
-            ctx.count(Counter::LeaseRevokes);
-            let rv = LeaseRevoke {
-                view: self.view,
-                epoch,
-                replica: self.id,
-                ack: false,
-            };
-            self.multicast(ctx, Msg::LeaseRevoke(rv));
-        }
-        true
-    }
-
-    /// A grant (or renewal) from the current primary. Epochs below the
-    /// highest seen are reordered leftovers and ignored; a recovering
-    /// holder refuses the lease outright (its state is suspect).
-    fn handle_lease(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, l: Lease) {
-        if !self.cfg.read_leases {
-            return;
-        }
-        if l.view < self.view {
-            // A deposed primary is still granting: show it the NEW-VIEW
-            // proof so it stops and rejoins.
+    /// Whether a lease message is for our current view. One from an older
+    /// view (a deposed primary, a lagging holder) earns the NEW-VIEW proof.
+    fn lease_current(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, view: View) -> bool {
+        if view < self.view && self.leases.is_some() {
             self.retransmit_new_view(ctx, from);
-            return;
         }
-        if l.view != self.view
-            || self.in_view_change
-            || from != self.cfg.quorums.primary(l.view)
-            || from == self.id
-        {
-            return;
-        }
-        if l.epoch <= self.lease_epoch_seen {
-            return;
-        }
-        self.lease_epoch_seen = l.epoch;
-        if self.recovery.in_progress() {
-            return;
-        }
-        let now = ctx.now().nanos();
-        self.held_lease = Some(HeldLease {
-            seq: l.seq,
-            expires_at_ns: now + l.duration_ns,
-        });
-        // The ack doubles as the primary's liveness evidence: a primary
-        // that stops hearing these (and other view-matching traffic)
-        // stops granting.
-        let ack = LeaseRenew {
-            view: l.view,
-            epoch: l.epoch,
-            replica: self.id,
-            seq: self.last_executed,
-        };
-        self.send_to(ctx, from, Msg::LeaseRenew(ack));
-        self.flush_lease_reads(ctx);
+        view == self.view && !self.in_view_change
     }
 
-    /// A holder's grant acknowledgment (primary side).
+    fn handle_lease(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, l: Lease) {
+        if !self.lease_current(ctx, from, l.view) {
+            return;
+        }
+        if let Some(ack) = self.with_leases(ctx, |ls, f| ls.on_grant(from, &l, f)) {
+            self.send_to(ctx, from, Msg::LeaseRenew(ack));
+            self.flush_lease_reads(ctx);
+        }
+    }
+
     fn handle_lease_renew(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, lr: LeaseRenew) {
         if lr.replica != from {
             ctx.count(Counter::SpoofedSender);
             return;
         }
-        if !self.cfg.read_leases {
-            return;
+        if self.lease_current(ctx, from, lr.view) {
+            self.with_leases(ctx, |ls, f| ls.note_evidence(from, lr.view, f));
         }
-        if lr.view < self.view {
-            self.retransmit_new_view(ctx, from);
-            return;
-        }
-        if lr.view != self.view || !self.is_primary() || self.in_view_change {
-            return;
-        }
-        self.note_lease_evidence(from, ctx.now().nanos());
     }
 
-    /// A revoke request (`ack == false`, holder side) or a revoke ack
-    /// (`ack == true`, primary side).
+    /// A revoke (`ack == false`, holder side) or its ack (primary side).
     fn handle_lease_revoke(
         &mut self,
         ctx: &mut Context<'_, Packet>,
@@ -1441,52 +1213,15 @@ impl<S: Service> Replica<S> {
             ctx.count(Counter::SpoofedSender);
             return;
         }
-        if !self.cfg.read_leases {
+        if !self.lease_current(ctx, from, rv.view) {
             return;
         }
-        if rv.view < self.view {
-            self.retransmit_new_view(ctx, from);
-            return;
-        }
-        if rv.view != self.view || self.in_view_change {
-            return;
-        }
-        if rv.ack {
-            if !self.is_primary() {
-                return;
+        if !rv.ack {
+            if let Some(ack) = self.with_leases(ctx, |ls, _| ls.on_revoke(from, &rv)) {
+                self.send_to(ctx, from, Msg::LeaseRevoke(ack));
             }
-            self.note_lease_evidence(from, ctx.now().nanos());
-            let Some(g) = self.lease_grant.as_mut() else {
-                return;
-            };
-            if !g.revoking || rv.epoch != g.revoke_epoch {
-                return;
-            }
-            g.acks.insert(rv.replica);
-            if g.acks.len() >= self.cfg.quorums.lease_revoke_quorum() {
-                self.lease_grant = None;
-                self.try_propose(ctx);
-            }
-        } else {
-            if from != self.cfg.quorums.primary(rv.view) {
-                return;
-            }
-            if rv.epoch < self.lease_epoch_seen {
-                // Superseded by a newer grant or revoke.
-                return;
-            }
-            // Equal epochs re-ack: the revoke may be a retransmission
-            // whose first ack was lost, and a missing ack stalls the
-            // primary's fence until expiry.
-            self.lease_epoch_seen = rv.epoch;
-            self.held_lease = None;
-            let ack = LeaseRevoke {
-                view: rv.view,
-                epoch: rv.epoch,
-                replica: self.id,
-                ack: true,
-            };
-            self.send_to(ctx, from, Msg::LeaseRevoke(ack));
+        } else if self.with_leases(ctx, |ls, f| ls.on_revoke_ack(from, rv.epoch, f)) {
+            self.try_propose(ctx);
         }
     }
 
@@ -1504,12 +1239,13 @@ impl<S: Service> Replica<S> {
         if !self.is_primary() || self.in_view_change {
             return;
         }
-        if self.cfg.read_leases && !self.pending_batch.is_empty() && self.lease_fence_holds(ctx) {
-            // An unexpired lease is outstanding: revoke it (done inside
-            // the fence check) and defer ordering until every holder
-            // acked or the conservative expiry passed. Otherwise a
-            // holder could serve a pre-write read while the write
-            // commits — a linearizability violation.
+        if let Fence::Closed(revoke) = self.with_leases(ctx, Leases::fence) {
+            // A lease may be live: revoke it, and defer ordering until
+            // every holder acked or the conservative expiry passed.
+            if let Some(rv) = revoke {
+                ctx.count(Counter::LeaseRevokes);
+                self.multicast(ctx, Msg::LeaseRevoke(rv));
+            }
             return;
         }
         // Load-aware batching: past half the admission cap, pack more
@@ -1635,7 +1371,8 @@ impl<S: Service> Replica<S> {
             }
             self.check_prepared(ctx, seq);
         }
-        self.regrant_after_writes(ctx);
+        let grant = self.with_leases(ctx, Leases::regrant);
+        self.multicast_grant(ctx, grant);
     }
 
     /// Byzantine primary: half the backups get the real pre-prepare, the
@@ -1805,9 +1542,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         self.process_piggy(ctx, prep.replica, &prep.piggy_commits);
-        if self.cfg.read_leases && prep.view == self.view {
-            self.note_lease_evidence(from, ctx.now().nanos());
-        }
+        self.with_leases(ctx, |l, f| l.note_evidence(from, prep.view, f));
         if self.in_view_change || prep.view != self.view || !self.log.in_window(prep.seq) {
             return;
         }
@@ -1984,9 +1719,7 @@ impl<S: Service> Replica<S> {
             ctx.count(Counter::SpoofedSender);
             return;
         }
-        if self.cfg.read_leases && c.view == self.view {
-            self.note_lease_evidence(from, ctx.now().nanos());
-        }
+        self.with_leases(ctx, |l, f| l.note_evidence(from, c.view, f));
         if self.in_view_change || c.view != self.view || !self.log.in_window(c.seq) {
             return;
         }
@@ -2133,9 +1866,7 @@ impl<S: Service> Replica<S> {
         }
         // Execution progress may have opened a lease-servable window
         // (caught up to the grant's sequence number, tentative drained).
-        if self.cfg.read_leases {
-            self.flush_lease_reads(ctx);
-        }
+        self.flush_lease_reads(ctx);
         // Announce checkpoints whose batches have committed.
         let announceable = self.checkpoints.announceable(self.last_final);
         for (seq, digest) in announceable {
@@ -2679,12 +2410,8 @@ impl<S: Service> Replica<S> {
     }
 
     fn handle_status(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, st: Status) {
-        // Status gossip carrying our view is liveness evidence for lease
-        // grants — it flows even when the group is idle, so a quiet but
-        // connected primary keeps granting.
-        if self.cfg.read_leases && st.view == self.view && from < self.cfg.n() {
-            self.note_lease_evidence(from, ctx.now().nanos());
-        }
+        // Lease evidence that flows even when the group is idle.
+        self.with_leases(ctx, |l, f| l.note_evidence(from, st.view, f));
         // Backfill a lagging peer with batches we know committed. Slots at
         // or below our stable checkpoint are gone; the peer will recover
         // those via state transfer driven by checkpoint claims.
@@ -2982,10 +2709,9 @@ impl<S: Service> Replica<S> {
         self.in_view_change = true;
         self.pending_view = target;
         self.rollback_tentative();
-        // A lease from the suspected view must not outlive it here:
-        // serving reads while the group re-elects could miss writes the
+        // Serving reads while the group re-elects could miss writes the
         // new primary is about to re-order.
-        self.drop_lease_state();
+        self.with_leases(ctx, |l, _| l.drop_held());
         let vc = ViewChange {
             new_view: target,
             last_stable: self.checkpoints.stable_seq(),
@@ -3274,22 +3000,7 @@ impl<S: Service> Replica<S> {
         for (seq, voided) in self.log.void_batches() {
             self.bodies.unhold(seq, &voided);
         }
-        // Lease state is view-scoped: epochs restart, old grants and
-        // leases are void. A new primary additionally waits out twice the
-        // lease duration before ordering — every lease the previous
-        // primary granted expires at its holder within grant-time +
-        // duration + one delay, and any grant sent before the install
-        // was sent more than one delay ago, so `2 × duration` measured
-        // from here covers them all. (Grants the deposed primary keeps
-        // sending *after* our install die within one round trip: holders
-        // in the new view answer them with the NEW-VIEW proof.)
-        self.drop_lease_state();
-        self.lease_epoch = 0;
-        self.lease_epoch_seen = 0;
-        self.lease_evidence_ns.clear();
-        if is_primary && self.cfg.read_leases {
-            self.lease_order_gate_ns = ctx.now().nanos() + 2 * self.cfg.read_lease_ns;
-        }
+        self.with_leases(ctx, Leases::on_view_installed);
         ctx.count(Counter::ViewsInstalled);
         ctx.trace(
             SpanEdge::Close,
@@ -3422,12 +3133,8 @@ impl<S: Service> Replica<S> {
         );
         self.refresh_keys(ctx);
         self.rollback_tentative();
-        // A rebooting holder must not serve reads: its state is suspect
-        // until the audit passes, and it refuses new grants meanwhile.
-        // The primary's own outstanding grant is deliberately kept — the
-        // promise made to holders outlives the reboot within the view.
-        self.held_lease = None;
-        self.waiting_lease_ro.clear();
+        // Our state is suspect until the audit passes: no lease reads.
+        self.with_leases(ctx, |l, _| l.drop_held());
         self.recovery.begin();
         let rc = Recover {
             replica: self.id,
@@ -3562,12 +3269,9 @@ impl<S: Service> Replica<S> {
             self.vc_timeout_ns = self.cfg.view_change_timeout_ns;
         }
         self.waiting_ro.clear();
-        // Any lease accepted before the reboot covered pre-reboot state;
-        // the audit may replace that state wholesale, so the lease (and
-        // reads queued against it) must not survive. A fresh grant —
-        // refused while `in_progress()` — re-establishes serving.
-        self.held_lease = None;
-        self.waiting_lease_ro.clear();
+        // The audit may replace the state a lease covered; a fresh grant
+        // re-establishes serving.
+        self.with_leases(ctx, |l, _| l.drop_held());
         self.fetching = None;
         self.backfill.clear();
         self.tentative_ops = 0;
@@ -3811,26 +3515,9 @@ impl<S: Service> Node<Packet> for Replica<S> {
                 * (self.id as u64 + 1);
             ctx.set_timer(first, TIMER_RECOVERY);
         }
-        if self.cfg.read_leases {
-            // The lease tick runs on every replica: the primary grants
-            // and renews from it, holders use it for expiry hygiene.
-            ctx.set_timer(self.cfg.read_lease_ns / 2, TIMER_LEASE);
-            // Seed liveness evidence as of boot: all replicas start
-            // connected, so the primary may grant immediately instead of
-            // parking the first reads until status gossip (which rides
-            // the much slower resend timer) accumulates. A primary
-            // partitioned from birth still stops granting within one
-            // evidence window, exactly as in steady state.
-            if self.is_primary() {
-                let now = ctx.now().nanos();
-                for r in 0..self.cfg.n() {
-                    if r != self.id {
-                        self.lease_evidence_ns.insert(r, now);
-                    }
-                }
-                self.issue_lease_grant(ctx);
-            }
-        }
+        self.arm_lease_tick(ctx);
+        let grant = self.with_leases(ctx, Leases::regrant);
+        self.multicast_grant(ctx, grant);
     }
 
     fn on_message(
@@ -3899,9 +3586,7 @@ impl<S: Service> Node<Packet> for Replica<S> {
                 TIMER_RECOVERY => {
                     ctx.set_timer(self.cfg.proactive_recovery_interval_ns, TIMER_RECOVERY);
                 }
-                TIMER_LEASE => {
-                    ctx.set_timer(self.cfg.read_lease_ns / 2, TIMER_LEASE);
-                }
+                TIMER_LEASE => self.arm_lease_tick(ctx),
                 TIMER_VIEW_CHANGE => {
                     self.vc_timer = None;
                 }
@@ -3937,7 +3622,7 @@ impl<S: Service> Node<Packet> for Replica<S> {
             TIMER_RECOVERY => self.on_recovery_timer(ctx),
             TIMER_LEASE => {
                 self.on_lease_timer(ctx);
-                ctx.set_timer(self.cfg.read_lease_ns / 2, TIMER_LEASE);
+                self.arm_lease_tick(ctx);
             }
             t if t >= TIMER_FASTPATH_BASE => {
                 self.on_fastpath_timer(ctx, t - TIMER_FASTPATH_BASE);

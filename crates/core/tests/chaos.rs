@@ -30,6 +30,7 @@ use bft_core::fuzz::{
 use bft_core::prelude::*;
 use bft_sim::chaos::{ByzMode, ClientFault, Fault, FaultEvent, NetFault, NodeFault};
 use bft_sim::dur;
+use bft_sim::trace::{SpanEdge, TracePhase};
 
 /// Fixed default base seed so a plain `cargo test` run is reproducible.
 const DEFAULT_BASE_SEED: u64 = 0xCA05_2026;
@@ -599,11 +600,17 @@ fn read_only_conflicts_retry_as_read_write() {
 /// each one against the global order at its serve instant). Without
 /// leases the same conflict pattern degrades reads into ordered
 /// read-write rounds; the `read_only_conflicts_retry_as_read_write` test
-/// above pins that baseline behaviour.
+/// above pins that baseline behaviour. The run is traced, and the trace
+/// and the counter registry, two independent observers, must agree on
+/// how many reads were served under a lease.
 #[test]
 fn leased_reads_stay_one_round_under_conflicting_writes() {
+    const RING: usize = 1 << 16;
     let cfg = LEASE.config(1);
-    let mut cluster = Cluster::builder(cfg).seed(41).build_counter();
+    let mut cluster = Cluster::builder(cfg)
+        .seed(41)
+        .trace_capacity(RING)
+        .build_counter();
     // A dedicated writer keeps the fence busy: every ordered add must
     // first revoke (or wait out) the outstanding lease round.
     let writer = cluster.add_client(ChaosDriver::new(43, 120, Workload::Adds));
@@ -634,6 +641,20 @@ fn leased_reads_stay_one_round_under_conflicting_writes() {
         0,
         "no read may fall back to the ordered read-write path"
     );
+    // A ring below its capacity never dropped an event: the trace holds
+    // the whole run, so every lease-served read left one instant in it.
+    let sink = cluster.sim.trace();
+    for node in 0..sink.node_count() as u32 {
+        assert!(
+            sink.node_events(node).count() < RING,
+            "node {node}'s ring wrapped"
+        );
+    }
+    let lease_read_instants = sink
+        .events()
+        .filter(|e| e.phase == TracePhase::LeaseRead && e.edge == SpanEdge::Instant)
+        .count() as u64;
+    assert_eq!(lease_read_instants, health.total(Counter::LeaseReads));
     let _ = (writer, reader_a, reader_b);
 }
 

@@ -8,7 +8,7 @@
 //! node (replicas and clients), element-wise. A divergence anywhere in
 //! timing, view, sequence assignment, or batching shows up here.
 
-use bft_core::fuzz::{ChaosDriver, Workload, CLASSIC, OVERLOAD};
+use bft_core::fuzz::{ChaosDriver, Workload, CLASSIC, LEASE, OVERLOAD};
 use bft_core::prelude::*;
 use bft_sim::dur;
 use bft_sim::trace::TraceEvent;
@@ -157,13 +157,22 @@ fn identical_seeds_produce_identical_traces() {
 
 /// Under chaos: a seeded fault schedule (partitions, delays, crashes)
 /// exercises the view-change, checkpoint, and backfill paths — exactly
-/// the code the BTreeMap migration covered. Still bit-identical.
+/// the code the BTreeMap migration covered — and, in the lease family,
+/// grants, revokes and lease-served reads. Still bit-identical.
 #[test]
 fn identical_seeds_identical_traces_under_chaos() {
-    for seed in [0xC4A05u64, 0xFEED_5EED] {
-        let plan = CLASSIC.plan(seed, 1);
-        let a = run_once(seed, &plan, 16);
-        let b = run_once(seed, &plan, 16);
+    for (family, seed) in [
+        (&CLASSIC, 0xC4A05u64),
+        (&CLASSIC, 0xFEED_5EED),
+        (&LEASE, 0x1EA5E),
+    ] {
+        let plan = family.plan(seed, 1);
+        let a = fingerprint(family.config(1), seed, &plan, 16, false);
+        let b = fingerprint(family.config(1), seed, &plan, 16, false);
+        assert!(
+            family.name != LEASE.name || a.counters.total(Counter::LeaseReads) > 0,
+            "the lease run must serve reads under a lease"
+        );
         assert_identical(&a, &b);
     }
 }
@@ -193,10 +202,14 @@ fn identical_seeds_identical_traces_under_overload() {
 /// The counter registry is observer-only: a run that reads every
 /// counter, flattens the registry and resets `metrics_mut()` and
 /// `health_mut()` after every round behaves, event for event, like one
-/// that never touches it — under the classic and the overload plans.
+/// that never touches it — under the classic, overload and lease plans.
 #[test]
 fn reading_and_resetting_the_registry_changes_nothing() {
-    for (family, seed) in [(&CLASSIC, 0xC4A05u64), (&OVERLOAD, 0x0BE5_0001)] {
+    for (family, seed) in [
+        (&CLASSIC, 0xC4A05u64),
+        (&OVERLOAD, 0x0BE5_0001),
+        (&LEASE, 0x1EA5E),
+    ] {
         let plan = family.plan(seed, 1);
         let churned = fingerprint(family.config(1), seed, &plan, 16, true);
         let untouched = fingerprint(family.config(1), seed, &plan, 16, false);
