@@ -7,10 +7,9 @@
 
 use crate::config::Config;
 use crate::invariants::{push_within_budget, OpEvent};
-use crate::messages::{AuthTag, Busy, Msg, Packet, Reply, Request, REPLIER_ALL};
+use crate::messages::{AuthTag, Busy, Msg, Packet, PacketKeys, Reply, Request, REPLIER_ALL};
 use crate::types::{ClientId, ReplicaId, Timestamp, View};
-use crate::wire::Wire;
-use bft_crypto::keychain::KeyChain;
+use bft_crypto::keychain::{Authenticator, KeyChain};
 use bft_crypto::md5::Digest;
 use bft_sim::{
     Context, CostKind, Counter, Node, NodeId, SimTime, SpanEdge, TimerId, TraceMeta, TracePhase,
@@ -111,12 +110,25 @@ struct PendingOp {
     full: BTreeMap<Digest, Vec<u8>>,
 }
 
+impl PendingOp {
+    /// The stored replies carrying result digest `d`, as `(all,
+    /// committed)`: counted in place over at most `n` replies.
+    fn votes(&self, d: &Digest) -> (usize, usize) {
+        let matching = self.replies.values().filter(|(e, _)| e == d);
+        matching.fold((0, 0), |(all, committed), &(_, tentative)| {
+            (all + 1, committed + usize::from(!tentative))
+        })
+    }
+}
+
 /// Client protocol state, separated from the driver so the two can be
 /// borrowed simultaneously.
 pub struct ClientCore {
     cfg: Config,
     id: ClientId,
-    keychain: KeyChain,
+    keys: PacketKeys,
+    /// Every replica, in id order: the destinations of a multicast.
+    replicas: Vec<NodeId>,
     view_guess: View,
     ts: Timestamp,
     pending: Option<PendingOp>,
@@ -144,11 +156,13 @@ impl ClientCore {
     fn new(id: ClientId, cfg: Config) -> ClientCore {
         cfg.validate();
         assert!(id >= cfg.n(), "client ids must not collide with replicas");
-        let keychain = KeyChain::new(id, cfg.n());
+        let keys = PacketKeys::new(KeyChain::new(id, cfg.n()));
+        let replicas = cfg.quorums.replicas().collect();
         ClientCore {
             cfg,
             id,
-            keychain,
+            keys,
+            replicas,
             view_guess: 0,
             ts: 0,
             pending: None,
@@ -204,7 +218,7 @@ impl ClientCore {
         ctx.charge_kind(CostKind::Digest, cost.digest(req.op.len() + 21));
         ctx.charge_kind(CostKind::Mac, cost.authenticator(self.cfg.n(), 16));
         let d = req.digest();
-        let auth = AuthTag::Vector(self.keychain.authenticate(d.as_bytes()));
+        let auth = AuthTag::Vector(self.keys.chain.authenticate(d.as_bytes()));
         let req = Request { auth, ..req };
         let multicast = p.read_only
             || p.broadcast
@@ -215,8 +229,7 @@ impl ClientCore {
         ctx.charge_kind(CostKind::Net, cost.send(wire));
         ctx.count_sent(packet.body.tag());
         if multicast {
-            let all: Vec<NodeId> = (0..self.cfg.n()).collect();
-            ctx.multicast(&all, packet, wire);
+            ctx.multicast(&self.replicas, packet, wire);
         } else {
             let primary = self.cfg.quorums.primary(self.view_guess);
             ctx.send(primary, packet, wire);
@@ -293,30 +306,22 @@ impl ClientCore {
     fn check_complete(&mut self) -> Option<(Vec<u8>, SimTime)> {
         let q = &self.cfg.quorums;
         let p = self.pending.as_ref()?;
-        // Ordered maps: if two digests ever both reach quorum (only
-        // possible with faulty replicas), every run picks the same one.
-        let mut committed: BTreeMap<Digest, usize> = BTreeMap::new();
-        let mut total: BTreeMap<Digest, usize> = BTreeMap::new();
-        for &(d, tentative) in p.replies.values() {
-            *total.entry(d).or_insert(0) += 1;
-            if !tentative {
-                *committed.entry(d).or_insert(0) += 1;
-            }
-        }
-        for (&d, &n_total) in &total {
-            let n_committed = committed.get(&d).copied().unwrap_or(0);
-            let quorum_ok =
-                n_committed >= q.reply_quorum() || n_total >= q.tentative_reply_quorum();
-            if quorum_ok {
-                if let Some(result) = p.full.get(&d) {
-                    let result = result.clone();
-                    let sent_at = p.sent_at;
-                    self.pending = None;
-                    return Some((result, sent_at));
-                }
-            }
-        }
-        None
+        // If two digests ever both reach quorum (only possible with
+        // faulty replicas), the smallest wins, so every run picks the
+        // same one.
+        let accepted = p
+            .replies
+            .values()
+            .map(|&(d, _)| d)
+            .filter(|d| {
+                let (all, committed) = p.votes(d);
+                let quorum_ok = committed >= q.reply_quorum() || all >= q.tentative_reply_quorum();
+                quorum_ok && p.full.contains_key(d)
+            })
+            .min()?;
+        let mut p = self.pending.take()?;
+        let result = p.full.remove(&accepted)?;
+        Some((result, p.sent_at))
     }
 
     fn handle_reply(
@@ -337,17 +342,18 @@ impl ClientCore {
             return None;
         }
         // Verify the point-to-point MAC.
-        let AuthTag::Mac(mac) = auth else { return None };
+        if !matches!(auth, AuthTag::Mac(_)) {
+            return None;
+        }
         ctx.charge_kind(CostKind::Mac, cost.mac(16));
         // The MAC covers the encoded `Msg`: wrap the reply to encode it,
         // then take it back out — no copy of the result bytes.
         let body = Msg::Reply(reply);
-        let d = bft_crypto::digest(&body.to_bytes());
-        let Msg::Reply(reply) = body else { return None };
-        if !self.keychain.verify_from(from, d.as_bytes(), mac) {
+        if !self.keys.verify(from, &body, auth) {
             ctx.count(Counter::BadReplyAuth);
             return None;
         }
+        let Msg::Reply(reply) = body else { return None };
         self.view_guess = self.view_guess.max(reply.view);
         let completed_ts = reply.timestamp;
         let result_digest = reply.body.result_digest();
@@ -418,33 +424,23 @@ impl ClientCore {
             return;
         }
         let remaining = n - p.replies.len();
-        let mut committed: BTreeMap<Digest, usize> = BTreeMap::new();
-        let mut total: BTreeMap<Digest, usize> = BTreeMap::new();
-        for &(d, tentative) in p.replies.values() {
-            *total.entry(d).or_insert(0) += 1;
-            if !tentative {
-                *committed.entry(d).or_insert(0) += 1;
-            }
-        }
         // A digest is viable only if the outstanding replies could still
         // push it to a quorum AND a full result body for it is present
         // or could still arrive: from the designated replier if it has
         // not answered yet, or — when every replica sends full bodies —
         // from any outstanding reply. An as-yet-unseen digest is covered
-        // by the (None, 0, 0) case.
+        // by the `(None, (0, 0))` case.
         let replier_pending = p.replier != REPLIER_ALL && !p.replies.contains_key(&p.replier);
-        let viable = |d: Option<&Digest>, n_total: usize, n_committed: usize| {
-            let counts_ok = n_committed + remaining >= q.reply_quorum()
-                || n_total + remaining >= q.tentative_reply_quorum();
+        let viable = |d: Option<&Digest>, (all, committed): (usize, usize)| {
+            let counts_ok = committed + remaining >= q.reply_quorum()
+                || all + remaining >= q.tentative_reply_quorum();
             let body_ok = d.is_some_and(|d| p.full.contains_key(d))
                 || replier_pending
                 || (p.replier == REPLIER_ALL && remaining > 0);
             counts_ok && body_ok
         };
-        let any_viable = viable(None, 0, 0)
-            || total
-                .iter()
-                .any(|(d, &t)| viable(Some(d), t, committed.get(d).copied().unwrap_or(0)));
+        let any_viable =
+            viable(None, (0, 0)) || p.replies.values().any(|(d, _)| viable(Some(d), p.votes(d)));
         if any_viable {
             return;
         }
@@ -473,12 +469,11 @@ impl ClientCore {
         }
         // Verify the point-to-point MAC — an unauthenticated BUSY would
         // let any network party stall arbitrary clients for free.
-        let AuthTag::Mac(mac) = auth else { return };
+        if !matches!(auth, AuthTag::Mac(_)) {
+            return;
+        }
         ctx.charge_kind(CostKind::Mac, self.cfg.cost.mac(16));
-        let mut body_buf = Vec::new();
-        Msg::Busy(busy).encode(&mut body_buf);
-        let d = bft_crypto::digest(&body_buf);
-        if !self.keychain.verify_from(from, d.as_bytes(), mac) {
+        if !self.keys.verify(from, &Msg::Busy(busy), auth) {
             ctx.count(Counter::BadBusyAuth);
             return;
         }
@@ -615,10 +610,14 @@ impl ClientCore {
                     auth: AuthTag::None,
                 };
                 let d = req.digest();
-                let mut auth = self.keychain.authenticate(d.as_bytes());
-                for (_, mac) in &mut auth.entries {
+                let auth = self.keys.chain.authenticate(d.as_bytes());
+                let entries = auth.entries.iter().map(|&(r, mut mac)| {
                     mac.tag[0] ^= 0xff;
-                }
+                    (r, mac)
+                });
+                let auth = Authenticator {
+                    entries: entries.collect(),
+                };
                 let req = Request {
                     auth: AuthTag::Vector(auth),
                     ..req
@@ -627,8 +626,7 @@ impl ClientCore {
                 let wire = packet.wire_bytes();
                 ctx.charge_kind(CostKind::Net, self.cfg.cost.send(wire));
                 ctx.count_sent(packet.body.tag());
-                let all: Vec<NodeId> = (0..self.cfg.n()).collect();
-                ctx.multicast(&all, packet, wire);
+                ctx.multicast(&self.replicas, packet, wire);
             }
         }
         self.ensure_fault_timer(ctx);
@@ -870,5 +868,208 @@ impl<D: ClientDriver> std::fmt::Debug for Client<D> {
             .field("busy", &self.core.pending.is_some())
             .field("completed", &self.core.completed_ops)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::Cluster;
+    use crate::messages::ReplyBody;
+    use crate::service::CounterService;
+    use bft_sim::dur;
+
+    /// Submits one "add 5" and keeps its result.
+    #[derive(Default)]
+    struct OneAdd {
+        result: Option<Vec<u8>>,
+    }
+
+    impl ClientDriver for OneAdd {
+        fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
+            api.submit(CounterService::add_op(5), false);
+        }
+        fn on_complete(&mut self, _api: &mut ClientApi<'_, '_>, result: &[u8], _lat: u64) {
+            self.result = Some(result.to_vec());
+        }
+    }
+
+    /// A cluster whose one client has just sent its add (timestamp 1).
+    fn submitted() -> (Cluster, ClientId) {
+        let mut c = Cluster::builder(Config::new(1)).seed(7).build_counter();
+        let client = c.add_client(OneAdd::default());
+        c.run_for(dur::micros(1));
+        assert!(c.client::<OneAdd>(client).busy());
+        (c, client)
+    }
+
+    /// `from`'s packet to `client`, MACed over `body` and then altered by
+    /// `forge`.
+    fn forged(
+        c: &Cluster,
+        client: ClientId,
+        from: ReplicaId,
+        body: Msg,
+        forge: impl FnOnce(&mut Msg),
+    ) -> Packet {
+        let mut keys = PacketKeys::new(KeyChain::new(from, c.cfg.n()));
+        let auth = keys.seal_to(client, &body);
+        let mut body = body;
+        forge(&mut body);
+        Packet { body, auth }
+    }
+
+    fn inject(c: &mut Cluster, client: ClientId, from: ReplicaId, packet: Packet) {
+        let wire = packet.wire_bytes();
+        c.sim.inject(client, from, packet, wire);
+    }
+
+    /// A committed reply to the add from `from`.
+    fn reply(client: ClientId, from: ReplicaId, body: ReplyBody) -> Msg {
+        Msg::Reply(Reply {
+            view: 0,
+            timestamp: 1,
+            client,
+            replica: from,
+            tentative: false,
+            body,
+        })
+    }
+
+    /// Two replicas' committed replies, each altered after its MAC: were
+    /// either accepted, f+1 of them would complete the add with a wrong
+    /// result.
+    #[test]
+    fn a_reply_altered_after_its_mac_is_dropped_and_counted() {
+        let right = 5u64.to_le_bytes().to_vec();
+        let wrong = 6u64.to_le_bytes().to_vec();
+        let forgeries = [
+            (
+                ReplyBody::Full(right.clone()),
+                ReplyBody::Full(wrong.clone()),
+            ),
+            (
+                ReplyBody::Digest(bft_crypto::digest(&right)),
+                ReplyBody::Digest(bft_crypto::digest(&wrong)),
+            ),
+        ];
+        for (sealed, sent) in forgeries {
+            let (mut c, client) = submitted();
+            for from in 1..3 {
+                let packet = forged(&c, client, from, reply(client, from, sealed.clone()), |m| {
+                    if let Msg::Reply(r) = m {
+                        r.body = sent.clone();
+                    }
+                });
+                inject(&mut c, client, from, packet);
+            }
+            // The full forgery, had it been accepted, carries its own body.
+            if let ReplyBody::Digest(_) = sent {
+                let body = reply(client, 3, ReplyBody::Full(wrong.clone()));
+                let packet = forged(&c, client, 3, body, |_| {});
+                inject(&mut c, client, 3, packet);
+            }
+            c.run_for(dur::millis(50));
+            assert_eq!(c.sim.health().total(Counter::BadReplyAuth), 2);
+            let done = c.client::<OneAdd>(client).driver().result.clone();
+            assert_eq!(done, Some(right.clone()));
+        }
+    }
+
+    /// A BUSY whose back-off hint was raised after its MAC: dropped,
+    /// counted, and the retransmission timer stays where it was.
+    #[test]
+    fn a_busy_with_a_bad_mac_is_dropped_and_does_not_move_the_retry_timer() {
+        let (mut c, client) = submitted();
+        let before = c.client::<OneAdd>(client).core.retry_timer;
+        assert!(before.is_some());
+        let busy = Msg::Busy(Busy {
+            client,
+            timestamp: 1,
+            replica: 1,
+            retry_after_ns: dur::millis(1),
+        });
+        let packet = forged(&c, client, 1, busy, |m| {
+            if let Msg::Busy(b) = m {
+                b.retry_after_ns = dur::secs(60);
+            }
+        });
+        inject(&mut c, client, 1, packet);
+        c.run_for(dur::micros(200));
+        let health = c.sim.health();
+        assert_eq!(health.total(Counter::BadBusyAuth), 1);
+        assert_eq!(health.total(Counter::BusyReceived), 0);
+        assert_eq!(c.client::<OneAdd>(client).core.retry_timer, before);
+    }
+
+    /// A pending add with the given `(replica, result, tentative)` replies
+    /// stored, every result's body among them.
+    fn with_replies(replies: &[(ReplicaId, &[u8], bool)]) -> ClientCore {
+        let mut core = ClientCore::new(4, Config::new(1));
+        let mut op = PendingOp {
+            timestamp: 1,
+            op: CounterService::add_op(5),
+            read_only: false,
+            replier: REPLIER_ALL,
+            sent_at: SimTime::ZERO,
+            broadcast: false,
+            retries: 0,
+            busy_rounds: 0,
+            budget_flagged: false,
+            replies: BTreeMap::new(),
+            full: BTreeMap::new(),
+        };
+        for &(r, result, tentative) in replies {
+            let d = bft_crypto::digest(result);
+            op.replies.insert(r, (d, tentative));
+            op.full.insert(d, result.to_vec());
+        }
+        core.pending = Some(op);
+        core
+    }
+
+    /// Two results split a Byzantine reply set. The one with a quorum
+    /// wins, even when the other has the smaller digest; when both have a
+    /// quorum, the smaller digest wins.
+    #[test]
+    fn a_split_reply_set_completes_with_the_quorum_result_or_the_smaller_digest() {
+        let (a, b): (&[u8], &[u8]) = (b"a", b"b");
+        let (lo, hi) = if bft_crypto::digest(a) < bft_crypto::digest(b) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let result = |replies: &[(ReplicaId, &[u8], bool)]| {
+            with_replies(replies).check_complete().map(|(r, _)| r)
+        };
+        // f+1 committed replies for `hi`, one for `lo`.
+        assert_eq!(
+            result(&[(0, lo, false), (1, hi, false), (2, hi, false)]),
+            Some(hi.to_vec())
+        );
+        // Tentative replies need 2f+1: `hi` has two, so nothing yet.
+        assert_eq!(
+            result(&[(0, lo, false), (1, hi, true), (2, hi, true)]),
+            None
+        );
+        // A tie: both reach f+1 committed.
+        assert_eq!(
+            result(&[
+                (0, hi, false),
+                (1, hi, false),
+                (2, lo, false),
+                (3, lo, false)
+            ]),
+            Some(lo.to_vec())
+        );
+        assert_eq!(
+            result(&[
+                (0, lo, false),
+                (1, hi, false),
+                (2, lo, false),
+                (3, hi, false)
+            ]),
+            Some(lo.to_vec())
+        );
     }
 }

@@ -316,10 +316,9 @@ mod tests {
     use super::*;
     use crate::client::{ClientApi, ClientDriver};
     use crate::cluster::Cluster;
-    use crate::messages::{AuthTag, Msg, Packet, REPLIER_ALL};
+    use crate::messages::{AuthTag, Msg, Packet, PacketKeys, REPLIER_ALL};
     use crate::replica::Behavior;
     use crate::service::CounterService;
-    use crate::wire::Wire;
     use bft_crypto::keychain::KeyChain;
     use bft_sim::{dur, Counter};
 
@@ -539,8 +538,7 @@ mod tests {
                 duration_ns,
                 ..grant(1_000)
             });
-            let d = bft_crypto::digest(&body.to_bytes());
-            let auth = AuthTag::Mac(KeyChain::new(0, c.cfg.n()).mac_for(1, d.as_bytes()));
+            let auth = PacketKeys::new(KeyChain::new(0, c.cfg.n())).seal_to(1, &body);
             let packet = Packet { body, auth };
             let wire = packet.wire_bytes();
             c.sim.inject(1, 0, packet, wire);

@@ -14,7 +14,7 @@ use crate::service::Service;
 use crate::types::{ClientId, ReplicaId, SeqNum, Timestamp, View};
 use crate::viewchange::{compute_plan, validate_new_view, ViewChangeSet};
 use crate::wire::Wire;
-use bft_crypto::keychain::KeyChain;
+use bft_crypto::keychain::{Authenticator, KeyChain};
 use bft_crypto::md5::Digest;
 use bft_sim::time::dur;
 use bft_sim::{
@@ -160,7 +160,10 @@ impl StateFetch {
 pub struct Replica<S: Service> {
     cfg: Config,
     id: ReplicaId,
-    keychain: KeyChain,
+    keys: PacketKeys,
+    /// Every replica but this one, in id order: the destinations of a
+    /// multicast.
+    peers: Vec<NodeId>,
     service: S,
     log: Log,
     checkpoints: CheckpointSet,
@@ -267,7 +270,8 @@ impl<S: Service> Replica<S> {
     pub fn new(id: ReplicaId, cfg: Config, mut service: S) -> Replica<S> {
         cfg.validate();
         assert!(id < cfg.n(), "replica id out of range");
-        let keychain = KeyChain::new(id, cfg.n());
+        let keys = PacketKeys::new(KeyChain::new(id, cfg.n()));
+        let peers = cfg.quorums.others(id);
         let cache_bytes = Self::encode_cache(&BTreeMap::new());
         let tracker = CheckpointTracker::new(&service, &cache_bytes);
         // The tracker just digested every partition; drop any dirty marks
@@ -293,7 +297,8 @@ impl<S: Service> Replica<S> {
         Replica {
             cfg,
             id,
-            keychain,
+            keys,
+            peers,
             service,
             log,
             checkpoints,
@@ -492,10 +497,6 @@ impl<S: Service> Replica<S> {
     // Authentication and sending
     // ------------------------------------------------------------------
 
-    fn others(&self) -> Vec<NodeId> {
-        self.cfg.quorums.others(self.id)
-    }
-
     /// Whether `req` travels inside a pre-prepare rather than by
     /// reference to a body the client multicast itself.
     fn travels_inline(cfg: &Config, req: &Request) -> bool {
@@ -519,34 +520,37 @@ impl<S: Service> Replica<S> {
                 m.tag[0] ^= 0xff;
                 AuthTag::Mac(m)
             }
-            AuthTag::Vector(mut a) => {
-                for (_, m) in &mut a.entries {
+            AuthTag::Vector(a) => {
+                let entries = a.entries.iter().map(|&(r, mut m)| {
                     m.tag[0] ^= 0xff;
-                }
-                AuthTag::Vector(a)
+                    (r, m)
+                });
+                AuthTag::Vector(Authenticator {
+                    entries: entries.collect(),
+                })
             }
             AuthTag::None => AuthTag::None,
         }
     }
 
     /// Multicasts `msg` to all other replicas with a MAC-vector
-    /// authenticator, charging digest + MAC + send costs.
+    /// authenticator, charging digest + MAC + send costs. The charges are
+    /// the cost model's (a body digest, then MACs over 16 bytes), not the
+    /// work done, which MACs the body (DESIGN.md §5.2).
     fn multicast(&mut self, ctx: &mut Context<'_, Packet>, msg: Msg) {
         if matches!(self.behavior, Behavior::Silent | Behavior::Crashed) {
             return;
         }
-        let body_bytes = msg.to_bytes();
-        let d = bft_crypto::digest(&body_bytes);
         let cost = &self.cfg.cost;
-        ctx.charge_kind(CostKind::Digest, cost.digest(body_bytes.len()));
+        ctx.charge_kind(CostKind::Digest, cost.digest(msg.wire_len()));
         ctx.charge_kind(CostKind::Mac, cost.authenticator(self.cfg.n() - 1, 16));
-        let auth = AuthTag::Vector(self.keychain.authenticate(d.as_bytes()));
+        let auth = self.keys.seal_multicast(&msg);
         let auth = self.maybe_corrupt(auth);
         let packet = Packet { body: msg, auth };
         let wire = packet.wire_bytes();
         ctx.charge_kind(CostKind::Net, cost.send(wire));
         ctx.count_sent(packet.body.tag());
-        ctx.multicast(&self.others(), packet, wire);
+        ctx.multicast(&self.peers, packet, wire);
     }
 
     /// Sends `msg` point-to-point with a single MAC.
@@ -554,12 +558,10 @@ impl<S: Service> Replica<S> {
         if matches!(self.behavior, Behavior::Silent | Behavior::Crashed) {
             return;
         }
-        let body_bytes = msg.to_bytes();
-        let d = bft_crypto::digest(&body_bytes);
         let cost = &self.cfg.cost;
-        ctx.charge_kind(CostKind::Digest, cost.digest(body_bytes.len()));
+        ctx.charge_kind(CostKind::Digest, cost.digest(msg.wire_len()));
         ctx.charge_kind(CostKind::Mac, cost.mac(16));
-        let auth = AuthTag::Mac(self.keychain.mac_for(dst, d.as_bytes()));
+        let auth = self.keys.seal_to(dst, &msg);
         let auth = self.maybe_corrupt(auth);
         let packet = Packet { body: msg, auth };
         let wire = packet.wire_bytes();
@@ -568,7 +570,8 @@ impl<S: Service> Replica<S> {
         ctx.send(dst, packet, wire);
     }
 
-    /// Verifies packet-level authentication from a replica or client.
+    /// Verifies packet-level authentication from a replica or client,
+    /// charging as [`Self::multicast`] does.
     fn verify_packet(
         &mut self,
         ctx: &mut Context<'_, Packet>,
@@ -580,19 +583,13 @@ impl<S: Service> Replica<S> {
         match &packet.auth {
             AuthTag::None => {
                 // Only requests authenticate themselves: there is no
-                // packet MAC to hold a body digest against, so the body
-                // is not hashed here — `verify_request` hashes it.
+                // packet MAC to check here — `verify_request` hashes the
+                // request and checks its own authenticator.
                 matches!(packet.body, Msg::Request(_))
             }
-            AuthTag::Mac(m) => {
+            AuthTag::Mac(_) | AuthTag::Vector(_) => {
                 ctx.charge_kind(CostKind::Mac, cost.mac(16));
-                let d = packet.body_digest();
-                self.keychain.verify_from(from, d.as_bytes(), m)
-            }
-            AuthTag::Vector(a) => {
-                ctx.charge_kind(CostKind::Mac, cost.mac(16));
-                let d = packet.body_digest();
-                self.keychain.verify_authenticator(from, d.as_bytes(), a)
+                self.keys.verify(from, &packet.body, &packet.auth)
             }
         }
     }
@@ -619,9 +616,10 @@ impl<S: Service> Replica<S> {
         ctx.charge_kind(CostKind::Mac, cost.mac(16));
         match &req.auth {
             AuthTag::Vector(a) => self
-                .keychain
+                .keys
+                .chain
                 .verify_authenticator(req.client, d.as_bytes(), a),
-            AuthTag::Mac(m) => self.keychain.verify_from(req.client, d.as_bytes(), m),
+            AuthTag::Mac(m) => self.keys.chain.verify_from(req.client, d.as_bytes(), m),
             AuthTag::None => false,
         }
     }
@@ -1385,7 +1383,7 @@ impl<S: Service> Replica<S> {
             digest: bft_crypto::digest(&pp.seq.to_le_bytes()),
         });
         alt.batch_digest = batch_digest(&alt.entries);
-        for (i, backup) in self.others().into_iter().enumerate() {
+        for (i, backup) in self.peers.clone().into_iter().enumerate() {
             let msg = if i % 2 == 0 {
                 Msg::PrePrepare(pp.clone())
             } else {
@@ -3062,7 +3060,7 @@ impl<S: Service> Replica<S> {
     /// previous epoch stay valid for one grace epoch, so in-flight traffic
     /// survives the boundary.
     fn refresh_keys(&mut self, ctx: &mut Context<'_, Packet>) {
-        let epoch = self.keychain.refresh();
+        let epoch = self.keys.chain.refresh();
         ctx.count(Counter::KeyRefreshes);
         // Paper-era cost: the real NEW-KEY encrypts one session key per
         // principal under RSA and signs the message.
@@ -3086,7 +3084,7 @@ impl<S: Service> Replica<S> {
             CostKind::Rsa,
             self.cfg.cost.rsa_public_ns + self.cfg.cost.rsa_private_ns,
         );
-        self.keychain.set_peer_epoch(from, nk.epoch);
+        self.keys.chain.set_peer_epoch(from, nk.epoch);
     }
 
     // ------------------------------------------------------------------
@@ -3138,7 +3136,7 @@ impl<S: Service> Replica<S> {
         self.recovery.begin();
         let rc = Recover {
             replica: self.id,
-            epoch: self.keychain.epoch(),
+            epoch: self.keys.chain.epoch(),
             done: false,
         };
         self.multicast(ctx, Msg::Recover(rc));
@@ -3158,7 +3156,7 @@ impl<S: Service> Replica<S> {
         // earlier (already charged in `handle_new_key`); RECOVER just
         // repeats it so the race between the two messages is harmless,
         // and is MAC-authenticated under the fresh epoch like any packet.
-        self.keychain.set_peer_epoch(from, rc.epoch);
+        self.keys.chain.set_peer_epoch(from, rc.epoch);
         if rc.done {
             self.recovery.release_lease(from);
             return;
@@ -3335,7 +3333,7 @@ impl<S: Service> Replica<S> {
         );
         let rc = Recover {
             replica: self.id,
-            epoch: self.keychain.epoch(),
+            epoch: self.keys.chain.epoch(),
             done: true,
         };
         self.multicast(ctx, Msg::Recover(rc));
@@ -3357,7 +3355,7 @@ impl<S: Service> Replica<S> {
         ) {
             let rc = Recover {
                 replica: self.id,
-                epoch: self.keychain.epoch(),
+                epoch: self.keys.chain.epoch(),
                 done: false,
             };
             self.multicast(ctx, Msg::Recover(rc));
@@ -3932,11 +3930,8 @@ mod tests {
             batch_digest: batch_digest_of([&d]),
             piggy_commits: Vec::new(),
         });
-        let auth = KeyChain::new(0, n).authenticate(bft_crypto::digest(&pp.to_bytes()).as_bytes());
-        let pp = Packet {
-            body: pp,
-            auth: AuthTag::Vector(auth),
-        };
+        let auth = PacketKeys::new(KeyChain::new(0, n)).seal_multicast(&pp);
+        let pp = Packet { body: pp, auth };
         to_backup(&mut c, 0, pp);
         let slot = replica(&c, 1).log.slot(1).expect("accepted");
         assert!(slot.prepare_sent && slot.requests.is_none());

@@ -62,6 +62,15 @@ pub trait Wire: Sized {
         buf
     }
 
+    /// Encodes into `buf`, replacing what it held, and returns the bytes:
+    /// [`Wire::to_bytes`] for a caller that keeps one buffer across
+    /// encodings, so that only the first one allocates.
+    fn encode_into<'b>(&self, buf: &'b mut Vec<u8>) -> &'b [u8] {
+        buf.clear();
+        self.encode(buf);
+        buf
+    }
+
     /// Encoded size in bytes. Implementations override this with an
     /// arithmetic computation; the default encodes into a scratch buffer
     /// and counts (correct for any type, but does the work of a full
@@ -431,6 +440,14 @@ mod tests {
             nonce: 42,
             tag: [1, 2, 3, 4, 5, 6, 7, 8],
         });
+    }
+
+    #[test]
+    fn encode_into_replaces_the_buffer_contents() {
+        let mut buf = vec![9u8; 64];
+        assert_eq!(7u32.encode_into(&mut buf), 7u32.to_bytes());
+        assert_eq!(buf.len(), 4);
+        assert!(buf.capacity() >= 64, "the allocation is kept");
     }
 
     #[test]

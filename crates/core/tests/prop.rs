@@ -29,7 +29,9 @@ fn arb_auth() -> impl Strategy<Value = AuthTag> {
         Just(AuthTag::None),
         arb_mac().prop_map(AuthTag::Mac),
         proptest::collection::vec((any::<u32>(), arb_mac()), 0..5).prop_map(|entries| {
-            AuthTag::Vector(bft_crypto::keychain::Authenticator { entries })
+            AuthTag::Vector(bft_crypto::keychain::Authenticator {
+                entries: entries.into(),
+            })
         }),
     ]
 }

@@ -25,17 +25,21 @@
 use crate::md5;
 use crate::umac::{Mac, MacKey};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifies a principal: replicas are `0..n`, clients are `>= n`.
 pub type PrincipalId = u32;
 
 /// A vector of MACs, one per replica other than the sender.
 ///
-/// Entries are ordered by replica id, sender omitted.
+/// Entries are ordered by replica id, sender omitted. They are shared, not
+/// owned: a multicast packet is cloned once per destination, and a request
+/// is copied into every pre-prepare that inlines it, and neither copies
+/// the MACs.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Authenticator {
     /// `(replica, mac)` pairs, ascending by replica id.
-    pub entries: Vec<(PrincipalId, Mac)>,
+    pub entries: Arc<[(PrincipalId, Mac)]>,
 }
 
 impl Authenticator {
@@ -233,9 +237,14 @@ impl KeyChain {
         self.nonce += 1;
         let nonce = self.nonce;
         let me = self.my_id;
-        let entries = (0..self.n_replicas)
-            .filter(|&r| r != me)
-            .map(|r| (r, self.mac_to(r, msg, nonce)))
+        // The i-th entry is the i-th replica after skipping `me`. A range
+        // has an exact length, so the shared slice is allocated once, at
+        // its final size.
+        let entries = (0..self.authenticator_len())
+            .map(|i| {
+                let r = i + u32::from(i >= me);
+                (r, self.mac_to(r, msg, nonce))
+            })
             .collect();
         Authenticator { entries }
     }

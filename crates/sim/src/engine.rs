@@ -410,44 +410,57 @@ impl<M> Context<'_, M> {
     }
 
     /// Hardware multicast: the sender's link is charged once; each
-    /// destination's receive link is charged individually.
+    /// destination's receive link is charged individually. Every
+    /// destination but the last gets a clone of `msg`; the last gets `msg`.
     pub fn multicast(&mut self, dsts: &[NodeId], msg: M, payload_bytes: usize)
     where
         M: Clone,
     {
         let depart = self.kernel.now.after(self.cpu_used);
         let slot = self.kernel.net.transmit(depart, self.id, payload_bytes);
-        for &dst in dsts {
-            if dst == self.id {
-                let at = depart.after(1_000);
-                self.kernel.queue.push(
-                    at,
-                    dst,
-                    EventKind::Deliver {
-                        from: self.id,
-                        msg: msg.clone(),
-                        wire_bytes: payload_bytes,
-                    },
-                );
-                continue;
+        let Some((&last, rest)) = dsts.split_last() else {
+            return;
+        };
+        for &dst in rest {
+            self.multicast_to(depart, slot, dst, msg.clone(), payload_bytes);
+        }
+        self.multicast_to(depart, slot, last, msg, payload_bytes);
+    }
+
+    /// One destination of [`Context::multicast`].
+    fn multicast_to(
+        &mut self,
+        depart: SimTime,
+        slot: crate::network::TxSlot,
+        dst: NodeId,
+        msg: M,
+        payload_bytes: usize,
+    ) where
+        M: Clone,
+    {
+        if dst == self.id {
+            let at = depart.after(1_000);
+            self.kernel.queue.push(
+                at,
+                dst,
+                EventKind::Deliver {
+                    from: self.id,
+                    msg,
+                    wire_bytes: payload_bytes,
+                },
+            );
+            return;
+        }
+        match self
+            .kernel
+            .net
+            .receive(slot, self.id, dst, &mut self.kernel.rng)
+        {
+            Ok(at) => {
+                self.kernel
+                    .deliver_with_duplicates(slot, self.id, dst, at, msg, payload_bytes);
             }
-            match self
-                .kernel
-                .net
-                .receive(slot, self.id, dst, &mut self.kernel.rng)
-            {
-                Ok(at) => {
-                    self.kernel.deliver_with_duplicates(
-                        slot,
-                        self.id,
-                        dst,
-                        at,
-                        msg.clone(),
-                        payload_bytes,
-                    );
-                }
-                Err(_) => self.count(Counter::NetDropped),
-            }
+            Err(_) => self.count(Counter::NetDropped),
         }
     }
 

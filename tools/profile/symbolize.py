@@ -5,12 +5,19 @@ Usage:
     symbolize.py PROFILE [--top N]            self and inclusive shares
     symbolize.py PROFILE --callers PATTERN    who calls functions matching PATTERN
     symbolize.py PROFILE --crates             self and inclusive shares per crate
+    symbolize.py ALLOCS --sites               allocation sites (allocs.c output)
 
 A function's *self* share is the fraction of samples whose leaf frame is
 in it; its *inclusive* share is the fraction of samples with it anywhere on
 the stack (counted once per sample, however deep the recursion). Symbols
 come from `nm -C` of every executable mapping in the profile's copy of
 /proc/self/maps; an address with no symbol is reported as `[file]`.
+
+`--sites` reads the `allocs.<pid>.txt` that allocs.c writes, in the same
+format, and charges each sampled allocation to its *site*: the first frame
+outside the standard library (`std`, `core`, `alloc`, `hashbrown`) and the
+allocator. A `Vec` grown by `Wire::to_bytes` counts as `Wire::to_bytes`.
+With `--crates` as well, sites are per crate.
 """
 
 import argparse
@@ -21,6 +28,13 @@ import subprocess
 import sys
 
 HASH = re.compile(r"::h[0-9a-f]{16}$")
+# What allocates on someone else's behalf: the standard library's crates,
+# the allocator entry points, and frames with no symbol.
+RUNTIME_CRATES = {"std", "core", "alloc", "hashbrown"}
+ALLOCATOR = re.compile(r"^(__rust_|__rdl_|__rg_|malloc$|calloc$|realloc$|\[)")
+# A runtime trait implemented for a bare type parameter, such as
+# `<I as alloc::sync::ToArcSlice<T>>::to_arc_slice`.
+GENERIC_IMPL = re.compile(r"^<[A-Z]\w* as (?:std|core|alloc|hashbrown)::")
 
 
 class Image:
@@ -101,6 +115,15 @@ def crate_of(name):
     return m.group(1) if m else name
 
 
+def site_of(stack):
+    """The first frame of `stack` (innermost first) that is not runtime."""
+    for name in stack:
+        runtime = crate_of(name) in RUNTIME_CRATES or GENERIC_IMPL.match(name)
+        if not runtime and not ALLOCATOR.match(name):
+            return name
+    return "[runtime]"
+
+
 def table(title, counter, total, top):
     print(f"{title} ({total} samples)")
     for name, count in counter.most_common(top):
@@ -114,6 +137,7 @@ def main():
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--callers", metavar="PATTERN")
     ap.add_argument("--crates", action="store_true")
+    ap.add_argument("--sites", action="store_true")
     args = ap.parse_args()
 
     mappings, samples = load(args.profile)
@@ -138,6 +162,10 @@ def main():
                     break
         print(f"{100.0 * hits / total:.1f} % of samples are in {args.callers!r}")
         table("callers of the outermost match", callers, hits or 1, args.top)
+        return
+
+    if args.sites:
+        table("allocation sites", collections.Counter(map(site_of, stacks)), total, args.top)
         return
 
     own = collections.Counter(s[0] for s in stacks)
