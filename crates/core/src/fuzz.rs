@@ -6,10 +6,11 @@
 //! one implementation with different budgets.
 //!
 //! Each chaos family is one row of the [`FuzzFamily`] table ([`CLASSIC`],
-//! [`RECOVERY`], [`FASTPATH`], [`LEASE`], [`OVERLOAD`]; [`FAMILIES`] lists
-//! them): the feature it arms, the fault vocabulary it draws from, and
-//! how its sweeps are seeded, budgeted and replayed. A fuzz iteration is
-//! a pure function of `(family, seed, f)`:
+//! [`RECOVERY`], [`FASTPATH`], [`LEASE`], [`OVERLOAD`], and [`ALL_ON`],
+//! which arms them all at once; [`FAMILIES`] lists them): the feature it
+//! arms, the fault vocabulary it draws from, and how its sweeps are
+//! seeded, budgeted and replayed. A fuzz iteration is a pure function of
+//! `(family, seed, f)`:
 //!
 //! 1. [`FuzzFamily::config`] derives the protocol configuration;
 //! 2. [`FuzzFamily::plan`] generates the deterministic fault schedule;
@@ -278,8 +279,39 @@ pub const OVERLOAD: FuzzFamily = FuzzFamily {
     ..CLASSIC
 };
 
+/// Every feature at once: [`LEASE`]'s leases and recovery watchdogs,
+/// [`FASTPATH`]'s fast path and [`OVERLOAD`]'s admission gate (incremental
+/// checkpoints are on by default), under the union of the recovery and
+/// client fault vocabularies. The other rows arm one feature each, so
+/// only this one runs lease fencing against fast commit, BUSY shedding
+/// during recovery, and a lease wait-out across a view change with the
+/// admission gate armed.
+pub const ALL_ON: FuzzFamily = FuzzFamily {
+    name: "all-on",
+    config: |f| {
+        let mut cfg = LEASE.config(f);
+        let fast = FASTPATH.config(f);
+        cfg.fast_path = fast.fast_path;
+        cfg.fast_path_timeout_ns = fast.fast_path_timeout_ns;
+        let overload = OVERLOAD.config(f);
+        cfg.admission_control = overload.admission_control;
+        cfg.admission_client_quota = overload.admission_client_quota;
+        cfg.admission_queue_cap = overload.admission_queue_cap;
+        cfg.busy_retry_after_ns = overload.busy_retry_after_ns;
+        cfg.client_retry_budget = overload.client_retry_budget;
+        cfg
+    },
+    recovery_faults: true,
+    client_faults: true,
+    per_client_liveness: true,
+    schedules_env: "CHAOS_ALL_ON_SCHEDULES",
+    seed_salt: 0xA110,
+    replay_test: "replay_all_on_one",
+    ..LEASE
+};
+
 /// Every chaos family, for table-driven sweeps.
-pub const FAMILIES: [&FuzzFamily; 5] = [&CLASSIC, &RECOVERY, &FASTPATH, &LEASE, &OVERLOAD];
+pub const FAMILIES: [&FuzzFamily; 6] = [&CLASSIC, &RECOVERY, &FASTPATH, &LEASE, &OVERLOAD, &ALL_ON];
 
 /// Per-node flight-recorder ring capacity used by traced fuzz re-runs.
 pub const FLIGHT_RING: usize = 256;

@@ -20,12 +20,13 @@
 //! | `FASTPATH` | `CHAOS_FASTPATH_SCHEDULES` (24) | `fuzz_smoke_fastpath` | `replay_fastpath_one` |
 //! | `LEASE` | `CHAOS_LEASE_SCHEDULES` (24) | `fuzz_smoke_lease` | `replay_lease_one` |
 //! | `OVERLOAD` | `CHAOS_OVERLOAD_SCHEDULES` (24) | `fuzz_smoke_overload` | `replay_overload_one` |
+//! | `ALL_ON` | `CHAOS_ALL_ON_SCHEDULES` (24) | `fuzz_smoke_all_on` | `replay_all_on_one` |
 //!
 //! What each family arms and checks is documented on its table row.
 
 use bft_core::fuzz::{
-    env_u64, ChaosDriver, FuzzFamily, Workload, CLASSIC, FAMILIES, FASTPATH, FLIGHT_DUMP_LAST,
-    FLIGHT_RING, LEASE, OVERLOAD, RECOVERY,
+    env_u64, ChaosDriver, FuzzFamily, Workload, ALL_ON, CLASSIC, FAMILIES, FASTPATH,
+    FLIGHT_DUMP_LAST, FLIGHT_RING, LEASE, OVERLOAD, RECOVERY,
 };
 use bft_core::prelude::*;
 use bft_sim::chaos::{ByzMode, ClientFault, Fault, FaultEvent, NetFault, NodeFault};
@@ -135,6 +136,16 @@ fn fuzz_smoke_overload() {
 #[test]
 fn replay_overload_one() {
     replay(&OVERLOAD);
+}
+
+#[test]
+fn fuzz_smoke_all_on() {
+    smoke(&ALL_ON, 24, 0, 1);
+}
+
+#[test]
+fn replay_all_on_one() {
+    replay(&ALL_ON);
 }
 
 /// A failure report must send the user to the entry point that arms the
@@ -278,6 +289,45 @@ fn busy_driven_read_fallbacks_are_not_timer_fallbacks() {
         0,
         "no read waited out its retry timer, so none fell back on it"
     );
+}
+
+/// `ALL_ON` arms every feature in one cluster, not just in its config:
+/// with one client flooding from 300 ms on, the same run must
+/// fast-commit, serve reads under a lease, recover on the watchdog and
+/// shed at the admission gate, with every invariant checked throughout.
+#[test]
+fn all_on_runs_every_feature_at_once() {
+    let seed = 0xA110;
+    let mut cluster = Cluster::builder(ALL_ON.config(1))
+        .seed(seed)
+        .build_counter();
+    cluster.add_client(ChaosDriver::new(seed ^ 1, 100_000, Workload::Mixed));
+    cluster.add_client(ChaosDriver::new(seed ^ 2, 100_000, Workload::ReadMostly));
+    let flooder = cluster.add_client(ChaosDriver::new(seed ^ 3, 100_000, Workload::Mixed));
+    let plan = FaultPlan {
+        events: vec![FaultEvent {
+            at_ns: dur::millis(300),
+            fault: Fault::Client {
+                client: flooder,
+                fault: ClientFault::Flood {
+                    interval_ns: dur::micros(40),
+                },
+            },
+        }],
+    };
+    let mut checker = InvariantChecker::new();
+    cluster
+        .run_with_plan::<CounterService, ChaosDriver>(&plan, dur::secs(2), &mut checker)
+        .expect("no invariant may break");
+    let health = cluster.sim.health();
+    for counter in [
+        Counter::FastCommits,
+        Counter::LeaseReads,
+        Counter::Recoveries,
+        Counter::RequestsShed,
+    ] {
+        assert!(health.total(counter) > 0, "{counter:?} never fired");
+    }
 }
 
 /// Fault-free fast path: with no faults every slot should assemble its

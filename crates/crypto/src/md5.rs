@@ -186,13 +186,20 @@ fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
     let g = |b: u32, c: u32, d: u32| (b & d).wrapping_add(c & !d);
     let h = |b: u32, c: u32, d: u32| b ^ c ^ d;
     let i = |b: u32, c: u32, d: u32| c ^ (b | !d);
+    // The constants are read through an opaque reference, once per block.
+    // As immediates, LLVM's reassociation adds `K[n]` last, after `mix`, so
+    // every step would carry two dependent adds before the rotate
+    // (`add mix; add K; rol; add b`). As loads, `a + m[w] + K[n]` is summed
+    // while the previous step is still running, and the chain is
+    // `add mix; rol; add b`.
+    let k = std::hint::black_box(&K);
     // Step `$n` of RFC 1321, reading message word `$w`:
     // `a = b + ((a + mix(b, c, d) + m[w] + K[n]) <<< S[n])`.
     macro_rules! step {
         ($mix:ident, $a:ident, $b:ident, $c:ident, $d:ident, $n:literal, $w:literal) => {
             $a = $a
                 .wrapping_add(m[$w])
-                .wrapping_add(K[$n])
+                .wrapping_add(k[$n])
                 .wrapping_add($mix($b, $c, $d))
                 .rotate_left(S[$n])
                 .wrapping_add($b);

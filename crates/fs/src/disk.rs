@@ -103,8 +103,9 @@ impl FsCostModel {
     ///
     /// `is_meta` marks namespace operations, `data_bytes` is the data
     /// moved, `resident_bytes` the current file-data working set, and
-    /// `op_index` a deterministic per-server operation counter used to
-    /// spread amortized costs without randomness.
+    /// `op_index` a deterministic per-operation value used to spread
+    /// amortized costs without randomness (`FsService` passes a hash of
+    /// the state fingerprint, not a counter).
     pub fn sync_disk_ns(
         &self,
         is_meta: bool,

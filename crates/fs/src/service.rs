@@ -77,7 +77,10 @@ impl FsService {
             is_write,
             data_bytes,
             self.state.data_bytes(),
-            // The logical clock is a deterministic per-replica op index.
+            // A per-op index drawn from the state fingerprint, which
+            // hashes every inode, `Content::Print` included: a change to
+            // how a print is computed moves every NFS-STD metadata charge
+            // and every over-memory eviction.
             self.state.state_digest().short() ^ self.state.data_bytes(),
         );
         cpu + disk

@@ -42,6 +42,12 @@ enum Content {
     /// Real bytes.
     Bytes(Vec<u8>),
     /// Fingerprint of the write history.
+    ///
+    /// It reaches simulated time, not just digests: the state fingerprint
+    /// hashes it, and `FsService::op_cost_ns` seeds the disk model's
+    /// per-op index with that fingerprint. Changing how a print is
+    /// computed moves NFS-STD's metadata disk charges (pinned by
+    /// `bft-workloads`' `metadata_only_prints_and_costs_are_unchanged`).
     Print(u64),
 }
 

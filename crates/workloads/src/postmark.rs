@@ -159,6 +159,60 @@ mod tests {
         assert_eq!(runner.marks, 60);
     }
 
+    /// Pins what the benchmarks' metadata-only file service computes over
+    /// the first 600 items of the default script (pool setup and the first
+    /// transactions), driven as `run_script_locally` drives it, with each
+    /// RPC costed after it applies, as a replica charges it.
+    ///
+    /// The final `state_digest()` hashes every inode's `Content::Print`,
+    /// so a change to how a write is fingerprinted fails here. That
+    /// digest also seeds the disk model's per-op index in
+    /// `FsService::op_cost_ns`: under NFS-STD every metadata op's
+    /// synchronous disk charge depends on it, so such a change moves
+    /// simulated time too. Under BFS the charge is zero until the working
+    /// set outgrows the server's memory, as it never does here. Values
+    /// taken at commit 258ba88.
+    #[test]
+    fn metadata_only_prints_and_costs_are_unchanged() {
+        use crate::script::{Drive, ScriptRunner};
+        use bft_core::service::Service;
+        use bft_core::wire::Wire;
+        use bft_fs::client::NfsClientConfig;
+        use bft_fs::disk::ServerMode;
+        use bft_fs::ops::NfsResult;
+        use bft_fs::service::FsService;
+
+        let mut script = postmark_script(PostmarkConfig::default());
+        script.items.truncate(600);
+        let mut runner = ScriptRunner::new(script, NfsClientConfig::default());
+        let mut bfs = FsService::for_benchmarks(ServerMode::Bfs);
+        let mut nfsstd = FsService::for_benchmarks(ServerMode::NfsStd);
+        let (mut rpcs, mut bfs_ns, mut nfsstd_ns) = (0u64, 0u64, 0u64);
+        let mut response: Option<NfsResult> = None;
+        loop {
+            match runner.advance(response.take().as_ref()) {
+                Drive::Rpc(op) => {
+                    let op = op.to_bytes();
+                    let result = bfs.apply_encoded(&op);
+                    assert_eq!(nfsstd.apply_encoded(&op), result);
+                    bfs_ns += bfs.op_cost_ns(&op, &result);
+                    nfsstd_ns += nfsstd.op_cost_ns(&op, &result);
+                    rpcs += 1;
+                    response = Some(NfsResult::from_bytes(&result).expect("decodes"));
+                }
+                Drive::Compute(_) => {}
+                Drive::Done => break,
+            }
+        }
+        assert_eq!(runner.failed, 0);
+        assert_eq!(rpcs, 1904);
+        assert_eq!(
+            bfs.state_digest().to_string(),
+            "7c39b156582948bf40c66bae10223744"
+        );
+        assert_eq!((bfs_ns, nfsstd_ns), (67_842_032, 382_197_872));
+    }
+
     #[test]
     fn file_sizes_in_configured_range() {
         let cfg = PostmarkConfig::default();

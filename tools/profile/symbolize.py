@@ -4,6 +4,7 @@
 Usage:
     symbolize.py PROFILE [--top N]            self and inclusive shares
     symbolize.py PROFILE --callers PATTERN    who calls functions matching PATTERN
+    symbolize.py PROFILE --under PATTERN      leaves and direct callees under PATTERN
     symbolize.py PROFILE --crates             self and inclusive shares per crate
     symbolize.py ALLOCS --sites               allocation sites (allocs.c output)
 
@@ -124,6 +125,14 @@ def site_of(stack):
     return "[runtime]"
 
 
+def outermost(pattern, stack):
+    """The depth of the outermost frame matching `pattern`, or None."""
+    for depth in range(len(stack) - 1, -1, -1):
+        if pattern.search(stack[depth]):
+            return depth
+    return None
+
+
 def table(title, counter, total, top):
     print(f"{title} ({total} samples)")
     for name, count in counter.most_common(top):
@@ -136,6 +145,7 @@ def main():
     ap.add_argument("profile")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--callers", metavar="PATTERN")
+    ap.add_argument("--under", metavar="PATTERN")
     ap.add_argument("--crates", action="store_true")
     ap.add_argument("--sites", action="store_true")
     args = ap.parse_args()
@@ -149,19 +159,33 @@ def main():
         stacks = [[crate_of(n) for n in s] for s in stacks]
     total = len(stacks)
 
+    # Both pattern options anchor on the outermost matching frame, so
+    # recursion counts once.
     if args.callers:
         pattern = re.compile(args.callers)
         callers, hits = collections.Counter(), 0
         for stack in stacks:
-            # The outermost matching frame, so recursion counts once.
-            for depth in range(len(stack) - 1, -1, -1):
-                if pattern.search(stack[depth]):
-                    hits += 1
-                    caller = stack[depth + 1] if depth + 1 < len(stack) else "[root]"
-                    callers[caller] += 1
-                    break
+            depth = outermost(pattern, stack)
+            if depth is not None:
+                hits += 1
+                callers[stack[depth + 1] if depth + 1 < len(stack) else "[root]"] += 1
         print(f"{100.0 * hits / total:.1f} % of samples are in {args.callers!r}")
         table("callers of the outermost match", callers, hits or 1, args.top)
+        return
+
+    if args.under:
+        pattern = re.compile(args.under)
+        leaves, callees, hits = collections.Counter(), collections.Counter(), 0
+        for stack in stacks:
+            depth = outermost(pattern, stack)
+            if depth is not None:
+                hits += 1
+                leaves[stack[0]] += 1
+                # A sample whose leaf is the match itself is its own time.
+                callees[stack[depth - 1] if depth > 0 else "[self]"] += 1
+        print(f"{100.0 * hits / total:.1f} % of samples are under {args.under!r}")
+        table("leaf functions under the outermost match", leaves, hits or 1, args.top)
+        table("direct callees of the outermost match", callees, hits or 1, args.top)
         return
 
     if args.sites:
