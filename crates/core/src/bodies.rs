@@ -14,12 +14,18 @@
 //!
 //! The table and the slots share each body (`Arc`): resolving a batch
 //! copies no request bytes.
+//!
+//! The table is hashed, not ordered: it is looked up on every request,
+//! pre-prepare and garbage collection, and never iterated — eviction
+//! order is the FIFO's. Clients choose the requests, so they choose the
+//! digests; the table keeps std's randomly keyed hasher rather than
+//! trusting a digest's bytes as its own hash.
 
 use crate::log::RequestRef;
 use crate::messages::Request;
 use crate::types::SeqNum;
 use bft_crypto::md5::Digest;
-use std::collections::btree_map::Entry;
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -41,7 +47,7 @@ struct Held {
 /// Request bodies by digest.
 #[derive(Debug)]
 pub(crate) struct Bodies {
-    known: BTreeMap<Digest, Held>,
+    known: HashMap<Digest, Held>,
     /// The loose bodies' digests, oldest ticket first.
     fifo: BTreeMap<u64, Digest>,
     next_ticket: u64,
@@ -52,7 +58,7 @@ impl Bodies {
     /// An empty table keeping at most `loose_cap` loose bodies.
     pub(crate) fn new(loose_cap: usize) -> Bodies {
         Bodies {
-            known: BTreeMap::new(),
+            known: HashMap::new(),
             fifo: BTreeMap::new(),
             next_ticket: 0,
             loose_cap,

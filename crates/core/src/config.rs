@@ -1,6 +1,7 @@
 //! Protocol configuration: group size, windows, and the optimization
 //! toggles the paper ablates in Section 4.4.
 
+use crate::log::MAX_REPLICAS;
 use crate::types::Quorums;
 use bft_sim::cost::CostModel;
 use bft_sim::time::dur;
@@ -220,9 +221,15 @@ impl Config {
     ///
     /// # Panics
     ///
-    /// Panics if the log window is not a multiple of (or is too small
-    /// relative to) the checkpoint interval, or limits are zero.
+    /// Panics if the group is larger than a slot's vote table holds
+    /// ([`MAX_REPLICAS`]), the log window is not a multiple of (or is too
+    /// small relative to) the checkpoint interval, or limits are zero.
     pub fn validate(&self) {
+        assert!(
+            self.quorums.n <= MAX_REPLICAS,
+            "group of {} replicas exceeds the vote table's {MAX_REPLICAS}",
+            self.quorums.n
+        );
         assert!(self.checkpoint_interval > 0);
         assert!(
             self.log_window >= 2 * self.checkpoint_interval,
@@ -311,6 +318,25 @@ mod tests {
     fn default_is_valid() {
         Config::default().validate();
         Config::new(2).validate();
+    }
+
+    #[test]
+    fn the_largest_group_a_vote_table_holds_is_valid() {
+        let c = Config {
+            quorums: Quorums::new(MAX_REPLICAS, 5),
+            ..Config::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the vote table")]
+    fn oversized_group_rejected() {
+        let c = Config {
+            quorums: Quorums::new(MAX_REPLICAS + 1, 5),
+            ..Config::default()
+        };
+        c.validate();
     }
 
     #[test]

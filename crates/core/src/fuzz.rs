@@ -21,8 +21,10 @@
 //!    operation.
 //!
 //! On a violation, [`FuzzFamily::check_schedule`] greedily minimizes the
-//! fault plan (keeping the violation kind) and panics with the seed, the
+//! fault plan (keeping the violation kind) and reports the seed, the
 //! minimized plan, and the family's own one-command replay line.
+//! [`FuzzFamily::check_schedules`] spreads a sweep over every core and
+//! panics with the report of its lowest failing schedule.
 
 use crate::client::{ClientApi, ClientDriver};
 use crate::cluster::{derive_seed, Cluster};
@@ -31,6 +33,7 @@ use crate::invariants::{InvariantChecker, Violation};
 use crate::service::CounterService;
 use bft_sim::chaos::{ChaosConfig, FaultPlan};
 use bft_sim::dur;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Clients per fuzz cluster.
 pub const FUZZ_CLIENTS: u64 = 3;
@@ -482,40 +485,81 @@ impl FuzzFamily {
 
     /// Runs one seed; on violation, greedily minimizes the plan (keeping
     /// the same violation kind), re-runs the minimized plan with the
-    /// flight recorder armed, and panics with a replayable report that
+    /// flight recorder armed, and returns a replayable report that
     /// includes the last trace events of every node.
-    pub fn check_schedule(&self, seed: u64, f: u32) {
+    ///
+    /// # Errors
+    ///
+    /// The failure report, if any invariant was violated.
+    pub fn check_schedule(&self, seed: u64, f: u32) -> Result<(), String> {
         let plan = self.plan(seed, f);
-        if let Err(v) = self.run(seed, f, &plan) {
-            let kind = std::mem::discriminant(&v);
-            let min = plan.minimize(|p| {
-                self.run(seed, f, p)
-                    .err()
-                    .is_some_and(|e| std::mem::discriminant(&e) == kind)
-            });
-            // The minimized plan reproduces the violation kind by
-            // construction; the traced re-run captures its flight recording.
-            let (v, flight) = match self.run_traced(seed, f, &min) {
-                Err((v, dump)) => (v, Some(dump)),
-                Ok(()) => (v, None),
-            };
-            let report = self.failure_report(seed, f, &min, &v, flight.as_deref());
-            panic!("{report}");
-        }
+        let Err(v) = self.run(seed, f, &plan) else {
+            return Ok(());
+        };
+        let kind = std::mem::discriminant(&v);
+        let min = plan.minimize(|p| {
+            self.run(seed, f, p)
+                .err()
+                .is_some_and(|e| std::mem::discriminant(&e) == kind)
+        });
+        // The minimized plan reproduces the violation kind by
+        // construction; the traced re-run captures its flight recording.
+        let (v, flight) = match self.run_traced(seed, f, &min) {
+            Err((v, dump)) => (v, Some(dump)),
+            Ok(()) => (v, None),
+        };
+        Err(self.failure_report(seed, f, &min, &v, flight.as_deref()))
     }
 
     /// Runs every `i` in `0..total` with `i % stride == offset` (so
     /// `stride` test functions can split one budget and run in parallel),
     /// deriving per-run seeds from `base ^ seed_salt` via
-    /// [`Cluster::with_seed_iter`].
+    /// [`Cluster::with_seed_iter`]. The schedules share nothing, so they
+    /// are spread over `available_parallelism()` threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the report of the failing schedule with the lowest
+    /// index, whatever order the threads ran them in: schedules are
+    /// handed out in index order and none is skipped below a known
+    /// failure.
     pub fn check_schedules(&self, base: u64, total: u64, offset: u64, stride: u64, f: u32) {
-        for (i, builder) in Cluster::with_seed_iter(base ^ self.seed_salt, self.config(f))
-            .enumerate()
+        let seeds: Vec<u64> = Cluster::with_seed_iter(base ^ self.seed_salt, self.config(f))
             .take(total as usize)
-        {
-            if i as u64 % stride == offset {
-                self.check_schedule(builder.seed_value(), f);
-            }
+            .enumerate()
+            .filter(|&(i, _)| i as u64 % stride == offset)
+            .map(|(_, builder)| builder.seed_value())
+            .collect();
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(seeds.len());
+        // Relaxed: the counters only hand out and compare indices; the
+        // seeds are never written.
+        let next = AtomicUsize::new(0);
+        let lowest_failure = AtomicUsize::new(usize::MAX);
+        let failure = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i > lowest_failure.load(Ordering::Relaxed) {
+                            return None;
+                        }
+                        let seed = *seeds.get(i)?;
+                        if let Err(report) = self.check_schedule(seed, f) {
+                            lowest_failure.fetch_min(i, Ordering::Relaxed);
+                            return Some((i, report));
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .filter_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .min_by_key(|&(i, _)| i)
+        });
+        if let Some((_, report)) = failure {
+            panic!("{report}");
         }
     }
 }

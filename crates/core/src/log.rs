@@ -1,11 +1,89 @@
 //! The replica message log: per-sequence-number slots accumulating
 //! pre-prepare/prepare/commit certificates within the water marks.
+//!
+//! The log is indexed, not searched. Its slots are a ring addressed by
+//! `seq − h − 1` (paper §2: a window of `L` slots above the low water
+//! mark `h`), and each slot's prepares and commits are a [`Votes`]
+//! table addressed by sender. A certificate check is a handful of digest
+//! comparisons, and nothing in a slot allocates.
 
 use crate::messages::{batch_digest_of, BatchEntry, Request, NULL_DIGEST};
 use crate::types::{ClientId, Quorums, ReplicaId, SeqNum, Timestamp, View};
 use bft_crypto::md5::Digest;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
+
+mod reference;
+
+/// The most replicas a group may have: the width of a [`Votes`] table.
+/// [`crate::config::Config::validate`] rejects larger groups.
+pub const MAX_REPLICAS: u32 = 16;
+
+/// The votes of one phase at one slot: at most one digest per replica,
+/// a later vote replacing an earlier one. A bitmask of who voted plus a
+/// digest per replica, so recording and counting a vote touch no heap.
+#[derive(Clone, Copy, Default)]
+pub struct Votes {
+    cast: u16,
+    digests: [Digest; MAX_REPLICAS as usize],
+}
+
+impl Votes {
+    /// Records `sender`'s vote for `d`, replacing any earlier one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` is not below [`MAX_REPLICAS`]: the replica
+    /// drops votes from outside the group before they reach a slot.
+    pub fn insert(&mut self, sender: ReplicaId, d: Digest) {
+        self.digests[sender as usize] = d;
+        self.cast |= 1 << sender;
+    }
+
+    /// Number of senders that voted.
+    pub fn len(&self) -> usize {
+        self.cast.count_ones() as usize
+    }
+
+    /// True if nobody voted.
+    pub fn is_empty(&self) -> bool {
+        self.cast == 0
+    }
+
+    /// Forgets every vote.
+    pub fn clear(&mut self) {
+        self.cast = 0;
+    }
+
+    /// The votes in sender order.
+    pub fn iter(&self) -> impl Iterator<Item = (ReplicaId, Digest)> + '_ {
+        senders(self.cast).map(|r| (r, self.digests[r as usize]))
+    }
+
+    /// Number of votes, not counting `skip`'s, whose digest satisfies
+    /// `pred`.
+    pub fn count(&self, skip: Option<ReplicaId>, pred: impl Fn(&Digest) -> bool) -> usize {
+        let skip = skip.map_or(0, |r| 1u16.checked_shl(r).unwrap_or(0));
+        senders(self.cast & !skip)
+            .filter(|&r| pred(&self.digests[r as usize]))
+            .count()
+    }
+}
+
+/// The senders whose bits are set in `cast`, lowest first.
+fn senders(mut cast: u16) -> impl Iterator<Item = ReplicaId> {
+    std::iter::from_fn(move || {
+        let r = cast.trailing_zeros();
+        cast &= cast.wrapping_sub(1);
+        (r < u16::BITS).then_some(r)
+    })
+}
+
+impl std::fmt::Debug for Votes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 /// One request of an ordered batch as a slot records it: who issued it
 /// and the digest its body must hash to. Exactly what
@@ -54,11 +132,9 @@ pub struct Slot {
     /// that travelled separately is still missing.
     pub entries: Option<Vec<RequestRef>>,
     /// Prepares received, by sender, with the digest each vouched for.
-    /// Ordered (BTreeMap) so certificate iteration order can never leak
-    /// hasher randomness into protocol behaviour.
-    pub prepares: BTreeMap<ReplicaId, Digest>,
-    /// Commits received, by sender. Ordered for the same reason.
-    pub commits: BTreeMap<ReplicaId, Digest>,
+    pub prepares: Votes,
+    /// Commits received, by sender.
+    pub commits: Votes,
     /// Whether this replica already multicast its prepare.
     pub prepare_sent: bool,
     /// Whether this replica already multicast (or queued) its commit.
@@ -98,14 +174,17 @@ impl Slot {
     /// The *prepared* predicate: an accepted pre-prepare plus `2f`
     /// matching prepares from replicas other than the view's primary.
     pub fn prepared(&self, q: &Quorums) -> bool {
-        let Some(d) = self.digest else { return false };
+        self.backup_prepares(q, true) >= q.prepare_quorum()
+    }
+
+    /// Prepares from replicas other than the view's primary that match
+    /// the accepted digest (`matching`) or differ from it; none before a
+    /// pre-prepare is accepted.
+    fn backup_prepares(&self, q: &Quorums, matching: bool) -> usize {
+        let Some(d) = self.digest else { return 0 };
         let primary = q.primary(self.view);
-        let matching = self
-            .prepares
-            .iter()
-            .filter(|&(&r, &pd)| r != primary && pd == d)
-            .count();
-        matching >= q.prepare_quorum()
+        self.prepares
+            .count(Some(primary), |pd| (*pd == d) == matching)
     }
 
     /// The *committed-local* predicate: prepared plus `2f+1` matching
@@ -119,8 +198,7 @@ impl Slot {
         if !self.prepared(q) {
             return false;
         }
-        let matching = self.commits.values().filter(|&&cd| cd == d).count();
-        matching >= q.commit_quorum()
+        self.commits.count(None, |cd| *cd == d) >= q.commit_quorum()
     }
 
     /// The batch as it travels in a pre-prepare or a backfill: a body
@@ -155,13 +233,10 @@ impl Slot {
     /// non-primary vote arrives as a prepare (own prepare included once
     /// sent).
     fn fast_votes(&self, q: &Quorums) -> usize {
-        let Some(d) = self.digest else { return 0 };
-        let primary = q.primary(self.view);
-        1 + self
-            .prepares
-            .iter()
-            .filter(|&(&r, &pd)| r != primary && pd == d)
-            .count()
+        if self.digest.is_none() {
+            return 0;
+        }
+        1 + self.backup_prepares(q, true)
     }
 
     /// True once every replica's prepare vote for the accepted digest has
@@ -175,16 +250,12 @@ impl Slot {
     /// arriving the matching count stays short. (The primary cannot
     /// conflict — its vote *is* the accepted pre-prepare.)
     pub fn fast_quorum_unreachable(&self, q: &Quorums) -> bool {
-        let Some(d) = self.digest else { return false };
-        let primary = q.primary(self.view);
-        let conflicting = self
-            .prepares
-            .iter()
-            .filter(|&(&r, &pd)| r != primary && pd != d)
-            .count();
+        if self.digest.is_none() {
+            return false;
+        }
         // Max achievable votes = n - conflicting (conflicting voters
         // never re-vote; correct replicas vote once per view and seq).
-        q.n as usize - conflicting < q.fast_quorum()
+        q.n as usize - self.backup_prepares(q, false) < q.fast_quorum()
     }
 }
 
@@ -192,7 +263,12 @@ impl Slot {
 /// `h + L` (inclusive).
 #[derive(Debug, Clone)]
 pub struct Log {
-    slots: BTreeMap<SeqNum, Slot>,
+    /// `slots[i]` is the slot of sequence number `low + 1 + i`, `None`
+    /// where nothing was recorded. It grows to the highest slot touched,
+    /// so at most `window` long (longer only after a recovery restarted
+    /// the window below the slots it kept), and garbage collection drains
+    /// its front.
+    slots: VecDeque<Option<Slot>>,
     low: SeqNum,
     window: u64,
 }
@@ -201,7 +277,7 @@ impl Log {
     /// Creates an empty log with low water mark 0.
     pub fn new(window: u64) -> Log {
         Log {
-            slots: BTreeMap::new(),
+            slots: VecDeque::new(),
             low: 0,
             window,
         }
@@ -234,17 +310,42 @@ impl Log {
             self.low,
             self.high()
         );
-        self.slots.entry(seq).or_default()
+        let i = (seq - self.low - 1) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        self.slots[i].get_or_insert_with(Slot::default)
     }
 
     /// The slot for `seq` if it exists.
     pub fn slot(&self, seq: SeqNum) -> Option<&Slot> {
-        self.slots.get(&seq)
+        let i = seq.checked_sub(self.low + 1)?;
+        self.slots.get(usize::try_from(i).ok()?)?.as_ref()
     }
 
     /// Iterates over populated slots in sequence order.
     pub fn iter(&self) -> impl Iterator<Item = (SeqNum, &Slot)> {
-        self.slots.iter().map(|(&s, slot)| (s, slot))
+        let seqs = self.low + 1..;
+        seqs.zip(&self.slots)
+            .filter_map(|(seq, slot)| Some((seq, slot.as_ref()?)))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (SeqNum, &mut Slot)> {
+        let seqs = self.low + 1..;
+        seqs.zip(&mut self.slots)
+            .filter_map(|(seq, slot)| Some((seq, slot.as_mut()?)))
+    }
+
+    /// Removes the slots at or below `seq` from the front of the ring,
+    /// returning the batches they held. The low water mark is the
+    /// caller's to move.
+    fn drain_through(&mut self, seq: SeqNum) -> Vec<(SeqNum, Vec<RequestRef>)> {
+        let first = self.low + 1;
+        let n = seq.saturating_sub(self.low).min(self.slots.len() as u64);
+        (first..)
+            .zip(self.slots.drain(..n as usize))
+            .filter_map(|(seq, slot)| Some((seq, slot?.entries?)))
+            .collect()
     }
 
     /// Advances the low water mark to a new stable checkpoint, discarding
@@ -254,22 +355,17 @@ impl Log {
         if new_low <= self.low {
             return Vec::new();
         }
+        let gone = self.drain_through(new_low);
         self.low = new_low;
-        let kept = self.slots.split_off(&(new_low + 1));
-        let dropped = std::mem::replace(&mut self.slots, kept);
-        dropped
-            .into_iter()
-            .filter_map(|(seq, slot)| slot.entries.map(|e| (seq, e)))
-            .collect()
+        gone
     }
 
     /// Summaries of prepared batches above the low water mark — the `P`
     /// set for a view-change message.
     pub fn prepared_infos(&self, q: &Quorums) -> Vec<crate::messages::PreparedInfo> {
-        self.slots
-            .iter()
+        self.iter()
             .filter(|(_, slot)| slot.prepared(q) && slot.digest != Some(NULL_DIGEST))
-            .map(|(&seq, slot)| crate::messages::PreparedInfo {
+            .map(|(seq, slot)| crate::messages::PreparedInfo {
                 seq,
                 view: slot.view,
                 batch_digest: slot.digest.expect("prepared implies digest"),
@@ -290,14 +386,13 @@ impl Log {
         me: ReplicaId,
         q: &Quorums,
     ) -> Vec<crate::messages::PreparedInfo> {
-        self.slots
-            .iter()
+        self.iter()
             .filter(|(_, slot)| {
                 slot.digest.is_some()
                     && slot.digest != Some(NULL_DIGEST)
                     && (slot.prepare_sent || q.primary(slot.view) == me)
             })
-            .map(|(&seq, slot)| crate::messages::PreparedInfo {
+            .map(|(seq, slot)| crate::messages::PreparedInfo {
                 seq,
                 view: slot.view,
                 batch_digest: slot.digest.expect("filtered on digest"),
@@ -309,7 +404,7 @@ impl Log {
     /// (the new view re-adopts those its NEW-VIEW re-proposes; the caller
     /// voids the rest) and execution flags.
     pub fn reset_for_view(&mut self) {
-        for slot in self.slots.values_mut() {
+        for (_, slot) in self.iter_mut() {
             slot.digest = None;
             slot.prepares.clear();
             slot.commits.clear();
@@ -327,10 +422,9 @@ impl Log {
     /// current view (what [`Log::reset_for_view`] cleared and the new
     /// view did not assign again), returning what each stopped holding.
     pub fn void_batches(&mut self) -> Vec<(SeqNum, Vec<RequestRef>)> {
-        self.slots
-            .iter_mut()
+        self.iter_mut()
             .filter(|(_, slot)| slot.digest.is_none())
-            .filter_map(|(&seq, slot)| slot.take_batch().map(|e| (seq, e)))
+            .filter_map(|(seq, slot)| slot.take_batch().map(|e| (seq, e)))
             .collect()
     }
 
@@ -341,11 +435,9 @@ impl Log {
     /// adopted state must then re-execute, and a stale tentative marker
     /// would otherwise wedge the execution loop in `finalize_tentative`.
     pub fn clear_executed_above(&mut self, seq: SeqNum) {
-        for (&s, slot) in self.slots.iter_mut() {
-            if s > seq {
-                slot.executed_tentative = false;
-                slot.executed_final = false;
-            }
+        for (_, slot) in self.iter_mut().filter(|&(s, _)| s > seq) {
+            slot.executed_tentative = false;
+            slot.executed_final = false;
         }
     }
 
@@ -363,17 +455,26 @@ impl Log {
     /// mismatch strips just the batch — the certificate survives and the
     /// bodies are re-fetched from peers before execution. Returns the
     /// batches that went, with their slot or without it, for the body
-    /// table to release.
+    /// table to release: first those of the dropped slots, then those
+    /// stripped, each in sequence order.
+    ///
+    /// `low` may be below the current low water mark: the kept slots then
+    /// sit further from the front of the ring, and some may lie above the
+    /// new high water mark until the window catches up with them.
     pub fn reset_keep_certs(&mut self, low: SeqNum) -> Vec<(SeqNum, Vec<RequestRef>)> {
-        let mut gone = Vec::new();
-        self.slots.retain(|&s, slot| {
-            let keep = s > low && slot.has_pre_prepare();
-            if !keep {
-                gone.extend(slot.take_batch().map(|e| (s, e)));
+        let mut gone = self.drain_through(low);
+        if low < self.low && !self.slots.is_empty() {
+            for _ in low..self.low {
+                self.slots.push_front(None);
             }
-            keep
-        });
-        for (&s, slot) in self.slots.iter_mut() {
+        }
+        self.low = low;
+        for (seq, entry) in (low + 1..).zip(self.slots.iter_mut()) {
+            if entry.as_ref().is_some_and(|slot| !slot.has_pre_prepare()) {
+                gone.extend(entry.take().and_then(|slot| slot.entries).map(|e| (seq, e)));
+            }
+        }
+        for (s, slot) in self.iter_mut() {
             let batch_ok = slot.is_null
                 || slot.entries.as_deref().is_some_and(|entries| {
                     Some(RequestRef::batch_digest(entries)) == slot.digest
@@ -388,18 +489,17 @@ impl Log {
                 gone.extend(slot.take_batch().map(|e| (s, e)));
             }
         }
-        self.low = low;
         gone
     }
 
     /// Number of populated slots (diagnostics).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.slots.iter().flatten().count()
     }
 
     /// True if no slots are populated.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.slots.iter().all(Option::is_none)
     }
 }
 

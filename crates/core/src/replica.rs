@@ -503,6 +503,25 @@ impl<S: Service> Replica<S> {
         !(cfg.opts.separate_request_transmission && req.op.len() > cfg.inline_threshold)
     }
 
+    /// Whether a vote naming replica `claimed` as its author came from
+    /// it. The packet MAC proves only which node sent the packet — a
+    /// client's verifies here too — so a vote under another replica's id,
+    /// or from a node that is no replica, is a forgery: counted and
+    /// dropped. One Byzantine node could otherwise fill a prepare, commit,
+    /// checkpoint or view-change quorum by itself.
+    fn sent_by_replica(
+        &self,
+        ctx: &mut Context<'_, Packet>,
+        claimed: ReplicaId,
+        from: NodeId,
+    ) -> bool {
+        let bound = claimed == from && from < self.cfg.n();
+        if !bound {
+            ctx.count(Counter::SpoofedSender);
+        }
+        bound
+    }
+
     /// Advances the log's low water mark to the stable checkpoint `seq`;
     /// the bodies the discarded slots held go with them.
     fn collect_garbage(&mut self, seq: SeqNum) {
@@ -1398,6 +1417,10 @@ impl<S: Service> Replica<S> {
     // ------------------------------------------------------------------
 
     fn handle_pre_prepare(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, pp: PrePrepare) {
+        // Its piggybacked commits are `from`'s votes.
+        if !self.sent_by_replica(ctx, from, from) {
+            return;
+        }
         self.process_piggy(ctx, from, &pp.piggy_commits);
         if self.in_view_change
             || pp.view != self.view
@@ -1532,11 +1555,7 @@ impl<S: Service> Replica<S> {
     }
 
     fn handle_prepare(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, prep: Prepare) {
-        // The MAC proves the packet came from `from`; a vote claiming
-        // another replica's id is a forgery (one Byzantine replica could
-        // otherwise single-handedly complete a vote quorum).
-        if prep.replica != from {
-            ctx.count(Counter::SpoofedSender);
+        if !self.sent_by_replica(ctx, prep.replica, from) {
             return;
         }
         self.process_piggy(ctx, prep.replica, &prep.piggy_commits);
@@ -1711,10 +1730,7 @@ impl<S: Service> Replica<S> {
     }
 
     fn handle_commit(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, c: Commit) {
-        // Same sender check as prepares: a commit claiming another
-        // replica's id is a forgery.
-        if c.replica != from {
-            ctx.count(Counter::SpoofedSender);
+        if !self.sent_by_replica(ctx, c.replica, from) {
             return;
         }
         self.with_leases(ctx, |l, f| l.note_evidence(from, c.view, f));
@@ -2121,7 +2137,10 @@ impl<S: Service> Replica<S> {
     // Checkpoints and state transfer
     // ------------------------------------------------------------------
 
-    fn handle_checkpoint(&mut self, ctx: &mut Context<'_, Packet>, cp: Checkpoint) {
+    fn handle_checkpoint(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, cp: Checkpoint) {
+        if !self.sent_by_replica(ctx, cp.replica, from) {
+            return;
+        }
         if let Some(stable) = self.checkpoints.add_claim(&cp) {
             self.adopt_stable(ctx, stable.seq, stable.digest);
         }
@@ -2773,7 +2792,10 @@ impl<S: Service> Replica<S> {
         self.send_to(ctx, to, Msg::NewView(nv));
     }
 
-    fn handle_view_change(&mut self, ctx: &mut Context<'_, Packet>, vc: ViewChange) {
+    fn handle_view_change(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, vc: ViewChange) {
+        if !self.sent_by_replica(ctx, vc.replica, from) {
+            return;
+        }
         if vc.new_view <= self.view {
             // The voter is trying to leave a view we already left; it is
             // lagging, not us — hand it the proof of the current view.
@@ -3543,8 +3565,8 @@ impl<S: Service> Node<Packet> for Replica<S> {
             Msg::PrePrepare(pp) => self.handle_pre_prepare(ctx, from, pp),
             Msg::Prepare(p) => self.handle_prepare(ctx, from, p),
             Msg::Commit(c) => self.handle_commit(ctx, from, c),
-            Msg::Checkpoint(cp) => self.handle_checkpoint(ctx, cp),
-            Msg::ViewChange(vc) => self.handle_view_change(ctx, vc),
+            Msg::Checkpoint(cp) => self.handle_checkpoint(ctx, from, cp),
+            Msg::ViewChange(vc) => self.handle_view_change(ctx, from, vc),
             Msg::NewView(nv) => self.handle_new_view(ctx, from, nv),
             Msg::FetchState(fs) => self.handle_fetch_state(ctx, from, fs),
             Msg::StateMeta(sm) => self.handle_state_meta(ctx, sm),
@@ -3755,6 +3777,85 @@ mod tests {
             u64::from(n) * bodies.len() as u64
         );
         assert!(stores_are_empty(&c));
+    }
+
+    /// Delivers `body` to replica `to` as node `from` sends it: under
+    /// `from`'s own keys, so the packet MAC verifies.
+    fn forge(c: &mut Cluster, from: NodeId, to: ReplicaId, body: Msg) {
+        let n = c.cfg.n();
+        let auth = PacketKeys::new(KeyChain::new(from, n)).seal_multicast(&body);
+        let packet = Packet { body, auth };
+        let wire = packet.wire_bytes();
+        c.sim.inject(to, from, packet, wire);
+        c.run_for(dur::millis(1));
+    }
+
+    /// A Byzantine backup (3) claims a checkpoint under every replica's
+    /// id, and a client under its own. Replica 1 holds that checkpoint,
+    /// so 2f+1 claims for it would make it stable and garbage-collect
+    /// the log below it — with only one replica's word behind it.
+    #[test]
+    fn checkpoint_claims_under_another_id_do_not_make_it_stable() {
+        let mut c = cluster();
+        let n = c.cfg.n();
+        let seq = c.cfg.checkpoint_interval;
+        let own = {
+            let rep = c.replica_mut::<CounterService>(1);
+            let own = rep.checkpoints.own(0).expect("genesis").clone();
+            rep.checkpoints.note_own(seq, own.clone());
+            own
+        };
+        let claim = |replica| {
+            Msg::Checkpoint(Checkpoint {
+                seq,
+                state_digest: own.digest,
+                replica,
+            })
+        };
+        for replica in 0..n {
+            forge(&mut c, 3, 1, claim(replica));
+        }
+        forge(&mut c, n, 1, claim(n));
+        assert_eq!(replica(&c, 1).stable_checkpoint(), 0, "one replica's word");
+        assert_eq!(c.sim.health().total(Counter::SpoofedSender), 4);
+    }
+
+    /// A client's packet MAC verifies at a replica, so a `Prepare` it
+    /// sends under its own id passes a bare `replica == from` check. It
+    /// must still not count as a backup's vote.
+    #[test]
+    fn a_client_prepare_does_not_make_a_slot_prepared() {
+        let mut c = cluster();
+        let n = c.cfg.n();
+        let d = signed_request(n, n, 1, big_add()).digest();
+        let entries = vec![BatchEntry::Ref {
+            client: n,
+            timestamp: 1,
+            digest: d,
+        }];
+        let batch_digest = batch_digest_of([&d]);
+        let pp = PrePrepare {
+            view: 0,
+            seq: 1,
+            entries,
+            batch_digest,
+            piggy_commits: Vec::new(),
+        };
+        forge(&mut c, 0, 1, Msg::PrePrepare(pp));
+        let slot = replica(&c, 1).log.slot(1).expect("accepted");
+        assert_eq!(slot.prepares.len(), 1, "its own prepare");
+        let prep = Prepare {
+            view: 0,
+            seq: 1,
+            batch_digest,
+            replica: n,
+            piggy_commits: Vec::new(),
+        };
+        forge(&mut c, n, 1, Msg::Prepare(prep));
+        let q = c.cfg.quorums;
+        let slot = replica(&c, 1).log.slot(1).expect("accepted");
+        assert!(!slot.prepared(&q), "a client is not a backup");
+        assert_eq!(c.sim.health().total(Counter::SpoofedSender), 1);
     }
 
     /// Submits one empty op (inlined in the pre-prepare), then one 4 KiB

@@ -89,7 +89,9 @@ fn fuzz_smoke_d() {
 fn fuzz_smoke_f2() {
     let base = env_u64("CHAOS_BASE_SEED", DEFAULT_BASE_SEED);
     for i in 0..6 {
-        CLASSIC.check_schedule(derive_seed(base ^ 0xF2, i), 2);
+        if let Err(report) = CLASSIC.check_schedule(derive_seed(base ^ 0xF2, i), 2) {
+            panic!("{report}");
+        }
     }
 }
 

@@ -484,7 +484,8 @@ fn arb_log_event() -> impl Strategy<Value = LogEvent> {
 proptest! {
     /// Under any event order: prepared/committed only ever hold with a
     /// matching pre-prepare; GC never resurrects slots; committed ⊆
-    /// prepared.
+    /// prepared; a slot's votes hold one digest per sender, the latest,
+    /// and iterate in sender order.
     #[test]
     fn log_invariants_under_arbitrary_orders(events in proptest::collection::vec(arb_log_event(), 0..120)) {
         let q = Quorums::minimal(1);
@@ -503,12 +504,16 @@ proptest! {
                 }
                 LogEvent::Prepare { seq, replica, tag } => {
                     if log.in_window(seq) {
-                        log.slot_mut(seq).prepares.insert(replica, d(tag));
+                        let votes = &mut log.slot_mut(seq).prepares;
+                        votes.insert(replica, d(tag));
+                        prop_assert!(votes.iter().any(|v| v == (replica, d(tag))), "the latest vote stands");
                     }
                 }
                 LogEvent::Commit { seq, replica, tag } => {
                     if log.in_window(seq) {
-                        log.slot_mut(seq).commits.insert(replica, d(tag));
+                        let votes = &mut log.slot_mut(seq).commits;
+                        votes.insert(replica, d(tag));
+                        prop_assert!(votes.iter().any(|v| v == (replica, d(tag))), "the latest vote stands");
                     }
                 }
                 LogEvent::Gc { to } => drop(log.collect_garbage(to)),
@@ -516,6 +521,12 @@ proptest! {
             // Invariants after every step.
             for (seq, slot) in log.iter() {
                 prop_assert!(log.in_window(seq));
+                for votes in [&slot.prepares, &slot.commits] {
+                    let senders: Vec<u32> = votes.iter().map(|(r, _)| r).collect();
+                    prop_assert!(senders.windows(2).all(|w| w[0] < w[1]), "one vote per sender, in order");
+                    prop_assert_eq!(senders.len(), votes.len());
+                    prop_assert!(senders.iter().all(|&r| r < q.n));
+                }
                 if slot.committed(&q) {
                     prop_assert!(slot.prepared(&q), "committed implies prepared");
                 }
@@ -526,9 +537,10 @@ proptest! {
                     let matching = slot
                         .prepares
                         .iter()
-                        .filter(|&(&r, &pd)| r != primary && pd == d)
+                        .filter(|&(r, pd)| r != primary && pd == d)
                         .count();
                     prop_assert!(matching >= 2, "2f matching prepares");
+                    prop_assert_eq!(matching, slot.prepares.count(Some(primary), |pd| *pd == d));
                 }
             }
         }
