@@ -9,6 +9,7 @@ use crate::config::Config;
 use crate::invariants::{push_within_budget, OpEvent};
 use crate::messages::{AuthTag, Busy, Msg, Packet, PacketKeys, Reply, Request, REPLIER_ALL};
 use crate::types::{ClientId, ReplicaId, Timestamp, View};
+use bft_crypto::digest_helper::Ticket;
 use bft_crypto::keychain::{Authenticator, KeyChain};
 use bft_crypto::md5::Digest;
 use bft_sim::{
@@ -331,6 +332,7 @@ impl ClientCore {
         reply: Reply,
         auth: &AuthTag,
         body_bytes_len: usize,
+        started: Option<Ticket>,
     ) -> Option<(Vec<u8>, u64)> {
         if from >= self.cfg.n() || reply.client != self.id {
             return None;
@@ -356,7 +358,7 @@ impl ClientCore {
         let Msg::Reply(reply) = body else { return None };
         self.view_guess = self.view_guess.max(reply.view);
         let completed_ts = reply.timestamp;
-        let result_digest = reply.body.result_digest();
+        let result_digest = reply.body.result_digest_claimed(started);
         let p = self.pending.as_mut()?;
         if let crate::messages::ReplyBody::Full(bytes) = reply.body {
             // The digest charged above (over the reply body) covers the
@@ -784,10 +786,11 @@ impl<D: ClientDriver> Node<Packet> for Client<D> {
         &mut self,
         ctx: &mut Context<'_, Packet>,
         from: NodeId,
-        packet: Packet,
+        mut packet: Packet,
         wire: usize,
     ) {
         ctx.charge_kind(CostKind::Net, self.core.cfg.cost.recv(wire));
+        let started = packet.take_started_digest();
         ctx.count_received(packet.body.tag());
         self.core.ensure_fault_timer(ctx);
         // Exhaustive over Msg (lint rule `catch-all`): a client consumes
@@ -826,7 +829,7 @@ impl<D: ClientDriver> Node<Packet> for Client<D> {
         let body_len = wire.saturating_sub(packet.auth.wire_bytes());
         if let Some((result, latency)) =
             self.core
-                .handle_reply(ctx, from, reply, &packet.auth, body_len)
+                .handle_reply(ctx, from, reply, &packet.auth, body_len, started)
         {
             let mut api = ClientApi {
                 core: &mut self.core,
@@ -916,7 +919,7 @@ mod tests {
         let auth = keys.seal_to(client, &body);
         let mut body = body;
         forge(&mut body);
-        Packet { body, auth }
+        Packet::new(body, auth)
     }
 
     fn inject(c: &mut Cluster, client: ClientId, from: ReplicaId, packet: Packet) {

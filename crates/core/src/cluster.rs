@@ -9,6 +9,7 @@ use crate::messages::{Msg, Packet, Request};
 use crate::replica::{Behavior, Replica};
 use crate::service::{CounterService, Service};
 use crate::types::ClientId;
+use bft_crypto::digest_helper::{DigestHelper, HelperCounts, HelperStats};
 use bft_sim::chaos::{ByzMode, ClientFault, Fault, FaultPlan, NodeFault};
 use bft_sim::{Counter, HealthReport, HealthSnapshot, NetConfig, NodeId, Simulation};
 
@@ -102,6 +103,8 @@ pub struct Cluster {
     pub replicas: Vec<NodeId>,
     /// Node ids of the clients (in registration order).
     pub clients: Vec<NodeId>,
+    /// The counts of the digest helper installed in `sim`.
+    digests: HelperStats,
 }
 
 impl Cluster {
@@ -114,6 +117,11 @@ impl Cluster {
     {
         cfg.validate();
         let mut sim = Simulation::new(seed, net);
+        // Large request and result digests start on a second core while
+        // each copy waits in the queue; the receiver claims them.
+        let mut helper = DigestHelper::new();
+        let digests = helper.stats();
+        sim.set_delivery_seam(move |packet: &mut Packet| packet.start_digest(&mut helper));
         let mut replicas = Vec::with_capacity(cfg.n() as usize);
         for i in 0..cfg.n() {
             let id = sim.add_node(Box::new(Replica::new(i, cfg.clone(), make_service(i))));
@@ -125,7 +133,15 @@ impl Cluster {
             cfg,
             replicas,
             clients: Vec::new(),
+            digests,
         }
+    }
+
+    /// What the digest helper has done for this cluster so far. The
+    /// counts depend on thread timing, so they are kept apart from the
+    /// simulation's deterministic counter registry.
+    pub fn digest_helper_counts(&self) -> HelperCounts {
+        self.digests.counts()
     }
 
     /// Adds a client with the given driver; returns its id.

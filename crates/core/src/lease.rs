@@ -539,7 +539,7 @@ mod tests {
                 ..grant(1_000)
             });
             let auth = PacketKeys::new(KeyChain::new(0, c.cfg.n())).seal_to(1, &body);
-            let packet = Packet { body, auth };
+            let packet = Packet::new(body, auth);
             let wire = packet.wire_bytes();
             c.sim.inject(1, 0, packet, wire);
             c.run_for(dur::millis(1));

@@ -19,6 +19,7 @@
 
 use crate::types::{ClientId, ReplicaId, SeqNum, Timestamp, View};
 use crate::wire::{wire_enum, wire_struct, Reader, Wire, WireError};
+use bft_crypto::digest_helper::{DigestHelper, Ticket};
 use bft_crypto::keychain::{Authenticator, KeyChain, PrincipalId};
 use bft_crypto::md5::{digest_parts, Digest, Md5};
 use bft_crypto::umac::Mac;
@@ -130,7 +131,21 @@ impl Request {
     /// replier hint and the authenticator (so retransmissions can change
     /// the replier without becoming a different request).
     pub fn digest(&self) -> Digest {
-        digest_parts(&[
+        self.with_digest_parts(digest_parts)
+    }
+
+    /// [`Self::digest`], claimed from the digest `started` on the helper
+    /// when there is one and the helper has it; hashed inline otherwise.
+    pub fn digest_claimed(&self, started: Option<Ticket>) -> Digest {
+        started
+            .and_then(Ticket::claim)
+            .unwrap_or_else(|| self.digest())
+    }
+
+    /// Calls `f` with the byte strings whose concatenation the identity
+    /// digest covers.
+    fn with_digest_parts<R>(&self, f: impl FnOnce(&[&[u8]]) -> R) -> R {
+        f(&[
             b"REQ",
             &self.client.to_le_bytes(),
             &self.timestamp.to_le_bytes(),
@@ -300,6 +315,14 @@ impl ReplyBody {
             ReplyBody::Full(bytes) => bft_crypto::digest(bytes),
             ReplyBody::Digest(d) => *d,
         }
+    }
+
+    /// [`Self::result_digest`], claimed from the digest `started` on the
+    /// helper when there is one and the helper has it.
+    pub fn result_digest_claimed(&self, started: Option<Ticket>) -> Digest {
+        started
+            .and_then(Ticket::claim)
+            .unwrap_or_else(|| self.result_digest())
     }
 
     /// True if the full bytes are present.
@@ -760,21 +783,54 @@ impl Msg {
 }
 
 /// A network datagram: message body plus packet-level authentication.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A queued copy may also carry the digest of its large field, started on
+/// the digest helper by [`Packet::start_digest`]. That slot is not part of
+/// the datagram: it is not encoded, not compared, and a clone starts
+/// without it.
 pub struct Packet {
     /// The protocol message.
     pub body: Msg,
     /// Packet-level authentication over the body's encoding.
     pub auth: AuthTag,
+    started: Option<Ticket>,
 }
 
 impl Packet {
-    /// Wraps a body with no packet-level authentication.
-    pub fn unauthenticated(body: Msg) -> Packet {
+    /// A packet of `body` under `auth`.
+    pub fn new(body: Msg, auth: AuthTag) -> Packet {
         Packet {
             body,
-            auth: AuthTag::None,
+            auth,
+            started: None,
         }
+    }
+
+    /// Wraps a body with no packet-level authentication.
+    pub fn unauthenticated(body: Msg) -> Packet {
+        Packet::new(body, AuthTag::None)
+    }
+
+    /// Starts, on `helper`, the digest the receiver of this copy will
+    /// need of its bytes: a request's identity digest, or a full
+    /// result's digest. Bodies below the helper's size floor, and every
+    /// other message, start nothing, but count towards the density of
+    /// large bodies that spawns the helper's thread.
+    pub fn start_digest(&mut self, helper: &mut DigestHelper) {
+        self.started = match &self.body {
+            Msg::Request(req) => req.with_digest_parts(|parts| helper.start(parts)),
+            Msg::Reply(Reply {
+                body: ReplyBody::Full(bytes),
+                ..
+            }) => helper.start(&[bytes]),
+            _ => helper.start(&[]),
+        };
+    }
+
+    /// Takes the digest started by [`Packet::start_digest`], for
+    /// [`Request::digest_claimed`] or [`ReplyBody::result_digest_claimed`].
+    pub fn take_started_digest(&mut self) -> Option<Ticket> {
+        self.started.take()
     }
 
     /// Total bytes on the wire.
@@ -787,6 +843,29 @@ impl Packet {
     /// timing of one fresh encode plus MD5 of a whole body.
     pub fn body_digest(&self) -> Digest {
         bft_crypto::digest(&self.body.to_bytes())
+    }
+}
+
+impl Clone for Packet {
+    fn clone(&self) -> Packet {
+        Packet::new(self.body.clone(), self.auth.clone())
+    }
+}
+
+impl PartialEq for Packet {
+    fn eq(&self, other: &Packet) -> bool {
+        self.body == other.body && self.auth == other.auth
+    }
+}
+
+impl Eq for Packet {}
+
+impl std::fmt::Debug for Packet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Packet")
+            .field("body", &self.body)
+            .field("auth", &self.auth)
+            .finish()
     }
 }
 
@@ -1123,7 +1202,7 @@ mod tests {
         });
         let bare = Packet::unauthenticated(body.clone());
         let auth = PacketKeys::new(KeyChain::new(0, 4)).seal_multicast(&body);
-        let sealed = Packet { body, auth };
+        let sealed = Packet::new(body, auth);
         assert!(sealed.wire_bytes() > bare.wire_bytes());
         // 3 entries × 17 bytes + tag byte + length.
         assert_eq!(sealed.wire_bytes() - bare.wire_bytes(), 8 + 3 * 17);
@@ -1163,6 +1242,30 @@ mod tests {
         let p = Packet::unauthenticated(Msg::FetchState(FetchState { seq: 1 }));
         let q = Packet::unauthenticated(Msg::FetchState(FetchState { seq: 2 }));
         assert_ne!(p.body_digest(), q.body_digest());
+    }
+
+    /// A started digest rides with one queued copy only: clones start
+    /// without it, equality ignores it, and claiming it gives the digest
+    /// of the copy's own bytes.
+    #[test]
+    fn a_started_digest_is_not_part_of_the_packet() {
+        let req = Request {
+            op: vec![7; 4096],
+            ..sample_request()
+        };
+        let mut helper = DigestHelper::new();
+        let mut packet = Packet::unauthenticated(Msg::Request(req.clone()));
+        // Dense large bodies spawn the helper's thread on a multi-core
+        // host; each call replaces the packet's earlier ticket.
+        for _ in 0..128 {
+            packet.start_digest(&mut helper);
+        }
+        let mut copy = packet.clone();
+        assert_eq!(copy, packet);
+        assert!(copy.take_started_digest().is_none());
+        let started = packet.take_started_digest();
+        assert_eq!(started.is_some(), helper.spawned());
+        assert_eq!(req.digest_claimed(started), req.digest());
     }
 
     #[test]

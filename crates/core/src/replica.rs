@@ -14,6 +14,7 @@ use crate::service::Service;
 use crate::types::{ClientId, ReplicaId, SeqNum, Timestamp, View};
 use crate::viewchange::{compute_plan, validate_new_view, ViewChangeSet};
 use crate::wire::Wire;
+use bft_crypto::digest_helper::Ticket;
 use bft_crypto::keychain::{Authenticator, KeyChain};
 use bft_crypto::md5::Digest;
 use bft_sim::time::dur;
@@ -565,7 +566,7 @@ impl<S: Service> Replica<S> {
         ctx.charge_kind(CostKind::Mac, cost.authenticator(self.cfg.n() - 1, 16));
         let auth = self.keys.seal_multicast(&msg);
         let auth = self.maybe_corrupt(auth);
-        let packet = Packet { body: msg, auth };
+        let packet = Packet::new(msg, auth);
         let wire = packet.wire_bytes();
         ctx.charge_kind(CostKind::Net, cost.send(wire));
         ctx.count_sent(packet.body.tag());
@@ -582,7 +583,7 @@ impl<S: Service> Replica<S> {
         ctx.charge_kind(CostKind::Mac, cost.mac(16));
         let auth = self.keys.seal_to(dst, &msg);
         let auth = self.maybe_corrupt(auth);
-        let packet = Packet { body: msg, auth };
+        let packet = Packet::new(msg, auth);
         let wire = packet.wire_bytes();
         ctx.charge_kind(CostKind::Net, cost.send(wire));
         ctx.count_sent(packet.body.tag());
@@ -614,11 +615,17 @@ impl<S: Service> Replica<S> {
     }
 
     /// Verifies a request's embedded authenticator. Returns the
-    /// request's identity digest — hashed here, once, from the bytes this
-    /// node received — for the caller to carry wherever the request goes
+    /// request's identity digest — of the bytes this node received,
+    /// claimed from the digest `started` when the copy was queued or
+    /// hashed here — for the caller to carry wherever the request goes
     /// next, or `None` if the authenticator does not verify.
-    fn verify_request(&mut self, ctx: &mut Context<'_, Packet>, req: &Request) -> Option<Digest> {
-        let d = req.digest();
+    fn verify_request(
+        &mut self,
+        ctx: &mut Context<'_, Packet>,
+        req: &Request,
+        started: Option<Ticket>,
+    ) -> Option<Digest> {
+        let d = req.digest_claimed(started);
         self.verify_request_digest(ctx, req, d).then_some(d)
     }
 
@@ -937,7 +944,12 @@ impl<S: Service> Replica<S> {
 
     /// Returns whether the request's body was stored as new — the one
     /// outcome that can complete a batch waiting in `unresolved`.
-    fn handle_request(&mut self, ctx: &mut Context<'_, Packet>, req: Request) -> bool {
+    fn handle_request(
+        &mut self,
+        ctx: &mut Context<'_, Packet>,
+        req: Request,
+        started: Option<Ticket>,
+    ) -> bool {
         // Penalty-box fast path, deliberately *before* MAC verification:
         // under a flood the verify itself is the cost the shed exists to
         // avoid. Safe unverified because a penalty is only ever earned by
@@ -955,7 +967,7 @@ impl<S: Service> Replica<S> {
             self.shed_request(ctx, req.client, req.timestamp);
             return false;
         }
-        let Some(digest) = self.verify_request(ctx, &req) else {
+        let Some(digest) = self.verify_request(ctx, &req, started) else {
             ctx.count(Counter::BadRequestAuth);
             return false;
         };
@@ -2593,7 +2605,7 @@ impl<S: Service> Replica<S> {
     fn handle_request_data(&mut self, ctx: &mut Context<'_, Packet>, rd: RequestData) {
         let mut any = false;
         for req in rd.requests {
-            let Some(d) = self.verify_request(ctx, &req) else {
+            let Some(d) = self.verify_request(ctx, &req, None) else {
                 continue;
             };
             self.bodies.insert(d, Arc::new(req));
@@ -3544,12 +3556,13 @@ impl<S: Service> Node<Packet> for Replica<S> {
         &mut self,
         ctx: &mut Context<'_, Packet>,
         from: NodeId,
-        packet: Packet,
+        mut packet: Packet,
         wire: usize,
     ) {
         if self.behavior == Behavior::Crashed {
             return;
         }
+        let started = packet.take_started_digest();
         ctx.charge_kind(CostKind::Net, self.cfg.cost.recv(wire));
         ctx.count_received(packet.body.tag());
         if !self.verify_packet(ctx, from, &packet) {
@@ -3558,7 +3571,7 @@ impl<S: Service> Node<Packet> for Replica<S> {
         }
         match packet.body {
             Msg::Request(req) => {
-                if self.handle_request(ctx, req) && !self.unresolved.is_empty() {
+                if self.handle_request(ctx, req, started) && !self.unresolved.is_empty() {
                     self.resolve_pending_batches(ctx);
                 }
             }
@@ -3784,7 +3797,7 @@ mod tests {
     fn forge(c: &mut Cluster, from: NodeId, to: ReplicaId, body: Msg) {
         let n = c.cfg.n();
         let auth = PacketKeys::new(KeyChain::new(from, n)).seal_multicast(&body);
-        let packet = Packet { body, auth };
+        let packet = Packet::new(body, auth);
         let wire = packet.wire_bytes();
         c.sim.inject(to, from, packet, wire);
         c.run_for(dur::millis(1));
@@ -4032,7 +4045,7 @@ mod tests {
             piggy_commits: Vec::new(),
         });
         let auth = PacketKeys::new(KeyChain::new(0, n)).seal_multicast(&pp);
-        let pp = Packet { body: pp, auth };
+        let pp = Packet::new(pp, auth);
         to_backup(&mut c, 0, pp);
         let slot = replica(&c, 1).log.slot(1).expect("accepted");
         assert!(slot.prepare_sent && slot.requests.is_none());

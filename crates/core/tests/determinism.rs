@@ -10,6 +10,9 @@
 
 use bft_core::fuzz::{ChaosDriver, Workload, CLASSIC, LEASE, OVERLOAD};
 use bft_core::prelude::*;
+use bft_core::service::RestoreError;
+use bft_crypto::digest_helper::MIN_BYTES;
+use bft_crypto::{digest, Digest};
 use bft_sim::dur;
 use bft_sim::trace::TraceEvent;
 use bft_sim::{Counters, HealthSnapshot, NodeId};
@@ -37,25 +40,42 @@ fn fingerprint(
     rounds: u32,
     churn_registry: bool,
 ) -> RunFingerprint {
-    let n = cfg.n();
     let mut cluster = Cluster::builder(cfg)
         .seed(seed)
         .trace_capacity(TRACE_CAPACITY)
         .build_counter();
     cluster.add_client(ChaosDriver::new(seed ^ 1, OPS_PER_CLIENT, Workload::Adds));
     cluster.add_client(ChaosDriver::new(seed ^ 2, OPS_PER_CLIENT, Workload::Mixed));
+    observe::<CounterService, ChaosDriver>(&mut cluster, Some(plan), rounds, churn_registry)
+}
 
+/// Runs a built cluster of `S` replicas and `D` clients in `rounds`
+/// 100 ms slices (see [`fingerprint`]) and fingerprints it. With a
+/// `plan`, the slices run it under the invariant checker, whose
+/// linearizability rule knows only counter operations.
+fn observe<S: Service, D: ClientDriver>(
+    cluster: &mut Cluster,
+    plan: Option<&FaultPlan>,
+    rounds: u32,
+    churn_registry: bool,
+) -> RunFingerprint {
+    let n = cluster.cfg.n();
     let mut checker = InvariantChecker::new();
     let empty = FaultPlan::empty();
     let mut health_seq: Vec<Vec<HealthSnapshot>> = Vec::new();
     for round in 0..rounds {
-        let p = if round == 0 { plan } else { &empty };
-        cluster
-            .run_with_plan::<CounterService, ChaosDriver>(p, dur::millis(100), &mut checker)
-            .expect("invariants hold in both runs");
+        match plan {
+            Some(plan) => {
+                let p = if round == 0 { plan } else { &empty };
+                cluster
+                    .run_with_plan::<S, D>(p, dur::millis(100), &mut checker)
+                    .expect("invariants hold in both runs");
+            }
+            None => cluster.run_for(dur::millis(100)),
+        }
         // Snapshot after every round: the health observatory must be as
         // deterministic as the protocol it observes.
-        health_seq.push(cluster.health_snapshots::<CounterService>());
+        health_seq.push(cluster.health_snapshots::<S>());
         if churn_registry {
             for (name, total) in cluster.sim.health().flattened() {
                 if !name.starts_with("sent.") && !name.starts_with("recv.") {
@@ -72,7 +92,7 @@ fn fingerprint(
         .map(|node| sink.node_events(node).copied().collect())
         .collect();
     let executed: Vec<u64> = (0..n)
-        .map(|r| cluster.replica::<CounterService>(r).last_executed())
+        .map(|r| cluster.replica::<S>(r).last_executed())
         .collect();
     RunFingerprint {
         rings,
@@ -234,4 +254,101 @@ fn different_seeds_diverge() {
         (b.events_processed, &b.rings),
         "different seeds should produce observably different runs"
     );
+}
+
+/// Bodies of the large-body run: twice the digest helper's floor.
+const BULK: usize = 2 * MIN_BYTES;
+
+/// A register whose every operation returns [`BULK`] bytes derived from
+/// the operation and the state, so replies carry large full results.
+#[derive(Debug, Default)]
+struct BulkService {
+    ops: u64,
+}
+
+impl Service for BulkService {
+    fn execute(&mut self, _client: ClientId, op: &[u8]) -> Vec<u8> {
+        self.ops += 1;
+        self.execute_read_only(0, op)
+    }
+    fn execute_read_only(&self, _client: ClientId, op: &[u8]) -> Vec<u8> {
+        let seed = self.ops as u8 ^ op.first().copied().unwrap_or(0);
+        (0..BULK).map(|i| seed.wrapping_add(i as u8)).collect()
+    }
+    fn is_read_only(&self, _op: &[u8]) -> bool {
+        false
+    }
+    fn state_digest(&self) -> Digest {
+        digest(&self.ops.to_le_bytes())
+    }
+    fn snapshot(&self) -> Vec<u8> {
+        self.ops.to_le_bytes().to_vec()
+    }
+    fn restore(&mut self, snapshot: &[u8]) -> Result<(), RestoreError> {
+        let bytes = snapshot
+            .try_into()
+            .map_err(|_| RestoreError("want 8 bytes".into()))?;
+        self.ops = u64::from_le_bytes(bytes);
+        Ok(())
+    }
+}
+
+/// A closed-loop client sending [`BULK`]-byte operations.
+struct BulkClient {
+    id: u8,
+    left: u64,
+}
+
+impl BulkClient {
+    fn submit(&mut self, api: &mut ClientApi<'_, '_>) {
+        if self.left > 0 {
+            self.left -= 1;
+            let op = (0..BULK).map(|i| self.id ^ (self.left + i as u64) as u8);
+            api.submit(op.collect(), false);
+        }
+    }
+}
+
+impl ClientDriver for BulkClient {
+    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
+        self.submit(api);
+    }
+    fn on_complete(&mut self, api: &mut ClientApi<'_, '_>, result: &[u8], _latency_ns: u64) {
+        assert_eq!(result.len(), BULK);
+        self.submit(api);
+    }
+}
+
+/// The digest helper is observer-only: with large arguments and large
+/// results, a cluster whose replicas and clients claim request and
+/// result digests from the helper behaves, event for event, like one
+/// whose delivery seam does nothing and hashes every digest inline.
+#[test]
+fn the_digest_helper_changes_nothing() {
+    const OPS: u64 = 40;
+    let run = |helper: bool| {
+        let mut cluster = Cluster::builder(Config::new(1))
+            .seed(0xB01D)
+            .trace_capacity(TRACE_CAPACITY)
+            .build(|_| BulkService::default());
+        if !helper {
+            cluster.sim.set_delivery_seam(|_| {});
+        }
+        for id in 0..4 {
+            cluster.add_client(BulkClient { id, left: OPS });
+        }
+        let fp = observe::<BulkService, BulkClient>(&mut cluster, None, 8, false);
+        (fp, cluster.digest_helper_counts())
+    };
+    let (with, counts) = run(true);
+    let (without, inline) = run(false);
+    assert_identical(&with, &without);
+    assert_eq!(with.completed_ops, 4 * OPS, "every operation completes");
+    assert_eq!(inline.served + inline.running + inline.hashed, 0);
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        assert!(
+            counts.served + counts.running > 0,
+            "the helper must supply digests, or the comparison is vacuous: {counts:?}"
+        );
+    }
 }

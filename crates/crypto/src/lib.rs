@@ -11,6 +11,8 @@
 //! stack from scratch:
 //!
 //! - [`md5`]: the MD5 digest (incremental and one-shot),
+//! - [`digest_helper`]: MD5 of large bodies on a second core, claimed by
+//!   the node that receives the body,
 //! - [`merkle`]: Merkle trees over partition digests, the basis of
 //!   incremental hierarchical checkpointing,
 //! - [`umac`]: a UMAC-style fast universal-hash MAC, padded with AES-128
@@ -36,6 +38,7 @@
 
 mod aes;
 pub mod bignum;
+pub mod digest_helper;
 pub mod keychain;
 pub mod md5;
 pub mod merkle;

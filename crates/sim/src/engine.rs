@@ -305,9 +305,38 @@ struct Kernel<M> {
     events_processed: u64,
     /// The node the last processed event was dispatched to.
     last_dispatched: Option<NodeId>,
+    /// Runs on every copy queued for delivery ([`Simulation::set_delivery_seam`]).
+    seam: Option<Seam<M>>,
 }
 
+/// The delivery seam's type.
+type Seam<M> = Box<dyn FnMut(&mut M)>;
+
 impl<M> Kernel<M> {
+    /// Queues one copy of a message for delivery, after the delivery seam
+    /// has seen it.
+    fn queue_delivery(
+        &mut self,
+        at: SimTime,
+        dst: NodeId,
+        from: NodeId,
+        mut msg: M,
+        wire_bytes: usize,
+    ) {
+        if let Some(seam) = &mut self.seam {
+            seam(&mut msg);
+        }
+        self.queue.push(
+            at,
+            dst,
+            EventKind::Deliver {
+                from,
+                msg,
+                wire_bytes,
+            },
+        );
+    }
+
     /// Enqueues a delivery that the network accepted at `at`, plus an
     /// extra copy when the fault configuration duplicates the frame.
     fn deliver_with_duplicates(
@@ -322,25 +351,9 @@ impl<M> Kernel<M> {
         M: Clone,
     {
         if let Some(at2) = self.net.maybe_duplicate(slot, src, dst, &mut self.rng) {
-            self.queue.push(
-                at2,
-                dst,
-                EventKind::Deliver {
-                    from: src,
-                    msg: msg.clone(),
-                    wire_bytes,
-                },
-            );
+            self.queue_delivery(at2, dst, src, msg.clone(), wire_bytes);
         }
-        self.queue.push(
-            at,
-            dst,
-            EventKind::Deliver {
-                from: src,
-                msg,
-                wire_bytes,
-            },
-        );
+        self.queue_delivery(at, dst, src, msg, wire_bytes);
     }
 }
 
@@ -384,15 +397,8 @@ impl<M> Context<'_, M> {
         if dst == self.id {
             // Loopback bypasses the NIC (and fault injection).
             let at = depart.after(1_000);
-            self.kernel.queue.push(
-                at,
-                dst,
-                EventKind::Deliver {
-                    from: self.id,
-                    msg,
-                    wire_bytes: payload_bytes,
-                },
-            );
+            self.kernel
+                .queue_delivery(at, dst, self.id, msg, payload_bytes);
             return;
         }
         let slot = self.kernel.net.transmit(depart, self.id, payload_bytes);
@@ -440,15 +446,8 @@ impl<M> Context<'_, M> {
     {
         if dst == self.id {
             let at = depart.after(1_000);
-            self.kernel.queue.push(
-                at,
-                dst,
-                EventKind::Deliver {
-                    from: self.id,
-                    msg,
-                    wire_bytes: payload_bytes,
-                },
-            );
+            self.kernel
+                .queue_delivery(at, dst, self.id, msg, payload_bytes);
             return;
         }
         match self
@@ -608,6 +607,7 @@ impl<M: 'static> Simulation<M> {
                 stopped: false,
                 events_processed: 0,
                 last_dispatched: None,
+                seam: None,
             },
         }
     }
@@ -709,6 +709,19 @@ impl<M: 'static> Simulation<M> {
         self.kernel.queue.live()
     }
 
+    /// Installs `seam`, replacing any earlier one, to run on every copy of
+    /// a message the engine queues for delivery: once per destination of
+    /// a multicast, once per network duplicate, on loopback and injected
+    /// messages too, just before the copy enters the queue. The queue
+    /// then owns the copy, unchanged, until it is dispatched.
+    ///
+    /// The seam is for work a node would otherwise do on receipt and
+    /// that nothing can observe, such as starting a digest of the copy's
+    /// bytes: it must leave every value a node reads as it was.
+    pub fn set_delivery_seam(&mut self, seam: impl FnMut(&mut M) + 'static) {
+        self.kernel.seam = Some(Box::new(seam));
+    }
+
     /// Places `node` on the same machine as `host`, sharing its network
     /// links (the paper's 200 client processes ran on 5 machines).
     pub fn assign_host(&mut self, node: NodeId, host: NodeId) {
@@ -727,15 +740,7 @@ impl<M: 'static> Simulation<M> {
     /// fixed 1 µs, bypassing the network model). Test plumbing.
     pub fn inject(&mut self, dst: NodeId, from: NodeId, msg: M, wire_bytes: usize) {
         let at = self.kernel.now.after(1_000);
-        self.kernel.queue.push(
-            at,
-            dst,
-            EventKind::Deliver {
-                from,
-                msg,
-                wire_bytes,
-            },
-        );
+        self.kernel.queue_delivery(at, dst, from, msg, wire_bytes);
     }
 
     /// Borrows a node downcast to its concrete type.
@@ -849,16 +854,17 @@ impl<M: 'static> Simulation<M> {
         self.run_until(t);
     }
 
-    /// Runs until no events remain or `max_events` have been processed.
-    /// Returns `true` if the queue drained.
+    /// Runs until no events remain, a node calls [`Context::stop`], or
+    /// `max_events` have been processed. Returns `true` if no event is
+    /// left to dispatch; keys of cancelled timers do not count.
     pub fn run_until_idle(&mut self, max_events: u64) -> bool {
         self.kernel.stopped = false;
         for _ in 0..max_events {
             if self.kernel.stopped || !self.step() {
-                return true;
+                break;
             }
         }
-        self.kernel.queue.keys() == 0
+        self.kernel.queue.live() == 0
     }
 }
 
@@ -1238,6 +1244,101 @@ mod tests {
         s.run_until(SimTime(dur::secs(1)));
         // The second message remains queued and the clock did not jump to 1 s.
         assert!(s.now().nanos() < dur::secs(1));
+    }
+
+    #[test]
+    fn run_until_idle_is_not_drained_after_a_stop() {
+        struct Stopper;
+        impl Node<u32> for Stopper {
+            fn on_message(&mut self, ctx: &mut Context<'_, u32>, _: NodeId, _: u32, _: usize) {
+                ctx.stop();
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut s: Simulation<u32> = sim();
+        let a = s.add_node(Box::new(Stopper));
+        s.inject(a, 0, 1, 8);
+        s.inject(a, 0, 2, 8);
+        assert!(!s.run_until_idle(100), "the second message is still queued");
+        assert_eq!(s.queued_events(), 1);
+        assert!(s.run_until_idle(100), "the next run dispatches it");
+    }
+
+    #[test]
+    fn run_until_idle_is_drained_with_only_cancelled_keys_left() {
+        struct Canceller;
+        impl Node<u32> for Canceller {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                let doomed = ctx.set_timer(dur::secs(1), 1);
+                ctx.cancel_timer(doomed);
+            }
+            fn on_message(&mut self, _: &mut Context<'_, u32>, _: NodeId, _: u32, _: usize) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut s: Simulation<u32> = sim();
+        s.add_node(Box::new(Canceller));
+        // The one live event is the start; the budget ends on it, with the
+        // cancelled timer's key still in its heap.
+        assert!(s.run_until_idle(1));
+        assert_eq!((s.queued_events(), s.kernel.queue.keys()), (0, 1));
+    }
+
+    #[test]
+    fn the_delivery_seam_sees_every_queued_copy_once() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        struct Fanout(Vec<NodeId>);
+        impl Node<u32> for Fanout {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                let me = ctx.id();
+                ctx.multicast(&self.0, 10, 8);
+                ctx.send(me, 20, 8);
+            }
+            fn on_message(&mut self, _: &mut Context<'_, u32>, _: NodeId, _: u32, _: usize) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut s = sim();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::clone(&seen);
+        // Marks each copy, so a copy the seam missed (or saw twice) shows
+        // at the receiver.
+        s.set_delivery_seam(move |m: &mut u32| {
+            log.borrow_mut().push(*m);
+            *m += 1;
+        });
+        s.network_mut().set_duplicate_probability(1.0);
+        let a = s.add_node(Box::<Probe>::default());
+        let b = s.add_node(Box::<Probe>::default());
+        s.add_node(Box::new(Fanout(vec![a, b])));
+        s.inject(a, 99, 30, 8);
+        s.run_until_idle(100);
+        // Two multicast copies and their duplicates, the loopback, the
+        // injected message.
+        assert_eq!(*seen.borrow(), vec![30, 10, 10, 10, 10, 20]);
+        for node in [a, b] {
+            let got: Vec<u32> = s
+                .node_as::<Probe>(node)
+                .messages
+                .iter()
+                .map(|m| m.1)
+                .collect();
+            assert!(got.iter().all(|&m| m % 10 == 1), "{got:?}");
+        }
     }
 
     #[test]
