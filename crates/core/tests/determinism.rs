@@ -8,11 +8,12 @@
 //! node (replicas and clients), element-wise. A divergence anywhere in
 //! timing, view, sequence assignment, or batching shows up here.
 
-use bft_core::fuzz::{ChaosDriver, Workload, CLASSIC, LEASE, OVERLOAD};
+use bft_core::fuzz::{ChaosDriver, Workload, ALL_ON, CLASSIC, LEASE, OVERLOAD};
 use bft_core::prelude::*;
 use bft_core::service::RestoreError;
 use bft_crypto::digest_helper::MIN_BYTES;
 use bft_crypto::{digest, Digest};
+use bft_sim::chaos::{ClientFault, Fault, FaultEvent};
 use bft_sim::dur;
 use bft_sim::trace::TraceEvent;
 use bft_sim::{Counters, HealthSnapshot, NodeId};
@@ -216,6 +217,57 @@ fn identical_seeds_identical_traces_under_overload() {
         let a = run_overload_once(seed, &plan, 16);
         let b = run_overload_once(seed, &plan, 16);
         assert_identical(&a, &b);
+    }
+}
+
+/// The admission path, pinned across refactors: one `OVERLOAD` and one
+/// `ALL_ON` run's event count, completed operations and overload
+/// counters must stay exactly these. The family plans fault nothing in
+/// the first 100 ms slice, so each run gets its own: the second client
+/// floods from 10 ms to 80 ms. Each run sheds and sends BUSY, so the pin
+/// covers the gate, the penalty box and the throttle, not an idle path.
+#[test]
+fn admission_runs_match_their_pinned_counts() {
+    for (family, seed, interval_us, pinned) in [
+        (
+            &OVERLOAD,
+            0x0BE5_0001u64,
+            100,
+            [4999, 17, 34, 596, 33, 0, 0, 0],
+        ),
+        (&ALL_ON, 0xA110_0001, 50, [5417, 17, 37, 1089, 0, 0, 0, 0]),
+    ] {
+        let client = |at_ns, fault| FaultEvent {
+            at_ns,
+            fault: Fault::Client { client: 5, fault },
+        };
+        let flood = ClientFault::Flood {
+            interval_ns: dur::micros(interval_us),
+        };
+        let plan = FaultPlan {
+            events: vec![
+                client(dur::millis(10), flood),
+                client(dur::millis(80), ClientFault::Restore),
+            ],
+        };
+        let run = fingerprint(family.config(1), seed, &plan, 16, false);
+        let total = |counter| run.counters.total(counter);
+        assert!(
+            total(Counter::RequestsShed) > 0 && total(Counter::BusySent) > 0,
+            "{}: the pinned run must shed and send BUSY",
+            family.name
+        );
+        let observed = [
+            run.events_processed,
+            run.completed_ops,
+            total(Counter::BusySent),
+            total(Counter::RequestsShed),
+            total(Counter::BusyReceived),
+            total(Counter::BusyRoFallbacks),
+            total(Counter::RetryBudgetExhausted),
+            total(Counter::LeaseReadsEvicted),
+        ];
+        assert_eq!(observed, pinned, "{}", family.name);
     }
 }
 
