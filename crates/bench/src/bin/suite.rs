@@ -376,10 +376,6 @@ fn overload(quick: bool, out: &mut BenchDoc) {
     };
     let mut cfg = Config::new(1);
     cfg.admission_control = true;
-    cfg.admission_client_quota = 4;
-    cfg.admission_queue_cap = 64;
-    cfg.busy_retry_after_ns = dur::millis(2);
-    cfg.client_retry_budget = 12;
 
     /// The fifth client at each curve point.
     enum Flooder {

@@ -5,6 +5,7 @@
 //! [`ClientDriver`]; the workload crates implement drivers for the paper's
 //! micro-benchmark, Andrew, and PostMark.
 
+use crate::admission;
 use crate::config::Config;
 use crate::invariants::{push_within_budget, OpEvent};
 use crate::messages::{AuthTag, Busy, Msg, Packet, PacketKeys, Reply, Request, REPLIER_ALL};
@@ -507,14 +508,15 @@ impl ClientCore {
 
     fn on_retry_timer(&mut self, ctx: &mut Context<'_, Packet>) {
         self.retry_timer = None;
-        let budget = self.cfg.client_retry_budget;
+        // The retry budget is armed with the overload armor.
+        let armed = self.cfg.admission_control;
         let over = {
             let Some(p) = &mut self.pending else { return };
             p.retries += 1;
             p.broadcast = true;
             // Each honored BUSY extends the allowance by one round:
             // backing off on request is cooperation, not starvation.
-            budget > 0 && !p.budget_flagged && p.retries > budget + p.busy_rounds
+            armed && !p.budget_flagged && p.retries > admission::RETRY_BUDGET + p.busy_rounds
         };
         if over {
             // The budget is an observability boundary, not a liveness

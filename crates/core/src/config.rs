@@ -155,24 +155,11 @@ pub struct Config {
     /// *Admission control*: per-client in-flight quotas and depth caps
     /// on every request-holding queue in the replica; over-limit
     /// requests are shed with a BUSY pushback instead of growing the
-    /// backlog without bound. Off by default: the paper's protocol has
-    /// no overload armor.
+    /// backlog without bound, and clients jitter their retransmissions
+    /// and flag operations that run out of a retry budget. The quota,
+    /// caps, BUSY window and budget are constants of the gate's module.
+    /// Off by default: the paper's protocol has no overload armor.
     pub admission_control: bool,
-    /// Per-client cap on requests a replica will hold concurrently
-    /// (batched plus pending) when admission control is on.
-    pub admission_client_quota: usize,
-    /// Total ingest-backlog cap (pending batch + pending requests) per
-    /// replica when admission control is on; beyond it every new
-    /// request is shed regardless of sender.
-    pub admission_queue_cap: usize,
-    /// Backoff hint carried in BUSY pushback messages: how long the
-    /// shedding replica asks the client to wait before retrying.
-    pub busy_retry_after_ns: u64,
-    /// Retry allowance before the client flags an operation as starved
-    /// (each BUSY received extends the allowance by one, so backing
-    /// off under pushback is never itself counted as starvation).
-    /// 0 disables the budget.
-    pub client_retry_budget: u32,
 }
 
 impl Config {
@@ -204,10 +191,6 @@ impl Config {
             read_leases: false,
             read_lease_ns: dur::millis(100),
             admission_control: false,
-            admission_client_quota: 16,
-            admission_queue_cap: 4_096,
-            busy_retry_after_ns: dur::millis(5),
-            client_retry_budget: 0,
         }
     }
 
@@ -275,20 +258,6 @@ impl Config {
             assert!(
                 3 * self.read_lease_ns <= self.view_change_timeout_ns,
                 "read-lease duration too long: 3x must fit in the view-change timeout"
-            );
-        }
-        if self.admission_control {
-            assert!(
-                self.admission_client_quota >= 1,
-                "admission client quota must admit at least one request"
-            );
-            assert!(
-                self.admission_queue_cap >= self.admission_client_quota,
-                "admission queue cap must cover at least one client quota"
-            );
-            assert!(
-                self.busy_retry_after_ns > 0,
-                "busy retry-after hint must be positive"
             );
         }
     }
@@ -390,39 +359,6 @@ mod tests {
         let c = Config {
             read_leases: true,
             read_lease_ns: dur::millis(1_000),
-            ..Config::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "admission client quota")]
-    fn zero_admission_quota_rejected() {
-        let c = Config {
-            admission_control: true,
-            admission_client_quota: 0,
-            ..Config::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "admission queue cap")]
-    fn undersized_admission_cap_rejected() {
-        let c = Config {
-            admission_control: true,
-            admission_client_quota: 32,
-            admission_queue_cap: 8,
-            ..Config::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    fn admission_defaults_are_valid_when_armed() {
-        let c = Config {
-            admission_control: true,
-            client_retry_budget: 50,
             ..Config::default()
         };
         c.validate();

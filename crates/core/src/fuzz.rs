@@ -266,10 +266,6 @@ pub const OVERLOAD: FuzzFamily = FuzzFamily {
     config: |f| {
         let mut cfg = CLASSIC.config(f);
         cfg.admission_control = true;
-        cfg.admission_client_quota = 4;
-        cfg.admission_queue_cap = 64;
-        cfg.busy_retry_after_ns = dur::millis(2);
-        cfg.client_retry_budget = 12;
         cfg.read_leases = true;
         cfg.read_lease_ns = dur::millis(60);
         cfg
@@ -296,12 +292,7 @@ pub const ALL_ON: FuzzFamily = FuzzFamily {
         let fast = FASTPATH.config(f);
         cfg.fast_path = fast.fast_path;
         cfg.fast_path_timeout_ns = fast.fast_path_timeout_ns;
-        let overload = OVERLOAD.config(f);
-        cfg.admission_control = overload.admission_control;
-        cfg.admission_client_quota = overload.admission_client_quota;
-        cfg.admission_queue_cap = overload.admission_queue_cap;
-        cfg.busy_retry_after_ns = overload.busy_retry_after_ns;
-        cfg.client_retry_budget = overload.client_retry_budget;
+        cfg.admission_control = true;
         cfg
     },
     recovery_faults: true,

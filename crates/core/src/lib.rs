@@ -52,6 +52,7 @@
 //! assert_eq!(cluster.replica::<CounterService>(0).service().value(), 10);
 //! ```
 
+mod admission;
 mod bodies;
 pub mod checkpoint;
 pub mod client;

@@ -2,6 +2,7 @@
 //! normal-case three-phase ordering with all the paper's optimizations,
 //! checkpoints and garbage collection, view changes, and state transfer.
 
+use crate::admission::{self, Gate, Pushback};
 use crate::bodies::Bodies;
 use crate::checkpoint::{CheckpointSet, CheckpointTracker, OwnCheckpoint};
 use crate::config::Config;
@@ -86,41 +87,6 @@ struct WaitingRo {
     client: ClientId,
     reply: Reply,
 }
-
-/// Per-client admission-control state. Client timestamps are issued
-/// consecutively, so `admitted_hw - served_hw` counts requests this
-/// replica let past the gate that no reply has settled yet — including
-/// work deep in the ordering pipeline that a queue-depth count misses
-/// the moment a batch is proposed. A flooding client that abandons ops
-/// faster than they execute drives the difference over
-/// [`Config::admission_client_quota`] and trips a penalty window; a
-/// correct closed-loop client never holds more than one.
-#[derive(Debug, Clone, Copy, Default)]
-struct ClientGate {
-    /// Highest timestamp admitted past the gate (post-authentication).
-    admitted_hw: Timestamp,
-    /// Highest timestamp this replica replied to (execution, read-only
-    /// or reply-cache). Serving ts settles every lower one too: a gap
-    /// means the client abandoned or other replicas served those reads.
-    served_hw: Timestamp,
-    /// When the last admission happened. A watermark gap older than
-    /// [`ADMIT_FORGIVE_MULT`] retry windows is forgiven: the admitted
-    /// work was lost (e.g. discarded by a view change) and will never
-    /// execute here, and holding the client to it would wedge it.
-    last_admit_ns: u64,
-    /// Requests are shed without further accounting until this instant.
-    /// Armed when the quota first trips, not refreshed by further sheds,
-    /// so a recovered client drains out of it in one window.
-    penalty_until_ns: u64,
-    /// BUSY send throttle: at most one per retry window, so a flood of
-    /// shed requests cannot turn the pushback channel itself into load.
-    last_busy_ns: u64,
-}
-
-/// Staleness bound on the admission watermarks, in units of
-/// [`Config::busy_retry_after_ns`]: past this the admitted-but-unserved
-/// gap is treated as abandoned rather than in flight.
-const ADMIT_FORGIVE_MULT: u64 = 8;
 
 /// An in-flight hierarchical state transfer. The fetcher first obtains
 /// the checkpoint's partition leaves (STATE-META), verifies them against
@@ -244,16 +210,14 @@ pub struct Replica<S: Service> {
     /// Backfill votes: which peers asserted each (seq, digest) committed.
     backfill: BTreeMap<(SeqNum, Digest), BTreeSet<ReplicaId>>,
     waiting_ro: Vec<WaitingRo>,
-    /// Read-lease state, `Some` exactly when [`Config::read_leases`] is on.
+    /// Read-lease state, `Some` exactly when read leases are armed.
     leases: Option<Leases>,
     /// Proactive-recovery state: our own recovery stage plus peer leases.
     recovery: RecoveryManager,
-    /// Per-client admission bookkeeping: timestamp watermarks whose
-    /// difference measures work admitted but not yet served (robust to
-    /// the ordering pipeline draining quickly, unlike a queue count),
-    /// plus the shed penalty window and BUSY send throttle. One entry
-    /// per authenticated client — bounded by the principal set.
-    gate: BTreeMap<ClientId, ClientGate>,
+    /// The admission gate, `Some` exactly when admission control is armed.
+    gate: Option<Gate>,
+    /// The BUSY throttle, shared by the gate and lease eviction.
+    pushback: Pushback,
     /// Peak ingest-backlog depth ever reached (observer-only).
     backlog_high_watermark: u64,
     behavior: Behavior,
@@ -295,6 +259,7 @@ impl<S: Service> Replica<S> {
         // be ordered before the window moves.
         let bodies = Bodies::new(cfg.log_window as usize * cfg.max_batch_requests);
         let leases = Leases::armed(id, &cfg);
+        let gate = Gate::armed(&cfg);
         Replica {
             cfg,
             id,
@@ -335,7 +300,8 @@ impl<S: Service> Replica<S> {
             waiting_ro: Vec::new(),
             leases,
             recovery: RecoveryManager::new(),
-            gate: BTreeMap::new(),
+            gate,
+            pushback: Pushback::default(),
             backlog_high_watermark: 0,
             behavior: Behavior::Correct,
             audit: ReplicaAudit::default(),
@@ -467,20 +433,15 @@ impl<S: Service> Replica<S> {
     /// invariant audits after every event, so the rows are a fixed array
     /// and cost no allocation. `request_store` is the FIFO of bodies no
     /// slot holds (those a slot holds go with the slot at the stable
-    /// checkpoint). The last three are armed by admission control and
-    /// unbounded without it. The ingest backlog's cap has window slack
-    /// on top of [`Config::admission_queue_cap`]: requests arriving
-    /// inside already-ordered batches (pre-prepares, new-view requeues)
-    /// were admitted upstream and bypass the local gate, but the log
-    /// window bounds how many of those can be in flight.
+    /// checkpoint). The last three are the admission gate's
+    /// (`admission.rs`), unbounded without it.
     pub fn queue_bounds(&self) -> [(&'static str, usize, usize); 5] {
-        let cap = if self.cfg.admission_control {
-            let slack = self.cfg.log_window as usize * self.cfg.max_batch_requests;
-            self.cfg.admission_queue_cap + slack
-        } else {
-            usize::MAX
-        };
-        let backlog = self.pending_batch_len + self.pending_requests.len();
+        let [backlog, queued, waiting_ro] = Gate::bounds(
+            self.gate.as_ref(),
+            self.backlog(),
+            self.queued.len(),
+            self.waiting_ro.len(),
+        );
         [
             (
                 "request_store",
@@ -488,9 +449,9 @@ impl<S: Service> Replica<S> {
                 self.bodies.loose_cap(),
             ),
             Leases::parked_bound(self.leases.as_ref()),
-            ("ingest_backlog", backlog, cap),
-            ("queued", self.queued.len(), cap),
-            ("waiting_ro", self.waiting_ro.len(), cap),
+            backlog,
+            queued,
+            waiting_ro,
         ]
     }
 
@@ -811,8 +772,13 @@ impl<S: Service> Replica<S> {
         self.note_backlog_hw();
     }
 
+    /// Requests waiting to be ordered: batch lanes plus pending requests.
+    fn backlog(&self) -> usize {
+        self.pending_batch_len + self.pending_requests.len()
+    }
+
     fn note_backlog_hw(&mut self) {
-        let depth = (self.pending_batch_len + self.pending_requests.len()) as u64;
+        let depth = self.backlog() as u64;
         if depth > self.backlog_high_watermark {
             self.backlog_high_watermark = depth;
         }
@@ -850,67 +816,21 @@ impl<S: Service> Replica<S> {
             .map(|(c, _)| *c)
     }
 
-    /// Count of this client's requests admitted but not yet served —
-    /// what [`Config::admission_client_quota`] bounds. The timestamp
-    /// watermark difference sees work anywhere in the pipeline (backlog
-    /// lanes, proposed batches awaiting execution); the explicit queue
-    /// count backstops it against non-consecutive Byzantine timestamps.
-    fn client_in_flight(&self, client: ClientId, now: u64) -> usize {
-        let watermark = match self.gate.get(&client) {
-            Some(g)
-                if now.saturating_sub(g.last_admit_ns)
-                    <= self
-                        .cfg
-                        .busy_retry_after_ns
-                        .saturating_mul(ADMIT_FORGIVE_MULT) =>
-            {
-                g.admitted_hw.saturating_sub(g.served_hw) as usize
-            }
-            _ => 0,
-        };
-        let range = (client, Timestamp::MIN)..=(client, Timestamp::MAX);
-        let held =
-            self.queued.range(range.clone()).count() + self.pending_requests.range(range).count();
-        watermark.max(held)
-    }
-
-    /// True while the client sits in the shed penalty window.
-    fn client_penalized(&self, client: ClientId, now: u64) -> bool {
-        self.gate
-            .get(&client)
-            .is_some_and(|g| now < g.penalty_until_ns)
-    }
-
-    /// Opens the penalty window on a quota trip. Not refreshed while
-    /// already armed: a client that keeps flooding re-trips the quota
-    /// after each window instead of being locked out forever.
-    fn penalize(&mut self, client: ClientId, now: u64) {
-        let window = self.cfg.busy_retry_after_ns;
-        let g = self.gate.entry(client).or_default();
-        if now >= g.penalty_until_ns {
-            g.penalty_until_ns = now + window;
-        }
-    }
-
-    /// Records an admission past the gate.
-    fn note_admitted(&mut self, client: ClientId, ts: Timestamp, now: u64) {
-        if !self.cfg.admission_control {
-            return;
-        }
-        let g = self.gate.entry(client).or_default();
-        if ts > g.admitted_hw {
-            g.admitted_hw = ts;
-        }
-        g.last_admit_ns = now;
-    }
-
-    /// Records a reply at `ts`: everything at or below it is settled.
-    fn note_served(&mut self, client: ClientId, ts: Timestamp) {
-        if let Some(g) = self.gate.get_mut(&client) {
-            if ts > g.served_hw {
-                g.served_hw = ts;
-            }
-        }
+    /// What the admission gate reads about request `identity`, if armed.
+    fn admission_facts(
+        &self,
+        identity: (ClientId, Timestamp),
+        now: u64,
+    ) -> Option<admission::Facts> {
+        self.gate.as_ref()?;
+        let client = (identity.0, Timestamp::MIN)..=(identity.0, Timestamp::MAX);
+        Some(admission::Facts {
+            now,
+            backlog: self.backlog(),
+            client_held: self.queued.range(client.clone()).count()
+                + self.pending_requests.range(client).count(),
+            held: self.queued.contains(&identity) || self.pending_requests.contains_key(&identity),
+        })
     }
 
     /// Sheds an over-limit request: counted, never silently — the
@@ -922,24 +842,11 @@ impl<S: Service> Replica<S> {
     }
 
     fn send_busy(&mut self, ctx: &mut Context<'_, Packet>, client: ClientId, ts: Timestamp) {
-        // One BUSY per retry window per client is enough to trigger the
-        // backoff; answering every shed request of a flood would spend
-        // the CPU and downlink the shed was supposed to protect.
-        let now = ctx.now().nanos();
-        let g = self.gate.entry(client).or_default();
-        if g.last_busy_ns != 0 && now.saturating_sub(g.last_busy_ns) < self.cfg.busy_retry_after_ns
-        {
-            return;
+        Gate::note_busy(self.gate.as_mut(), client);
+        if let Some(busy) = self.pushback.busy(self.id, client, ts, ctx.now().nanos()) {
+            ctx.count(Counter::BusySent);
+            self.send_to(ctx, client, Msg::Busy(busy));
         }
-        g.last_busy_ns = now;
-        ctx.count(Counter::BusySent);
-        let busy = Busy {
-            client,
-            timestamp: ts,
-            replica: self.id,
-            retry_after_ns: self.cfg.busy_retry_after_ns,
-        };
-        self.send_to(ctx, client, Msg::Busy(busy));
     }
 
     /// Returns whether the request's body was stored as new — the one
@@ -950,20 +857,12 @@ impl<S: Service> Replica<S> {
         req: Request,
         started: Option<Ticket>,
     ) -> bool {
-        // Penalty-box fast path, deliberately *before* MAC verification:
-        // under a flood the verify itself is the cost the shed exists to
-        // avoid. Safe unverified because a penalty is only ever earned by
-        // authenticated over-quota traffic — a spoofer reusing an honest
-        // client's id finds it unpenalized, so this cannot be used to
-        // starve anyone else. Work already admitted still passes through
-        // to the dedup/retransmission handling below.
-        if self.cfg.admission_control
-            && self.client_penalized(req.client, ctx.now().nanos())
-            && !self.queued.contains(&(req.client, req.timestamp))
-            && !self
-                .pending_requests
-                .contains_key(&(req.client, req.timestamp))
-        {
+        // Admission control decides before MAC verification (a penalized
+        // client is shed unverified) and again after it.
+        let identity = (req.client, req.timestamp);
+        let admission = self.admission_facts(identity, ctx.now().nanos());
+        let gate = self.gate.as_mut().zip(admission);
+        if gate.is_some_and(|(gate, f)| gate.sheds_unverified(req.client, f)) {
             self.shed_request(ctx, req.client, req.timestamp);
             return false;
         }
@@ -997,7 +896,7 @@ impl<S: Service> Replica<S> {
                     body: ReplyBody::Full(cached.result.clone()),
                 };
                 let client = req.client;
-                self.note_served(client, req.timestamp);
+                Gate::note_served(self.gate.as_mut(), client, req.timestamp);
                 self.send_to(ctx, client, Msg::Reply(reply));
                 return false;
             }
@@ -1031,27 +930,10 @@ impl<S: Service> Replica<S> {
             self.execute_read_only(ctx, req, false);
             return false;
         }
-        let identity = (req.client, req.timestamp);
-        // Admission control: shed before admitting anything new. A
-        // retransmission of work already held passes through (it is
-        // deduplicated below, and shedding it would only delay the
-        // client's reply), so the gate binds exactly the quantity the
-        // quota describes — distinct in-flight requests per client.
-        if self.cfg.admission_control
-            && !self.queued.contains(&identity)
-            && !self.pending_requests.contains_key(&identity)
-        {
-            let now = ctx.now().nanos();
-            let backlog = self.pending_batch_len + self.pending_requests.len();
-            if backlog >= self.cfg.admission_queue_cap
-                || self.client_penalized(req.client, now)
-                || self.client_in_flight(req.client, now) >= self.cfg.admission_client_quota
-            {
-                self.penalize(req.client, now);
-                self.shed_request(ctx, req.client, req.timestamp);
-                return false;
-            }
-            self.note_admitted(req.client, req.timestamp, now);
+        let gate = self.gate.as_mut().zip(admission);
+        if gate.is_some_and(|(gate, f)| gate.sheds(req.client, req.timestamp, f)) {
+            self.shed_request(ctx, req.client, req.timestamp);
+            return false;
         }
         let ordering = self.is_primary() && !self.in_view_change;
         let req = Arc::new(req);
@@ -1074,7 +956,7 @@ impl<S: Service> Replica<S> {
     }
 
     fn execute_read_only(&mut self, ctx: &mut Context<'_, Packet>, req: Request, leased: bool) {
-        self.note_served(req.client, req.timestamp);
+        Gate::note_served(self.gate.as_mut(), req.client, req.timestamp);
         let mut result = self.service.execute_read_only(req.client, &req.op);
         ctx.charge_kind(CostKind::Exec, self.service.exec_cost_ns(&req.op, &result));
         if self.behavior == Behavior::WrongResult {
@@ -1125,10 +1007,9 @@ impl<S: Service> Replica<S> {
         } else {
             // Delay until everything executed so far has committed
             // (required for linearizability, Section 3.1).
-            if self.cfg.admission_control && self.waiting_ro.len() >= self.cfg.admission_queue_cap {
+            if Gate::evicts_ro(self.gate.as_ref(), self.waiting_ro.len()) {
                 let evicted = self.waiting_ro.remove(0);
-                let ts = evicted.reply.timestamp;
-                self.shed_request(ctx, evicted.client, ts);
+                self.shed_request(ctx, evicted.client, evicted.reply.timestamp);
             }
             self.waiting_ro.push(WaitingRo {
                 client: req.client,
@@ -1277,18 +1158,11 @@ impl<S: Service> Replica<S> {
             }
             return;
         }
-        // Load-aware batching: past half the admission cap, pack more
-        // requests into each pre-prepare so the backlog drains in fewer
-        // protocol rounds (the byte bound still applies, so individual
-        // messages stay bounded).
-        let max_batch_requests = if self.cfg.admission_control
-            && self.pending_batch_len + self.pending_requests.len()
-                > self.cfg.admission_queue_cap / 2
-        {
-            self.cfg.max_batch_requests * 4
-        } else {
-            self.cfg.max_batch_requests
-        };
+        let max_batch_requests = Gate::batch_limit(
+            self.gate.as_ref(),
+            self.backlog(),
+            self.cfg.max_batch_requests,
+        );
         loop {
             if self.pending_batch.is_empty() {
                 break;
@@ -1977,7 +1851,7 @@ impl<S: Service> Replica<S> {
                 break;
             }
             let identity = (req.client, req.timestamp);
-            self.note_served(req.client, req.timestamp);
+            Gate::note_served(self.gate.as_mut(), req.client, req.timestamp);
             // Only FINAL execution settles outstanding work. A tentative
             // execution may never commit (its certificate can stall when
             // peers recover or fall behind), leaving the client one reply
