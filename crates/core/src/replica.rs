@@ -210,11 +210,12 @@ pub struct Replica<S: Service> {
     /// Backfill votes: which peers asserted each (seq, digest) committed.
     backfill: BTreeMap<(SeqNum, Digest), BTreeSet<ReplicaId>>,
     waiting_ro: Vec<WaitingRo>,
-    /// Read-lease state, `Some` exactly when read leases are armed.
+    /// Read-lease state, `Some` exactly when [`Config::read_leases`] is on.
     leases: Option<Leases>,
     /// Proactive-recovery state: our own recovery stage plus peer leases.
     recovery: RecoveryManager,
-    /// The admission gate, `Some` exactly when admission control is armed.
+    /// The admission gate, `Some` exactly when [`Config::admission_control`]
+    /// is on.
     gate: Option<Gate>,
     /// The BUSY throttle, shared by the gate and lease eviction.
     pushback: Pushback,
@@ -862,7 +863,7 @@ impl<S: Service> Replica<S> {
         let identity = (req.client, req.timestamp);
         let admission = self.admission_facts(identity, ctx.now().nanos());
         let gate = self.gate.as_mut().zip(admission);
-        if gate.is_some_and(|(gate, f)| gate.sheds_unverified(req.client, f)) {
+        if gate.is_some_and(|(g, f)| g.sheds_unverified(req.client, f)) {
             self.shed_request(ctx, req.client, req.timestamp);
             return false;
         }
@@ -931,7 +932,7 @@ impl<S: Service> Replica<S> {
             return false;
         }
         let gate = self.gate.as_mut().zip(admission);
-        if gate.is_some_and(|(gate, f)| gate.sheds(req.client, req.timestamp, f)) {
+        if gate.is_some_and(|(g, f)| g.sheds(req.client, req.timestamp, f)) {
             self.shed_request(ctx, req.client, req.timestamp);
             return false;
         }

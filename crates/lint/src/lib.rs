@@ -20,21 +20,24 @@
 //! 4. **decode-panic** — `wire.rs` decoders consume untrusted network
 //!    bytes; `unwrap`/`expect`/slice-indexing turn a Byzantine payload
 //!    into a crash instead of an `Err`.
+//! 5. **seam-flags** — `replica.rs` names no flag of a feature carved
+//!    into its own module (`read_leases`, `admission_control`): each
+//!    module reads its own flag, so the carve cannot grow back.
 //!
 //! **Phase 2 — model rules** (cross-file, over the [`model`] item
 //! model):
 //!
-//! 5. **handler-coverage** — every `Msg` variant has a dispatch arm in
+//! 6. **handler-coverage** — every `Msg` variant has a dispatch arm in
 //!    `replica.rs`/`client.rs` (wire-tag agreement needs no rule: the
 //!    `Msg` table declares each tag once).
-//! 6. **timer-pairing** — every armed `TIMER_*` token has a fire
+//! 7. **timer-pairing** — every armed `TIMER_*` token has a fire
 //!    handler; stored one-shot timers have a cancel site.
-//! 7. **span-pairing** — every `TracePhase` opened is closed.
-//! 8. **invariant-coverage** — every `Violation` variant is constructed
+//! 8. **span-pairing** — every `TracePhase` opened is closed.
+//! 9. **invariant-coverage** — every `Violation` variant is constructed
 //!    by a checker and referenced by at least one test.
-//! 9. **counter-coverage** — every registered health counter is bumped
-//!    (`count` / `count_add`) somewhere in non-test code.
-//! 10. **layering** — protocol modules in `crates/core` name only the
+//! 10. **counter-coverage** — every registered health counter is bumped
+//!     (`count` / `count_add`) somewhere in non-test code.
+//! 11. **layering** — protocol modules in `crates/core` name only the
 //!     sanctioned `bft_sim` surface (the future `Host` boundary).
 //!
 //! A finding may be suppressed with a *justified* pragma on the same
@@ -66,6 +69,7 @@ pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_QUORUM: &str = "quorum-math";
 pub const RULE_CATCHALL: &str = "catch-all";
 pub const RULE_DECODE: &str = "decode-panic";
+pub const RULE_SEAM: &str = "seam-flags";
 pub const RULE_HANDLER: &str = "handler-coverage";
 pub const RULE_TIMER: &str = "timer-pairing";
 pub const RULE_SPAN: &str = "span-pairing";
@@ -75,7 +79,13 @@ pub const RULE_LAYERING: &str = "layering";
 pub const RULE_PRAGMA: &str = "pragma";
 
 /// Phase-1 rules: per-file, token-level.
-pub const TOKEN_RULES: &[&str] = &[RULE_DETERMINISM, RULE_QUORUM, RULE_CATCHALL, RULE_DECODE];
+pub const TOKEN_RULES: &[&str] = &[
+    RULE_DETERMINISM,
+    RULE_QUORUM,
+    RULE_CATCHALL,
+    RULE_DECODE,
+    RULE_SEAM,
+];
 
 /// Phase-2 rules: cross-file, over the item model.
 pub const MODEL_RULES: &[&str] = &[
@@ -93,6 +103,7 @@ pub const RULES: &[&str] = &[
     RULE_QUORUM,
     RULE_CATCHALL,
     RULE_DECODE,
+    RULE_SEAM,
     RULE_HANDLER,
     RULE_TIMER,
     RULE_SPAN,
@@ -154,6 +165,7 @@ pub struct Scope {
     pub quorum: bool,
     pub catchall: bool,
     pub decode: bool,
+    pub seam: bool,
 }
 
 impl Scope {
@@ -163,6 +175,7 @@ impl Scope {
             quorum: true,
             catchall: true,
             decode: true,
+            seam: true,
         }
     }
 
@@ -184,6 +197,7 @@ impl Scope {
 ///   `client.rs`.
 /// - `decode-panic`: the untrusted-byte decoders, `wire.rs` and
 ///   `messages.rs`.
+/// - `seam-flags`: `replica.rs`, the file the seams were carved from.
 ///
 /// Model rules are not scoped per file: each anchors on the workspace
 /// files it names (see [`rules`]).
@@ -208,6 +222,7 @@ pub fn scope_for(rel_path: &str) -> Scope {
         quorum: path != "crates/core/src/types.rs",
         catchall: path == "crates/core/src/replica.rs" || path == "crates/core/src/client.rs",
         decode: path == "crates/core/src/wire.rs" || path == "crates/core/src/messages.rs",
+        seam: path == "crates/core/src/replica.rs",
     }
 }
 
@@ -378,6 +393,9 @@ fn run_token_rules(
     if scope.decode {
         rules::decode::run(file, toks, snippet, findings);
     }
+    if scope.seam {
+        rules::seam::run(file, toks, snippet, findings);
+    }
 }
 
 /// The rule ids actually executed against a file, for stale-pragma
@@ -397,6 +415,9 @@ fn executed_rules(scope: Scope, token_phase: bool, model_phase: bool) -> Vec<&'s
         }
         if scope.decode {
             out.push(RULE_DECODE);
+        }
+        if scope.seam {
+            out.push(RULE_SEAM);
         }
     }
     if model_phase {

@@ -1,8 +1,9 @@
 //! Rule implementations, one module per rule.
 //!
 //! Token rules (phase 1, per file): [`determinism`], [`quorum`],
-//! [`catchall`], [`decode`]. They see one file's `#[cfg(test)]`-stripped
-//! token stream and report purely lexical violations.
+//! [`catchall`], [`decode`], [`seam`]. They see one file's
+//! `#[cfg(test)]`-stripped token stream and report purely lexical
+//! violations.
 //!
 //! Model rules (phase 2, cross-file): [`handler`], [`timer`], [`span`],
 //! [`invariant`], [`counter`], [`layering`]. They run over the
@@ -18,6 +19,7 @@ pub mod handler;
 pub mod invariant;
 pub mod layering;
 pub mod quorum;
+pub mod seam;
 pub mod span;
 pub mod timer;
 

@@ -4,7 +4,7 @@
 
 use bft_lint::{
     check_source, scope_for, Scope, RULE_CATCHALL, RULE_DECODE, RULE_DETERMINISM, RULE_PRAGMA,
-    RULE_QUORUM,
+    RULE_QUORUM, RULE_SEAM,
 };
 
 const DETERMINISM_FIXTURE: &str = include_str!("fixtures/determinism_violation.rs");
@@ -12,6 +12,7 @@ const QUORUM_FIXTURE: &str = include_str!("fixtures/quorum_violation.rs");
 const FASTQUORUM_FIXTURE: &str = include_str!("fixtures/fastquorum_violation.rs");
 const CATCHALL_FIXTURE: &str = include_str!("fixtures/catchall_violation.rs");
 const DECODE_FIXTURE: &str = include_str!("fixtures/decode_violation.rs");
+const SEAM_FIXTURE: &str = include_str!("fixtures/seam_violation.rs");
 const CLEAN_FIXTURE: &str = include_str!("fixtures/clean.rs");
 
 fn lines_for(findings: &[bft_lint::Finding], rule: &str) -> Vec<u32> {
@@ -76,6 +77,31 @@ fn decode_rule_flags_panicking_decoders() {
     assert!(lines.contains(&16));
     // The assert! in encode() is outside any decoder.
     assert!(!lines.contains(&25));
+}
+
+#[test]
+fn seam_rule_flags_carved_flags_named_in_code() {
+    let findings = check_source("fixture.rs", SEAM_FIXTURE, Scope::all());
+    // The two struct fields and the two reads; not the comments on
+    // lines 1–2 and 14, nor the `#[cfg(test)]` module.
+    assert_eq!(
+        lines_for(&findings, RULE_SEAM),
+        vec![5, 6, 10, 11],
+        "findings: {findings:#?}"
+    );
+}
+
+#[test]
+fn seam_rule_binds_only_the_replica() {
+    let replica = "crates/core/src/replica.rs";
+    assert!(scope_for(replica).seam);
+    for file in ["crates/core/src/lease.rs", "crates/core/src/admission.rs"] {
+        let findings = check_source(file, SEAM_FIXTURE, scope_for(file));
+        assert!(
+            lines_for(&findings, RULE_SEAM).is_empty(),
+            "{file}: {findings:#?}"
+        );
+    }
 }
 
 #[test]
