@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of the repo benchmark.
 
 Usage:
-    tools/bench/pairs.py PARENT_BIN CHANGE_BIN --workload W [--seed S]
+    tools/bench/pairs.py PARENT_BIN CHANGE_BIN --workload W|all [--seed S]
                          [--pairs N] [--seconds T] [--trace 0|1]
 
 PARENT_BIN and CHANGE_BIN are two builds of `benchmark/`'s binary (for
@@ -19,6 +19,14 @@ metric shows `gain` when the change won at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile
 range (choosing-metrics, section 8).
 
+Each end-to-end metric also gets a verdict against its `bound` in
+BENCHMARK.json: `worse` when the change's median is worse than the
+parent's by more than the bound, `unresolved` when the parent's own
+interquartile range is wider than the bound (unless every change run
+beats every parent run), and `ok` otherwise. `--workload all` runs every
+workload BENCHMARK.json lists, one after the other, and ends with the
+verdicts of all of them.
+
 Simulated results do not depend on the host: the script exits non-zero
 if any `sim_*` metric, `attempted` or `failed` differs between the two
 runs of a pair, or if a run reports itself incorrect.
@@ -34,17 +42,20 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def directions():
-    """Metric name -> "higher" or "lower", from BENCHMARK.json."""
+def spec():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        spec = json.load(f)
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+        return json.load(f)
 
 
-def run(binary, args):
+def directions(doc):
+    """Metric name -> "higher" or "lower"."""
+    return {m["name"]: m["better"] for m in doc["end_to_end"] + doc["per_layer"]}
+
+
+def run(binary, workload, args):
     cmd = [
         binary,
-        "--workload", args.workload,
+        "--workload", workload,
         "--seed", str(args.seed),
         "--seconds", str(args.seconds),
         "--trace", str(args.trace),
@@ -76,34 +87,36 @@ def num(x):
     return f"{x:.1f}" if abs(x) >= 100 else f"{x:.4g}"
 
 
-def main():
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("parent")
-    p.add_argument("change")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=10)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    args = p.parse_args()
-    better = directions()
+def verdict(pv, cv, direction, bound):
+    """`ok`, `worse` or `unresolved` for one end-to-end metric."""
+    sign = 1 if direction == "higher" else -1
+    (p1, pm, p3), (_, cm, _) = quartiles(pv), quartiles(cv)
+    if sign * (pm - cm) > bound * abs(pm):
+        return "worse"
+    if p3 - p1 > bound * abs(pm) and not all(sign * (y - x) > 0 for x in pv for y in cv):
+        return "unresolved"
+    return "ok"
 
+
+def measure(workload, args, better, bounds):
+    """Runs the pairs of one workload and prints its table; returns its
+    end-to-end verdicts and the pairs whose simulated results differ."""
     sides = {"parent": [], "change": []}
     mismatches = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         docs = {}
         for side in order:
-            docs[side] = run(getattr(args, side), args)
+            docs[side] = run(getattr(args, side), workload, args)
             sides[side].append(docs[side])
         a, b = pinned(docs["parent"]), pinned(docs["change"])
         diff = {k: (a.get(k), b.get(k)) for k in a.keys() | b.keys() if a.get(k) != b.get(k)}
         if diff:
-            mismatches.append((i, diff))
+            mismatches.append((workload, i, diff))
         # The traced invocation prints per-layer metrics only.
         wall = "wall_ops_per_s" if args.trace == 0 else "engine.wall_ns_per_event"
         print(
-            f"pair {i + 1}/{args.pairs} ({order[0]} first): "
+            f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): "
             f"{wall} {docs['parent']['metrics'][wall]['value']:.1f} -> "
             f"{docs['change']['metrics'][wall]['value']:.1f}",
             file=sys.stderr,
@@ -111,8 +124,9 @@ def main():
 
     names = sorted(sides["parent"][0]["metrics"])
     n = args.pairs
-    print(f"{args.workload} seed {args.seed}, {n} pairs, --seconds {args.seconds} --trace {args.trace}")
-    print(f"{'metric':44} {'parent q1 / median / q3':>34} {'change q1 / median / q3':>34} {'wins':>6}  gain")
+    verdicts = {}
+    print(f"{workload} seed {args.seed}, {n} pairs, --seconds {args.seconds} --trace {args.trace}")
+    print(f"{'metric':44} {'parent q1 / median / q3':>34} {'change q1 / median / q3':>34} {'wins':>6}  gain / verdict")
     for name in names:
         pv = [d["metrics"][name]["value"] for d in sides["parent"]]
         cv = [d["metrics"][name].get("value") for d in sides["change"] if name in d["metrics"]]
@@ -128,13 +142,45 @@ def main():
             won = sum(1 for x, y in zip(pv, cv) if sign * (y - x) > 0)
             wins = f"{won}/{n}"
             gain = "gain" if won * 10 >= 9 * n and sign * (cq[1] - pq[1]) > pq[2] - pq[0] else ""
+        if name in bounds:
+            verdicts[name] = verdict(pv, cv, direction, bounds[name])
+            gain = " ".join(filter(None, (gain, verdicts[name])))
         fmt = lambda q: " / ".join(num(x) for x in q)
         print(f"{name:44} {fmt(pq):>34} {fmt(cq):>34} {wins:>6}  {gain}")
+    print()
+    return verdicts, mismatches
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=10)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = p.parse_args()
+    doc = spec()
+    better = directions(doc)
+    bounds = {m["name"]: m["bound"] for m in doc["end_to_end"]}
+    workloads = [w["name"] for w in doc["workloads"]] if args.workload == "all" else [args.workload]
+
+    verdicts, mismatches = {}, []
+    for workload in workloads:
+        verdicts[workload], diffs = measure(workload, args, better, bounds)
+        mismatches += diffs
+
+    if verdicts and any(verdicts.values()):
+        names = [m["name"] for m in doc["end_to_end"]]
+        print(f"{'verdict':16} " + " ".join(f"{n:>18}" for n in names))
+        for workload, row in verdicts.items():
+            print(f"{workload:16} " + " ".join(f"{row.get(n, '-'):>18}" for n in names))
 
     if mismatches:
-        for i, diff in mismatches:
+        for workload, i, diff in mismatches:
             for k, (x, y) in sorted(diff.items()):
-                print(f"pair {i + 1}: {k} differs: parent {x}, change {y}", file=sys.stderr)
+                print(f"{workload} pair {i + 1}: {k} differs: parent {x}, change {y}", file=sys.stderr)
         sys.exit("simulated results differ within a pair")
 
 
