@@ -188,9 +188,21 @@ fn enqueue(fifo: &mut BTreeMap<u64, Digest>, next_ticket: &mut u64, d: Digest) -
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::log::tests::body;
+    use std::collections::BTreeSet;
+
+    /// The slots holding at least one of `b`'s bodies, in sequence order.
+    pub(crate) fn holding_slots(b: &Bodies) -> BTreeSet<SeqNum> {
+        b.known
+            .values()
+            .filter_map(|h| match h.place {
+                Place::Slot(seq) => Some(seq),
+                Place::Loose(_) => None,
+            })
+            .collect()
+    }
 
     #[test]
     fn loose_bodies_are_evicted_oldest_first_and_only_they() {

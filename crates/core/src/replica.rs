@@ -3147,7 +3147,17 @@ impl<S: Service> Replica<S> {
         // re-fetched); the finalized suffix is replayed onto the audited
         // checkpoint state below.
         self.rollback_tentative();
-        self.log.reset_keep_certs(seq);
+        // The bodies of the dropped slots go with them, as a stable
+        // checkpoint would have released them; a kept slot whose batch
+        // failed verification hands its bodies back, as a voided slot
+        // does.
+        for (s, entries) in self.log.reset_keep_certs(seq) {
+            if s <= seq {
+                self.bodies.release(s, &entries);
+            } else {
+                self.bodies.unhold(s, &entries);
+            }
+        }
         self.pending_batch.clear();
         self.pending_batch_len = 0;
         self.queued.clear();
@@ -4082,5 +4092,38 @@ mod tests {
             "client audit retains {audit} bytes"
         );
         assert!(audit > 0, "and is not simply off");
+    }
+
+    /// Every body the table holds for a slot goes when the slot goes. A
+    /// replica that stops producing checkpoints keeps ordering: its
+    /// window fills with slots past the stable checkpoint its peers
+    /// agree on. Its proactive recovery restarts the window at that
+    /// checkpoint and drops those slots; at the parent commit their
+    /// bodies stayed in the table, held by slots no longer in the log.
+    #[test]
+    fn a_recovery_releases_the_bodies_of_the_slots_it_drops() {
+        let mut cfg = small_window();
+        cfg.proactive_recovery_interval_ns = dur::millis(300);
+        let mut c = Cluster::builder(cfg)
+            .seed(25)
+            .net(NetConfig::SWITCHED_100MBPS)
+            .build_counter();
+        c.replica_mut::<CounterService>(3)
+            .set_behavior(Behavior::StaleState);
+        c.add_client(BigAdds { left: 60 });
+        run_until(&mut c, 20_000, |c| c.completed_ops() == 60);
+        c.replica_mut::<CounterService>(3)
+            .set_behavior(Behavior::Correct);
+        c.run_for(dur::secs(1));
+        assert!(c.sim.health().total(Counter::Recoveries) > 0);
+        for r in 0..4 {
+            let rep = replica(&c, r);
+            for seq in crate::bodies::tests::holding_slots(&rep.bodies) {
+                assert!(
+                    rep.log.slot(seq).is_some(),
+                    "replica {r}: slot {seq} is gone but holds a body"
+                );
+            }
+        }
     }
 }
