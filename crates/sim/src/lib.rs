@@ -27,8 +27,9 @@
 //!   tag, one typed [`Counter`] per event), threaded through
 //!   [`Context`];
 //! - [`trace`]: structured span tracing — bounded per-node event rings,
-//!   a per-request latency-breakdown assembler, a Chrome-trace exporter,
-//!   and the chaos flight recorder;
+//!   a per-request latency-breakdown assembler (the `suite` binary's
+//!   family-3 rows), a Chrome-trace exporter (validated and written by
+//!   `bft-bench`'s `breakdown` test), and the chaos flight recorder;
 //! - [`time`]: the nanosecond simulated clock.
 //!
 //! Everything is deterministic: a run is a pure function of the seed, the

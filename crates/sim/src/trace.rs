@@ -418,14 +418,11 @@ pub struct RequestPath {
     pub t_committed: u64,
 }
 
-/// Labels for the five phases between the six [`RequestPath`] timestamps.
-pub const PHASE_LABELS: [&str; 5] = [
-    "client send -> request recv",
-    "request recv -> pre-prepare",
-    "pre-prepare -> prepared",
-    "prepared -> executed (tentative)",
-    "reply -> client recv",
-];
+/// Short names of the five phases between the six [`RequestPath`]
+/// timestamps: client send -> request recv, request recv -> pre-prepare,
+/// pre-prepare -> prepared, prepared -> executed (tentative), and
+/// reply -> client recv.
+pub const PHASE_LABELS: [&str; 5] = ["send", "order", "prepare", "execute", "reply"];
 
 impl RequestPath {
     /// The five phase durations, in [`PHASE_LABELS`] order.
