@@ -452,28 +452,14 @@ fn split_cfg_test(lexed: &Lexed) -> (Vec<Token>, Vec<Token>) {
             let is_cfg_test =
                 attr.iter().any(|t| t.text == "cfg") && attr.iter().any(|t| t.text == "test");
             if is_cfg_test {
-                // Skip from the attribute through the gated item's body.
-                // Only applied when the item introduces a block (mod/fn),
-                // which is every use in this workspace.
-                let mut j = close + 1;
-                let mut saw_item = false;
-                while j < toks.len() && j < close + 8 {
-                    if toks[j].text == "mod" || toks[j].text == "fn" {
-                        saw_item = true;
-                    }
-                    if toks[j].text == "{" {
-                        break;
-                    }
-                    j += 1;
+                // Skip from the attribute through the end of the gated
+                // item, however long its signature.
+                let end = item_end(toks, close + 1);
+                for flag in skip.iter_mut().take(end + 1).skip(i) {
+                    *flag = true;
                 }
-                if saw_item && j < toks.len() && toks[j].text == "{" {
-                    let body_close = matching(toks, j, "{", "}");
-                    for flag in skip.iter_mut().take(body_close + 1).skip(i) {
-                        *flag = true;
-                    }
-                    i = body_close + 1;
-                    continue;
-                }
+                i = end + 1;
+                continue;
             }
         }
         i += 1;
@@ -488,6 +474,25 @@ fn split_cfg_test(lexed: &Lexed) -> (Vec<Token>, Vec<Token>) {
         }
     }
     (active, stripped)
+}
+
+/// The last token of the item starting at `start`: its body's closing
+/// `}`, or the `;` (or field-ending `,`) of a bodiless item, skipping
+/// over parenthesized and bracketed groups. An item cut short by its
+/// enclosing block ends just before that block's `}`.
+fn item_end(toks: &[Token], start: usize) -> usize {
+    let mut depth = 0i32;
+    for (j, tok) in toks.iter().enumerate().skip(start) {
+        match tok.text.as_str() {
+            "(" | "[" => depth += 1,
+            ")" | "]" => depth -= 1,
+            "{" if depth == 0 => return matching(toks, j, "{", "}"),
+            ";" | "," if depth == 0 => return j,
+            "}" if depth == 0 => return j - 1,
+            _ => {}
+        }
+    }
+    toks.len() - 1
 }
 
 // ---------------------------------------------------------------------

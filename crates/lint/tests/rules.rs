@@ -176,6 +176,40 @@ mod tests {
     assert!(findings.is_empty(), "findings: {findings:#?}");
 }
 
+/// A test-only method inside a production `impl` is exempt however far
+/// its body's `{` sits from the attribute; without the attribute the
+/// same method is production code and is flagged.
+#[test]
+fn cfg_test_methods_are_exempt_whatever_their_signature() {
+    let method = "\
+use std::collections::{BTreeSet, HashMap};
+pub struct Bodies {
+    held: HashMap<u64, u64>,
+}
+impl Bodies {
+    ATTR
+    pub(crate) fn holding_slots(&self) -> BTreeSet<u64> {
+        self.held.values().copied().collect()
+    }
+    pub fn len(&self) -> usize {
+        self.held.len()
+    }
+}
+";
+    let gated = check_source(
+        "fixture.rs",
+        &method.replace("ATTR", "#[cfg(test)]"),
+        Scope::all(),
+    );
+    assert!(gated.is_empty(), "findings: {gated:#?}");
+    let plain = check_source("fixture.rs", &method.replace("ATTR", ""), Scope::all());
+    assert_eq!(
+        lines_for(&plain, RULE_DETERMINISM),
+        vec![8],
+        "findings: {plain:#?}"
+    );
+}
+
 #[test]
 fn scope_map_matches_design() {
     // types.rs is the one blessed home of quorum arithmetic.
