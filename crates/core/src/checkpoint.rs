@@ -23,12 +23,14 @@
 //! ([`crate::service::Service::retain_checkpoint`] returns `false`).
 //! Nothing is encoded until a lagging peer actually fetches state.
 
-use crate::messages::Checkpoint;
+use crate::messages::{Checkpoint, Packet};
 use crate::service::Service;
 use crate::types::{Quorums, ReplicaId, SeqNum};
 use bft_crypto::md5::Digest;
 use bft_crypto::merkle::MerkleTree;
-use std::collections::BTreeMap;
+use bft_sim::cost::CostModel;
+use bft_sim::{Context, CostKind};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A checkpoint this replica produced locally.
 #[derive(Debug, Clone)]
@@ -142,6 +144,29 @@ impl CheckpointTracker {
         }
     }
 
+    /// Charges the state digests of the refresh that returned `stats`
+    /// (`cache_len` bytes of reply cache included) and returns the
+    /// charge; without `incremental`, the ablation baseline, every
+    /// partition is charged.
+    pub fn charge_refresh(
+        &self,
+        ctx: &mut Context<'_, Packet>,
+        cost: &CostModel,
+        svc: &impl Service,
+        stats: &RefreshStats,
+        (cache_len, incremental): (usize, bool),
+    ) -> u64 {
+        let total = self.parts + 1;
+        let digest_ns = if incremental {
+            cost.partitioned_digest(stats.dirty_parts + 1, stats.dirty_bytes, total)
+        } else {
+            let sizes = (0..self.parts).map(|p| svc.partition_size(p) as u64);
+            cost.partitioned_digest(total, sizes.sum::<u64>() + cache_len as u64, total)
+        };
+        ctx.charge_kind(CostKind::Digest, digest_ns);
+        digest_ns
+    }
+
     /// The current checkpoint digest (Merkle root).
     pub fn root(&self) -> Digest {
         self.tree.root()
@@ -164,6 +189,54 @@ impl CheckpointTracker {
     /// the quorum-agreed checkpoint digest.
     pub fn root_of(leaves: &[Digest]) -> Digest {
         MerkleTree::root_of(leaves)
+    }
+}
+
+/// Whether fetched `leaves` commit to the agreed checkpoint `digest`;
+/// charged their digest.
+pub fn leaves_commit_to(
+    ctx: &mut Context<'_, Packet>,
+    cost: &CostModel,
+    leaves: &[Digest],
+    digest: Digest,
+) -> bool {
+    ctx.charge_kind(CostKind::Digest, cost.digest(leaves.len() * 16));
+    CheckpointTracker::root_of(leaves) == digest
+}
+
+/// The partitions of `svc` whose digest differs from `leaves` (all when
+/// the counts differ); charged a digest's fixed cost per partition.
+pub fn stale_partitions(
+    ctx: &mut Context<'_, Packet>,
+    cost: &CostModel,
+    svc: &impl Service,
+    leaves: &[Digest],
+) -> BTreeSet<u32> {
+    let same_layout = leaves.len() == svc.partition_count() as usize;
+    ctx.charge_kind(CostKind::Digest, leaves.len() as u64 * cost.digest_fixed_ns);
+    (0..)
+        .zip(leaves)
+        .filter(|&(p, leaf)| !(same_layout && svc.partition_digest(p) == *leaf))
+        .map(|(p, _)| p)
+        .collect()
+}
+
+/// Whether fetched part `p`'s `bytes` digest to `leaf`; charged that
+/// digest. The service checks a partition as it restores it; the
+/// reply-cache part (`cache_idx`) is only hashed, for the caller.
+pub fn restore_part(
+    ctx: &mut Context<'_, Packet>,
+    cost: &CostModel,
+    svc: &mut impl Service,
+    (p, cache_idx): (u32, u32),
+    bytes: &[u8],
+    leaf: &Digest,
+) -> bool {
+    ctx.charge_kind(CostKind::Digest, cost.digest(bytes.len()));
+    if p == cache_idx {
+        bft_crypto::digest(bytes) == *leaf
+    } else {
+        svc.restore_partition(p, bytes, leaf).is_ok()
     }
 }
 

@@ -158,7 +158,7 @@ impl ClientCore {
     fn new(id: ClientId, cfg: Config) -> ClientCore {
         cfg.validate();
         assert!(id >= cfg.n(), "client ids must not collide with replicas");
-        let keys = PacketKeys::new(KeyChain::new(id, cfg.n()));
+        let keys = PacketKeys::new(KeyChain::new(id, cfg.n()), cfg.cost);
         let replicas = cfg.quorums.replicas().collect();
         ClientCore {
             cfg,
@@ -214,21 +214,16 @@ impl ClientCore {
             op: p.op.clone(),
             read_only: p.read_only,
             replier: p.replier,
-            auth: AuthTag::None, // replaced below
+            auth: AuthTag::None,
         };
-        let cost = &self.cfg.cost;
-        ctx.charge_kind(CostKind::Digest, cost.digest(req.op.len() + 21));
-        ctx.charge_kind(CostKind::Mac, cost.authenticator(self.cfg.n(), 16));
-        let d = req.digest();
-        let auth = AuthTag::Vector(self.keys.chain.authenticate(d.as_bytes()));
-        let req = Request { auth, ..req };
+        let req = self.keys.authenticate_request(ctx, req);
         let multicast = p.read_only
             || p.broadcast
             || (self.cfg.opts.separate_request_transmission
                 && req.op.len() > self.cfg.inline_threshold);
         let packet = Packet::unauthenticated(Msg::Request(req));
         let wire = packet.wire_bytes();
-        ctx.charge_kind(CostKind::Net, cost.send(wire));
+        ctx.charge_kind(CostKind::Net, self.cfg.cost.send(wire));
         ctx.count_sent(packet.body.tag());
         if multicast {
             ctx.multicast(&self.replicas, packet, wire);
@@ -338,8 +333,7 @@ impl ClientCore {
         if from >= self.cfg.n() || reply.client != self.id {
             return None;
         }
-        let cost = self.cfg.cost;
-        ctx.charge_kind(CostKind::Digest, cost.digest(body_bytes_len));
+        self.keys.charge_packet_digest(ctx, body_bytes_len);
         let p = self.pending.as_ref()?;
         if reply.timestamp != p.timestamp {
             return None;
@@ -348,11 +342,10 @@ impl ClientCore {
         if !matches!(auth, AuthTag::Mac(_)) {
             return None;
         }
-        ctx.charge_kind(CostKind::Mac, cost.mac(16));
         // The MAC covers the encoded `Msg`: wrap the reply to encode it,
         // then take it back out — no copy of the result bytes.
         let body = Msg::Reply(reply);
-        if !self.keys.verify(from, &body, auth) {
+        if !self.keys.verify(ctx, from, &body, auth) {
             ctx.count(Counter::BadReplyAuth);
             return None;
         }
@@ -475,8 +468,7 @@ impl ClientCore {
         if !matches!(auth, AuthTag::Mac(_)) {
             return;
         }
-        ctx.charge_kind(CostKind::Mac, self.cfg.cost.mac(16));
-        if !self.keys.verify(from, &Msg::Busy(busy), auth) {
+        if !self.keys.verify(ctx, from, &Msg::Busy(busy), auth) {
             ctx.count(Counter::BadBusyAuth);
             return;
         }
@@ -613,8 +605,7 @@ impl ClientCore {
                     replier: REPLIER_ALL,
                     auth: AuthTag::None,
                 };
-                let d = req.digest();
-                let auth = self.keys.chain.authenticate(d.as_bytes());
+                let auth = self.keys.request_authenticator(&req);
                 let entries = auth.entries.iter().map(|&(r, mut mac)| {
                     mac.tag[0] ^= 0xff;
                     (r, mac)
@@ -917,8 +908,8 @@ mod tests {
         body: Msg,
         forge: impl FnOnce(&mut Msg),
     ) -> Packet {
-        let mut keys = PacketKeys::new(KeyChain::new(from, c.cfg.n()));
-        let auth = keys.seal_to(client, &body);
+        let mut keys = PacketKeys::free(KeyChain::new(from, c.cfg.n()));
+        let auth = keys.tag_to(client, &body);
         let mut body = body;
         forge(&mut body);
         Packet::new(body, auth)

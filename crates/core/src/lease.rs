@@ -538,7 +538,7 @@ mod tests {
                 duration_ns,
                 ..grant(1_000)
             });
-            let auth = PacketKeys::new(KeyChain::new(0, c.cfg.n())).seal_to(1, &body);
+            let auth = PacketKeys::free(KeyChain::new(0, c.cfg.n())).tag_to(1, &body);
             let packet = Packet::new(body, auth);
             let wire = packet.wire_bytes();
             c.sim.inject(1, 0, packet, wire);

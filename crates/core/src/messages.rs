@@ -23,7 +23,8 @@ use bft_crypto::digest_helper::{DigestHelper, Ticket};
 use bft_crypto::keychain::{Authenticator, KeyChain, PrincipalId};
 use bft_crypto::md5::{digest_parts, Digest, Md5};
 use bft_crypto::umac::Mac;
-use bft_sim::{tag_name, TAG_COUNT};
+use bft_sim::cost::CostModel;
+use bft_sim::{tag_name, Context, CostKind, TAG_COUNT};
 
 /// The digest used for null requests proposed to fill gaps in a new view.
 pub const NULL_DIGEST: Digest = Digest::ZERO;
@@ -869,56 +870,211 @@ impl std::fmt::Debug for Packet {
     }
 }
 
-/// One principal's packet authentication: its session keys, and the one
-/// buffer it encodes every packet body into to MAC it.
+/// One principal's authentication: its session keys, the cost model
+/// that prices its digests and MACs, and the one buffer it encodes every
+/// packet body into to MAC it.
 ///
 /// A packet MAC covers the encoding of the packet's [`Msg`], and UMAC runs
 /// over those bytes directly: no digest stands between a message and its
 /// MAC. The buffer is reused, so after the first packet neither sealing
-/// nor verifying allocates.
+/// nor verifying allocates. Each method that takes the [`Context`]
+/// charges it the digests and MACs the cost model says that step costs
+/// (DESIGN §5.2); the three lines where the model and the code disagree
+/// are marked "mismatch".
 #[derive(Debug)]
 pub struct PacketKeys {
-    /// The session keys. Request authenticators, which cover the request
-    /// digest, and key epochs use them directly.
+    /// The session keys. Key epochs use them directly.
     pub chain: KeyChain,
+    cost: CostModel,
     buf: Vec<u8>,
 }
 
+type Ctx<'c> = Context<'c, Packet>;
+
 impl PacketKeys {
-    /// Packet authentication under `chain`.
-    pub fn new(chain: KeyChain) -> PacketKeys {
+    /// Authentication under `chain`, charged by `cost`.
+    pub fn new(chain: KeyChain, cost: CostModel) -> PacketKeys {
         PacketKeys {
             chain,
+            cost,
             buf: Vec::new(),
         }
     }
 
+    /// The `(digest, MAC)` charge for authenticating a packet whose body
+    /// encodes to `len` bytes with `macs` MACs.
+    fn packet_cost(&self, len: usize, macs: u32) -> (u64, u64) {
+        // Mismatch (3): an MD5 of the body and MACs over its digest; the
+        // code runs UMAC over the body.
+        (self.cost.digest(len), self.cost.authenticator(macs, 16))
+    }
+
+    /// Charges the digest of a `len`-byte packet body about to be
+    /// verified.
+    pub fn charge_packet_digest(&self, ctx: &mut Ctx<'_>, len: usize) {
+        ctx.charge_kind(CostKind::Digest, self.packet_cost(len, 0).0);
+    }
+
     /// The tag of a multicast: an authenticator over `body` with one
     /// entry per replica other than this principal.
-    pub fn seal_multicast(&mut self, body: &Msg) -> AuthTag {
-        AuthTag::Vector(self.chain.authenticate(body.encode_into(&mut self.buf)))
+    pub fn seal_multicast(&mut self, ctx: &mut Ctx<'_>, body: &Msg) -> AuthTag {
+        let a = self.chain.authenticate(body.encode_into(&mut self.buf));
+        self.charge_seal(ctx, a.entries.len() as u32);
+        AuthTag::Vector(a)
     }
 
     /// The tag of a point-to-point message: a MAC over `body` for `dst`.
-    pub fn seal_to(&mut self, dst: PrincipalId, body: &Msg) -> AuthTag {
-        AuthTag::Mac(self.chain.mac_for(dst, body.encode_into(&mut self.buf)))
+    pub fn seal_to(&mut self, ctx: &mut Ctx<'_>, dst: PrincipalId, body: &Msg) -> AuthTag {
+        let m = self.chain.mac_for(dst, body.encode_into(&mut self.buf));
+        self.charge_seal(ctx, 1);
+        AuthTag::Mac(m)
+    }
+
+    /// Charges sealing the body in the buffer with `macs` MACs.
+    fn charge_seal(&self, ctx: &mut Ctx<'_>, macs: u32) {
+        let (digest_ns, mac_ns) = self.packet_cost(self.buf.len(), macs);
+        ctx.charge_kind(CostKind::Digest, digest_ns);
+        ctx.charge_kind(CostKind::Mac, mac_ns);
+    }
+
+    /// Whether `packet` may be handled: its tag proves that `from` sent
+    /// it, or it has none and is a request, which authenticates itself
+    /// ([`Self::verify_request`]).
+    pub fn verify_packet(&mut self, ctx: &mut Ctx<'_>, from: PrincipalId, packet: &Packet) -> bool {
+        let len = packet.body.wire_len();
+        if packet.auth == AuthTag::None {
+            // Mismatch (1): a request is charged this packet digest on
+            // top of its request digest, for one real hash.
+            ctx.charge_kind(CostKind::Digest, self.cost.digest(len));
+            return matches!(packet.body, Msg::Request(_));
+        }
+        self.charge_packet_digest(ctx, len);
+        self.verify(ctx, from, &packet.body, &packet.auth)
     }
 
     /// Whether `auth` proves that `from` sent `body` to this principal:
     /// a MAC under their pairwise key, or this principal's entry of an
-    /// authenticator. [`AuthTag::None`] proves nothing.
-    pub fn verify(&mut self, from: PrincipalId, body: &Msg, auth: &AuthTag) -> bool {
+    /// authenticator. Charged one MAC; [`AuthTag::None`] proves nothing
+    /// and costs nothing.
+    pub fn verify(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: PrincipalId,
+        body: &Msg,
+        auth: &AuthTag,
+    ) -> bool {
+        if *auth == AuthTag::None {
+            return false;
+        }
+        let len = body.encode_into(&mut self.buf).len();
+        ctx.charge_kind(CostKind::Mac, self.packet_cost(len, 1).1);
+        self.check(from, auth)
+    }
+
+    /// Whether `auth` proves `from` sent the bytes in the buffer.
+    fn check(&mut self, from: PrincipalId, auth: &AuthTag) -> bool {
         match auth {
             AuthTag::None => false,
-            AuthTag::Mac(m) => {
-                let bytes = body.encode_into(&mut self.buf);
-                self.chain.verify_from(from, bytes, m)
-            }
-            AuthTag::Vector(a) => {
-                let bytes = body.encode_into(&mut self.buf);
-                self.chain.verify_authenticator(from, bytes, a)
-            }
+            AuthTag::Mac(m) => self.chain.verify_from(from, &self.buf, m),
+            AuthTag::Vector(a) => self.chain.verify_authenticator(from, &self.buf, a),
         }
+    }
+
+    /// A client's uncharged authenticator for `req`: one MAC per replica
+    /// over its identity digest. Fault injection forges from it.
+    pub fn request_authenticator(&mut self, req: &Request) -> Authenticator {
+        self.chain.authenticate(req.digest().as_bytes())
+    }
+
+    /// `req` under this client's authenticator, charged its digest and
+    /// MACs.
+    pub fn authenticate_request(&mut self, ctx: &mut Ctx<'_>, req: Request) -> Request {
+        let a = self.request_authenticator(&req);
+        ctx.charge_kind(CostKind::Digest, self.cost.digest(req.op.len() + 21));
+        ctx.charge_kind(
+            CostKind::Mac,
+            self.cost.authenticator(a.entries.len() as u32, 16),
+        );
+        let auth = AuthTag::Vector(a);
+        Request { auth, ..req }
+    }
+
+    /// Whether `req`'s own authenticator verifies over `d`, its identity
+    /// digest, charged here as the hash that made `d` — also when
+    /// [`Request::digest_claimed`] took it from the digest helper.
+    pub fn verify_request(&mut self, ctx: &mut Ctx<'_>, req: &Request, d: Digest) -> bool {
+        ctx.charge_kind(CostKind::Digest, self.cost.digest(req.op.len() + 21));
+        ctx.charge_kind(CostKind::Mac, self.cost.mac(16));
+        match &req.auth {
+            AuthTag::Vector(a) => self.chain.verify_authenticator(req.client, d.as_bytes(), a),
+            AuthTag::Mac(m) => self.chain.verify_from(req.client, d.as_bytes(), m),
+            AuthTag::None => false,
+        }
+    }
+
+    /// [`batch_digest_of`] `digests`, charged.
+    pub fn batch_digest<'a>(
+        &self,
+        ctx: &mut Ctx<'_>,
+        digests: impl ExactSizeIterator<Item = &'a Digest>,
+    ) -> Digest {
+        ctx.charge_kind(CostKind::Digest, self.cost.digest(digests.len() * 16));
+        batch_digest_of(digests)
+    }
+
+    /// Whether `digests` hash to a pre-prepare's `claimed` batch digest;
+    /// charged only if they do, as a mismatch is dropped on sight.
+    pub fn batch_digest_matches(
+        &self,
+        ctx: &mut Ctx<'_>,
+        digests: &[Digest],
+        claimed: Digest,
+    ) -> bool {
+        let matches = batch_digest_of(digests) == claimed;
+        if matches {
+            ctx.charge_kind(CostKind::Digest, self.cost.digest(digests.len() * 16));
+        }
+        matches
+    }
+
+    /// The body of a reply carrying `result`: its bytes when `full`,
+    /// else its digest.
+    pub fn reply_body(
+        &self,
+        ctx: &mut Ctx<'_>,
+        result: impl AsRef<[u8]> + Into<Vec<u8>>,
+        full: bool,
+    ) -> ReplyBody {
+        // Mismatch (2): every replica is charged the result digest, though
+        // one that sends the full result hashes nothing.
+        ctx.charge_kind(CostKind::Digest, self.cost.digest(result.as_ref().len()));
+        if full {
+            ReplyBody::Full(result.into())
+        } else {
+            ReplyBody::Digest(bft_crypto::digest(result.as_ref()))
+        }
+    }
+}
+
+/// Uncharged tags, for tests that forge or inject packets from outside
+/// a handler.
+#[cfg(test)]
+impl PacketKeys {
+    pub(crate) fn free(chain: KeyChain) -> PacketKeys {
+        PacketKeys::new(chain, CostModel::FREE)
+    }
+
+    pub(crate) fn multicast_tag(&mut self, body: &Msg) -> AuthTag {
+        AuthTag::Vector(self.chain.authenticate(body.encode_into(&mut self.buf)))
+    }
+
+    pub(crate) fn tag_to(&mut self, dst: PrincipalId, body: &Msg) -> AuthTag {
+        AuthTag::Mac(self.chain.mac_for(dst, body.encode_into(&mut self.buf)))
+    }
+
+    pub(crate) fn verifies(&mut self, from: PrincipalId, body: &Msg, auth: &AuthTag) -> bool {
+        body.encode_into(&mut self.buf);
+        self.check(from, auth)
     }
 }
 
@@ -1201,7 +1357,7 @@ mod tests {
             replica: 0,
         });
         let bare = Packet::unauthenticated(body.clone());
-        let auth = PacketKeys::new(KeyChain::new(0, 4)).seal_multicast(&body);
+        let auth = PacketKeys::free(KeyChain::new(0, 4)).multicast_tag(&body);
         let sealed = Packet::new(body, auth);
         assert!(sealed.wire_bytes() > bare.wire_bytes());
         // 3 entries × 17 bytes + tag byte + length.
@@ -1213,27 +1369,27 @@ mod tests {
     /// decode, or what they decode to fails the MAC.
     #[test]
     fn a_packet_mac_covers_every_byte_of_the_encoding() {
-        let mut sender = PacketKeys::new(KeyChain::new(0, 4));
-        let mut receiver = PacketKeys::new(KeyChain::new(1, 4));
+        let mut sender = PacketKeys::free(KeyChain::new(0, 4));
+        let mut receiver = PacketKeys::free(KeyChain::new(1, 4));
         for msg in samples() {
-            let tags = [sender.seal_multicast(&msg), sender.seal_to(1, &msg)];
+            let tags = [sender.multicast_tag(&msg), sender.tag_to(1, &msg)];
             let bytes = msg.to_bytes();
             for auth in &tags {
-                assert!(receiver.verify(0, &msg, auth), "{}", msg.kind());
-                assert!(!receiver.verify(2, &msg, auth), "{}", msg.kind());
+                assert!(receiver.verifies(0, &msg, auth), "{}", msg.kind());
+                assert!(!receiver.verifies(2, &msg, auth), "{}", msg.kind());
                 for i in 0..bytes.len() {
                     let mut flipped = bytes.clone();
                     flipped[i] ^= 0xff;
                     if let Ok(forged) = Msg::from_bytes(&flipped) {
                         assert!(
-                            !receiver.verify(0, &forged, auth),
+                            !receiver.verifies(0, &forged, auth),
                             "{} byte {i}",
                             msg.kind()
                         );
                     }
                 }
             }
-            assert!(!receiver.verify(0, &msg, &AuthTag::None));
+            assert!(!receiver.verifies(0, &msg, &AuthTag::None));
         }
     }
 

@@ -4,7 +4,7 @@
 
 use crate::admission::{self, Gate, Pushback};
 use crate::bodies::Bodies;
-use crate::checkpoint::{CheckpointSet, CheckpointTracker, OwnCheckpoint};
+use crate::checkpoint::{self, CheckpointSet, CheckpointTracker, OwnCheckpoint};
 use crate::config::Config;
 use crate::invariants::ReplicaAudit;
 use crate::lease::{Facts, Fence, Leases, Tick};
@@ -236,7 +236,7 @@ impl<S: Service> Replica<S> {
     pub fn new(id: ReplicaId, cfg: Config, mut service: S) -> Replica<S> {
         cfg.validate();
         assert!(id < cfg.n(), "replica id out of range");
-        let keys = PacketKeys::new(KeyChain::new(id, cfg.n()));
+        let keys = PacketKeys::new(KeyChain::new(id, cfg.n()), cfg.cost);
         let peers = cfg.quorums.others(id);
         let cache_bytes = Self::encode_cache(&BTreeMap::new());
         let tracker = CheckpointTracker::new(&service, &cache_bytes);
@@ -516,21 +516,16 @@ impl<S: Service> Replica<S> {
     }
 
     /// Multicasts `msg` to all other replicas with a MAC-vector
-    /// authenticator, charging digest + MAC + send costs. The charges are
-    /// the cost model's (a body digest, then MACs over 16 bytes), not the
-    /// work done, which MACs the body (DESIGN.md §5.2).
+    /// authenticator, charging the seal and the send.
     fn multicast(&mut self, ctx: &mut Context<'_, Packet>, msg: Msg) {
         if matches!(self.behavior, Behavior::Silent | Behavior::Crashed) {
             return;
         }
-        let cost = &self.cfg.cost;
-        ctx.charge_kind(CostKind::Digest, cost.digest(msg.wire_len()));
-        ctx.charge_kind(CostKind::Mac, cost.authenticator(self.cfg.n() - 1, 16));
-        let auth = self.keys.seal_multicast(&msg);
+        let auth = self.keys.seal_multicast(ctx, &msg);
         let auth = self.maybe_corrupt(auth);
         let packet = Packet::new(msg, auth);
         let wire = packet.wire_bytes();
-        ctx.charge_kind(CostKind::Net, cost.send(wire));
+        ctx.charge_kind(CostKind::Net, self.cfg.cost.send(wire));
         ctx.count_sent(packet.body.tag());
         ctx.multicast(&self.peers, packet, wire);
     }
@@ -540,76 +535,13 @@ impl<S: Service> Replica<S> {
         if matches!(self.behavior, Behavior::Silent | Behavior::Crashed) {
             return;
         }
-        let cost = &self.cfg.cost;
-        ctx.charge_kind(CostKind::Digest, cost.digest(msg.wire_len()));
-        ctx.charge_kind(CostKind::Mac, cost.mac(16));
-        let auth = self.keys.seal_to(dst, &msg);
+        let auth = self.keys.seal_to(ctx, dst, &msg);
         let auth = self.maybe_corrupt(auth);
         let packet = Packet::new(msg, auth);
         let wire = packet.wire_bytes();
-        ctx.charge_kind(CostKind::Net, cost.send(wire));
+        ctx.charge_kind(CostKind::Net, self.cfg.cost.send(wire));
         ctx.count_sent(packet.body.tag());
         ctx.send(dst, packet, wire);
-    }
-
-    /// Verifies packet-level authentication from a replica or client,
-    /// charging as [`Self::multicast`] does.
-    fn verify_packet(
-        &mut self,
-        ctx: &mut Context<'_, Packet>,
-        from: NodeId,
-        packet: &Packet,
-    ) -> bool {
-        let cost = &self.cfg.cost;
-        ctx.charge_kind(CostKind::Digest, cost.digest(packet.body.wire_len()));
-        match &packet.auth {
-            AuthTag::None => {
-                // Only requests authenticate themselves: there is no
-                // packet MAC to check here — `verify_request` hashes the
-                // request and checks its own authenticator.
-                matches!(packet.body, Msg::Request(_))
-            }
-            AuthTag::Mac(_) | AuthTag::Vector(_) => {
-                ctx.charge_kind(CostKind::Mac, cost.mac(16));
-                self.keys.verify(from, &packet.body, &packet.auth)
-            }
-        }
-    }
-
-    /// Verifies a request's embedded authenticator. Returns the
-    /// request's identity digest — of the bytes this node received,
-    /// claimed from the digest `started` when the copy was queued or
-    /// hashed here — for the caller to carry wherever the request goes
-    /// next, or `None` if the authenticator does not verify.
-    fn verify_request(
-        &mut self,
-        ctx: &mut Context<'_, Packet>,
-        req: &Request,
-        started: Option<Ticket>,
-    ) -> Option<Digest> {
-        let d = req.digest_claimed(started);
-        self.verify_request_digest(ctx, req, d).then_some(d)
-    }
-
-    /// [`Self::verify_request`] for a caller that already hashed the
-    /// request: `d` must be `req.digest()`.
-    fn verify_request_digest(
-        &mut self,
-        ctx: &mut Context<'_, Packet>,
-        req: &Request,
-        d: Digest,
-    ) -> bool {
-        let cost = &self.cfg.cost;
-        ctx.charge_kind(CostKind::Digest, cost.digest(req.op.len() + 21));
-        ctx.charge_kind(CostKind::Mac, cost.mac(16));
-        match &req.auth {
-            AuthTag::Vector(a) => self
-                .keys
-                .chain
-                .verify_authenticator(req.client, d.as_bytes(), a),
-            AuthTag::Mac(m) => self.keys.chain.verify_from(req.client, d.as_bytes(), m),
-            AuthTag::None => false,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -671,27 +603,19 @@ impl<S: Service> Replica<S> {
         }
         let cache_bytes = Self::encode_cache(&self.reply_cache);
         let stats = self.tracker.refresh(&mut self.service, &cache_bytes);
-        let total = self.tracker.partition_count() + 1;
-        let digest_ns = if self.cfg.incremental_checkpoints {
-            self.cfg
-                .cost
-                .partitioned_digest(stats.dirty_parts + 1, stats.dirty_bytes, total)
-        } else {
-            // Ablation baseline: charge as if every partition were
-            // re-hashed, the pre-partitioned checkpoint cost.
-            let full_bytes: u64 = (0..self.tracker.partition_count())
-                .map(|p| self.service.partition_size(p) as u64)
-                .sum::<u64>()
-                + cache_bytes.len() as u64;
-            self.cfg.cost.partitioned_digest(total, full_bytes, total)
-        };
         let cp_meta = TraceMeta {
             view: self.view,
             seq,
             ..TraceMeta::default()
         };
         ctx.trace(SpanEdge::Open, TracePhase::Checkpoint, cp_meta);
-        ctx.charge_kind(CostKind::Digest, digest_ns);
+        let digest_ns = self.tracker.charge_refresh(
+            ctx,
+            &self.cfg.cost,
+            &self.service,
+            &stats,
+            (cache_bytes.len(), self.cfg.incremental_checkpoints),
+        );
         ctx.trace(SpanEdge::Close, TracePhase::Checkpoint, cp_meta);
         ctx.count(Counter::CheckpointsMade);
         ctx.count_add(Counter::CheckpointDigestNs, digest_ns);
@@ -867,10 +791,11 @@ impl<S: Service> Replica<S> {
             self.shed_request(ctx, req.client, req.timestamp);
             return false;
         }
-        let Some(digest) = self.verify_request(ctx, &req, started) else {
+        let digest = req.digest_claimed(started);
+        if !self.keys.verify_request(ctx, &req, digest) {
             ctx.count(Counter::BadRequestAuth);
             return false;
-        };
+        }
         ctx.trace(
             SpanEdge::Instant,
             TracePhase::RequestRecv,
@@ -963,17 +888,16 @@ impl<S: Service> Replica<S> {
         if self.behavior == Behavior::WrongResult {
             tamper(&mut result);
         }
-        ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(result.len()));
-        if leased {
+        let served = leased.then(|| result.clone());
+        let send_full =
+            !self.cfg.opts.digest_replies || req.replier == self.id || req.replier == REPLIER_ALL;
+        let body = self.keys.reply_body(ctx, result, send_full);
+        if let Some(result) = served {
             // Record what was actually served, so the chaos checker can
             // cross-check every lease-served read against the global
             // linearization order (Violation::StaleLeaseRead).
-            self.audit.note_lease_read(
-                req.client,
-                req.timestamp,
-                ctx.now().nanos(),
-                result.clone(),
-            );
+            self.audit
+                .note_lease_read(req.client, req.timestamp, ctx.now().nanos(), result);
             ctx.count(Counter::LeaseReads);
             ctx.trace(
                 SpanEdge::Instant,
@@ -986,13 +910,6 @@ impl<S: Service> Replica<S> {
                 },
             );
         }
-        let send_full =
-            !self.cfg.opts.digest_replies || req.replier == self.id || req.replier == REPLIER_ALL;
-        let body = if send_full {
-            ReplyBody::Full(result)
-        } else {
-            ReplyBody::Digest(bft_crypto::digest(&result))
-        };
         let reply = Reply {
             view: self.view,
             timestamp: req.timestamp,
@@ -1234,8 +1151,7 @@ impl<S: Service> Replica<S> {
             }
             self.next_seq += 1;
             let seq = self.next_seq;
-            let d = RequestRef::batch_digest(&refs);
-            ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(refs.len() * 16));
+            let d = self.keys.batch_digest(ctx, refs.iter().map(|r| &r.digest));
             // The slot takes the bodies from the lanes; the only copy
             // made is the one that travels.
             self.bodies.hold(seq, &refs, &batch);
@@ -1337,20 +1253,19 @@ impl<S: Service> Replica<S> {
         // Inline requests are hashed here, once; both checks and the
         // slot's references use that digest.
         let digests: Vec<Digest> = pp.entries.iter().map(BatchEntry::digest).collect();
-        if batch_digest_of(&digests) != pp.batch_digest {
+        if !self
+            .keys
+            .batch_digest_matches(ctx, &digests, pp.batch_digest)
+        {
             ctx.count(Counter::BadBatchDigest);
             return;
         }
-        ctx.charge_kind(
-            CostKind::Digest,
-            self.cfg.cost.digest(pp.entries.len() * 16),
-        );
         let mut missing = false;
         let mut refs: Vec<RequestRef> = Vec::with_capacity(pp.entries.len());
         for (entry, &d) in pp.entries.iter().zip(&digests) {
             match entry {
                 BatchEntry::Full(req) => {
-                    if !self.verify_request_digest(ctx, req, d) {
+                    if !self.keys.verify_request(ctx, req, d) {
                         ctx.count(Counter::BadRequestAuth);
                         return;
                     }
@@ -1876,15 +1791,10 @@ impl<S: Service> Replica<S> {
             if self.behavior == Behavior::WrongResult {
                 tamper(&mut result);
             }
-            ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(result.len()));
             let send_full = !self.cfg.opts.digest_replies
                 || req.replier == self.id
                 || req.replier == REPLIER_ALL;
-            let body = if send_full {
-                ReplyBody::Full(result.clone())
-            } else {
-                ReplyBody::Digest(bft_crypto::digest(&result))
-            };
+            let body = self.keys.reply_body(ctx, result.as_slice(), send_full);
             let reply = Reply {
                 view: self.view,
                 timestamp: req.timestamp,
@@ -2117,8 +2027,7 @@ impl<S: Service> Replica<S> {
         }
         // Verify the advertised leaves against the quorum-agreed
         // checkpoint digest before trusting any of them.
-        ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(sm.leaves.len() * 16));
-        if CheckpointTracker::root_of(&sm.leaves) != fetch.digest {
+        if !checkpoint::leaves_commit_to(ctx, &self.cfg.cost, &sm.leaves, fetch.digest) {
             ctx.count(Counter::StateTransferBadMeta);
             self.retry_state_transfer(ctx);
             return;
@@ -2126,14 +2035,12 @@ impl<S: Service> Replica<S> {
         // Diff the leaves against our own partition digests: partitions
         // we already hold at the right version never cross the network.
         let count = (sm.leaves.len() - 1) as u32;
-        let mut missing: BTreeSet<u32> = BTreeSet::new();
-        let same_layout = count == self.service.partition_count();
-        for p in 0..count {
-            ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest_fixed_ns);
-            if !(same_layout && self.service.partition_digest(p) == sm.leaves[p as usize]) {
-                missing.insert(p);
-            }
-        }
+        let mut missing = checkpoint::stale_partitions(
+            ctx,
+            &self.cfg.cost,
+            &self.service,
+            &sm.leaves[..count as usize],
+        );
         if bft_crypto::digest(&Self::encode_cache(&self.reply_cache)) != sm.leaves[count as usize] {
             missing.insert(count);
         }
@@ -2203,16 +2110,18 @@ impl<S: Service> Replica<S> {
                 continue;
             }
             let leaf = fetch.leaves[p as usize];
-            ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(bytes.len()));
-            let ok = if p == cache_idx {
-                // The cache is installed atomically at the end; verify
-                // and hold the bytes for now.
-                bft_crypto::digest(bytes) == leaf && Self::decode_cache(bytes, self.view).is_some()
-            } else {
-                // Per-partition verify-before-apply: a bad partition is
-                // rejected without needing a fallback snapshot.
-                self.service.restore_partition(p, bytes, &leaf).is_ok()
-            };
+            // Per-partition verify-before-apply: a bad partition is
+            // rejected without needing a fallback snapshot. The cache is
+            // installed atomically at the end; verify and hold the bytes
+            // for now.
+            let ok = checkpoint::restore_part(
+                ctx,
+                &self.cfg.cost,
+                &mut self.service,
+                (p, cache_idx),
+                bytes,
+                &leaf,
+            ) && (p != cache_idx || Self::decode_cache(bytes, self.view).is_some());
             if !ok {
                 corrupt = true;
                 continue;
@@ -2377,7 +2286,7 @@ impl<S: Service> Replica<S> {
         for (entry, d) in cb.entries.into_iter().zip(digests) {
             refs.push(RequestRef::new(&entry, d));
             if let BatchEntry::Full(req) = entry {
-                if self.verify_request_digest(ctx, &req, d) {
+                if self.keys.verify_request(ctx, &req, d) {
                     self.bodies.insert(d, Arc::new(req));
                 }
             }
@@ -2480,9 +2389,10 @@ impl<S: Service> Replica<S> {
     fn handle_request_data(&mut self, ctx: &mut Context<'_, Packet>, rd: RequestData) {
         let mut any = false;
         for req in rd.requests {
-            let Some(d) = self.verify_request(ctx, &req, None) else {
+            let d = req.digest();
+            if !self.keys.verify_request(ctx, &req, d) {
                 continue;
-            };
+            }
             self.bodies.insert(d, Arc::new(req));
             any = true;
         }
@@ -2537,7 +2447,7 @@ impl<S: Service> Replica<S> {
             refs.push(RequestRef::new(&entry, d));
             match entry {
                 BatchEntry::Full(req) => {
-                    if !self.verify_request_digest(ctx, &req, d) {
+                    if !self.keys.verify_request(ctx, &req, d) {
                         return;
                     }
                     resolved.push(Arc::new(req));
@@ -3450,7 +3360,7 @@ impl<S: Service> Node<Packet> for Replica<S> {
         let started = packet.take_started_digest();
         ctx.charge_kind(CostKind::Net, self.cfg.cost.recv(wire));
         ctx.count_received(packet.body.tag());
-        if !self.verify_packet(ctx, from, &packet) {
+        if !self.keys.verify_packet(ctx, from, &packet) {
             ctx.count(Counter::BadPacketAuth);
             return;
         }
@@ -3681,7 +3591,7 @@ mod tests {
     /// `from`'s own keys, so the packet MAC verifies.
     fn forge(c: &mut Cluster, from: NodeId, to: ReplicaId, body: Msg) {
         let n = c.cfg.n();
-        let auth = PacketKeys::new(KeyChain::new(from, n)).seal_multicast(&body);
+        let auth = PacketKeys::free(KeyChain::new(from, n)).multicast_tag(&body);
         let packet = Packet::new(body, auth);
         let wire = packet.wire_bytes();
         c.sim.inject(to, from, packet, wire);
@@ -3929,7 +3839,7 @@ mod tests {
             batch_digest: batch_digest_of([&d]),
             piggy_commits: Vec::new(),
         });
-        let auth = PacketKeys::new(KeyChain::new(0, n)).seal_multicast(&pp);
+        let auth = PacketKeys::free(KeyChain::new(0, n)).multicast_tag(&pp);
         let pp = Packet::new(pp, auth);
         to_backup(&mut c, 0, pp);
         let slot = replica(&c, 1).log.slot(1).expect("accepted");

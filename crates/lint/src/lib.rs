@@ -23,21 +23,25 @@
 //! 5. **seam-flags** — `replica.rs` names no flag of a feature carved
 //!    into its own module (`read_leases`, `admission_control`): each
 //!    module reads its own flag, so the carve cannot grow back.
+//! 6. **charge-sites** — in `crates/core/src`, only `messages.rs` and
+//!    `checkpoint.rs` charge `CostKind::Digest` / `CostKind::Mac` or
+//!    price a digest or MAC (`cost.digest`, `cost.mac`, …), beside the
+//!    hash or MAC each charge models.
 //!
 //! **Phase 2 — model rules** (cross-file, over the [`model`] item
 //! model):
 //!
-//! 6. **handler-coverage** — every `Msg` variant has a dispatch arm in
+//! 7. **handler-coverage** — every `Msg` variant has a dispatch arm in
 //!    `replica.rs`/`client.rs` (wire-tag agreement needs no rule: the
 //!    `Msg` table declares each tag once).
-//! 7. **timer-pairing** — every armed `TIMER_*` token has a fire
+//! 8. **timer-pairing** — every armed `TIMER_*` token has a fire
 //!    handler; stored one-shot timers have a cancel site.
-//! 8. **span-pairing** — every `TracePhase` opened is closed.
-//! 9. **invariant-coverage** — every `Violation` variant is constructed
-//!    by a checker and referenced by at least one test.
-//! 10. **counter-coverage** — every registered health counter is bumped
+//! 9. **span-pairing** — every `TracePhase` opened is closed.
+//! 10. **invariant-coverage** — every `Violation` variant is constructed
+//!     by a checker and referenced by at least one test.
+//! 11. **counter-coverage** — every registered health counter is bumped
 //!     (`count` / `count_add`) somewhere in non-test code.
-//! 11. **layering** — protocol modules in `crates/core` name only the
+//! 12. **layering** — protocol modules in `crates/core` name only the
 //!     sanctioned `bft_sim` surface (the future `Host` boundary).
 //!
 //! A finding may be suppressed with a *justified* pragma on the same
@@ -70,6 +74,7 @@ pub const RULE_QUORUM: &str = "quorum-math";
 pub const RULE_CATCHALL: &str = "catch-all";
 pub const RULE_DECODE: &str = "decode-panic";
 pub const RULE_SEAM: &str = "seam-flags";
+pub const RULE_CHARGE: &str = "charge-sites";
 pub const RULE_HANDLER: &str = "handler-coverage";
 pub const RULE_TIMER: &str = "timer-pairing";
 pub const RULE_SPAN: &str = "span-pairing";
@@ -85,6 +90,7 @@ pub const TOKEN_RULES: &[&str] = &[
     RULE_CATCHALL,
     RULE_DECODE,
     RULE_SEAM,
+    RULE_CHARGE,
 ];
 
 /// Phase-2 rules: cross-file, over the item model.
@@ -104,6 +110,7 @@ pub const RULES: &[&str] = &[
     RULE_CATCHALL,
     RULE_DECODE,
     RULE_SEAM,
+    RULE_CHARGE,
     RULE_HANDLER,
     RULE_TIMER,
     RULE_SPAN,
@@ -166,6 +173,7 @@ pub struct Scope {
     pub catchall: bool,
     pub decode: bool,
     pub seam: bool,
+    pub charge: bool,
 }
 
 impl Scope {
@@ -176,6 +184,7 @@ impl Scope {
             catchall: true,
             decode: true,
             seam: true,
+            charge: true,
         }
     }
 
@@ -198,6 +207,8 @@ impl Scope {
 /// - `decode-panic`: the untrusted-byte decoders, `wire.rs` and
 ///   `messages.rs`.
 /// - `seam-flags`: `replica.rs`, the file the seams were carved from.
+/// - `charge-sites`: `crates/core/src` but `messages.rs` and
+///   `checkpoint.rs`, the two homes of digest and MAC charges.
 ///
 /// Model rules are not scoped per file: each anchors on the workspace
 /// files it names (see [`rules`]).
@@ -223,6 +234,9 @@ pub fn scope_for(rel_path: &str) -> Scope {
         catchall: path == "crates/core/src/replica.rs" || path == "crates/core/src/client.rs",
         decode: path == "crates/core/src/wire.rs" || path == "crates/core/src/messages.rs",
         seam: path == "crates/core/src/replica.rs",
+        charge: path.starts_with("crates/core/src/")
+            && path != "crates/core/src/messages.rs"
+            && path != "crates/core/src/checkpoint.rs",
     }
 }
 
@@ -396,6 +410,9 @@ fn run_token_rules(
     if scope.seam {
         rules::seam::run(file, toks, snippet, findings);
     }
+    if scope.charge {
+        rules::charge::run(file, toks, snippet, findings);
+    }
 }
 
 /// The rule ids actually executed against a file, for stale-pragma
@@ -418,6 +435,9 @@ fn executed_rules(scope: Scope, token_phase: bool, model_phase: bool) -> Vec<&'s
         }
         if scope.seam {
             out.push(RULE_SEAM);
+        }
+        if scope.charge {
+            out.push(RULE_CHARGE);
         }
     }
     if model_phase {

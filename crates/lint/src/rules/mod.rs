@@ -1,7 +1,7 @@
 //! Rule implementations, one module per rule.
 //!
 //! Token rules (phase 1, per file): [`determinism`], [`quorum`],
-//! [`catchall`], [`decode`], [`seam`]. They see one file's
+//! [`catchall`], [`decode`], [`seam`], [`charge`]. They see one file's
 //! `#[cfg(test)]`-stripped token stream and report purely lexical
 //! violations.
 //!
@@ -12,6 +12,7 @@
 //! invariant/counter coverage, and the core↔sim layering boundary.
 
 pub mod catchall;
+pub mod charge;
 pub mod counter;
 pub mod decode;
 pub mod determinism;

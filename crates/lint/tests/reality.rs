@@ -1,7 +1,7 @@
 //! Reality-anchored tests: the cross-file rules are exercised against
 //! the actual workspace sources, not just fixtures. These pin three
 //! things the fixture suite cannot: the item-model extractor parses
-//! every real file, the workspace is currently clean under all eleven
+//! every real file, the workspace is currently clean under all twelve
 //! rules, and handler-coverage genuinely fires when a real dispatch
 //! arm is deleted (the rule watches reality, not a toy grammar).
 
@@ -109,7 +109,7 @@ fn anchor_items_exist_in_the_real_sources() {
     assert!(health.enum_def("Counter").is_some());
 }
 
-/// The workspace is clean under all eleven rules. This is the same check
+/// The workspace is clean under all twelve rules. This is the same check
 /// CI runs via `bft-lint --check`; keeping it as a test means `cargo
 /// test` alone catches a regression.
 #[test]

@@ -3,8 +3,8 @@
 //! justified, and the workspace scope map matches DESIGN.md §5.11.
 
 use bft_lint::{
-    check_source, scope_for, Scope, RULE_CATCHALL, RULE_DECODE, RULE_DETERMINISM, RULE_PRAGMA,
-    RULE_QUORUM, RULE_SEAM,
+    check_source, scope_for, Scope, RULE_CATCHALL, RULE_CHARGE, RULE_DECODE, RULE_DETERMINISM,
+    RULE_PRAGMA, RULE_QUORUM, RULE_SEAM,
 };
 
 const DETERMINISM_FIXTURE: &str = include_str!("fixtures/determinism_violation.rs");
@@ -13,6 +13,7 @@ const FASTQUORUM_FIXTURE: &str = include_str!("fixtures/fastquorum_violation.rs"
 const CATCHALL_FIXTURE: &str = include_str!("fixtures/catchall_violation.rs");
 const DECODE_FIXTURE: &str = include_str!("fixtures/decode_violation.rs");
 const SEAM_FIXTURE: &str = include_str!("fixtures/seam_violation.rs");
+const CHARGE_FIXTURE: &str = include_str!("fixtures/charge_violation.rs");
 const CLEAN_FIXTURE: &str = include_str!("fixtures/clean.rs");
 
 fn lines_for(findings: &[bft_lint::Finding], rule: &str) -> Vec<u32> {
@@ -101,6 +102,35 @@ fn seam_rule_binds_only_the_replica() {
             lines_for(&findings, RULE_SEAM).is_empty(),
             "{file}: {findings:#?}"
         );
+    }
+}
+
+#[test]
+fn charge_rule_flags_digest_and_mac_charges_and_prices() {
+    let findings = check_source("fixture.rs", CHARGE_FIXTURE, Scope::all());
+    // Both kinds and both prices on lines 5–6 (one finding a line), the
+    // fixed digest price on line 11; not the comment, the `Net` charge,
+    // `cost.send`, a request's own `digest()`, nor the `#[cfg(test)]`
+    // module.
+    assert_eq!(
+        lines_for(&findings, RULE_CHARGE),
+        vec![5, 6, 11],
+        "findings: {findings:#?}"
+    );
+}
+
+#[test]
+fn charge_rule_spares_the_two_modules_that_charge() {
+    for file in ["crates/core/src/replica.rs", "crates/core/src/client.rs"] {
+        assert!(scope_for(file).charge, "{file}");
+    }
+    for file in [
+        "crates/core/src/messages.rs",
+        "crates/core/src/checkpoint.rs",
+        "crates/sim/src/cost.rs",
+        "crates/bench/src/paper.rs",
+    ] {
+        assert!(!scope_for(file).charge, "{file}");
     }
 }
 
