@@ -8,13 +8,16 @@
 use crate::admission;
 use crate::config::Config;
 use crate::invariants::{push_within_budget, OpEvent};
-use crate::messages::{AuthTag, Busy, Msg, Packet, PacketKeys, Reply, Request, REPLIER_ALL};
+use crate::messages::{
+    AuthTag, Busy, Msg, Packet, PacketKeys, Reply, Request, INLINE_THRESHOLD, REPLIER_ALL,
+};
 use crate::types::{ClientId, ReplicaId, Timestamp, View};
 use bft_crypto::digest_helper::Ticket;
 use bft_crypto::keychain::{Authenticator, KeyChain};
 use bft_crypto::md5::Digest;
 use bft_sim::{
-    Context, CostKind, Counter, Node, NodeId, SimTime, SpanEdge, TimerId, TraceMeta, TracePhase,
+    dur, Context, CostKind, Counter, Node, NodeId, SimTime, SpanEdge, TimerId, TraceMeta,
+    TracePhase,
 };
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -24,6 +27,15 @@ const TIMER_RETRY: u64 = 0;
 /// `DRIVER_TOKEN_BASE` so it can never collide with a driver token.
 const TIMER_FAULT: u64 = 999;
 const DRIVER_TOKEN_BASE: u64 = 1_000;
+
+/// Ceiling for the retransmission backoff (the base timeout scaled by
+/// observed latency and doubled per retry). Without a cap, a few
+/// pathologically slow operations — e.g. ops that each limp through a
+/// view-change cycle — poison the latency estimate and the next
+/// retransmission waits out minutes, long after the cluster recovered;
+/// with one, a healed cluster hears from the client again within this
+/// bound.
+pub const RETRY_TIMEOUT_MAX_NS: u64 = dur::secs(5);
 
 /// Cap on BUSY-driven backoff rounds per operation: a Byzantine replica
 /// holding valid keys can send BUSY too, and each acceptance re-arms the
@@ -219,8 +231,7 @@ impl ClientCore {
         let req = self.keys.authenticate_request(ctx, req);
         let multicast = p.read_only
             || p.broadcast
-            || (self.cfg.opts.separate_request_transmission
-                && req.op.len() > self.cfg.inline_threshold);
+            || (self.cfg.opts.separate_request_transmission && req.op.len() > INLINE_THRESHOLD);
         let packet = Packet::unauthenticated(Msg::Request(req));
         let wire = packet.wire_bytes();
         ctx.charge_kind(CostKind::Net, self.cfg.cost.send(wire));
@@ -237,9 +248,9 @@ impl ClientCore {
         let adaptive = (self.latency_ewma * 4.0) as u64;
         // Capped: a latency estimate poisoned by a few ops that limped
         // through a view change must not push the next retransmission
-        // past the cluster's recovery (see `client_retry_timeout_max_ns`).
+        // past the cluster's recovery (see `RETRY_TIMEOUT_MAX_NS`).
         let timeout = (self.cfg.client_retry_timeout_ns.max(adaptive) << p.retries.min(4))
-            .min(self.cfg.client_retry_timeout_max_ns);
+            .min(RETRY_TIMEOUT_MAX_NS);
         // Desynchronize retransmissions: clients whose timeouts expire in
         // the same instant (a batch completing late, a primary failing)
         // would otherwise retransmit in lockstep forever. Part of the
@@ -488,7 +499,7 @@ impl ClientCore {
             }
             (p.busy_rounds, p.timestamp)
         };
-        let max = self.cfg.client_retry_timeout_max_ns;
+        let max = RETRY_TIMEOUT_MAX_NS;
         let hint = busy.retry_after_ns.clamp(1, max);
         let backoff = (hint << (rounds - 1).min(4)).min(max);
         let delay = backoff + self.jitter(salt ^ (u64::from(rounds) << 40), backoff / 4 + 1);

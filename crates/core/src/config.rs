@@ -81,10 +81,6 @@ pub struct Config {
     pub max_batch_bytes: usize,
     /// Upper bound on requests per batch.
     pub max_batch_requests: usize,
-    /// Requests whose operation exceeds this many bytes are not inlined in
-    /// pre-prepares when separate request transmission is on (255 B in the
-    /// paper).
-    pub inline_threshold: usize,
     /// Optimization toggles.
     pub opts: Optimizations,
     /// *Incremental checkpoints*: charge checkpoint digests for only the
@@ -117,19 +113,8 @@ pub struct Config {
     pub view_change_timeout_max_ns: u64,
     /// Client retransmission timeout.
     pub client_retry_timeout_ns: u64,
-    /// Ceiling for the client's retransmission backoff (the base timeout
-    /// scaled by observed latency and doubled per retry). Without a cap,
-    /// a few pathologically slow operations — e.g. ops that each limp
-    /// through a view-change cycle — poison the latency estimate and the
-    /// next retransmission waits out minutes, long after the cluster
-    /// recovered; with one, a healed cluster hears from the client again
-    /// within this bound.
-    pub client_retry_timeout_max_ns: u64,
     /// Period of the replica's retransmission sweep over stalled slots.
     pub resend_interval_ns: u64,
-    /// How long pending piggybacked commits may wait for a carrier message
-    /// before being flushed as explicit commits.
-    pub piggyback_flush_ns: u64,
     /// Period of session-key refresh (NEW-KEY announcements); 0 disables.
     pub key_refresh_interval_ns: u64,
     /// Period of proactive recovery per replica (staggered by replica id);
@@ -173,7 +158,6 @@ impl Config {
             batch_window: 2,
             max_batch_bytes: 8 * 1024,
             max_batch_requests: 64,
-            inline_threshold: 255,
             opts: Optimizations::LIBRARY,
             incremental_checkpoints: true,
             fast_path: false,
@@ -182,9 +166,7 @@ impl Config {
             view_change_timeout_ns: dur::millis(2_000),
             view_change_timeout_max_ns: dur::millis(16_000),
             client_retry_timeout_ns: dur::millis(250),
-            client_retry_timeout_max_ns: dur::secs(5),
             resend_interval_ns: dur::millis(100),
-            piggyback_flush_ns: dur::micros(500),
             key_refresh_interval_ns: 0,
             proactive_recovery_interval_ns: 0,
             recovery_lease_ns: dur::millis(300),
@@ -231,7 +213,7 @@ impl Config {
             "view-change timeout cap must be at least the base timeout"
         );
         assert!(
-            self.client_retry_timeout_max_ns >= self.client_retry_timeout_ns,
+            crate::client::RETRY_TIMEOUT_MAX_NS >= self.client_retry_timeout_ns,
             "client retry cap must be at least the base timeout"
         );
         if self.fast_path {

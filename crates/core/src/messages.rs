@@ -32,6 +32,11 @@ pub const NULL_DIGEST: Digest = Digest::ZERO;
 /// Designated-replier value meaning "every replica sends the full result".
 pub const REPLIER_ALL: ReplicaId = u32::MAX;
 
+/// Requests whose operation exceeds this many bytes are not inlined in
+/// pre-prepares when separate request transmission is on (255 B in the
+/// paper).
+pub const INLINE_THRESHOLD: usize = 255;
+
 /// Authentication attached to a packet.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum AuthTag {

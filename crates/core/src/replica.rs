@@ -38,6 +38,10 @@ const TIMER_LEASE: u64 = 6;
 /// (well above every sequence number a log window can reach).
 const TIMER_FASTPATH_BASE: u64 = 1 << 32;
 
+/// How long pending piggybacked commits may wait for a carrier message
+/// before being flushed as explicit commits.
+const PIGGYBACK_FLUSH_NS: u64 = dur::micros(500);
+
 /// Fault-injection behaviours for testing. A correct deployment uses
 /// [`Behavior::Correct`]; the others make this replica Byzantine in a
 /// specific, reproducible way.
@@ -463,7 +467,7 @@ impl<S: Service> Replica<S> {
     /// Whether `req` travels inside a pre-prepare rather than by
     /// reference to a body the client multicast itself.
     fn travels_inline(cfg: &Config, req: &Request) -> bool {
-        !(cfg.opts.separate_request_transmission && req.op.len() > cfg.inline_threshold)
+        !(cfg.opts.separate_request_transmission && req.op.len() > INLINE_THRESHOLD)
     }
 
     /// Whether a vote naming replica `claimed` as its author came from
@@ -1405,7 +1409,7 @@ impl<S: Service> Replica<S> {
         if self.cfg.opts.piggyback_commits {
             self.piggy_queue.push((seq, d));
             if self.piggy_timer.is_none() {
-                self.piggy_timer = Some(ctx.set_timer(self.cfg.piggyback_flush_ns, TIMER_PIGGY));
+                self.piggy_timer = Some(ctx.set_timer(PIGGYBACK_FLUSH_NS, TIMER_PIGGY));
             }
         } else {
             let commit = Commit {
@@ -2245,10 +2249,9 @@ impl<S: Service> Replica<S> {
             // Keep backfill frames small: bodies beyond the inline
             // threshold go by reference (the peer fetches them
             // separately).
-            let threshold = self.cfg.inline_threshold;
             let (Some(d), Some(entries)) = (
                 slot.digest,
-                slot.wire_entries(|req| req.op.len() <= threshold),
+                slot.wire_entries(|req| req.op.len() <= INLINE_THRESHOLD),
             ) else {
                 continue;
             };
