@@ -669,11 +669,6 @@ impl ClientApi<'_, '_> {
         self.ctx.now()
     }
 
-    /// This client's principal id.
-    pub fn client_id(&self) -> ClientId {
-        self.core.id
-    }
-
     /// The protocol configuration.
     pub fn config(&self) -> &Config {
         &self.core.cfg

@@ -330,11 +330,6 @@ impl ReplyBody {
             .and_then(Ticket::claim)
             .unwrap_or_else(|| self.result_digest())
     }
-
-    /// True if the full bytes are present.
-    pub fn is_full(&self) -> bool {
-        matches!(self, ReplyBody::Full(_))
-    }
 }
 
 impl Wire for ReplyBody {

@@ -156,11 +156,6 @@ impl PublicKey {
         debug_assert!(m < self.n);
         m.mod_pow(&self.e, &self.n).to_bytes_be()
     }
-
-    /// Modulus size in bits.
-    pub fn modulus_bits(&self) -> usize {
-        self.n.bits()
-    }
 }
 
 /// Deterministic digest padding: 0x02 marker, repeated digest to fill the

@@ -222,26 +222,6 @@ impl NfsOp {
                 | NfsOp::Link { .. }
         )
     }
-
-    /// A short name for metrics.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            NfsOp::Lookup { .. } => "lookup",
-            NfsOp::GetAttr { .. } => "getattr",
-            NfsOp::SetAttr { .. } => "setattr",
-            NfsOp::Read { .. } => "read",
-            NfsOp::Write { .. } => "write",
-            NfsOp::Create { .. } => "create",
-            NfsOp::Remove { .. } => "remove",
-            NfsOp::Rename { .. } => "rename",
-            NfsOp::Mkdir { .. } => "mkdir",
-            NfsOp::Rmdir { .. } => "rmdir",
-            NfsOp::ReadDir { .. } => "readdir",
-            NfsOp::Symlink { .. } => "symlink",
-            NfsOp::ReadLink { .. } => "readlink",
-            NfsOp::Link { .. } => "link",
-        }
-    }
 }
 
 impl Wire for NfsOp {

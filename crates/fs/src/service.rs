@@ -44,11 +44,6 @@ impl FsService {
         &self.state
     }
 
-    /// The cost model.
-    pub fn cost_model(&self) -> &FsCostModel {
-        &self.cost
-    }
-
     /// Decodes, applies, and re-encodes an operation (shared with the
     /// unreplicated baselines).
     pub fn apply_encoded(&mut self, op: &[u8]) -> Vec<u8> {

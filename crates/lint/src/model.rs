@@ -593,25 +593,6 @@ pub fn leading_path_tail(toks: &[Token], range: (usize, usize), head: &str) -> O
     None
 }
 
-/// Parses a decimal or hex numeric token into a u64, ignoring any type
-/// suffix (`10u8` → 10).
-pub fn num_value(tok: &Token) -> Option<u64> {
-    if tok.kind != Kind::Num {
-        return None;
-    }
-    let text = &tok.text;
-    if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        let digits: String = hex.chars().take_while(|c| c.is_ascii_hexdigit()).collect();
-        return u64::from_str_radix(&digits, 16).ok();
-    }
-    let digits: String = text
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '_')
-        .filter(|c| *c != '_')
-        .collect();
-    digits.parse().ok()
-}
-
 /// The names called inside a token range: idents directly followed by
 /// `(`, excluding control-flow keywords.
 pub fn called_names(toks: &[Token], range: (usize, usize)) -> BTreeSet<String> {

@@ -512,12 +512,6 @@ impl<M> Context<'_, M> {
             .count_add(self.id, counter, delta);
     }
 
-    /// Whether trace-event recording is enabled (cheap; lets emitters
-    /// skip building metadata when tracing is off).
-    pub fn trace_enabled(&self) -> bool {
-        self.kernel.trace.enabled()
-    }
-
     /// Emits a trace event stamped at the end of the work charged so far
     /// (`now + cpu_used`) — the simulated instant the edge takes effect,
     /// and monotone per node because each node is a serial processor.

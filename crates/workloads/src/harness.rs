@@ -116,12 +116,8 @@ fn ops_and_drops<M: 'static>(sim: &Simulation<M>) -> (u64, u64) {
     (h.total(Counter::OpsCompleted), drops)
 }
 
-/// Measures BFT throughput with `clients` closed-loop clients.
-pub fn bft_throughput(cfg: Config, clients: u32, shape: OpShape) -> Throughput {
-    bft_throughput_windowed(cfg, clients, shape, dur::secs(2), dur::secs(2))
-}
-
-/// Measures BFT throughput with explicit warmup/measure windows.
+/// Measures BFT throughput with `clients` closed-loop clients over
+/// explicit warmup/measure windows.
 pub fn bft_throughput_windowed(
     cfg: Config,
     clients: u32,
@@ -156,16 +152,11 @@ pub fn bft_throughput_windowed(
     }
 }
 
-/// Measures NO-REP throughput with `clients` closed-loop clients. The
-/// server gets a finite input queue (UDP socket buffer); overload drops
-/// requests, and since NO-REP never retransmits, the affected clients
-/// stall — the paper reports no NO-REP data beyond 15 clients for this
-/// reason.
-pub fn norep_throughput(clients: u32, shape: OpShape) -> Throughput {
-    norep_throughput_windowed(clients, shape, dur::secs(2), dur::secs(2))
-}
-
-/// Measures NO-REP throughput with explicit windows.
+/// Measures NO-REP throughput with `clients` closed-loop clients over
+/// explicit windows. The server gets a finite input queue (UDP socket
+/// buffer); overload drops requests, and since NO-REP never retransmits,
+/// the affected clients stall — the paper reports no NO-REP data beyond
+/// 15 clients for this reason.
 pub fn norep_throughput_windowed(
     clients: u32,
     shape: OpShape,

@@ -33,10 +33,7 @@ pub use andrew::{andrew_script, AndrewTimings};
 pub use direct::{DirectClient, DirectDriver, DirectMicroDriver, DirectMsg, DirectServer};
 pub use flood::FloodDriver;
 pub use fsdriver::{BfsScriptDriver, DirectScriptDriver};
-pub use harness::{
-    bft_latency, bft_throughput, norep_latency, norep_throughput, run_bfs, run_direct_fs, FsRun,
-    OpShape, Throughput,
-};
+pub use harness::{bft_latency, norep_latency, run_bfs, run_direct_fs, FsRun, OpShape, Throughput};
 pub use micro::{simple_op, MicroDriver, SimpleService};
 pub use mix::{read_mix_run, MixStats, ReadMixDriver};
 pub use postmark::{postmark_script, PostmarkConfig};
