@@ -87,8 +87,6 @@ pub struct RefreshStats {
     pub dirty_parts: u32,
     /// Total encoded bytes re-hashed (dirty partitions + reply cache).
     pub dirty_bytes: u64,
-    /// Internal tree nodes recomputed while folding leaves to the root.
-    pub tree_ops: u32,
     /// The resulting checkpoint digest (Merkle root).
     pub root: Digest,
 }
@@ -125,21 +123,18 @@ impl CheckpointTracker {
     ) -> RefreshStats {
         let dirty = svc.take_dirty_partitions();
         let mut dirty_bytes = 0u64;
-        let mut tree_ops = 0u32;
         for &p in &dirty {
             dirty_bytes += svc.partition_size(p) as u64;
-            tree_ops += self.tree.update(p as usize, svc.partition_digest(p)) as u32;
+            self.tree.update(p as usize, svc.partition_digest(p));
         }
         // The reply cache changes with every executed request, so its
         // leaf is unconditionally refreshed.
         dirty_bytes += cache_bytes.len() as u64;
-        tree_ops +=
-            self.tree
-                .update(self.parts as usize, bft_crypto::digest(cache_bytes)) as u32;
+        self.tree
+            .update(self.parts as usize, bft_crypto::digest(cache_bytes));
         RefreshStats {
             dirty_parts: dirty.len() as u32,
             dirty_bytes,
-            tree_ops,
             root: self.tree.root(),
         }
     }

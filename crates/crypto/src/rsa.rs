@@ -17,11 +17,6 @@ use crate::md5;
 use crate::CryptoError;
 use rand::Rng;
 
-/// Default modulus size in bits. Small by modern standards, but keygen and
-/// signing must be fast inside tests; the simulation charges paper-era
-/// RSA-1024 costs regardless (see `bft-sim::cost`).
-pub const DEFAULT_MODULUS_BITS: usize = 512;
-
 /// The public half of an RSA keypair.
 #[derive(Clone, PartialEq, Eq)]
 pub struct PublicKey {
