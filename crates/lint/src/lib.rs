@@ -191,7 +191,27 @@ impl Scope {
     pub fn is_empty(&self) -> bool {
         *self == Scope::default()
     }
+
+    /// The token rules in scope: each id with its check, in report
+    /// order.
+    fn rules(self) -> impl Iterator<Item = (&'static str, TokenCheck)> {
+        let table: [(bool, &'static str, TokenCheck); 6] = [
+            (self.determinism, RULE_DETERMINISM, rules::determinism::run),
+            (self.quorum, RULE_QUORUM, rules::quorum::run),
+            (self.catchall, RULE_CATCHALL, rules::catchall::run),
+            (self.decode, RULE_DECODE, rules::decode::run),
+            (self.seam, RULE_SEAM, rules::seam::run),
+            (self.charge, RULE_CHARGE, rules::charge::run),
+        ];
+        table
+            .into_iter()
+            .filter(|r| r.0)
+            .map(|(_, id, check)| (id, check))
+    }
 }
+
+/// A token rule's check over one file's `#[cfg(test)]`-stripped tokens.
+type TokenCheck = fn(&str, &[Token], &dyn Fn(u32) -> String, &mut Vec<Finding>);
 
 /// Maps a workspace-relative path to the token rules that apply there.
 ///
@@ -395,23 +415,8 @@ fn run_token_rules(
     snippet: &dyn Fn(u32) -> String,
     findings: &mut Vec<Finding>,
 ) {
-    if scope.determinism {
-        rules::determinism::run(file, toks, snippet, findings);
-    }
-    if scope.quorum {
-        rules::quorum::run(file, toks, snippet, findings);
-    }
-    if scope.catchall {
-        rules::catchall::run(file, toks, snippet, findings);
-    }
-    if scope.decode {
-        rules::decode::run(file, toks, snippet, findings);
-    }
-    if scope.seam {
-        rules::seam::run(file, toks, snippet, findings);
-    }
-    if scope.charge {
-        rules::charge::run(file, toks, snippet, findings);
+    for (_, check) in scope.rules() {
+        check(file, toks, snippet, findings);
     }
 }
 
@@ -421,24 +426,7 @@ fn run_token_rules(
 fn executed_rules(scope: Scope, token_phase: bool, model_phase: bool) -> Vec<&'static str> {
     let mut out = Vec::new();
     if token_phase {
-        if scope.determinism {
-            out.push(RULE_DETERMINISM);
-        }
-        if scope.quorum {
-            out.push(RULE_QUORUM);
-        }
-        if scope.catchall {
-            out.push(RULE_CATCHALL);
-        }
-        if scope.decode {
-            out.push(RULE_DECODE);
-        }
-        if scope.seam {
-            out.push(RULE_SEAM);
-        }
-        if scope.charge {
-            out.push(RULE_CHARGE);
-        }
+        out.extend(scope.rules().map(|(id, _)| id));
     }
     if model_phase {
         out.extend(MODEL_RULES);
