@@ -7,6 +7,8 @@
 //! The differential test runs one seeded script of node behaviour on both
 //! and requires the same dispatches at the same instants.
 
+#![cfg(test)]
+
 use super::{Context, Node, Simulation, TimerId};
 use crate::network::{NetConfig, Network, NodeId, TxSlot};
 use crate::time::{dur, SimTime};
