@@ -65,12 +65,6 @@ impl Bodies {
         }
     }
 
-    /// Bodies known, loose and held.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.known.len()
-    }
-
     /// Loose bodies; never more than [`Self::loose_cap`].
     pub(crate) fn loose_len(&self) -> usize {
         self.fifo.len()
@@ -192,6 +186,13 @@ pub(crate) mod tests {
     use super::*;
     use crate::log::tests::body;
     use std::collections::BTreeSet;
+
+    impl Bodies {
+        /// Bodies known, loose and held.
+        pub(crate) fn len(&self) -> usize {
+            self.known.len()
+        }
+    }
 
     /// The slots holding at least one of `b`'s bodies, in sequence order.
     pub(crate) fn holding_slots(b: &Bodies) -> BTreeSet<SeqNum> {

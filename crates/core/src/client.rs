@@ -730,13 +730,6 @@ impl<D: ClientDriver> Client<D> {
         std::mem::take(&mut self.core.audit)
     }
 
-    /// Bytes the undrained audit retains — at most the per-node audit
-    /// budget plus one event.
-    #[cfg(test)]
-    pub(crate) fn audit_bytes(&self) -> usize {
-        self.core.audit_bytes
-    }
-
     /// Overrides the client's behavior (chaos fault injection). The
     /// pacing timer arms on the next event this client processes — the
     /// chaos harness injects a no-op message right after to bound that.
@@ -877,6 +870,14 @@ impl<D: ClientDriver> std::fmt::Debug for Client<D> {
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
+
+    impl<D: ClientDriver> Client<D> {
+        /// Bytes the undrained audit retains — at most the per-node audit
+        /// budget plus one event.
+        pub(crate) fn audit_bytes(&self) -> usize {
+            self.core.audit_bytes
+        }
+    }
     use crate::messages::ReplyBody;
     use crate::service::CounterService;
     use bft_sim::dur;

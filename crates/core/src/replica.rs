@@ -379,24 +379,6 @@ impl<S: Service> Replica<S> {
         std::mem::take(&mut self.audit)
     }
 
-    /// The undrained audit, for checker tests that feed it by hand.
-    #[cfg(test)]
-    pub(crate) fn audit_mut(&mut self) -> &mut ReplicaAudit {
-        &mut self.audit
-    }
-
-    /// Checker-test hook: forces the view, as no handler would.
-    #[cfg(test)]
-    pub(crate) fn set_view(&mut self, view: View) {
-        self.view = view;
-    }
-
-    /// Checker-test hook: inflates the ingest backlog by `by` requests.
-    #[cfg(test)]
-    pub(crate) fn pad_backlog(&mut self, by: usize) {
-        self.pending_batch_len += by;
-    }
-
     /// An observer-only, typed snapshot of this replica's externally
     /// observable state at simulated time `at_ns` — views, execution and
     /// checkpoint watermarks, queue depths, lease/recovery status. Pure
@@ -3492,6 +3474,23 @@ impl<S: Service> std::fmt::Debug for Replica<S> {
 mod tests {
     use super::*;
     use crate::client::{ClientApi, ClientDriver};
+
+    impl<S: Service> Replica<S> {
+        /// The undrained audit, for checker tests that feed it by hand.
+        pub(crate) fn audit_mut(&mut self) -> &mut ReplicaAudit {
+            &mut self.audit
+        }
+
+        /// Checker-test hook: forces the view, as no handler would.
+        pub(crate) fn set_view(&mut self, view: View) {
+            self.view = view;
+        }
+
+        /// Checker-test hook: inflates the ingest backlog by `by` requests.
+        pub(crate) fn pad_backlog(&mut self, by: usize) {
+            self.pending_batch_len += by;
+        }
+    }
     use crate::cluster::Cluster;
     use crate::service::CounterService;
     use bft_sim::NetConfig;
