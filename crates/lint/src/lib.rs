@@ -83,27 +83,7 @@ pub const RULE_COUNTER: &str = "counter-coverage";
 pub const RULE_LAYERING: &str = "layering";
 pub const RULE_PRAGMA: &str = "pragma";
 
-/// Phase-1 rules: per-file, token-level.
-pub const TOKEN_RULES: &[&str] = &[
-    RULE_DETERMINISM,
-    RULE_QUORUM,
-    RULE_CATCHALL,
-    RULE_DECODE,
-    RULE_SEAM,
-    RULE_CHARGE,
-];
-
-/// Phase-2 rules: cross-file, over the item model.
-pub const MODEL_RULES: &[&str] = &[
-    RULE_HANDLER,
-    RULE_TIMER,
-    RULE_SPAN,
-    RULE_INVARIANT,
-    RULE_COUNTER,
-    RULE_LAYERING,
-];
-
-/// All suppressible rules.
+/// All suppressible rules: the token rules, then the model rules.
 pub const RULES: &[&str] = &[
     RULE_DETERMINISM,
     RULE_QUORUM,
@@ -118,6 +98,16 @@ pub const RULES: &[&str] = &[
     RULE_COUNTER,
     RULE_LAYERING,
 ];
+
+/// How many of [`RULES`] are token rules, one per row of the table
+/// [`Scope`] runs them from.
+const TOKEN_RULE_COUNT: usize = 6;
+
+/// Phase-1 rules: per-file, token-level.
+pub const TOKEN_RULES: &[&str] = RULES.split_at(TOKEN_RULE_COUNT).0;
+
+/// Phase-2 rules: cross-file, over the item model.
+pub const MODEL_RULES: &[&str] = RULES.split_at(TOKEN_RULE_COUNT).1;
 
 /// Which analysis phases to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,7 +185,7 @@ impl Scope {
     /// The token rules in scope: each id with its check, in report
     /// order.
     fn rules(self) -> impl Iterator<Item = (&'static str, TokenCheck)> {
-        let table: [(bool, &'static str, TokenCheck); 6] = [
+        let table: [(bool, &'static str, TokenCheck); TOKEN_RULE_COUNT] = [
             (self.determinism, RULE_DETERMINISM, rules::determinism::run),
             (self.quorum, RULE_QUORUM, rules::quorum::run),
             (self.catchall, RULE_CATCHALL, rules::catchall::run),
