@@ -23,13 +23,13 @@
 //! ([`crate::service::Service::retain_checkpoint`] returns `false`).
 //! Nothing is encoded until a lagging peer actually fetches state.
 
-use crate::messages::{Checkpoint, Packet};
+use crate::messages::{Checkpoint, Ctx};
 use crate::service::Service;
 use crate::types::{Quorums, ReplicaId, SeqNum};
 use bft_crypto::md5::Digest;
 use bft_crypto::merkle::MerkleTree;
 use bft_sim::cost::CostModel;
-use bft_sim::{Context, CostKind};
+use bft_sim::CostKind;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A checkpoint this replica produced locally.
@@ -145,7 +145,7 @@ impl CheckpointTracker {
     /// partition is charged.
     pub fn charge_refresh(
         &self,
-        ctx: &mut Context<'_, Packet>,
+        ctx: &mut Ctx,
         cost: &CostModel,
         svc: &impl Service,
         stats: &RefreshStats,
@@ -187,22 +187,17 @@ impl CheckpointTracker {
     }
 }
 
-/// Whether fetched `leaves` commit to the agreed checkpoint `digest`;
-/// charged their digest.
-pub fn leaves_commit_to(
-    ctx: &mut Context<'_, Packet>,
-    cost: &CostModel,
-    leaves: &[Digest],
-    digest: Digest,
-) -> bool {
+/// Whether fetched `leaves` commit to the agreed checkpoint digest
+/// `root`; charged their digest.
+pub fn leaves_commit_to(ctx: &mut Ctx, cost: &CostModel, leaves: &[Digest], root: Digest) -> bool {
     ctx.charge_kind(CostKind::Digest, cost.digest(leaves.len() * 16));
-    CheckpointTracker::root_of(leaves) == digest
+    CheckpointTracker::root_of(leaves) == root
 }
 
 /// The partitions of `svc` whose digest differs from `leaves` (all when
 /// the counts differ); charged a digest's fixed cost per partition.
 pub fn stale_partitions(
-    ctx: &mut Context<'_, Packet>,
+    ctx: &mut Ctx,
     cost: &CostModel,
     svc: &impl Service,
     leaves: &[Digest],
@@ -216,11 +211,10 @@ pub fn stale_partitions(
         .collect()
 }
 
-/// Whether fetched part `p`'s `bytes` digest to `leaf`; charged that
-/// digest. The service checks a partition as it restores it; the
-/// reply-cache part (`cache_idx`) is only hashed, for the caller.
+/// Whether fetched part `p`'s `bytes` digest to `leaf`, charged: the
+/// service checks as it restores; the reply cache (`cache_idx`) is hashed.
 pub fn restore_part(
-    ctx: &mut Context<'_, Packet>,
+    ctx: &mut Ctx,
     cost: &CostModel,
     svc: &mut impl Service,
     (p, cache_idx): (u32, u32),

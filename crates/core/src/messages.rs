@@ -872,15 +872,12 @@ impl std::fmt::Debug for Packet {
 
 /// One principal's authentication: its session keys, the cost model
 /// that prices its digests and MACs, and the one buffer it encodes every
-/// packet body into to MAC it.
-///
-/// A packet MAC covers the encoding of the packet's [`Msg`], and UMAC runs
-/// over those bytes directly: no digest stands between a message and its
-/// MAC. The buffer is reused, so after the first packet neither sealing
-/// nor verifying allocates. Each method that takes the [`Context`]
-/// charges it the digests and MACs the cost model says that step costs
-/// (DESIGN §5.2); the three lines where the model and the code disagree
-/// are marked "mismatch".
+/// packet body into to MAC it, so that after the first packet neither
+/// sealing nor verifying allocates. A packet MAC is UMAC over the
+/// encoding of the packet's [`Msg`]. Each method that takes the
+/// [`Context`] charges the digests and MACs the cost model prices for it
+/// (DESIGN §5.2); "mismatch" marks the three charges the code disagrees
+/// with.
 #[derive(Debug)]
 pub struct PacketKeys {
     /// The session keys. Key epochs use them directly.
@@ -889,7 +886,8 @@ pub struct PacketKeys {
     buf: Vec<u8>,
 }
 
-type Ctx<'c> = Context<'c, Packet>;
+/// The context a handler charges.
+pub(crate) type Ctx<'c> = Context<'c, Packet>;
 
 impl PacketKeys {
     /// Authentication under `chain`, charged by `cost`.
@@ -911,27 +909,27 @@ impl PacketKeys {
 
     /// Charges the digest of a `len`-byte packet body about to be
     /// verified.
-    pub fn charge_packet_digest(&self, ctx: &mut Ctx<'_>, len: usize) {
+    pub fn charge_packet_digest(&self, ctx: &mut Ctx, len: usize) {
         ctx.charge_kind(CostKind::Digest, self.packet_cost(len, 0).0);
     }
 
     /// The tag of a multicast: an authenticator over `body` with one
     /// entry per replica other than this principal.
-    pub fn seal_multicast(&mut self, ctx: &mut Ctx<'_>, body: &Msg) -> AuthTag {
+    pub fn seal_multicast(&mut self, ctx: &mut Ctx, body: &Msg) -> AuthTag {
         let a = self.chain.authenticate(body.encode_into(&mut self.buf));
         self.charge_seal(ctx, a.entries.len() as u32);
         AuthTag::Vector(a)
     }
 
     /// The tag of a point-to-point message: a MAC over `body` for `dst`.
-    pub fn seal_to(&mut self, ctx: &mut Ctx<'_>, dst: PrincipalId, body: &Msg) -> AuthTag {
+    pub fn seal_to(&mut self, ctx: &mut Ctx, dst: PrincipalId, body: &Msg) -> AuthTag {
         let m = self.chain.mac_for(dst, body.encode_into(&mut self.buf));
         self.charge_seal(ctx, 1);
         AuthTag::Mac(m)
     }
 
     /// Charges sealing the body in the buffer with `macs` MACs.
-    fn charge_seal(&self, ctx: &mut Ctx<'_>, macs: u32) {
+    fn charge_seal(&self, ctx: &mut Ctx, macs: u32) {
         let (digest_ns, mac_ns) = self.packet_cost(self.buf.len(), macs);
         ctx.charge_kind(CostKind::Digest, digest_ns);
         ctx.charge_kind(CostKind::Mac, mac_ns);
@@ -940,7 +938,7 @@ impl PacketKeys {
     /// Whether `packet` may be handled: its tag proves that `from` sent
     /// it, or it has none and is a request, which authenticates itself
     /// ([`Self::verify_request`]).
-    pub fn verify_packet(&mut self, ctx: &mut Ctx<'_>, from: PrincipalId, packet: &Packet) -> bool {
+    pub fn verify_packet(&mut self, ctx: &mut Ctx, from: PrincipalId, packet: &Packet) -> bool {
         let len = packet.body.wire_len();
         if packet.auth == AuthTag::None {
             // Mismatch (1): a request is charged this packet digest on
@@ -952,17 +950,9 @@ impl PacketKeys {
         self.verify(ctx, from, &packet.body, &packet.auth)
     }
 
-    /// Whether `auth` proves that `from` sent `body` to this principal:
-    /// a MAC under their pairwise key, or this principal's entry of an
-    /// authenticator. Charged one MAC; [`AuthTag::None`] proves nothing
-    /// and costs nothing.
-    pub fn verify(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        from: PrincipalId,
-        body: &Msg,
-        auth: &AuthTag,
-    ) -> bool {
+    /// Whether `auth` proves that `from` sent `body` to this principal,
+    /// charged one MAC; [`AuthTag::None`] proves nothing, for nothing.
+    pub fn verify(&mut self, ctx: &mut Ctx, from: PrincipalId, body: &Msg, auth: &AuthTag) -> bool {
         if *auth == AuthTag::None {
             return false;
         }
@@ -988,21 +978,18 @@ impl PacketKeys {
 
     /// `req` under this client's authenticator, charged its digest and
     /// MACs.
-    pub fn authenticate_request(&mut self, ctx: &mut Ctx<'_>, req: Request) -> Request {
+    pub fn authenticate_request(&mut self, ctx: &mut Ctx, req: Request) -> Request {
         let a = self.request_authenticator(&req);
+        let macs = a.entries.len() as u32;
         ctx.charge_kind(CostKind::Digest, self.cost.digest(req.op.len() + 21));
-        ctx.charge_kind(
-            CostKind::Mac,
-            self.cost.authenticator(a.entries.len() as u32, 16),
-        );
+        ctx.charge_kind(CostKind::Mac, self.cost.authenticator(macs, 16));
         let auth = AuthTag::Vector(a);
         Request { auth, ..req }
     }
 
-    /// Whether `req`'s own authenticator verifies over `d`, its identity
-    /// digest, charged here as the hash that made `d` — also when
-    /// [`Request::digest_claimed`] took it from the digest helper.
-    pub fn verify_request(&mut self, ctx: &mut Ctx<'_>, req: &Request, d: Digest) -> bool {
+    /// Whether `req`'s authenticator verifies over `d`, its identity
+    /// digest, charged as the hash that made `d` (claimed or not).
+    pub fn verify_request(&mut self, ctx: &mut Ctx, req: &Request, d: Digest) -> bool {
         ctx.charge_kind(CostKind::Digest, self.cost.digest(req.op.len() + 21));
         ctx.charge_kind(CostKind::Mac, self.cost.mac(16));
         match &req.auth {
@@ -1015,7 +1002,7 @@ impl PacketKeys {
     /// [`batch_digest_of`] `digests`, charged.
     pub fn batch_digest<'a>(
         &self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx,
         digests: impl ExactSizeIterator<Item = &'a Digest>,
     ) -> Digest {
         ctx.charge_kind(CostKind::Digest, self.cost.digest(digests.len() * 16));
@@ -1024,12 +1011,7 @@ impl PacketKeys {
 
     /// Whether `digests` hash to a pre-prepare's `claimed` batch digest;
     /// charged only if they do, as a mismatch is dropped on sight.
-    pub fn batch_digest_matches(
-        &self,
-        ctx: &mut Ctx<'_>,
-        digests: &[Digest],
-        claimed: Digest,
-    ) -> bool {
+    pub fn batch_digest_matches(&self, ctx: &mut Ctx, digests: &[Digest], claimed: Digest) -> bool {
         let matches = batch_digest_of(digests) == claimed;
         if matches {
             ctx.charge_kind(CostKind::Digest, self.cost.digest(digests.len() * 16));
@@ -1041,7 +1023,7 @@ impl PacketKeys {
     /// else its digest.
     pub fn reply_body(
         &self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx,
         result: impl AsRef<[u8]> + Into<Vec<u8>>,
         full: bool,
     ) -> ReplyBody {
