@@ -70,12 +70,6 @@ impl OwnCheckpoint {
             announced: false,
         }
     }
-
-    /// The digests of the service partitions (every leaf but the final
-    /// reply-cache leaf).
-    pub fn service_leaves(&self) -> &[Digest] {
-        &self.leaves[..self.leaves.len().saturating_sub(1)]
-    }
 }
 
 /// What a [`CheckpointTracker::refresh`] actually re-hashed, so the
@@ -415,7 +409,6 @@ mod tests {
     fn own_checkpoint_digest_is_merkle_root() {
         let cp = own_cp(3);
         assert_eq!(cp.digest, MerkleTree::root_of(&cp.leaves));
-        assert_eq!(cp.service_leaves(), &cp.leaves[..1]);
     }
 
     #[test]

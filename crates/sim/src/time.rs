@@ -29,11 +29,6 @@ impl SimTime {
         self.0 / 1_000_000
     }
 
-    /// Seconds since simulation start, as a float.
-    pub fn secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// This time advanced by `delta` nanoseconds, saturating.
     pub fn after(self, delta: u64) -> SimTime {
         SimTime(self.0.saturating_add(delta))
@@ -121,7 +116,6 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(dur::secs(1), 1_000_000_000);
-        assert!((SimTime(1_500_000_000).secs_f64() - 1.5).abs() < 1e-9);
         assert_eq!(SimTime(2_000_000_000).millis(), 2_000);
     }
 }

@@ -278,11 +278,6 @@ impl TraceSink {
         self.cpu.get(node as usize).map_or(0, |a| a[kind as usize])
     }
 
-    /// Total CPU nanoseconds for `kind` across all nodes.
-    pub fn cpu_total_ns(&self, kind: CostKind) -> u64 {
-        self.cpu.iter().map(|a| a[kind as usize]).sum()
-    }
-
     /// Events retained for `node`, oldest first.
     pub fn node_events(&self, node: NodeId) -> impl Iterator<Item = &TraceEvent> {
         self.rings
@@ -678,8 +673,7 @@ mod tests {
         sink.record_cpu(2, CostKind::Digest, 50);
         sink.record_cpu(1, CostKind::Exec, 10);
         assert_eq!(sink.cpu_ns(2, CostKind::Digest), 150);
-        assert_eq!(sink.cpu_total_ns(CostKind::Digest), 150);
-        assert_eq!(sink.cpu_total_ns(CostKind::Exec), 10);
+        assert_eq!(sink.cpu_ns(1, CostKind::Exec), 10);
         assert_eq!(sink.cpu_ns(9, CostKind::Mac), 0);
     }
 

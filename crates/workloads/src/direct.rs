@@ -193,12 +193,6 @@ impl<D: DirectDriver> DirectClient<D> {
         self.core.completed
     }
 
-    /// True if a request is outstanding. A NO-REP client whose request or
-    /// reply was lost stays stalled forever — it never retransmits.
-    pub fn is_stalled(&self) -> bool {
-        self.core.pending.is_some()
-    }
-
     /// Access to the driver.
     pub fn driver(&self) -> &D {
         &self.driver
@@ -292,6 +286,14 @@ mod tests {
     use super::*;
     use crate::micro::SimpleService;
     use bft_sim::{dur, CostModel, NetConfig, Simulation};
+
+    impl<D: DirectDriver> DirectClient<D> {
+        /// True if a request is outstanding. A NO-REP client whose request
+        /// or reply was lost stays stalled forever — it never retransmits.
+        fn is_stalled(&self) -> bool {
+            self.core.pending.is_some()
+        }
+    }
 
     fn setup(clients: usize, arg: usize, result: usize) -> (Simulation<DirectMsg>, NodeId) {
         let mut sim = Simulation::new(5, NetConfig::SWITCHED_100MBPS);
