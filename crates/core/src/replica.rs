@@ -2938,12 +2938,7 @@ impl<S: Service> Replica<S> {
         // Our state is suspect until the audit passes: no lease reads.
         self.with_leases(ctx, |l, _| l.drop_held());
         self.recovery.begin();
-        let rc = Recover {
-            replica: self.id,
-            epoch: self.keys.chain.epoch(),
-            done: false,
-        };
-        self.multicast(ctx, Msg::Recover(rc));
+        self.announce_recover(ctx, false);
     }
 
     /// A peer announced the start (`done == false`) or end (`done ==
@@ -2951,6 +2946,17 @@ impl<S: Service> Replica<S> {
     /// lease, adopt its fresh key epoch, and attest our stable checkpoint
     /// root point-to-point; on end we release the lease so the next
     /// staggered watchdog can fire.
+    /// Multicasts RECOVER under this replica's current key epoch.
+    fn announce_recover(&mut self, ctx: &mut Context<'_, Packet>, done: bool) {
+        let epoch = self.keys.chain.epoch();
+        let rc = Recover {
+            replica: self.id,
+            epoch,
+            done,
+        };
+        self.multicast(ctx, Msg::Recover(rc));
+    }
+
     fn handle_recover(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, rc: Recover) {
         if rc.replica != from || from >= self.cfg.n() || from == self.id {
             return;
@@ -3145,12 +3151,7 @@ impl<S: Service> Replica<S> {
                 ..TraceMeta::default()
             },
         );
-        let rc = Recover {
-            replica: self.id,
-            epoch: self.keys.chain.epoch(),
-            done: true,
-        };
-        self.multicast(ctx, Msg::Recover(rc));
+        self.announce_recover(ctx, true);
         let status = Status {
             view: self.view,
             last_stable: self.checkpoints.stable_seq(),
@@ -3167,12 +3168,7 @@ impl<S: Service> Replica<S> {
             self.recovery.stage(),
             RecoveryStage::AwaitingAttestation { .. }
         ) {
-            let rc = Recover {
-                replica: self.id,
-                epoch: self.keys.chain.epoch(),
-                done: false,
-            };
-            self.multicast(ctx, Msg::Recover(rc));
+            self.announce_recover(ctx, false);
         }
         if self.in_view_change {
             return;
