@@ -137,7 +137,7 @@ impl CheckpointTracker {
     /// (`cache_len` bytes of reply cache included) and returns the
     /// charge; without `incremental`, the ablation baseline, every
     /// partition is charged.
-    pub fn charge_refresh(
+    pub(crate) fn charge_refresh(
         &self,
         ctx: &mut Ctx,
         cost: &CostModel,
@@ -183,14 +183,14 @@ impl CheckpointTracker {
 
 /// Whether fetched `leaves` commit to the agreed checkpoint digest
 /// `root`; charged their digest.
-pub fn leaves_commit_to(ctx: &mut Ctx, cost: &CostModel, leaves: &[Digest], root: Digest) -> bool {
+pub(crate) fn commits_to(ctx: &mut Ctx, cost: &CostModel, leaves: &[Digest], root: Digest) -> bool {
     ctx.charge_kind(CostKind::Digest, cost.digest(leaves.len() * 16));
     CheckpointTracker::root_of(leaves) == root
 }
 
 /// The partitions of `svc` whose digest differs from `leaves` (all when
 /// the counts differ); charged a digest's fixed cost per partition.
-pub fn stale_partitions(
+pub(crate) fn stale_partitions(
     ctx: &mut Ctx,
     cost: &CostModel,
     svc: &impl Service,
@@ -207,7 +207,7 @@ pub fn stale_partitions(
 
 /// Whether fetched part `p`'s `bytes` digest to `leaf`, charged: the
 /// service checks as it restores; the reply cache (`cache_idx`) is hashed.
-pub fn restore_part(
+pub(crate) fn restore_part(
     ctx: &mut Ctx,
     cost: &CostModel,
     svc: &mut impl Service,

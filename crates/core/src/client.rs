@@ -35,7 +35,7 @@ const DRIVER_TOKEN_BASE: u64 = 1_000;
 /// retransmission waits out minutes, long after the cluster recovered;
 /// with one, a healed cluster hears from the client again within this
 /// bound.
-pub const RETRY_TIMEOUT_MAX_NS: u64 = dur::secs(5);
+pub(crate) const RETRY_TIMEOUT_MAX_NS: u64 = dur::secs(5);
 
 /// Cap on BUSY-driven backoff rounds per operation: a Byzantine replica
 /// holding valid keys can send BUSY too, and each acceptance re-arms the

@@ -35,7 +35,7 @@ pub const REPLIER_ALL: ReplicaId = u32::MAX;
 /// Requests whose operation exceeds this many bytes are not inlined in
 /// pre-prepares when separate request transmission is on (255 B in the
 /// paper).
-pub const INLINE_THRESHOLD: usize = 255;
+pub(crate) const INLINE_THRESHOLD: usize = 255;
 
 /// Authentication attached to a packet.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -909,7 +909,7 @@ impl PacketKeys {
 
     /// Charges the digest of a `len`-byte packet body about to be
     /// verified.
-    pub fn charge_packet_digest(&self, ctx: &mut Ctx, len: usize) {
+    pub(crate) fn charge_packet_digest(&self, ctx: &mut Ctx, len: usize) {
         ctx.charge_kind(CostKind::Digest, self.packet_cost(len, 0).0);
     }
 
@@ -938,16 +938,16 @@ impl PacketKeys {
     /// Whether `packet` may be handled: its tag proves that `from` sent
     /// it, or it has none and is a request, which authenticates itself
     /// ([`Self::verify_request`]).
-    pub fn verify_packet(&mut self, ctx: &mut Ctx, from: PrincipalId, packet: &Packet) -> bool {
-        let len = packet.body.wire_len();
-        if packet.auth == AuthTag::None {
+    pub(crate) fn verify_packet(&mut self, ctx: &mut Ctx, from: PrincipalId, pkt: &Packet) -> bool {
+        let len = pkt.body.wire_len();
+        if pkt.auth == AuthTag::None {
             // Mismatch (1): a request is charged this packet digest on
             // top of its request digest, for one real hash.
             ctx.charge_kind(CostKind::Digest, self.cost.digest(len));
-            return matches!(packet.body, Msg::Request(_));
+            return matches!(pkt.body, Msg::Request(_));
         }
         self.charge_packet_digest(ctx, len);
-        self.verify(ctx, from, &packet.body, &packet.auth)
+        self.verify(ctx, from, &pkt.body, &pkt.auth)
     }
 
     /// Whether `auth` proves that `from` sent `body` to this principal,
@@ -972,13 +972,13 @@ impl PacketKeys {
 
     /// A client's uncharged authenticator for `req`: one MAC per replica
     /// over its identity digest. Fault injection forges from it.
-    pub fn request_authenticator(&mut self, req: &Request) -> Authenticator {
+    pub(crate) fn request_authenticator(&mut self, req: &Request) -> Authenticator {
         self.chain.authenticate(req.digest().as_bytes())
     }
 
     /// `req` under this client's authenticator, charged its digest and
     /// MACs.
-    pub fn authenticate_request(&mut self, ctx: &mut Ctx, req: Request) -> Request {
+    pub(crate) fn authenticate_request(&mut self, ctx: &mut Ctx, req: Request) -> Request {
         let a = self.request_authenticator(&req);
         let macs = a.entries.len() as u32;
         ctx.charge_kind(CostKind::Digest, self.cost.digest(req.op.len() + 21));
@@ -989,7 +989,7 @@ impl PacketKeys {
 
     /// Whether `req`'s authenticator verifies over `d`, its identity
     /// digest, charged as the hash that made `d` (claimed or not).
-    pub fn verify_request(&mut self, ctx: &mut Ctx, req: &Request, d: Digest) -> bool {
+    pub(crate) fn verify_request(&mut self, ctx: &mut Ctx, req: &Request, d: Digest) -> bool {
         ctx.charge_kind(CostKind::Digest, self.cost.digest(req.op.len() + 21));
         ctx.charge_kind(CostKind::Mac, self.cost.mac(16));
         match &req.auth {
@@ -1000,7 +1000,7 @@ impl PacketKeys {
     }
 
     /// [`batch_digest_of`] `digests`, charged.
-    pub fn batch_digest<'a>(
+    pub(crate) fn batch_digest<'a>(
         &self,
         ctx: &mut Ctx,
         digests: impl ExactSizeIterator<Item = &'a Digest>,
@@ -1011,7 +1011,7 @@ impl PacketKeys {
 
     /// Whether `digests` hash to a pre-prepare's `claimed` batch digest;
     /// charged only if they do, as a mismatch is dropped on sight.
-    pub fn batch_digest_matches(&self, ctx: &mut Ctx, digests: &[Digest], claimed: Digest) -> bool {
+    pub(crate) fn check_batch(&self, ctx: &mut Ctx, digests: &[Digest], claimed: Digest) -> bool {
         let matches = batch_digest_of(digests) == claimed;
         if matches {
             ctx.charge_kind(CostKind::Digest, self.cost.digest(digests.len() * 16));
@@ -1021,7 +1021,7 @@ impl PacketKeys {
 
     /// The body of a reply carrying `result`: its bytes when `full`,
     /// else its digest.
-    pub fn reply_body(
+    pub(crate) fn reply_body(
         &self,
         ctx: &mut Ctx,
         result: impl AsRef<[u8]> + Into<Vec<u8>>,

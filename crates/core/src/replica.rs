@@ -1239,10 +1239,7 @@ impl<S: Service> Replica<S> {
         // Inline requests are hashed here, once; both checks and the
         // slot's references use that digest.
         let digests: Vec<Digest> = pp.entries.iter().map(BatchEntry::digest).collect();
-        if !self
-            .keys
-            .batch_digest_matches(ctx, &digests, pp.batch_digest)
-        {
+        if !self.keys.check_batch(ctx, &digests, pp.batch_digest) {
             ctx.count(Counter::BadBatchDigest);
             return;
         }
@@ -2013,7 +2010,7 @@ impl<S: Service> Replica<S> {
         }
         // Verify the advertised leaves against the quorum-agreed
         // checkpoint digest before trusting any of them.
-        if !checkpoint::leaves_commit_to(ctx, &self.cfg.cost, &sm.leaves, fetch.digest) {
+        if !checkpoint::commits_to(ctx, &self.cfg.cost, &sm.leaves, fetch.digest) {
             ctx.count(Counter::StateTransferBadMeta);
             self.retry_state_transfer(ctx);
             return;
