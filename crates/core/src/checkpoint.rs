@@ -143,7 +143,8 @@ impl CheckpointTracker {
         cost: &CostModel,
         svc: &impl Service,
         stats: &RefreshStats,
-        (cache_len, incremental): (usize, bool),
+        cache_len: usize,
+        incremental: bool,
     ) -> u64 {
         let total = self.parts + 1;
         let digest_ns = if incremental {
@@ -211,7 +212,8 @@ pub(crate) fn restore_part(
     ctx: &mut Ctx,
     cost: &CostModel,
     svc: &mut impl Service,
-    (p, cache_idx): (u32, u32),
+    p: u32,
+    cache_idx: u32,
     bytes: &[u8],
     leaf: &Digest,
 ) -> bool {

@@ -600,7 +600,8 @@ impl<S: Service> Replica<S> {
             &self.cfg.cost,
             &self.service,
             &stats,
-            (cache_bytes.len(), self.cfg.incremental_checkpoints),
+            cache_bytes.len(),
+            self.cfg.incremental_checkpoints,
         );
         ctx.trace(SpanEdge::Close, TracePhase::Checkpoint, cp_meta);
         ctx.count(Counter::CheckpointsMade);
@@ -2101,7 +2102,8 @@ impl<S: Service> Replica<S> {
                 ctx,
                 &self.cfg.cost,
                 &mut self.service,
-                (p, cache_idx),
+                p,
+                cache_idx,
                 bytes,
                 &leaf,
             ) && (p != cache_idx || Self::decode_cache(bytes, self.view).is_some());
