@@ -338,11 +338,10 @@ fn recovery(quick: bool, out: &mut BenchDoc) {
         // corrupted too, forcing the audit's re-fetch path.
         cluster.replica_mut::<CounterService>(2).corrupt_state(63);
         let corrupted = cluster.completed_ops();
-        let step = dur::millis(5);
-        let mut waited = 0u64;
-        while !healed(&cluster) && waited < dur::secs(30) {
-            cluster.run_for(step);
-            waited += step;
+        let corrupted_at = cluster.sim.now();
+        let give_up = corrupted_at.after(dur::secs(30));
+        while !healed(&cluster) && cluster.sim.now() < give_up {
+            cluster.run_for(dur::millis(5));
         }
         assert!(
             healed(&cluster),
@@ -353,7 +352,8 @@ fn recovery(quick: bool, out: &mut BenchDoc) {
             refetches > 0,
             "payload {pad}: the heal must have come through the recovery audit"
         );
-        let heal_s = waited as f64 / 1e9;
+        // Simulated time, as `paper`'s view-change row measures it.
+        let heal_s = cluster.sim.now().since(corrupted_at) as f64 / 1e9;
         let during = (cluster.completed_ops() - corrupted) as f64 / heal_s;
         out.results.push(BenchResult {
             bench: "recovery".to_string(),

@@ -899,7 +899,7 @@ mod tests {
     use super::*;
 
     fn baseline() -> BenchDoc {
-        serde_json::from_str(include_str!("../../../BENCH_26.json")).expect("baseline parses")
+        serde_json::from_str(include_str!("../../../BENCH_49.json")).expect("baseline parses")
     }
 
     /// Per claim, one series of the baseline (`bench/workload-prefix`

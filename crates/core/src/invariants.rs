@@ -1184,7 +1184,7 @@ mod tests {
     use super::reference::forge_commit;
     use crate::fuzz::{ChaosDriver, Workload, CLASSIC, OVERLOAD};
     use crate::service::CounterService;
-    use bft_sim::chaos::{ClientFault, Fault, FaultPlan, NetFault, NodeFault};
+    use bft_sim::chaos::{ClientFault, Fault, FaultEvent, FaultPlan, NetFault, NodeFault};
     use bft_sim::dur;
 
     type Svc = CounterService;
@@ -1297,6 +1297,9 @@ mod tests {
         fault(&mut cluster, &mut checker, node(NodeFault::Crash));
         cluster.replica_mut::<Svc>(3).set_view(2);
         fault(&mut cluster, &mut checker, Fault::Net(NetFault::Loss(0)));
+        // Two events under the new view: the third, the one after the
+        // restart, then runs on another node.
+        step(&mut cluster, &mut checker).unwrap();
         step(&mut cluster, &mut checker).unwrap();
         assert_eq!(checker.views[3], 2);
         cluster.replica_mut::<Svc>(3).set_view(0);
@@ -1309,6 +1312,36 @@ mod tests {
             to: 0,
         };
         assert_eq!(caught, Err(regression));
+    }
+
+    /// `run_with_plan` applies a fault before the first live event after
+    /// its instant, though cancelled timers' keys and events deferred
+    /// behind a busy node lie between the events around it: the clock
+    /// the fault sees has not passed its instant.
+    #[test]
+    fn a_plan_fault_lands_before_the_first_event_after_its_instant() {
+        for at_ns in (dur::millis(5)..dur::millis(6)).step_by(dur::micros(50) as usize) {
+            let mut cluster = cluster(CLASSIC.config(1), 24);
+            let mut checker = InvariantChecker::new();
+            let corrupt = Fault::Node {
+                node: 2,
+                fault: NodeFault::SilentCorruption { salt: 63 },
+            };
+            let plan = FaultPlan {
+                events: vec![FaultEvent {
+                    at_ns,
+                    fault: corrupt,
+                }],
+            };
+            cluster
+                .run_with_plan::<Svc, ChaosDriver>(&plan, at_ns + dur::millis(1), &mut checker)
+                .unwrap();
+            let applied_at = checker.corrupted[&2];
+            assert!(
+                applied_at <= at_ns,
+                "due at {at_ns} ns, applied at {applied_at} ns"
+            );
+        }
     }
 
     /// A queue over its cap is reported after the next event although

@@ -212,10 +212,10 @@ fn every_feature_at_once_charges_as_pinned() {
         "all-on",
         &charges(&cluster),
         &[
-            [2666360, 1681960, 324000000, 12455940, 0, 0],
-            [2076160, 1207200, 324000000, 9367040, 0, 0],
-            [2065780, 1194088, 321000000, 9293506, 0, 0],
-            [2065780, 1194088, 321000000, 9293506, 0, 0],
+            [2665100, 1680944, 292500000, 12445502, 0, 0],
+            [2063980, 1193072, 324000000, 9282906, 0, 0],
+            [2061440, 1187040, 289500000, 9262024, 0, 0],
+            [2064520, 1193072, 289500000, 9283068, 0, 0],
             [406220, 292720, 0, 2365640, 0, 0],
             [391180, 317928, 0, 2294386, 0, 0],
         ],

@@ -137,8 +137,9 @@ enum Head {
 /// from one counter, so taking the smaller of the two heads is the order
 /// a single heap would give.
 ///
-/// Dead keys are not purged early: drivers peek [`Simulation::next_event_at`]
-/// and then `step()`, so the instant of a cancelled timer is observable.
+/// A dead key is popped when it reaches the head: [`Simulation::next_event_at`]
+/// settles the queue first, so what a driver peeks is the instant of the
+/// event the next `step()` dispatches, never a dead key's.
 struct Queue<M> {
     seq: u64,
     near: BinaryHeap<Reverse<Key>>,
@@ -354,6 +355,40 @@ impl<M> Kernel<M> {
             self.queue_delivery(at2, dst, src, msg.clone(), wire_bytes);
         }
         self.queue_delivery(at, dst, src, msg, wire_bytes);
+    }
+}
+
+impl<M> Kernel<M> {
+    /// Brings the queue's head to an event that runs at its key: pops
+    /// dead keys, drops deliveries that overflowed their node's input
+    /// queue and re-keys events of busy nodes to when their CPU frees up.
+    /// Returns that head, or `None` when no event is left. Settling a
+    /// settled queue changes nothing.
+    fn settle(&mut self) -> Option<(Head, Key)> {
+        loop {
+            let (head, key) = self.queue.head()?;
+            // Skip cancelled timers.
+            let Some(ev) = self.queue.event(key) else {
+                self.queue.pop_key(head);
+                continue;
+            };
+            let busy_until = self.cpu_free[ev.dst as usize];
+            if busy_until <= key.at {
+                return Some((head, key));
+            }
+            // Defer events for a busy node until its CPU frees up. A
+            // delivery that would wait longer than the node's input-queue
+            // limit overflows the (modeled) socket buffer and is dropped.
+            let wait = busy_until.since(ev.born);
+            if wait > self.cpu_queue_limit[ev.dst as usize]
+                && matches!(ev.kind, EventKind::Deliver { .. })
+            {
+                self.metrics.counters.count(ev.dst, Counter::CpuDropped);
+                self.queue.take(head, key);
+                continue;
+            }
+            self.queue.defer(head, busy_until);
+        }
     }
 }
 
@@ -687,18 +722,18 @@ impl<M: 'static> Simulation<M> {
         self.kernel.last_dispatched
     }
 
-    /// The time of the earliest queued event, if any. Cancelled timers may
-    /// still appear here (they are skipped when stepped over), so the next
-    /// [`Simulation::step`] may process a later event — but never an
-    /// earlier one. Used by drivers that interleave outside interventions
-    /// (e.g. chaos fault plans) with stepping.
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.kernel.queue.head().map(|(_, key)| key.at)
+    /// The instant of the next event [`Simulation::step`] dispatches, if
+    /// any. The queue is settled first — dead keys popped, overflowing
+    /// deliveries dropped, events of busy nodes deferred — so the head is
+    /// exact: a driver that peeks this and steps while it is within its
+    /// limit never passes the limit. Used by drivers that interleave
+    /// outside interventions (e.g. chaos fault plans) with stepping.
+    pub fn next_event_at(&mut self) -> Option<SimTime> {
+        self.kernel.settle().map(|(_, key)| key.at)
     }
 
     /// Events waiting to be dispatched: deliveries, starts and armed
-    /// timers. Keys of cancelled timers that have not yet come up are not
-    /// counted, although [`Simulation::next_event_at`] still sees them.
+    /// timers. Keys of cancelled timers are not counted.
     pub fn queued_events(&self) -> usize {
         self.kernel.queue.live()
     }
@@ -765,63 +800,38 @@ impl<M: 'static> Simulation<M> {
             .expect("node type mismatch")
     }
 
-    /// Processes one event. Returns `false` when the queue is empty.
+    /// Processes one event: the one [`Simulation::next_event_at`] reports,
+    /// at that instant. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        loop {
-            let Some((head, key)) = self.kernel.queue.head() else {
-                return false;
-            };
-            // Skip cancelled timers.
-            let Some(ev) = self.kernel.queue.event(key) else {
-                self.kernel.queue.pop_key(head);
-                continue;
-            };
-            // Defer events for a busy node until its CPU frees up. A
-            // delivery that would wait longer than the node's input-queue
-            // limit overflows the (modeled) socket buffer and is dropped.
-            let busy_until = self.kernel.cpu_free[ev.dst as usize];
-            if busy_until > key.at {
-                let wait = busy_until.since(ev.born);
-                if wait > self.kernel.cpu_queue_limit[ev.dst as usize]
-                    && matches!(ev.kind, EventKind::Deliver { .. })
-                {
-                    self.kernel
-                        .metrics
-                        .counters
-                        .count(ev.dst, Counter::CpuDropped);
-                    self.kernel.queue.take(head, key);
-                    continue;
-                }
-                self.kernel.queue.defer(head, busy_until);
-                continue;
-            }
-            let ev = self.kernel.queue.take(head, key);
-            debug_assert!(key.at >= self.kernel.now, "time went backwards");
-            self.kernel.now = key.at;
-            self.kernel.events_processed += 1;
-            self.kernel.last_dispatched = Some(ev.dst);
-            let mut node = self.nodes[ev.dst as usize]
-                .take()
-                .expect("node present outside dispatch");
-            let mut ctx = Context {
-                kernel: &mut self.kernel,
-                id: ev.dst,
-                cpu_used: 0,
-            };
-            match ev.kind {
-                EventKind::Start => node.on_start(&mut ctx),
-                EventKind::Deliver {
-                    from,
-                    msg,
-                    wire_bytes,
-                } => node.on_message(&mut ctx, from, msg, wire_bytes),
-                EventKind::Timer { token } => node.on_timer(&mut ctx, token),
-            }
-            let used = ctx.cpu_used;
-            self.kernel.cpu_free[ev.dst as usize] = self.kernel.now.after(used);
-            self.nodes[ev.dst as usize] = Some(node);
-            return true;
+        let Some((head, key)) = self.kernel.settle() else {
+            return false;
+        };
+        let ev = self.kernel.queue.take(head, key);
+        debug_assert!(key.at >= self.kernel.now, "time went backwards");
+        self.kernel.now = key.at;
+        self.kernel.events_processed += 1;
+        self.kernel.last_dispatched = Some(ev.dst);
+        let mut node = self.nodes[ev.dst as usize]
+            .take()
+            .expect("node present outside dispatch");
+        let mut ctx = Context {
+            kernel: &mut self.kernel,
+            id: ev.dst,
+            cpu_used: 0,
+        };
+        match ev.kind {
+            EventKind::Start => node.on_start(&mut ctx),
+            EventKind::Deliver {
+                from,
+                msg,
+                wire_bytes,
+            } => node.on_message(&mut ctx, from, msg, wire_bytes),
+            EventKind::Timer { token } => node.on_timer(&mut ctx, token),
         }
+        let used = ctx.cpu_used;
+        self.kernel.cpu_free[ev.dst as usize] = self.kernel.now.after(used);
+        self.nodes[ev.dst as usize] = Some(node);
+        true
     }
 
     /// Runs until simulated time `t` (events at exactly `t` included), the
@@ -1002,8 +1012,8 @@ mod tests {
         let mut s: Simulation<u32> = sim();
         let a = s.add_node(Box::new(TimerNode { fired: vec![] }));
         s.step();
-        // The cancelled timer no longer counts as queued, but its key is
-        // still what the next step reaches after the first timer's.
+        // The cancelled timer no longer counts as queued, though its key is
+        // still in the heap.
         assert_eq!(s.queued_events(), 2);
         let shown = format!("{s:?}");
         assert!(
@@ -1011,7 +1021,9 @@ mod tests {
             "{shown}"
         );
         s.step();
-        assert_eq!(s.next_event_at(), Some(SimTime(dur::millis(2))));
+        // The head is exact: the dead 2 ms key is not what comes next.
+        assert_eq!(s.next_event_at(), Some(SimTime(dur::millis(3))));
+        assert_eq!(s.kernel.queue.keys(), 1);
         s.run_until_idle(100);
         assert_eq!(s.node_as::<TimerNode>(a).fired, vec![1, 3]);
     }
@@ -1170,6 +1182,44 @@ mod tests {
         assert_eq!(s.now(), SimTime(500));
         s.run_until(SimTime(2_000));
         assert_eq!(s.node_as::<Probe>(a).messages.len(), 1);
+    }
+
+    #[test]
+    fn run_until_never_passes_its_limit() {
+        /// Arms a timer it cancels and one that comes up while the node is
+        /// still busy with its start, then holds the CPU for 10 ms.
+        struct Busy {
+            fired: Vec<SimTime>,
+        }
+        impl Node<u32> for Busy {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                let doomed = ctx.set_timer(dur::millis(3), 1);
+                ctx.cancel_timer(doomed);
+                ctx.set_timer(dur::millis(4), 2);
+                ctx.charge(dur::millis(10));
+            }
+            fn on_message(&mut self, _: &mut Context<'_, u32>, _: NodeId, _: u32, _: usize) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_, u32>, _: u64) {
+                self.fired.push(ctx.now());
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut s: Simulation<u32> = sim();
+        let a = s.add_node(Box::new(Busy { fired: vec![] }));
+        // The dead 3 ms key and the 4 ms timer lie before the limit; the
+        // timer runs at 10 ms, after it.
+        s.run_until(SimTime(dur::millis(5)));
+        assert_eq!(s.now(), SimTime(dur::millis(5)));
+        assert_eq!(s.events_processed(), 1, "only the start ran");
+        assert!(s.node_as::<Busy>(a).fired.is_empty());
+        assert_eq!(s.next_event_at(), Some(SimTime(dur::millis(10))));
+        s.run_until(SimTime(dur::millis(20)));
+        assert_eq!(s.node_as::<Busy>(a).fired, vec![SimTime(dur::millis(10))]);
     }
 
     #[test]

@@ -242,8 +242,8 @@ impl RefSim {
         id
     }
 
-    fn next_event_at(&self) -> Option<SimTime> {
-        self.kernel.queue.peek().map(|ev| ev.at)
+    fn next_event_at(&mut self) -> Option<SimTime> {
+        self.settle()
     }
 
     /// Queued events that will still be dispatched or dropped.
@@ -252,50 +252,63 @@ impl RefSim {
         self.kernel.queue.len() - self.kernel.queue.iter().filter(dead).count()
     }
 
-    fn step(&mut self) -> bool {
+    /// Pops until the earliest event runs at its instant: a cancelled
+    /// timer goes when it comes up (never earlier), a delivery that
+    /// overflowed its node's input queue is dropped, an event of a busy
+    /// node is pushed again for when the CPU frees up. Returns the
+    /// instant of the event `step` dispatches next.
+    fn settle(&mut self) -> Option<SimTime> {
         loop {
-            let Some(ev) = self.kernel.queue.pop() else {
-                return false;
-            };
+            let ev = self.kernel.queue.peek()?;
+            let cancelled =
+                matches!(ev.kind, RefKind::Timer { id, .. } if self.kernel.cancelled.contains(&id));
+            let busy_until = self.kernel.cpu_free[ev.dst as usize];
+            if !cancelled && busy_until <= ev.at {
+                return Some(ev.at);
+            }
+            let ev = self.kernel.queue.pop().expect("just peeked");
             if let RefKind::Timer { id, .. } = &ev.kind {
                 if self.kernel.cancelled.remove(id) {
                     continue;
                 }
             }
-            let busy_until = self.kernel.cpu_free[ev.dst as usize];
-            if busy_until > ev.at {
-                let wait = busy_until.since(ev.born);
-                if wait > self.kernel.cpu_queue_limit[ev.dst as usize]
-                    && matches!(ev.kind, RefKind::Deliver { .. })
-                {
-                    self.kernel.cpu_dropped += 1;
-                    continue;
-                }
-                self.kernel.push_born(busy_until, ev.born, ev.dst, ev.kind);
+            let wait = busy_until.since(ev.born);
+            if wait > self.kernel.cpu_queue_limit[ev.dst as usize]
+                && matches!(ev.kind, RefKind::Deliver { .. })
+            {
+                self.kernel.cpu_dropped += 1;
                 continue;
             }
-            assert!(ev.at >= self.kernel.now, "time went backwards");
-            self.kernel.now = ev.at;
-            self.kernel.events_processed += 1;
-            let mut node = self.nodes[ev.dst as usize].take().expect("node present");
-            let mut ctx = RefContext {
-                kernel: &mut self.kernel,
-                id: ev.dst,
-                cpu_used: 0,
-            };
-            node.react(
-                &mut ctx,
-                match ev.kind {
-                    RefKind::Start => Seen::Start,
-                    RefKind::Deliver { from, msg } => Seen::Message { from, msg },
-                    RefKind::Timer { token, .. } => Seen::Timer(token),
-                },
-            );
-            let used = ctx.cpu_used;
-            self.kernel.cpu_free[ev.dst as usize] = self.kernel.now.after(used);
-            self.nodes[ev.dst as usize] = Some(node);
-            return true;
+            self.kernel.push_born(busy_until, ev.born, ev.dst, ev.kind);
         }
+    }
+
+    fn step(&mut self) -> bool {
+        if self.settle().is_none() {
+            return false;
+        }
+        let ev = self.kernel.queue.pop().expect("settled");
+        assert!(ev.at >= self.kernel.now, "time went backwards");
+        self.kernel.now = ev.at;
+        self.kernel.events_processed += 1;
+        let mut node = self.nodes[ev.dst as usize].take().expect("node present");
+        let mut ctx = RefContext {
+            kernel: &mut self.kernel,
+            id: ev.dst,
+            cpu_used: 0,
+        };
+        node.react(
+            &mut ctx,
+            match ev.kind {
+                RefKind::Start => Seen::Start,
+                RefKind::Deliver { from, msg } => Seen::Message { from, msg },
+                RefKind::Timer { token, .. } => Seen::Timer(token),
+            },
+        );
+        let used = ctx.cpu_used;
+        self.kernel.cpu_free[ev.dst as usize] = self.kernel.now.after(used);
+        self.nodes[ev.dst as usize] = Some(node);
+        true
     }
 }
 
@@ -494,6 +507,9 @@ fn run_both(seed: u64) -> Coverage {
     coverage
 }
 
+/// Mutation-checked: a `next_event_at` that reports a cancelled key fails
+/// at seed 1, and a `step` that dispatches a timer at the end of its
+/// node's busy spell instead of deferring it fails at seed 0.
 #[test]
 fn dispatch_order_matches_the_single_heap_reference() {
     let mut total = Coverage::default();
