@@ -479,6 +479,8 @@ impl ClientCore {
         if !matches!(auth, AuthTag::Mac(_)) {
             return;
         }
+        // Mismatch (4): a BUSY is charged only this MAC; every other
+        // authenticated packet is also charged its packet digest.
         if !self.keys.verify(ctx, from, &Msg::Busy(busy), auth) {
             ctx.count(Counter::BadBusyAuth);
             return;

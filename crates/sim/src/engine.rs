@@ -130,20 +130,24 @@ enum Head {
 ///
 /// `near` holds deliveries, starts and every deferred event — a few
 /// hundred keys that churn (an event for a busy node is re-keyed once per
-/// handler that runs ahead of it). `timers` holds keys of armed timers:
-/// thousands, a quarter of a simulated second out, nearly all cancelled
-/// long before they surface; a key there is touched when armed and when
-/// its instant comes up, not by the traffic in between. `seq` is drawn
+/// handler that runs ahead of it). `timers` holds keys of armed timers, a
+/// quarter of a simulated second out and nearly all cancelled long before
+/// they surface; a key there is touched when armed and when its instant
+/// comes up or a purge drops it, not by the traffic in between. `seq` is drawn
 /// from one counter, so taking the smaller of the two heads is the order
 /// a single heap would give.
 ///
 /// A dead key is popped when it reaches the head: [`Simulation::next_event_at`]
 /// settles the queue first, so what a driver peeks is the instant of the
-/// event the next `step()` dispatches, never a dead key's.
+/// event the next `step()` dispatches, never a dead key's. Which dead keys
+/// are still in a heap is therefore unobservable, and [`Queue::cancel`]
+/// drops those of `timers` in bulk.
 struct Queue<M> {
     seq: u64,
     near: BinaryHeap<Reverse<Key>>,
     timers: BinaryHeap<Reverse<Key>>,
+    /// Timers cancelled since `timers` last dropped its dead keys.
+    cancelled: usize,
     slab: Vec<Slot<M>>,
     free: Vec<u32>,
 }
@@ -154,6 +158,7 @@ impl<M> Queue<M> {
             seq: 0,
             near: BinaryHeap::new(),
             timers: BinaryHeap::new(),
+            cancelled: 0,
             slab: Vec::new(),
             free: Vec::new(),
         }
@@ -213,13 +218,25 @@ impl<M> Queue<M> {
         entry.event.take()
     }
 
+    /// Cancels the timer `id` names, if it is still armed. Once the
+    /// cancellations since the last purge outnumber half the keys in
+    /// `timers`, the dead keys there are dropped: amortised O(1) per
+    /// cancel, and `timers` holds at most about twice its live keys.
     fn cancel(&mut self, id: TimerId) {
         let armed = self
             .slab
             .get(id.slot as usize)
             .is_some_and(|entry| entry.generation == id.generation);
-        if armed {
-            self.vacate(id.slot);
+        if !armed {
+            return;
+        }
+        self.vacate(id.slot);
+        self.cancelled += 1;
+        if 2 * self.cancelled > self.timers.len() {
+            let slab = &self.slab;
+            self.timers
+                .retain(|Reverse(key)| slab[key.slot as usize].generation == key.generation);
+            self.cancelled = 0;
         }
     }
 
@@ -356,9 +373,7 @@ impl<M> Kernel<M> {
         }
         self.queue_delivery(at, dst, src, msg, wire_bytes);
     }
-}
 
-impl<M> Kernel<M> {
     /// Brings the queue's head to an event that runs at its key: pops
     /// dead keys, drops deliveries that overflowed their node's input
     /// queue and re-keys events of busy nodes to when their CPU frees up.
@@ -1125,16 +1140,17 @@ mod tests {
             peak_keys = peak_keys.max(s.kernel.queue.keys());
             peak_live = peak_live.max(s.queued_events());
         }
-        // Live at once: the tick and the 250 ms timer. Keys at once: those
-        // two and the cancelled keys of the last 250 ticks.
+        // Live at once: the tick and the 250 ms timer. The purge keeps the
+        // timer heap within twice its live keys, not the cancelled keys of
+        // the last 250 ticks.
         assert_eq!(peak_live, 2);
-        assert!(peak_keys <= 252, "{peak_keys}");
+        assert!(peak_keys <= 2 * peak_live, "{peak_keys}");
         assert!(
             s.kernel.queue.slab.len() <= 3,
             "{}",
             s.kernel.queue.slab.len()
         );
-        assert!(s.kernel.queue.timers.capacity() <= 1024);
+        assert!(s.kernel.queue.timers.capacity() <= 8);
         assert!(s.kernel.queue.near.capacity() <= 16);
         let node = s.node_as::<Rearmer>(a);
         // Every tick fired; of the 250 ms timers only the last survived.
@@ -1169,6 +1185,22 @@ mod tests {
         assert_eq!(s.queued_events(), 2, "the delivery and the new timer");
         s.run_until_idle(10);
         assert_eq!(s.node_as::<Probe>(b).messages, vec![(a, 7)]);
+    }
+
+    #[test]
+    fn cancelling_more_than_half_the_timer_keys_purges_the_dead_ones() {
+        let mut q: Queue<u32> = Queue::new();
+        let ids: Vec<TimerId> = (0..10).map(|i| q.arm(SimTime(1_000 + i), 0, i)).collect();
+        for &id in &ids[..5] {
+            q.cancel(id);
+        }
+        assert_eq!((q.timers.len(), q.live()), (10, 5), "half is not more");
+        q.cancel(ids[5]);
+        assert_eq!((q.timers.len(), q.live()), (4, 4));
+        // Stale handles count nothing towards the next purge.
+        q.cancel(ids[0]);
+        assert_eq!(q.cancelled, 0);
+        assert_eq!(q.head().map(|(_, key)| key.at), Some(SimTime(1_006)));
     }
 
     #[test]
@@ -1315,13 +1347,17 @@ mod tests {
 
     #[test]
     fn run_until_idle_is_drained_with_only_cancelled_keys_left() {
-        struct Canceller;
+        /// Busy with its start when its timer comes up; the message
+        /// deferred ahead of the timer cancels it.
+        struct Canceller(Option<TimerId>);
         impl Node<u32> for Canceller {
             fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-                let doomed = ctx.set_timer(dur::secs(1), 1);
-                ctx.cancel_timer(doomed);
+                self.0 = Some(ctx.set_timer(dur::millis(1), 1));
+                ctx.charge(dur::millis(5));
             }
-            fn on_message(&mut self, _: &mut Context<'_, u32>, _: NodeId, _: u32, _: usize) {}
+            fn on_message(&mut self, ctx: &mut Context<'_, u32>, _: NodeId, _: u32, _: usize) {
+                ctx.cancel_timer(self.0.expect("armed at start"));
+            }
             fn as_any(&self) -> &dyn Any {
                 self
             }
@@ -1330,10 +1366,11 @@ mod tests {
             }
         }
         let mut s: Simulation<u32> = sim();
-        s.add_node(Box::new(Canceller));
-        // The one live event is the start; the budget ends on it, with the
-        // cancelled timer's key still in its heap.
-        assert!(s.run_until_idle(1));
+        let a = s.add_node(Box::new(Canceller(None)));
+        s.inject(a, 9, 1, 8);
+        // The live events are the start and the message; the budget ends
+        // on the message, with the deferred timer's dead key still queued.
+        assert!(s.run_until_idle(2));
         assert_eq!((s.queued_events(), s.kernel.queue.keys()), (0, 1));
     }
 
