@@ -7,7 +7,7 @@
 
 use crate::admission;
 use crate::config::Config;
-use crate::invariants::{push_within_budget, OpEvent};
+use crate::invariants::{AuditLog, OpEvent};
 use crate::messages::{
     AuthTag, Busy, Msg, Packet, PacketKeys, Reply, Request, INLINE_THRESHOLD, REPLIER_ALL,
 };
@@ -20,7 +20,6 @@ use bft_sim::{
     TracePhase,
 };
 use std::any::Any;
-use std::collections::BTreeMap;
 
 const TIMER_RETRY: u64 = 0;
 /// Recurring fault-injection pacing timer ([`ClientBehavior`]); below
@@ -117,21 +116,66 @@ struct PendingOp {
     /// The retry budget was already flagged as exhausted for this
     /// operation (count starvation once per op).
     budget_flagged: bool,
-    /// Per-replica (result digest, tentative) votes, in replica order so
-    /// quorum evaluation is independent of reply arrival hashing.
-    replies: BTreeMap<ReplicaId, (Digest, bool)>,
-    /// Full result bytes seen, by result digest.
-    full: BTreeMap<Digest, Vec<u8>>,
 }
 
-impl PendingOp {
+/// The replies to the operation in flight. The tables are kept across
+/// operations and cleared when the next one is submitted, so collecting
+/// a quorum allocates nothing once they have grown.
+#[derive(Debug, Default)]
+struct Replies {
+    /// Per-replica `(replica, result digest, tentative)` votes, in replica
+    /// order so quorum evaluation is independent of reply arrival order;
+    /// a replica's later reply replaces its earlier one.
+    votes: Vec<(ReplicaId, Digest, bool)>,
+    /// Full result bytes seen, one entry per result digest.
+    full: Vec<(Digest, Vec<u8>)>,
+}
+
+impl Replies {
+    fn clear(&mut self) {
+        self.votes.clear();
+        self.full.clear();
+    }
+
+    /// Records `from`'s vote for result digest `d`.
+    fn vote(&mut self, from: ReplicaId, d: Digest, tentative: bool) {
+        match self.votes.binary_search_by_key(&from, |v| v.0) {
+            Ok(i) => self.votes[i] = (from, d, tentative),
+            Err(i) => self.votes.insert(i, (from, d, tentative)),
+        }
+    }
+
+    /// Whether replica `r` has replied.
+    fn answered(&self, r: ReplicaId) -> bool {
+        self.votes.binary_search_by_key(&r, |v| v.0).is_ok()
+    }
+
     /// The stored replies carrying result digest `d`, as `(all,
     /// committed)`: counted in place over at most `n` replies.
-    fn votes(&self, d: &Digest) -> (usize, usize) {
-        let matching = self.replies.values().filter(|(e, _)| e == d);
-        matching.fold((0, 0), |(all, committed), &(_, tentative)| {
+    fn count(&self, d: &Digest) -> (usize, usize) {
+        let matching = self.votes.iter().filter(|(_, e, _)| e == d);
+        matching.fold((0, 0), |(all, committed), &(_, _, tentative)| {
             (all + 1, committed + usize::from(!tentative))
         })
+    }
+
+    /// Keeps the full result `bytes`, whose digest is `d`.
+    fn keep_full(&mut self, d: Digest, bytes: Vec<u8>) {
+        match self.full.iter_mut().find(|(e, _)| *e == d) {
+            Some(entry) => entry.1 = bytes,
+            None => self.full.push((d, bytes)),
+        }
+    }
+
+    /// Whether a full result with digest `d` has arrived.
+    fn has_full(&self, d: &Digest) -> bool {
+        self.full.iter().any(|(e, _)| e == d)
+    }
+
+    /// Takes the full result with digest `d`.
+    fn take_full(&mut self, d: &Digest) -> Option<Vec<u8>> {
+        let i = self.full.iter().position(|(e, _)| e == d)?;
+        Some(self.full.swap_remove(i).1)
     }
 }
 
@@ -146,17 +190,20 @@ pub struct ClientCore {
     view_guess: View,
     ts: Timestamp,
     pending: Option<PendingOp>,
+    /// The replies to `pending`.
+    replies: Replies,
     retry_timer: Option<TimerId>,
     /// Exponentially weighted moving average of observed latency, driving
     /// the adaptive retransmission timeout (ns).
     latency_ewma: f64,
     /// Completed operation count (also mirrored into the metrics).
     pub completed_ops: u64,
-    /// Invoke/complete events for the chaos linearizability checker;
-    /// held to a byte budget when nobody drains it.
-    audit: Vec<OpEvent>,
-    /// Bytes `audit` retains, operation and result payloads included.
-    audit_bytes: usize,
+    /// Invoke/complete events for the chaos linearizability checker.
+    /// Long benchmark runs never drain it, and its events carry whole
+    /// operations and results: it is held to a byte budget, not a count
+    /// of events (the checker drains after every event and never gets
+    /// near).
+    audit: AuditLog,
     /// Fault-injection behavior (chaos testing); `Correct` in production.
     behavior: ClientBehavior,
     /// A `TIMER_FAULT` pacing timer is outstanding.
@@ -180,11 +227,11 @@ impl ClientCore {
             view_guess: 0,
             ts: 0,
             pending: None,
+            replies: Replies::default(),
             retry_timer: None,
             latency_ewma: 0.0,
             completed_ops: 0,
-            audit: Vec::new(),
-            audit_bytes: 0,
+            audit: AuditLog::default(),
             behavior: ClientBehavior::Correct,
             fault_timer_armed: false,
             starved_ops: 0,
@@ -204,18 +251,6 @@ impl ClientCore {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         (z ^ (z >> 31)) % bound
-    }
-
-    /// Long benchmark runs never read the audit, and its events carry
-    /// whole operations and results: it is bounded in bytes, not events
-    /// (the checker drains after every event and never gets near).
-    fn note_audit(&mut self, event: OpEvent) {
-        push_within_budget(
-            &mut self.audit,
-            &mut self.audit_bytes,
-            event,
-            OpEvent::retained_bytes,
-        );
     }
 
     fn send_request(&mut self, ctx: &mut Context<'_, Packet>) {
@@ -278,12 +313,8 @@ impl ClientCore {
         } else {
             REPLIER_ALL
         };
-        self.note_audit(OpEvent::Invoke {
-            client: self.id,
-            timestamp: self.ts,
-            op: op.clone(),
-            at_ns: ctx.now().nanos(),
-        });
+        let now = ctx.now().nanos();
+        self.audit.push(OpEvent::INVOKE, self.ts, now, &[&op]);
         ctx.trace_now(
             SpanEdge::Open,
             TracePhase::Request,
@@ -303,9 +334,8 @@ impl ClientCore {
             retries: 0,
             busy_rounds: 0,
             budget_flagged: false,
-            replies: BTreeMap::new(),
-            full: BTreeMap::new(),
         });
+        self.replies.clear();
         self.send_request(ctx);
     }
 
@@ -313,22 +343,22 @@ impl ClientCore {
     /// result if so.
     fn check_complete(&mut self) -> Option<(Vec<u8>, SimTime)> {
         let q = &self.cfg.quorums;
-        let p = self.pending.as_ref()?;
+        let r = &self.replies;
         // If two digests ever both reach quorum (only possible with
         // faulty replicas), the smallest wins, so every run picks the
         // same one.
-        let accepted = p
-            .replies
-            .values()
-            .map(|&(d, _)| d)
+        let accepted = r
+            .votes
+            .iter()
+            .map(|&(_, d, _)| d)
             .filter(|d| {
-                let (all, committed) = p.votes(d);
+                let (all, committed) = r.count(d);
                 let quorum_ok = committed >= q.reply_quorum() || all >= q.tentative_reply_quorum();
-                quorum_ok && p.full.contains_key(d)
+                quorum_ok && r.has_full(d)
             })
             .min()?;
-        let mut p = self.pending.take()?;
-        let result = p.full.remove(&accepted)?;
+        let p = self.pending.take()?;
+        let result = self.replies.take_full(&accepted)?;
         Some((result, p.sent_at))
     }
 
@@ -364,13 +394,12 @@ impl ClientCore {
         self.view_guess = self.view_guess.max(reply.view);
         let completed_ts = reply.timestamp;
         let result_digest = reply.body.result_digest_claimed(started);
-        let p = self.pending.as_mut()?;
         if let crate::messages::ReplyBody::Full(bytes) = reply.body {
             // The digest charged above (over the reply body) covers the
             // result-hash work; no extra per-byte cost here.
-            p.full.insert(result_digest, bytes);
+            self.replies.keep_full(result_digest, bytes);
         }
-        p.replies.insert(from, (result_digest, reply.tentative));
+        self.replies.vote(from, result_digest, reply.tentative);
         let Some((result, sent_at)) = self.check_complete() else {
             self.maybe_fast_ro_retry(ctx);
             return None;
@@ -400,12 +429,9 @@ impl ClientCore {
                 ..TraceMeta::default()
             },
         );
-        self.note_audit(OpEvent::Complete {
-            client: self.id,
-            timestamp: completed_ts,
-            result: result.clone(),
-            at_ns: ctx.now().nanos(),
-        });
+        let now = ctx.now().nanos();
+        self.audit
+            .push(OpEvent::COMPLETE, completed_ts, now, &[&result]);
         Some((result, latency))
     }
 
@@ -430,24 +456,25 @@ impl ClientCore {
         if !p.read_only || !self.cfg.read_leases || p.retries >= 2 {
             return;
         }
-        let remaining = n - p.replies.len();
+        let r = &self.replies;
+        let remaining = n - r.votes.len();
         // A digest is viable only if the outstanding replies could still
         // push it to a quorum AND a full result body for it is present
         // or could still arrive: from the designated replier if it has
         // not answered yet, or — when every replica sends full bodies —
         // from any outstanding reply. An as-yet-unseen digest is covered
         // by the `(None, (0, 0))` case.
-        let replier_pending = p.replier != REPLIER_ALL && !p.replies.contains_key(&p.replier);
+        let replier_pending = p.replier != REPLIER_ALL && !r.answered(p.replier);
         let viable = |d: Option<&Digest>, (all, committed): (usize, usize)| {
             let counts_ok = committed + remaining >= q.reply_quorum()
                 || all + remaining >= q.tentative_reply_quorum();
-            let body_ok = d.is_some_and(|d| p.full.contains_key(d))
+            let body_ok = d.is_some_and(|d| r.has_full(d))
                 || replier_pending
                 || (p.replier == REPLIER_ALL && remaining > 0);
             counts_ok && body_ok
         };
         let any_viable =
-            viable(None, (0, 0)) || p.replies.values().any(|(d, _)| viable(Some(d), p.votes(d)));
+            viable(None, (0, 0)) || r.votes.iter().any(|(_, d, _)| viable(Some(d), r.count(d)));
         if any_viable {
             return;
         }
@@ -728,8 +755,10 @@ impl<D: ClientDriver> Client<D> {
     /// empty. The chaos linearizability checker drains this after every
     /// simulation event.
     pub fn drain_audit(&mut self) -> Vec<OpEvent> {
-        self.core.audit_bytes = 0;
-        std::mem::take(&mut self.core.audit)
+        let client = self.core.id;
+        self.core
+            .audit
+            .drain(|record| OpEvent::from_record(client, record))
     }
 
     /// Overrides the client's behavior (chaos fault injection). The
@@ -874,10 +903,10 @@ mod tests {
     use crate::cluster::Cluster;
 
     impl<D: ClientDriver> Client<D> {
-        /// Bytes the undrained audit retains — at most the per-node audit
-        /// budget plus one event.
-        pub(crate) fn audit_bytes(&self) -> usize {
-            self.core.audit_bytes
+        /// Heap bytes the undrained audit holds — at most the per-node
+        /// audit budget plus one record.
+        pub(crate) fn audit_real_bytes(&self) -> usize {
+            self.core.audit.real_bytes()
         }
     }
     use crate::messages::ReplyBody;
@@ -1011,7 +1040,7 @@ mod tests {
     /// stored, every result's body among them.
     fn with_replies(replies: &[(ReplicaId, &[u8], bool)]) -> ClientCore {
         let mut core = ClientCore::new(4, Config::new(1));
-        let mut op = PendingOp {
+        let op = PendingOp {
             timestamp: 1,
             op: CounterService::add_op(5),
             read_only: false,
@@ -1021,13 +1050,11 @@ mod tests {
             retries: 0,
             busy_rounds: 0,
             budget_flagged: false,
-            replies: BTreeMap::new(),
-            full: BTreeMap::new(),
         };
         for &(r, result, tentative) in replies {
             let d = bft_crypto::digest(result);
-            op.replies.insert(r, (d, tentative));
-            op.full.insert(d, result.to_vec());
+            core.replies.vote(r, d, tentative);
+            core.replies.keep_full(d, result.to_vec());
         }
         core.pending = Some(op);
         core

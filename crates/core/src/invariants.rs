@@ -54,32 +54,117 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Byte budget of one node's undrained audit trail of operation and
-/// result bytes ([`OpEvent`]s at a client, lease reads at a replica).
-/// Those events carry payloads, so counting them would let a run of
-/// 4 KiB operations retain every body it ever sent; the budget makes
-/// the trail a constant. It must still cover a checker that attaches
-/// late: the benchmark's `crash-primary` workload runs a 625-operation
-/// warm-up per client before its [`InvariantChecker`] first drains, and
-/// the linearizability ceilings need every one of those 1 250 events
-/// (about 66 KB of them) — hence 256 KiB and not a tighter fit.
-pub(crate) const AUDIT_BUDGET_BYTES: usize = 256 * 1024;
+/// Real bytes one node's undrained audit log may hold ([`OpEvent`]s at a
+/// client, lease reads at a replica): the capacity of its buffer, plus at
+/// most one record. Those records carry payloads, so counting them would
+/// let a run of 4 KiB operations retain every body it ever sent; the
+/// budget makes the log a constant. It must still cover a checker that
+/// attaches late: the benchmark's `crash-primary` workload runs a
+/// 625-operation warm-up per client before its [`InvariantChecker`] first
+/// drains, and the linearizability ceilings need every one of those 1 250
+/// events. A counter event takes about 26 bytes here (a 21-byte header
+/// and a 2-byte operation or an 8-byte result), so 128 KiB holds about
+/// 5 000 of them: four times the warm-up.
+pub(crate) const AUDIT_BUDGET_BYTES: usize = 128 * 1024;
 
-/// Appends `event`, which retains `size` bytes, to an undrained audit
-/// trail of `bytes` bytes; past [`AUDIT_BUDGET_BYTES`] the older half of
-/// the trail is dropped. The newest event always stays, so the trail
-/// holds at most the budget plus one event.
-pub(crate) fn push_within_budget<T>(
-    trail: &mut Vec<T>,
-    bytes: &mut usize,
-    event: T,
-    size: impl Fn(&T) -> usize,
-) {
-    *bytes += size(&event);
-    trail.push(event);
-    if *bytes > AUDIT_BUDGET_BYTES {
-        let dropped: usize = trail.drain(..trail.len() / 2).map(|e| size(&e)).sum();
-        *bytes -= dropped;
+/// An undrained, append-only trail of audit records that carry payloads,
+/// packed into one byte buffer. A record is a fixed header — kind,
+/// timestamp, `at_ns`, payload length — and then the payload bytes; the
+/// node that owns the log is implied and filled in when it is drained.
+/// Recording copies the payload and, once the buffer has grown, allocates
+/// nothing.
+///
+/// The buffer grows by doubling up to [`AUDIT_BUDGET_BYTES`] and no
+/// further: a record that would take the log past the budget first drops
+/// the older half of it at a record boundary, so the newest record always
+/// stays and the buffer holds at most the budget plus one record.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AuditLog {
+    bytes: Vec<u8>,
+}
+
+/// One record of an [`AuditLog`], borrowed from it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AuditRecord<'a> {
+    pub(crate) kind: u8,
+    pub(crate) timestamp: Timestamp,
+    pub(crate) at_ns: u64,
+    pub(crate) payload: &'a [u8],
+}
+
+impl AuditLog {
+    /// Kind (1 byte), timestamp and `at_ns` (8 each), payload length (4).
+    const HEADER: usize = 21;
+
+    /// Capacity a drained log keeps: a checker that drains after every
+    /// event finds a record or two, so the log does not regrow from
+    /// nothing each time, nor keep what an undrained warm-up grew.
+    const DRAINED_CAPACITY: usize = 1024;
+
+    /// Appends a record whose payload is the concatenation of `payload`.
+    pub(crate) fn push(&mut self, kind: u8, timestamp: Timestamp, at_ns: u64, payload: &[&[u8]]) {
+        let len: usize = payload.iter().map(|p| p.len()).sum();
+        let record = Self::HEADER + len;
+        if self.bytes.len() + record > AUDIT_BUDGET_BYTES {
+            self.drop_older_half();
+        }
+        let need = self.bytes.len() + record;
+        if need > self.bytes.capacity() {
+            let grown = (2 * self.bytes.capacity()).min(AUDIT_BUDGET_BYTES);
+            self.bytes.reserve_exact(grown.max(need) - self.bytes.len());
+        }
+        let len = u32::try_from(len).expect("an audit payload is under 4 GiB");
+        self.bytes.push(kind);
+        self.bytes.extend_from_slice(&timestamp.to_le_bytes());
+        self.bytes.extend_from_slice(&at_ns.to_le_bytes());
+        self.bytes.extend_from_slice(&len.to_le_bytes());
+        for part in payload {
+            self.bytes.extend_from_slice(part);
+        }
+    }
+
+    /// Drops the records that start in the older half of the buffer.
+    fn drop_older_half(&mut self) {
+        let mut cut = 0;
+        while cut < self.bytes.len() / 2 {
+            cut += Self::HEADER + Self::record_at(&self.bytes[cut..]).payload.len();
+        }
+        self.bytes.drain(..cut);
+    }
+
+    /// The record at the front of `bytes`, which starts at a record
+    /// boundary of the log.
+    fn record_at(bytes: &[u8]) -> AuditRecord<'_> {
+        let (header, rest) = bytes.split_at(Self::HEADER);
+        let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+        let len = u32::from_le_bytes(header[17..].try_into().expect("4 bytes"));
+        AuditRecord {
+            kind: header[0],
+            timestamp: word(1),
+            at_ns: word(9),
+            payload: &rest[..len as usize],
+        }
+    }
+
+    /// Decodes every record, oldest first, with `decode` and empties the
+    /// log down to [`Self::DRAINED_CAPACITY`].
+    pub(crate) fn drain<T>(&mut self, mut decode: impl FnMut(AuditRecord<'_>) -> T) -> Vec<T> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while at < self.bytes.len() {
+            let record = Self::record_at(&self.bytes[at..]);
+            at += Self::HEADER + record.payload.len();
+            out.push(decode(record));
+        }
+        self.bytes.clear();
+        self.bytes.shrink_to(Self::DRAINED_CAPACITY);
+        out
+    }
+
+    /// Bytes the log holds on the heap: its buffer's capacity.
+    #[cfg(test)]
+    pub(crate) fn real_bytes(&self) -> usize {
+        self.bytes.capacity()
     }
 }
 
@@ -105,17 +190,22 @@ pub struct ReplicaAudit {
     /// The checker holds each one to the global linearization order: at
     /// its serve instant the value must be at least the largest value any
     /// completed operation returned, and at most the sum of increments
-    /// invoked so far.
+    /// invoked so far. Filled on drain; until then the reads are records
+    /// of `lease_log`.
     pub lease_reads: Vec<(ClientId, Timestamp, u64, Vec<u8>)>,
-    /// Bytes `lease_reads` retains (entries and result bytes), held to
-    /// [`AUDIT_BUDGET_BYTES`].
-    lease_read_bytes: usize,
+    /// Undrained lease reads: the client's id, then the result, is each
+    /// record's payload.
+    lease_log: AuditLog,
 }
 
 impl ReplicaAudit {
     /// Retention bound, in events, of each fixed-size trail when the
     /// audit is never drained.
     const CAP: usize = 8_192;
+
+    /// [`AuditLog`] record kind of a lease read, the only kind
+    /// `lease_log` holds.
+    const LEASE_READ: u8 = 0;
 
     /// Appends to a fixed-size trail; past [`Self::CAP`] undrained events
     /// the older half is dropped.
@@ -152,14 +242,28 @@ impl ReplicaAudit {
         client: ClientId,
         timestamp: Timestamp,
         at_ns: u64,
-        result: Vec<u8>,
+        result: &[u8],
     ) {
-        push_within_budget(
-            &mut self.lease_reads,
-            &mut self.lease_read_bytes,
-            (client, timestamp, at_ns, result),
-            |read| std::mem::size_of_val(read) + read.3.len(),
-        );
+        let client = client.to_le_bytes();
+        self.lease_log
+            .push(Self::LEASE_READ, timestamp, at_ns, &[&client, result]);
+    }
+
+    /// Takes every record, leaving the audit empty.
+    pub(crate) fn drain(&mut self) -> ReplicaAudit {
+        let lease_reads = self.lease_log.drain(|r| {
+            let (client, result) = r.payload.split_at(4);
+            let client = ClientId::from_le_bytes(client.try_into().expect("4 bytes"));
+            (client, r.timestamp, r.at_ns, result.to_vec())
+        });
+        ReplicaAudit {
+            committed: std::mem::take(&mut self.committed),
+            fast_committed: std::mem::take(&mut self.fast_committed),
+            checkpoints: std::mem::take(&mut self.checkpoints),
+            recoveries: std::mem::take(&mut self.recoveries),
+            lease_reads,
+            lease_log: AuditLog::default(),
+        }
     }
 }
 
@@ -192,19 +296,42 @@ pub enum OpEvent {
 }
 
 impl OpEvent {
+    /// [`AuditLog`] record kind of an invoke, whose payload is the
+    /// operation.
+    pub(crate) const INVOKE: u8 = 0;
+    /// [`AuditLog`] record kind of a completion, whose payload is the
+    /// result.
+    pub(crate) const COMPLETE: u8 = 1;
+
     fn at_ns(&self) -> u64 {
         match self {
             OpEvent::Invoke { at_ns, .. } | OpEvent::Complete { at_ns, .. } => *at_ns,
         }
     }
 
-    /// Bytes an undrained event retains: itself plus its payload.
-    pub(crate) fn retained_bytes(&self) -> usize {
-        let payload = match self {
-            OpEvent::Invoke { op, .. } => op.len(),
-            OpEvent::Complete { result, .. } => result.len(),
-        };
-        std::mem::size_of::<OpEvent>() + payload
+    /// The event `record` of client `client`'s audit log holds.
+    pub(crate) fn from_record(client: ClientId, record: AuditRecord<'_>) -> OpEvent {
+        let AuditRecord {
+            kind,
+            timestamp,
+            at_ns,
+            payload,
+        } = record;
+        if kind == Self::INVOKE {
+            OpEvent::Invoke {
+                client,
+                timestamp,
+                op: payload.to_vec(),
+                at_ns,
+            }
+        } else {
+            OpEvent::Complete {
+                client,
+                timestamp,
+                result: payload.to_vec(),
+                at_ns,
+            }
+        }
     }
 }
 
@@ -1165,6 +1292,72 @@ mod tests {
         assert!(lin.check_lease_read(2, 6, 1, 11, &val(0)).is_err());
     }
 
+    /// Records of 0, 2, 8 and 4 096 payload bytes cross several trims:
+    /// the buffer never holds more than the budget plus one record, and
+    /// a drain returns the newest records in order, the client's id
+    /// restored, and leaves at most the drained capacity behind.
+    #[test]
+    fn audit_log_trims_at_record_boundaries() {
+        let sizes = [0, 2, 8, 4096];
+        let payload = |ts: u64| vec![ts as u8; sizes[ts as usize % 4]];
+        let mut log = AuditLog::default();
+        let mut trims = 0;
+        let mut grown = 0;
+        for ts in 0..400u64 {
+            let kind = [OpEvent::INVOKE, OpEvent::COMPLETE][ts as usize % 2];
+            log.push(kind, ts, 10 * ts, &[&payload(ts)]);
+            trims += usize::from(log.bytes.len() < grown);
+            grown = log.bytes.len();
+            let one_record = AuditLog::HEADER + 4096;
+            assert!(log.real_bytes() <= AUDIT_BUDGET_BYTES + one_record);
+        }
+        assert!(trims >= 3, "{trims} trims");
+        let events = log.drain(|record| OpEvent::from_record(7, record));
+        assert!(events.len() > 4 && events.len() < 400);
+        let first = 400 - events.len() as u64;
+        for (ev, ts) in events.iter().zip(first..) {
+            let (kind, bytes) = match ev {
+                OpEvent::Invoke {
+                    client,
+                    timestamp,
+                    op,
+                    at_ns,
+                } => {
+                    assert_eq!((*client, *timestamp, *at_ns), (7, ts, 10 * ts));
+                    (OpEvent::INVOKE, op)
+                }
+                OpEvent::Complete {
+                    client,
+                    timestamp,
+                    result,
+                    at_ns,
+                } => {
+                    assert_eq!((*client, *timestamp, *at_ns), (7, ts, 10 * ts));
+                    (OpEvent::COMPLETE, result)
+                }
+            };
+            assert_eq!(kind, [OpEvent::INVOKE, OpEvent::COMPLETE][ts as usize % 2]);
+            assert_eq!(*bytes, payload(ts), "record {ts}");
+        }
+        assert!(log.drain(|r| r.timestamp).is_empty());
+        assert!(log.real_bytes() <= AuditLog::DRAINED_CAPACITY);
+    }
+
+    /// A replica's lease reads come back with the client each was served
+    /// to, and an empty result survives the round trip.
+    #[test]
+    fn lease_reads_drain_with_their_clients() {
+        let mut audit = ReplicaAudit::default();
+        audit.note_lease_read(4, 1, 10, &val(3));
+        audit.note_lease_read(9, 2, 20, &[]);
+        let drained = audit.drain();
+        assert_eq!(
+            drained.lease_reads,
+            [(4, 1, 10, val(3)), (9, 2, 20, Vec::new())]
+        );
+        assert!(audit.drain().lease_reads.is_empty());
+    }
+
     #[test]
     fn out_of_order_completions_chain() {
         let mut lin = CounterLinearizability::default();
@@ -1241,6 +1434,36 @@ mod tests {
         let total = cluster.replica::<Svc>(0).service().value();
         assert_eq!(checker.lin.floor_at(u64::MAX), total);
         // The add chain reaches back to zero only if no add was missed.
+        checker.finish().unwrap();
+    }
+
+    /// The audit budget at eight times that scale: eight clients each
+    /// finish 625 operations — 1 250 undrained events apiece — before the
+    /// checker exists. A twin run drained by hand counts every client's
+    /// events; the checker's first pass takes in all of them and passes.
+    #[test]
+    fn checker_attached_late_sees_eight_clients_backlogs() {
+        let warmed_up = || {
+            let mut cluster = Cluster::builder(CLASSIC.config(1)).seed(23).build_counter();
+            for salt in 1..=8 {
+                cluster.add_client(ChaosDriver::new(salt, 625, Workload::Mixed));
+            }
+            while cluster.completed_ops() < 5_000 && cluster.sim.step() {}
+            assert_eq!(cluster.completed_ops(), 5_000);
+            cluster
+        };
+        let mut twin = warmed_up();
+        for id in twin.clients.clone() {
+            let events = twin.client_mut::<ChaosDriver>(id).drain_audit();
+            assert_eq!(events.len(), 1_250, "client {id}");
+            assert!(matches!(events[0], OpEvent::Invoke { timestamp: 1, .. }));
+        }
+        let mut cluster = warmed_up();
+        let mut checker = InvariantChecker::new();
+        step(&mut cluster, &mut checker).unwrap();
+        assert!(checker.lin.pending.is_empty());
+        let total = cluster.replica::<Svc>(0).service().value();
+        assert_eq!(checker.lin.floor_at(u64::MAX), total);
         checker.finish().unwrap();
     }
 

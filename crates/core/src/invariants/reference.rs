@@ -773,7 +773,7 @@ fn forge_stale_lease_read(c: &mut Cluster) {
     let now = c.sim.now().nanos();
     c.replica_mut::<CounterService>(2)
         .audit_mut()
-        .note_lease_read(4, 1_000, now, 0u64.to_le_bytes().to_vec());
+        .note_lease_read(4, 1_000, now, &0u64.to_le_bytes());
 }
 
 /// Audit records forged by hand on replica 2 halfway through a clean run,

@@ -1011,10 +1011,16 @@ impl PacketKeys {
 
     /// Whether `digests` hash to a pre-prepare's `claimed` batch digest;
     /// charged only if they do, as a mismatch is dropped on sight.
-    pub(crate) fn check_batch(&self, ctx: &mut Ctx, digests: &[Digest], claimed: Digest) -> bool {
+    pub(crate) fn check_batch<'a>(
+        &self,
+        ctx: &mut Ctx,
+        digests: impl ExactSizeIterator<Item = &'a Digest>,
+        claimed: Digest,
+    ) -> bool {
+        let n = digests.len();
         let matches = batch_digest_of(digests) == claimed;
         if matches {
-            ctx.charge_kind(CostKind::Digest, self.cost.digest(digests.len() * 16));
+            ctx.charge_kind(CostKind::Digest, self.cost.digest(n * 16));
         }
         matches
     }

@@ -376,7 +376,7 @@ impl<S: Service> Replica<S> {
     /// checkpoints), leaving it empty. The chaos invariant checker drains
     /// this after every simulation event.
     pub fn drain_audit(&mut self) -> ReplicaAudit {
-        std::mem::take(&mut self.audit)
+        self.audit.drain()
     }
 
     /// An observer-only, typed snapshot of this replica's externally
@@ -875,16 +875,17 @@ impl<S: Service> Replica<S> {
         if self.behavior == Behavior::WrongResult {
             tamper(&mut result);
         }
-        let served = leased.then(|| result.clone());
-        let send_full =
-            !self.cfg.opts.digest_replies || req.replier == self.id || req.replier == REPLIER_ALL;
-        let body = self.keys.reply_body(ctx, result, send_full);
-        if let Some(result) = served {
+        if leased {
             // Record what was actually served, so the chaos checker can
             // cross-check every lease-served read against the global
             // linearization order (Violation::StaleLeaseRead).
             self.audit
-                .note_lease_read(req.client, req.timestamp, ctx.now().nanos(), result);
+                .note_lease_read(req.client, req.timestamp, ctx.now().nanos(), &result);
+        }
+        let send_full =
+            !self.cfg.opts.digest_replies || req.replier == self.id || req.replier == REPLIER_ALL;
+        let body = self.keys.reply_body(ctx, result, send_full);
+        if leased {
             ctx.count(Counter::LeaseReads);
             ctx.trace(
                 SpanEdge::Instant,
@@ -1239,24 +1240,27 @@ impl<S: Service> Replica<S> {
         // Validate the batch digest and inline request authenticators.
         // Inline requests are hashed here, once; both checks and the
         // slot's references use that digest.
-        let digests: Vec<Digest> = pp.entries.iter().map(BatchEntry::digest).collect();
-        if !self.keys.check_batch(ctx, &digests, pp.batch_digest) {
+        let refs: Vec<RequestRef> = pp
+            .entries
+            .iter()
+            .map(|entry| RequestRef::new(entry, entry.digest()))
+            .collect();
+        let digests = refs.iter().map(|e| &e.digest);
+        if !self.keys.check_batch(ctx, digests, pp.batch_digest) {
             ctx.count(Counter::BadBatchDigest);
             return;
         }
         let mut missing = false;
-        let mut refs: Vec<RequestRef> = Vec::with_capacity(pp.entries.len());
-        for (entry, &d) in pp.entries.iter().zip(&digests) {
+        for (entry, e) in pp.entries.iter().zip(&refs) {
             match entry {
                 BatchEntry::Full(req) => {
-                    if !self.keys.verify_request(ctx, req, d) {
+                    if !self.keys.verify_request(ctx, req, e.digest) {
                         ctx.count(Counter::BadRequestAuth);
                         return;
                     }
                 }
-                BatchEntry::Ref { .. } => missing |= !self.bodies.contains(&d),
+                BatchEntry::Ref { .. } => missing |= !self.bodies.contains(&e.digest),
             }
-            refs.push(RequestRef::new(entry, d));
         }
         for e in &refs {
             self.pending_requests
@@ -1267,9 +1271,9 @@ impl<S: Service> Replica<S> {
         // that travelled separately is shared with the table.
         let requests = if missing {
             // Parked loose until the rest of the batch shows up.
-            for (entry, d) in pp.entries.into_iter().zip(digests) {
+            for (entry, e) in pp.entries.into_iter().zip(&refs) {
                 if let BatchEntry::Full(req) = entry {
-                    self.bodies.insert(d, Arc::new(req));
+                    self.bodies.insert(e.digest, Arc::new(req));
                 }
             }
             self.unresolved.insert(pp.seq);
@@ -3992,11 +3996,14 @@ mod tests {
             let cap = c.cfg.log_window as usize * c.cfg.max_batch_requests;
             assert_eq!(rep.queue_bounds()[0], ("request_store", 0, cap));
         }
-        let audit = c.client::<BigAdds>(client).audit_bytes();
-        let one_event = std::mem::size_of::<crate::invariants::OpEvent>() + 4096;
+        // The log's heap buffer, not a count it keeps of itself: a
+        // record is a 21-byte header and the 4 KiB operation or 8-byte
+        // result.
+        let audit = c.client::<BigAdds>(client).audit_real_bytes();
+        let one_record = 21 + big_add().len();
         assert!(
-            audit <= crate::invariants::AUDIT_BUDGET_BYTES + one_event,
-            "client audit retains {audit} bytes"
+            audit <= crate::invariants::AUDIT_BUDGET_BYTES + one_record,
+            "client audit holds {audit} bytes"
         );
         assert!(audit > 0, "and is not simply off");
     }
