@@ -54,9 +54,10 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Real bytes one node's undrained audit log may hold ([`OpEvent`]s at a
-/// client, lease reads at a replica): the capacity of its buffer, plus at
-/// most one record. Those records carry payloads, so counting them would
+/// Heap bytes one node's undrained audit log may hold ([`OpEvent`]s at a
+/// client, lease reads at a replica), counted as its buffer's capacity,
+/// which exceeds this by at most one record. Those records carry
+/// payloads, so counting them would
 /// let a run of 4 KiB operations retain every body it ever sent; the
 /// budget makes the log a constant. It must still cover a checker that
 /// attaches late: the benchmark's `crash-primary` workload runs a
@@ -84,7 +85,6 @@ pub(crate) struct AuditLog {
 }
 
 /// One record of an [`AuditLog`], borrowed from it.
-#[derive(Debug, Clone, Copy)]
 pub(crate) struct AuditRecord<'a> {
     pub(crate) kind: u8,
     pub(crate) timestamp: Timestamp,
