@@ -207,13 +207,14 @@ impl ReplicaAudit {
     /// `lease_log` holds.
     const LEASE_READ: u8 = 0;
 
-    /// Appends to a fixed-size trail; past [`Self::CAP`] undrained events
-    /// the older half is dropped.
+    /// Appends to a fixed-size trail; a full trail of [`Self::CAP`]
+    /// undrained events first drops its older half, so the `Vec` never
+    /// grows past `CAP` slots.
     fn push_capped<T>(trail: &mut Vec<T>, event: T) {
-        trail.push(event);
-        if trail.len() > Self::CAP {
+        if trail.len() == Self::CAP {
             trail.drain(..Self::CAP / 2);
         }
+        trail.push(event);
     }
 
     /// Records a finalized batch.
@@ -1341,6 +1342,25 @@ mod tests {
         }
         assert!(log.drain(|r| r.timestamp).is_empty());
         assert!(log.real_bytes() <= AuditLog::DRAINED_CAPACITY);
+    }
+
+    /// A never-drained fixed-size trail keeps the same events as a rule
+    /// that pushes first and drops the older half past `CAP` (the newest
+    /// `CAP / 2 + 1` at each drop), in at most `CAP` slots.
+    #[test]
+    fn capped_trails_keep_their_events_in_at_most_cap_slots() {
+        const CAP: usize = ReplicaAudit::CAP;
+        let mut trail = Vec::new();
+        let mut push_then_drop = Vec::new();
+        for event in 0..3 * CAP as u64 {
+            ReplicaAudit::push_capped(&mut trail, event);
+            push_then_drop.push(event);
+            if push_then_drop.len() > CAP {
+                push_then_drop.drain(..CAP / 2);
+            }
+            assert!(trail.capacity() <= CAP, "{} slots", trail.capacity());
+        }
+        assert_eq!(trail, push_then_drop);
     }
 
     /// A replica's lease reads come back with the client each was served

@@ -13,7 +13,7 @@ use crate::messages::*;
 use crate::recovery::{RecoveryManager, RecoveryStage};
 use crate::service::Service;
 use crate::types::{ClientId, ReplicaId, SeqNum, Timestamp, View};
-use crate::viewchange::{compute_plan, validate_new_view, ViewChangeSet};
+use crate::viewchange::{NewViewPlan, ViewChanges, TIMER_VIEW_CHANGE};
 use crate::wire::Wire;
 use bft_crypto::digest_helper::Ticket;
 use bft_crypto::keychain::{Authenticator, KeyChain};
@@ -27,9 +27,8 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-/// Timer tokens.
+/// Timer tokens (`viewchange.rs` owns `TIMER_VIEW_CHANGE`, 2).
 const TIMER_RESEND: u64 = 1;
-const TIMER_VIEW_CHANGE: u64 = 2;
 const TIMER_PIGGY: u64 = 3;
 const TIMER_KEY_REFRESH: u64 = 4;
 const TIMER_RECOVERY: u64 = 5;
@@ -114,19 +113,6 @@ struct StateFetch {
     cache_bytes: Vec<u8>,
 }
 
-impl StateFetch {
-    fn new(seq: SeqNum, digest: Digest, target: ReplicaId) -> StateFetch {
-        StateFetch {
-            seq,
-            digest,
-            target,
-            leaves: Vec::new(),
-            missing: BTreeSet::new(),
-            cache_bytes: Vec::new(),
-        }
-    }
-}
-
 /// The replica node.
 pub struct Replica<S: Service> {
     cfg: Config,
@@ -181,19 +167,8 @@ pub struct Replica<S: Service> {
     /// view-change timer), each with its digest — the key its body is
     /// found by when a new view needs it forwarded or re-proposed.
     pending_requests: BTreeMap<(ClientId, Timestamp), Digest>,
-    in_view_change: bool,
-    /// The view we are trying to move to while `in_view_change`.
-    pending_view: View,
-    vc_set: ViewChangeSet,
-    vc_timer: Option<TimerId>,
-    vc_timeout_ns: u64,
-    /// The NEW-VIEW that installed the current view, kept so it can be
-    /// retransmitted to replicas discovered to still be in an earlier
-    /// view (e.g. an ex-primary healed from a partition, which has no
-    /// other way to learn that the group moved on).
-    last_new_view: Option<NewView>,
-    /// Per-destination earliest time of the next NEW-VIEW retransmission.
-    nv_retx_after_ns: BTreeMap<ReplicaId, u64>,
+    /// The view change: its votes, timer and proof of the current view.
+    vc: ViewChanges,
     /// Pending piggybacked commit announcements.
     piggy_queue: Vec<(SeqNum, Digest)>,
     piggy_timer: Option<TimerId>,
@@ -247,24 +222,16 @@ impl<S: Service> Replica<S> {
         // The tracker just digested every partition; drop any dirty marks
         // accumulated while the service was constructed.
         service.take_dirty_partitions();
-        let parts = if service.retain_checkpoint(0) {
-            None
-        } else {
-            Some(
-                (0..tracker.partition_count())
-                    .map(|p| service.partition_snapshot(p))
-                    .collect(),
-            )
-        };
-        let genesis = OwnCheckpoint::new(tracker.leaves().to_vec(), cache_bytes, parts);
+        let leaves = tracker.leaves().to_vec();
+        let genesis = Self::own_checkpoint(&mut service, &tracker, 0, leaves, cache_bytes);
         let checkpoints = CheckpointSet::new(cfg.quorums, genesis);
-        let vc_timeout_ns = cfg.view_change_timeout_ns;
         let log = Log::new(cfg.log_window);
         // One window of full batches: more bodies than that cannot all
         // be ordered before the window moves.
         let bodies = Bodies::new(cfg.log_window as usize * cfg.max_batch_requests);
         let leases = Leases::armed(id, &cfg);
         let gate = Gate::armed(&cfg);
+        let vc = ViewChanges::new(id, &cfg);
         Replica {
             cfg,
             id,
@@ -288,13 +255,7 @@ impl<S: Service> Replica<S> {
             bodies,
             unresolved: BTreeSet::new(),
             pending_requests: BTreeMap::new(),
-            in_view_change: false,
-            pending_view: 0,
-            vc_set: ViewChangeSet::new(),
-            vc_timer: None,
-            vc_timeout_ns,
-            last_new_view: None,
-            nv_retx_after_ns: BTreeMap::new(),
+            vc,
             piggy_queue: Vec::new(),
             piggy_timer: None,
             fetching: None,
@@ -396,7 +357,7 @@ impl<S: Service> Replica<S> {
             } else {
                 Role::Backup
             },
-            in_view_change: self.in_view_change,
+            in_view_change: self.vc.changing(),
             recovering: self.recovery.in_progress(),
             fetching_state: self.fetching.is_some(),
             last_executed: self.last_executed,
@@ -589,11 +550,7 @@ impl<S: Service> Replica<S> {
         }
         let cache_bytes = Self::encode_cache(&self.reply_cache);
         let stats = self.tracker.refresh(&mut self.service, &cache_bytes);
-        let cp_meta = TraceMeta {
-            view: self.view,
-            seq,
-            ..TraceMeta::default()
-        };
+        let cp_meta = TraceMeta::slot(self.view, seq);
         ctx.trace(SpanEdge::Open, TracePhase::Checkpoint, cp_meta);
         let digest_ns = self.tracker.charge_refresh(
             ctx,
@@ -606,19 +563,27 @@ impl<S: Service> Replica<S> {
         ctx.trace(SpanEdge::Close, TracePhase::Checkpoint, cp_meta);
         ctx.count(Counter::CheckpointsMade);
         ctx.count_add(Counter::CheckpointDigestNs, digest_ns);
-        let parts = if self.service.retain_checkpoint(seq) {
-            None
-        } else {
-            Some(
-                (0..self.tracker.partition_count())
-                    .map(|p| self.service.partition_snapshot(p))
-                    .collect(),
-            )
-        };
-        self.checkpoints.note_own(
-            seq,
-            OwnCheckpoint::new(self.tracker.leaves().to_vec(), cache_bytes, parts),
-        );
+        let leaves = self.tracker.leaves().to_vec();
+        let own = Self::own_checkpoint(&mut self.service, &self.tracker, seq, leaves, cache_bytes);
+        self.checkpoints.note_own(seq, own);
+    }
+
+    /// Our checkpoint at `seq` of the service's current state; partition
+    /// bytes are serialized now only when the service cannot retain a
+    /// copy-on-write version itself.
+    fn own_checkpoint(
+        service: &mut S,
+        tracker: &CheckpointTracker,
+        seq: SeqNum,
+        leaves: Vec<Digest>,
+        cache_bytes: Vec<u8>,
+    ) -> OwnCheckpoint {
+        let parts = (!service.retain_checkpoint(seq)).then(|| {
+            (0..tracker.partition_count())
+                .map(|p| service.partition_snapshot(p))
+                .collect()
+        });
+        OwnCheckpoint::new(leaves, cache_bytes, parts)
     }
 
     /// Restores service state and reply cache from our own checkpoint at
@@ -848,7 +813,7 @@ impl<S: Service> Replica<S> {
             self.shed_request(ctx, req.client, req.timestamp);
             return false;
         }
-        let ordering = self.is_primary() && !self.in_view_change;
+        let ordering = self.is_primary() && !self.vc.changing();
         let req = Arc::new(req);
         if ordering && self.queued.insert(identity) {
             // The backlog lane and the table share the body.
@@ -863,7 +828,7 @@ impl<S: Service> Replica<S> {
             // eventually orders it.
             self.pending_requests.insert(identity, digest);
             self.note_backlog_hw();
-            self.ensure_vc_timer(ctx);
+            self.vc.arm(ctx, self.is_primary());
         }
         stored
     }
@@ -935,7 +900,7 @@ impl<S: Service> Replica<S> {
             now,
             view: self.view,
             primary: self.is_primary(),
-            paused: self.in_view_change || self.recovery.in_progress(),
+            paused: self.vc.changing() || self.recovery.in_progress(),
             last_executed: self.last_executed,
             last_final: self.last_final,
             next_seq: self.next_seq,
@@ -995,7 +960,7 @@ impl<S: Service> Replica<S> {
         if view < self.view && self.leases.is_some() {
             self.retransmit_new_view(ctx, from);
         }
-        view == self.view && !self.in_view_change
+        view == self.view && !self.vc.changing()
     }
 
     fn handle_lease(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, l: Lease) {
@@ -1052,7 +1017,7 @@ impl<S: Service> Replica<S> {
     }
 
     fn try_propose(&mut self, ctx: &mut Context<'_, Packet>) {
-        if !self.is_primary() || self.in_view_change {
+        if !self.is_primary() || self.vc.changing() {
             return;
         }
         if let Fence::Closed(revoke) = self.with_leases(ctx, Leases::fence) {
@@ -1213,7 +1178,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         self.process_piggy(ctx, from, &pp.piggy_commits);
-        if self.in_view_change
+        if self.vc.changing()
             || pp.view != self.view
             || from != self.cfg.quorums.primary(pp.view)
             || !self.log.in_window(pp.seq)
@@ -1314,7 +1279,7 @@ impl<S: Service> Replica<S> {
             let primary = self.cfg.quorums.primary(self.view);
             self.send_to(ctx, primary, Msg::FetchBatch(fb));
         }
-        self.ensure_vc_timer(ctx);
+        self.vc.arm(ctx, self.is_primary());
         ctx.trace(
             SpanEdge::Open,
             TracePhase::PrePrepare,
@@ -1350,7 +1315,7 @@ impl<S: Service> Replica<S> {
         }
         self.process_piggy(ctx, prep.replica, &prep.piggy_commits);
         self.with_leases(ctx, |l, f| l.note_evidence(from, prep.view, f));
-        if self.in_view_change || prep.view != self.view || !self.log.in_window(prep.seq) {
+        if self.vc.changing() || prep.view != self.view || !self.log.in_window(prep.seq) {
             return;
         }
         if prep.replica == self.cfg.quorums.primary(prep.view) {
@@ -1383,11 +1348,7 @@ impl<S: Service> Replica<S> {
             slot.commit_sent = true;
             slot.commits.insert(me, d);
         }
-        let prepared_meta = TraceMeta {
-            view: self.view,
-            seq,
-            ..TraceMeta::default()
-        };
+        let prepared_meta = TraceMeta::slot(self.view, seq);
         ctx.trace(SpanEdge::Close, TracePhase::PrePrepare, prepared_meta);
         ctx.trace(SpanEdge::Open, TracePhase::Commit, prepared_meta);
         if self.cfg.opts.piggyback_commits {
@@ -1417,11 +1378,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         if !self.log.slot(seq).expect("checked above").fast_wait {
-            let meta = TraceMeta {
-                view: self.view,
-                seq,
-                ..TraceMeta::default()
-            };
+            let meta = TraceMeta::slot(self.view, seq);
             ctx.trace(SpanEdge::Close, TracePhase::PrePrepare, meta);
             ctx.trace(SpanEdge::Open, TracePhase::FastCommit, meta);
             ctx.set_timer(self.cfg.fast_path_timeout_ns, TIMER_FASTPATH_BASE + seq);
@@ -1461,11 +1418,7 @@ impl<S: Service> Replica<S> {
             slot.commits.insert(me, d);
         }
         ctx.count(Counter::FastFallbacks);
-        let meta = TraceMeta {
-            view: self.view,
-            seq,
-            ..TraceMeta::default()
-        };
+        let meta = TraceMeta::slot(self.view, seq);
         if was_waiting {
             ctx.trace(SpanEdge::Close, TracePhase::FastCommit, meta);
         }
@@ -1524,7 +1477,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         self.with_leases(ctx, |l, f| l.note_evidence(from, c.view, f));
-        if self.in_view_change || c.view != self.view || !self.log.in_window(c.seq) {
+        if self.vc.changing() || c.view != self.view || !self.log.in_window(c.seq) {
             return;
         }
         self.log
@@ -1542,7 +1495,7 @@ impl<S: Service> Replica<S> {
         piggy: &[(SeqNum, Digest)],
     ) {
         for &(seq, d) in piggy {
-            if self.in_view_change || !self.log.in_window(seq) {
+            if self.vc.changing() || !self.log.in_window(seq) {
                 continue;
             }
             self.log.slot_mut(seq).commits.insert(from, d);
@@ -1583,15 +1536,7 @@ impl<S: Service> Replica<S> {
                 .filter(|slot| slot.committed(&q) || broken)
                 .map(Self::commit_close_phase);
             if let Some(phase) = close_phase {
-                ctx.trace(
-                    SpanEdge::Close,
-                    phase,
-                    TraceMeta {
-                        view: self.view,
-                        seq,
-                        ..TraceMeta::default()
-                    },
-                );
+                ctx.trace(SpanEdge::Close, phase, TraceMeta::slot(self.view, seq));
                 self.finalize_tentative(seq);
                 self.note_exec_progress(seq);
             }
@@ -1620,15 +1565,7 @@ impl<S: Service> Replica<S> {
             if slot.committed(&q) || broken {
                 if slot.executed_tentative {
                     let phase = Self::commit_close_phase(slot);
-                    ctx.trace(
-                        SpanEdge::Close,
-                        phase,
-                        TraceMeta {
-                            view: self.view,
-                            seq: next,
-                            ..TraceMeta::default()
-                        },
-                    );
+                    ctx.trace(SpanEdge::Close, phase, TraceMeta::slot(self.view, next));
                     self.finalize_tentative(next);
                 } else if self.last_executed > self.last_final && !broken {
                     // A tentative batch is pending at `last_executed`
@@ -1692,22 +1629,9 @@ impl<S: Service> Replica<S> {
         }
         // The window may have opened for more proposals.
         self.try_propose(ctx);
-        // Manage the view-change timer: quiet it when nothing is pending,
-        // and restart it whenever execution makes progress — the timer
-        // must measure how long the *oldest outstanding work* has been
-        // stuck, not how long the system has been busy.
-        if !self.in_view_change {
-            if self.pending_requests.is_empty() {
-                if let Some(t) = self.vc_timer.take() {
-                    ctx.cancel_timer(t);
-                }
-            } else if self.exec_progress {
-                if let Some(t) = self.vc_timer.take() {
-                    ctx.cancel_timer(t);
-                }
-                self.ensure_vc_timer(ctx);
-            }
-        }
+        let pending = !self.pending_requests.is_empty();
+        self.vc
+            .after_execution(ctx, self.is_primary(), pending, self.exec_progress);
         self.exec_progress = false;
     }
 
@@ -1727,15 +1651,7 @@ impl<S: Service> Replica<S> {
         if !tentative {
             // Executing final means the commit certificate just completed.
             let phase = Self::commit_close_phase(slot);
-            ctx.trace(
-                SpanEdge::Close,
-                phase,
-                TraceMeta {
-                    view: self.view,
-                    seq,
-                    ..TraceMeta::default()
-                },
-            );
+            ctx.trace(SpanEdge::Close, phase, TraceMeta::slot(self.view, seq));
         }
         ctx.trace(
             SpanEdge::Open,
@@ -1961,18 +1877,43 @@ impl<S: Service> Replica<S> {
                 return;
             }
         }
-        let target = (self.id + 1) % self.cfg.n();
-        self.fetching = Some(StateFetch::new(seq, digest, target));
+        self.fetch_state(ctx, seq, digest, (self.id + 1) % self.cfg.n());
+        let span = TraceMeta::slot(self.view, seq);
+        ctx.trace(SpanEdge::Open, TracePhase::StateTransfer, span);
+    }
+
+    /// Starts fetching checkpoint `seq` (`digest`) from `target`, with
+    /// its STATE-META.
+    fn fetch_state(
+        &mut self,
+        ctx: &mut Context<'_, Packet>,
+        seq: SeqNum,
+        digest: Digest,
+        target: ReplicaId,
+    ) {
+        self.fetching = Some(StateFetch {
+            seq,
+            digest,
+            target,
+            leaves: Vec::new(),
+            missing: BTreeSet::new(),
+            cache_bytes: Vec::new(),
+        });
         self.send_to(ctx, target, Msg::FetchState(FetchState { seq }));
-        ctx.trace(
-            SpanEdge::Open,
-            TracePhase::StateTransfer,
-            TraceMeta {
-                view: self.view,
-                seq,
-                ..TraceMeta::default()
-            },
-        );
+    }
+
+    /// Restarts execution at the adopted stable checkpoint `seq`. It may
+    /// move execution backwards (recovery audits target the group's
+    /// stable point); anything above must re-execute from the restored
+    /// state, so stale execution markers are poison.
+    fn restart_at(&mut self, seq: SeqNum, digest: Digest) {
+        self.log.clear_executed_above(seq);
+        self.last_executed = seq;
+        self.last_final = seq;
+        self.next_seq = self.next_seq.max(seq);
+        self.checkpoints.mark_announced(seq);
+        self.checkpoints.make_stable(seq, digest);
+        self.service.release_checkpoints_below(seq);
     }
 
     /// Rotates the fetch target and re-sends the current phase's request
@@ -2158,9 +2099,7 @@ impl<S: Service> Replica<S> {
             // Partition layout mismatch or a service restore bug; restart
             // the transfer from scratch against another peer.
             ctx.count(Counter::StateTransferBadSnapshot);
-            let target = (fetch.target + 1) % self.cfg.n();
-            self.fetching = Some(StateFetch::new(seq, digest, target));
-            self.send_to(ctx, target, Msg::FetchState(FetchState { seq }));
+            self.fetch_state(ctx, seq, digest, (fetch.target + 1) % self.cfg.n());
             return;
         }
         // The adopted state is final; undo information for any lingering
@@ -2170,38 +2109,19 @@ impl<S: Service> Replica<S> {
         self.tentative_ops = 0;
         self.tentative_cache_undo.clear();
         self.waiting_ro.clear();
-        // Adoption may move execution backwards (recovery audits target
-        // the group's stable point); anything above must re-execute from
-        // the restored state, so stale execution markers are poison.
-        self.log.clear_executed_above(seq);
-        self.last_executed = seq;
-        self.last_final = seq;
-        self.next_seq = self.next_seq.max(seq);
-        let parts = if self.service.retain_checkpoint(seq) {
-            None
-        } else {
-            Some(
-                (0..self.tracker.partition_count())
-                    .map(|p| self.service.partition_snapshot(p))
-                    .collect(),
-            )
-        };
-        self.checkpoints
-            .note_own(seq, OwnCheckpoint::new(fetch.leaves, cache_bytes, parts));
-        self.checkpoints.mark_announced(seq);
-        self.checkpoints.make_stable(seq, digest);
-        self.service.release_checkpoints_below(seq);
+        let own = Self::own_checkpoint(
+            &mut self.service,
+            &self.tracker,
+            seq,
+            fetch.leaves,
+            cache_bytes,
+        );
+        self.checkpoints.note_own(seq, own);
+        self.restart_at(seq, digest);
         self.collect_garbage(seq);
         ctx.count(Counter::StateTransfers);
-        ctx.trace(
-            SpanEdge::Close,
-            TracePhase::StateTransfer,
-            TraceMeta {
-                view: self.view,
-                seq,
-                ..TraceMeta::default()
-            },
-        );
+        let span = TraceMeta::slot(self.view, seq);
+        ctx.trace(SpanEdge::Close, TracePhase::StateTransfer, span);
         // If this transfer was a recovery audit (or subsumed one aimed at
         // an older checkpoint), every partition now provably matches a
         // quorum-attested root: the recovery is complete.
@@ -2498,83 +2418,33 @@ impl<S: Service> Replica<S> {
     // View changes
     // ------------------------------------------------------------------
 
-    fn ensure_vc_timer(&mut self, ctx: &mut Context<'_, Packet>) {
-        if self.vc_timer.is_none() && !self.is_primary() && !self.in_view_change {
-            self.vc_timer = Some(ctx.set_timer(self.vc_timeout_ns, TIMER_VIEW_CHANGE));
-        }
-    }
-
     fn start_view_change(&mut self, ctx: &mut Context<'_, Packet>, target: View) {
-        if target <= self.view || (self.in_view_change && target <= self.pending_view) {
+        let Some(vc) = self
+            .vc
+            .start(target, self.view, &self.checkpoints, &self.log)
+        else {
             return;
-        }
-        self.in_view_change = true;
-        self.pending_view = target;
+        };
         self.rollback_tentative();
         // Serving reads while the group re-elects could miss writes the
         // new primary is about to re-order.
         self.with_leases(ctx, |l, _| l.drop_held());
-        let vc = ViewChange {
-            new_view: target,
-            last_stable: self.checkpoints.stable_seq(),
-            stable_digest: self.checkpoints.stable_digest(),
-            prepared: self.log.prepared_infos(&self.cfg.quorums),
-            // Fast-path vote reports: `f+1` matching ones prove a
-            // fast-committed batch into the new view.
-            fast_votes: if self.cfg.fast_path {
-                self.log.fast_vote_infos(self.id, &self.cfg.quorums)
-            } else {
-                Vec::new()
-            },
-            replica: self.id,
-        };
-        self.vc_set.add(vc.clone());
         ctx.count(Counter::ViewChanges);
-        ctx.trace(
-            SpanEdge::Open,
-            TracePhase::ViewChange,
-            TraceMeta {
-                view: target,
-                ..TraceMeta::default()
-            },
-        );
+        let span = TraceMeta::slot(target, 0);
+        ctx.trace(SpanEdge::Open, TracePhase::ViewChange, span);
         self.multicast(ctx, Msg::ViewChange(vc));
-        // Wait for the new view with a doubled timeout, capped so a long
-        // partition cannot inflate it unboundedly — after a heal the next
-        // election starts within the configured ceiling.
-        self.vc_timeout_ns = self
-            .vc_timeout_ns
-            .saturating_mul(2)
-            .min(self.cfg.view_change_timeout_max_ns);
-        if let Some(t) = self.vc_timer.take() {
-            ctx.cancel_timer(t);
-        }
-        self.vc_timer = Some(ctx.set_timer(self.vc_timeout_ns, TIMER_VIEW_CHANGE));
+        self.vc.escalate(ctx);
         self.maybe_build_new_view(ctx, target);
     }
 
     /// Sends the NEW-VIEW that installed our current view to a replica
-    /// observed operating in an earlier view. Without this, a replica
-    /// that was cut off while the rest of the group changed views (the
-    /// asymmetric-partition scenario: an isolated primary that clients
-    /// can still reach) escalates solo view changes forever and never
-    /// rejoins. Rate-limited per destination.
+    /// observed operating in an earlier view (rate-limited per
+    /// destination by `viewchange.rs`).
     fn retransmit_new_view(&mut self, ctx: &mut Context<'_, Packet>, to: ReplicaId) {
-        let Some(nv) = &self.last_new_view else {
-            return;
-        };
-        if nv.view != self.view || to == self.id {
-            return;
+        if let Some(nv) = self.vc.proof_for(to, self.view, ctx.now().nanos()) {
+            ctx.count(Counter::NewViewRetransmits);
+            self.send_to(ctx, to, Msg::NewView(nv));
         }
-        let now = ctx.now().nanos();
-        let gate = self.nv_retx_after_ns.entry(to).or_insert(0);
-        if now < *gate {
-            return;
-        }
-        *gate = now + self.cfg.resend_interval_ns.max(20_000_000);
-        let nv = nv.clone();
-        ctx.count(Counter::NewViewRetransmits);
-        self.send_to(ctx, to, Msg::NewView(nv));
     }
 
     fn handle_view_change(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, vc: ViewChange) {
@@ -2587,74 +2457,21 @@ impl<S: Service> Replica<S> {
             self.retransmit_new_view(ctx, vc.replica);
             return;
         }
-        self.vc_set.add(vc.clone());
-        // Join a view change supported by f+1 replicas (liveness rule).
-        let current = if self.in_view_change {
-            self.pending_view
-        } else {
-            self.view
-        };
-        if let Some(join) = self.vc_set.join_view(current, &self.cfg.quorums) {
+        let target = vc.new_view;
+        if let Some(join) = self.vc.on_vote(vc, self.view) {
             self.start_view_change(ctx, join);
         }
-        self.maybe_build_new_view(ctx, vc.new_view);
+        self.maybe_build_new_view(ctx, target);
     }
 
     fn maybe_build_new_view(&mut self, ctx: &mut Context<'_, Packet>, target: View) {
-        if self.cfg.quorums.primary(target) != self.id {
-            return;
-        }
-        if !self.vc_set.has_vote(target, self.id) {
-            return;
-        }
-        if !self.in_view_change || self.pending_view != target {
-            return;
-        }
-        let Some(votes) = self.vc_set.quorum(target, &self.cfg.quorums) else {
+        let forge = self.behavior == Behavior::BadNewView;
+        let Some((nv, plan)) = self.vc.build_new_view(target, &self.log, forge) else {
             return;
         };
-        let plan = compute_plan(&votes, &self.cfg.quorums);
-        // Attach the batch bodies we have for re-proposed digests — but
-        // keep the NEW-VIEW small enough to survive congested links;
-        // backups recover anything else through the fetch path.
-        const MAX_ATTACHED_BYTES: usize = 32 * 1024;
-        let mut attached = 0usize;
-        let mut batches = Vec::new();
-        for &(seq, d) in &plan.pre_prepares {
-            if d == NULL_DIGEST {
-                continue;
-            }
-            if let Some(slot) = self.log.slot(seq) {
-                if slot.digest == Some(d)
-                    || slot.entries.as_deref().map(RequestRef::batch_digest) == Some(d)
-                {
-                    if let Some(reqs) = &slot.requests {
-                        let size: usize = reqs.iter().map(|r| r.op.len() + 64).sum();
-                        if attached + size > MAX_ATTACHED_BYTES {
-                            continue;
-                        }
-                        attached += size;
-                        batches.extend(slot.wire_entries(|_| true).map(|b| (seq, b)));
-                    }
-                }
-            }
-        }
-        let mut pre_prepares = plan.pre_prepares.clone();
-        if self.behavior == Behavior::BadNewView {
-            // Forge the recomputable part: append a bogus assignment.
-            pre_prepares.push((plan.max_s + 1, bft_crypto::digest(b"forged")));
-        }
-        let nv = NewView {
-            view: target,
-            view_changes: votes,
-            pre_prepares,
-            batches: batches.clone(),
-        };
-        if self.behavior != Behavior::BadNewView {
-            self.last_new_view = Some(nv.clone());
-        }
+        let batches = nv.batches.clone();
         self.multicast(ctx, Msg::NewView(nv));
-        if self.behavior != Behavior::BadNewView {
+        if let Some(plan) = plan {
             self.install_new_view(ctx, target, plan, batches);
         }
     }
@@ -2663,35 +2480,28 @@ impl<S: Service> Replica<S> {
         if nv.view <= self.view || from != self.cfg.quorums.primary(nv.view) {
             return;
         }
-        let plan = match validate_new_view(&nv, &self.cfg.quorums) {
-            Ok(p) => p,
+        match self.vc.accept(&nv) {
+            Ok(plan) => {
+                self.rollback_tentative();
+                self.install_new_view(ctx, nv.view, plan, nv.batches);
+            }
             Err(_) => {
                 // The new primary is faulty too: move on.
                 ctx.count(Counter::BadNewView);
                 self.start_view_change(ctx, nv.view + 1);
-                return;
             }
-        };
-        self.rollback_tentative();
-        self.last_new_view = Some(nv.clone());
-        self.install_new_view(ctx, nv.view, plan, nv.batches);
+        }
     }
 
     fn install_new_view(
         &mut self,
         ctx: &mut Context<'_, Packet>,
         view: View,
-        plan: crate::viewchange::NewViewPlan,
+        plan: NewViewPlan,
         batches: Vec<(SeqNum, Vec<BatchEntry>)>,
     ) {
         self.view = view;
-        self.in_view_change = false;
-        self.pending_view = view;
-        self.vc_set.prune_through(view);
-        self.vc_timeout_ns = self.cfg.view_change_timeout_ns;
-        if let Some(t) = self.vc_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        self.vc.installed(ctx, view);
         self.log.reset_for_view();
         // Proposals from the old view are void; clients or backups will
         // resubmit anything that did not survive into the new view.
@@ -2704,8 +2514,8 @@ impl<S: Service> Replica<S> {
         if plan.min_s > self.checkpoints.stable_seq() {
             if plan.min_s > self.last_executed {
                 self.start_state_transfer(ctx, plan.min_s, plan.min_s_digest);
-            } else if self.checkpoints.own(plan.min_s).is_some() {
-                let digest = self.checkpoints.own(plan.min_s).expect("checked").digest;
+            } else if let Some(own) = self.checkpoints.own(plan.min_s) {
+                let digest = own.digest;
                 self.checkpoints.make_stable(plan.min_s, digest);
             }
             if plan.min_s > self.log.low() {
@@ -2768,35 +2578,24 @@ impl<S: Service> Replica<S> {
                     replica: self.id,
                     piggy_commits: piggy,
                 };
-                {
-                    let me = self.id;
-                    let slot = self.log.slot_mut(seq);
-                    slot.prepares.insert(me, d);
-                    slot.prepare_sent = true;
-                }
+                let slot = self.log.slot_mut(seq);
+                slot.prepares.insert(prep.replica, d);
+                slot.prepare_sent = true;
                 self.multicast(ctx, Msg::Prepare(prep));
             }
             // Request any missing bodies.
-            let need_fetch = {
-                let slot = self.log.slot(seq).expect("just created");
-                slot.requests.is_none()
-            };
-            if need_fetch {
+            if self.log.slot(seq).expect("just created").requests.is_none() {
                 self.unresolved.insert(seq);
-                let primary = self.cfg.quorums.primary(view);
                 let target = if is_primary {
                     (self.id + 1) % self.cfg.n()
                 } else {
-                    primary
+                    self.cfg.quorums.primary(view)
                 };
-                self.send_to(
-                    ctx,
-                    target,
-                    Msg::FetchBatch(FetchBatch {
-                        seq,
-                        batch_digest: d,
-                    }),
-                );
+                let fb = FetchBatch {
+                    seq,
+                    batch_digest: d,
+                };
+                self.send_to(ctx, target, Msg::FetchBatch(fb));
             }
         }
         // A slot the new view did not re-adopt orders nothing any more:
@@ -2807,14 +2606,8 @@ impl<S: Service> Replica<S> {
         }
         self.with_leases(ctx, Leases::on_view_installed);
         ctx.count(Counter::ViewsInstalled);
-        ctx.trace(
-            SpanEdge::Close,
-            TracePhase::ViewChange,
-            TraceMeta {
-                view,
-                ..TraceMeta::default()
-            },
-        );
+        let span = TraceMeta::slot(view, 0);
+        ctx.trace(SpanEdge::Close, TracePhase::ViewChange, span);
         // Forward pending requests so the new primary learns about them.
         if !is_primary {
             let primary = self.cfg.quorums.primary(view);
@@ -2832,7 +2625,7 @@ impl<S: Service> Replica<S> {
                 ctx.send(primary, packet, wire);
             }
             if !self.pending_requests.is_empty() {
-                self.ensure_vc_timer(ctx);
+                self.vc.arm(ctx, self.is_primary());
             }
         } else {
             // Unexecuted pending requests may need re-proposing.
@@ -2927,15 +2720,8 @@ impl<S: Service> Replica<S> {
     /// trusted until a witness quorum (`f+1`) agrees on that root.
     fn begin_recovery(&mut self, ctx: &mut Context<'_, Packet>) {
         ctx.count(Counter::RecoveriesStarted);
-        ctx.trace(
-            SpanEdge::Open,
-            TracePhase::Recovery,
-            TraceMeta {
-                view: self.view,
-                seq: self.checkpoints.stable_seq(),
-                ..TraceMeta::default()
-            },
-        );
+        let span = TraceMeta::slot(self.view, self.checkpoints.stable_seq());
+        ctx.trace(SpanEdge::Open, TracePhase::Recovery, span);
         self.refresh_keys(ctx);
         self.rollback_tentative();
         // Our state is suspect until the audit passes: no lease reads.
@@ -3075,20 +2861,15 @@ impl<S: Service> Replica<S> {
         if let Some(t) = self.piggy_timer.take() {
             ctx.cancel_timer(t);
         }
-        // Deliberately NOT touched: the view-change timer, `in_view_change`
-        // and `pending_view`. The timer measures how long the oldest
+        // Deliberately NOT touched: the view-change timer and an
+        // in-flight view change. The timer measures how long the oldest
         // outstanding client work has been stuck, and an in-flight view
         // change is the cluster's joint escape hatch from a dead primary;
         // recovery churn must not silence the one or abort the other.
         // With a short recovery interval, resetting them here would
         // restart the countdown (or cancel the round) on every rejoin,
         // and a view whose new primary is crashed could never be skipped.
-        if !self.in_view_change {
-            // Rejoin with a fresh view-change timeout: pre-recovery
-            // doubling reflected pre-recovery suspicion. Mid-view-change
-            // the doubled value stays — it is what paces the next round.
-            self.vc_timeout_ns = self.cfg.view_change_timeout_ns;
-        }
+        // (Outside a view change the timeout is already the base.)
         self.waiting_ro.clear();
         // The audit may replace the state a lease covered; a fresh grant
         // re-establishes serving.
@@ -3110,31 +2891,16 @@ impl<S: Service> Replica<S> {
             // retained finalized suffix re-executes below (stale markers
             // would wedge the loop), rebuilding the exact pre-recovery
             // prefix on provably clean state.
-            self.log.clear_executed_above(seq);
-            self.last_executed = seq;
-            self.last_final = seq;
-            self.next_seq = self.next_seq.max(seq);
-            self.checkpoints.mark_announced(seq);
-            self.checkpoints.make_stable(seq, digest);
-            self.service.release_checkpoints_below(seq);
+            self.restart_at(seq, digest);
             self.complete_recovery(ctx, seq, digest);
             self.try_execute(ctx);
         } else {
             // Local copy is missing, stale, or corrupt: audit against the
             // group. Only mismatched partitions cross the network.
             ctx.count(Counter::RecoveryAuditRefetch);
-            let target = (self.id + 1) % self.cfg.n();
-            self.fetching = Some(StateFetch::new(seq, digest, target));
-            ctx.trace(
-                SpanEdge::Open,
-                TracePhase::StateTransfer,
-                TraceMeta {
-                    view: self.view,
-                    seq,
-                    ..TraceMeta::default()
-                },
-            );
-            self.send_to(ctx, target, Msg::FetchState(FetchState { seq }));
+            let span = TraceMeta::slot(self.view, seq);
+            ctx.trace(SpanEdge::Open, TracePhase::StateTransfer, span);
+            self.fetch_state(ctx, seq, digest, (self.id + 1) % self.cfg.n());
         }
     }
 
@@ -3145,15 +2911,8 @@ impl<S: Service> Replica<S> {
         ctx.count(Counter::Recoveries);
         self.recovery.finish();
         self.audit.note_recovery(seq, digest, ctx.now().nanos());
-        ctx.trace(
-            SpanEdge::Close,
-            TracePhase::Recovery,
-            TraceMeta {
-                view: self.view,
-                seq,
-                ..TraceMeta::default()
-            },
-        );
+        let span = TraceMeta::slot(self.view, seq);
+        ctx.trace(SpanEdge::Close, TracePhase::Recovery, span);
         self.announce_recover(ctx, true);
         let status = Status {
             view: self.view,
@@ -3173,7 +2932,7 @@ impl<S: Service> Replica<S> {
         ) {
             self.announce_recover(ctx, false);
         }
-        if self.in_view_change {
+        if self.vc.changing() {
             return;
         }
         // Retransmit protocol messages for stalled slots.
@@ -3272,7 +3031,7 @@ impl<S: Service> Replica<S> {
     /// (the slot fast-committed, fell back already, or the view changed
     /// and cleared its fast state) are no-ops.
     fn on_fastpath_timer(&mut self, ctx: &mut Context<'_, Packet>, seq: SeqNum) {
-        if self.in_view_change || !self.log.in_window(seq) {
+        if self.vc.changing() || !self.log.in_window(seq) {
             return;
         }
         let waiting = self
@@ -3400,7 +3159,9 @@ impl<S: Service> Node<Packet> for Replica<S> {
                 }
                 TIMER_LEASE => self.arm_lease_tick(ctx),
                 TIMER_VIEW_CHANGE => {
-                    self.vc_timer = None;
+                    // Clears the spent handle; a crashed replica moves
+                    // to no view.
+                    self.vc.expired(self.view, false);
                 }
                 TIMER_PIGGY => {
                     self.piggy_timer = None;
@@ -3416,13 +3177,8 @@ impl<S: Service> Node<Packet> for Replica<S> {
                 ctx.set_timer(self.cfg.resend_interval_ns, TIMER_RESEND);
             }
             TIMER_VIEW_CHANGE => {
-                self.vc_timer = None;
-                if self.in_view_change {
-                    // The new primary never produced a valid NEW-VIEW.
-                    let next = self.pending_view + 1;
-                    self.start_view_change(ctx, next);
-                } else if !self.pending_requests.is_empty() {
-                    let next = self.view + 1;
+                let pending = !self.pending_requests.is_empty();
+                if let Some(next) = self.vc.expired(self.view, pending) {
                     self.start_view_change(ctx, next);
                 }
             }
@@ -3460,7 +3216,7 @@ impl<S: Service> std::fmt::Debug for Replica<S> {
             .field("last_executed", &self.last_executed)
             .field("last_final", &self.last_final)
             .field("stable", &self.checkpoints.stable_seq())
-            .field("in_view_change", &self.in_view_change)
+            .field("in_view_change", &self.vc.changing())
             .field("next_seq", &self.next_seq)
             .field("pending_batch", &self.pending_batch_len)
             .field("queued", &self.queued.len())

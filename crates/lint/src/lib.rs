@@ -20,9 +20,10 @@
 //! 4. **decode-panic** — `wire.rs` decoders consume untrusted network
 //!    bytes; `unwrap`/`expect`/slice-indexing turn a Byzantine payload
 //!    into a crash instead of an `Err`.
-//! 5. **seam-flags** — `replica.rs` names no flag of a feature carved
-//!    into its own module (`read_leases`, `admission_control`): each
-//!    module reads its own flag, so the carve cannot grow back.
+//! 5. **seam-flags** — `replica.rs` names no `Config` field of a feature
+//!    carved into its own module (`read_leases`, `admission_control`,
+//!    the view-change timeouts): each module reads its own fields, so
+//!    the carve cannot grow back.
 //! 6. **charge-sites** — in `crates/core/src`, only `messages.rs` and
 //!    `checkpoint.rs` charge `CostKind::Digest` / `CostKind::Mac` or
 //!    price a digest or MAC (`cost.digest`, `cost.mac`, …), beside the

@@ -1,17 +1,21 @@
-//! Rule: seam-flags — a carved feature's flag is read by its module.
+//! Rule: seam-flags — a carved feature's `Config` fields are read by its
+//! module.
 //!
-//! Read leases live in `lease.rs` and admission control in
-//! `admission.rs`; each module's `armed` constructor reads its own
-//! `Config` flag and the replica holds `Option<Module>`. A replica that
-//! names a flag again has started to grow the feature back into itself.
+//! Read leases live in `lease.rs`, admission control in `admission.rs`
+//! and the view change in `viewchange.rs`; each module's constructor
+//! reads its own `Config` fields and the replica drives the state it
+//! returns. A replica that names such a field again has started to grow
+//! the feature back into itself.
 
 use crate::lexer::{Kind, Token};
 use crate::{Finding, RULE_SEAM};
 
-/// The flags whose features have their own module.
+/// The `Config` fields whose features have their own module.
 const SEAM_FLAGS: &[(&str, &str)] = &[
     ("read_leases", "lease.rs"),
     ("admission_control", "admission.rs"),
+    ("view_change_timeout_ns", "viewchange.rs"),
+    ("view_change_timeout_max_ns", "viewchange.rs"),
 ];
 
 pub(crate) fn run(
@@ -27,8 +31,8 @@ pub(crate) fn run(
                 line: tok.line,
                 rule: RULE_SEAM,
                 message: format!(
-                    "`{flag}` named in the replica; `{module}` reads its own flag and the \
-                     replica holds `Option` of its state"
+                    "`{flag}` named in the replica; `{module}` reads its own `Config` \
+                     fields and the replica drives the state it returns"
                 ),
                 snippet: snippet(tok.line),
             });

@@ -13,6 +13,7 @@ const FASTQUORUM_FIXTURE: &str = include_str!("fixtures/fastquorum_violation.rs"
 const CATCHALL_FIXTURE: &str = include_str!("fixtures/catchall_violation.rs");
 const DECODE_FIXTURE: &str = include_str!("fixtures/decode_violation.rs");
 const SEAM_FIXTURE: &str = include_str!("fixtures/seam_violation.rs");
+const SEAM_VIEWCHANGE_FIXTURE: &str = include_str!("fixtures/seam_viewchange_violation.rs");
 const CHARGE_FIXTURE: &str = include_str!("fixtures/charge_violation.rs");
 const CLEAN_FIXTURE: &str = include_str!("fixtures/clean.rs");
 
@@ -90,6 +91,20 @@ fn seam_rule_flags_carved_flags_named_in_code() {
         vec![5, 6, 10, 11],
         "findings: {findings:#?}"
     );
+}
+
+#[test]
+fn seam_rule_flags_view_change_timeouts_named_in_code() {
+    let findings = check_source("fixture.rs", SEAM_VIEWCHANGE_FIXTURE, Scope::all());
+    // The two struct fields and the two reads; not the module comment.
+    assert_eq!(
+        lines_for(&findings, RULE_SEAM),
+        vec![5, 6, 10, 14],
+        "findings: {findings:#?}"
+    );
+    assert!(findings[0]
+        .message
+        .contains("`viewchange.rs` reads its own `Config` fields"));
 }
 
 #[test]

@@ -167,6 +167,17 @@ pub struct TraceMeta {
     pub bytes: u64,
 }
 
+impl TraceMeta {
+    /// The metadata of an ordering-scoped event: `seq` in `view`.
+    pub fn slot(view: u64, seq: u64) -> TraceMeta {
+        TraceMeta {
+            view,
+            seq,
+            ..TraceMeta::default()
+        }
+    }
+}
+
 /// One trace event: a span edge observed at a node at a simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
