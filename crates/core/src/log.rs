@@ -7,7 +7,7 @@
 //! table addressed by sender. A certificate check is a handful of digest
 //! comparisons, and nothing in a slot allocates.
 
-use crate::messages::{batch_digest_of, BatchEntry, Request, NULL_DIGEST};
+use crate::messages::{batch_digest_of, BatchEntry, PreparedInfo, Request, NULL_DIGEST};
 use crate::types::{ClientId, Quorums, ReplicaId, SeqNum, Timestamp, View};
 use bft_crypto::md5::Digest;
 use std::collections::VecDeque;
@@ -362,15 +362,8 @@ impl Log {
 
     /// Summaries of prepared batches above the low water mark — the `P`
     /// set for a view-change message.
-    pub fn prepared_infos(&self, q: &Quorums) -> Vec<crate::messages::PreparedInfo> {
-        self.iter()
-            .filter(|(_, slot)| slot.prepared(q) && slot.digest != Some(NULL_DIGEST))
-            .map(|(seq, slot)| crate::messages::PreparedInfo {
-                seq,
-                view: slot.view,
-                batch_digest: slot.digest.expect("prepared implies digest"),
-            })
-            .collect()
+    pub fn prepared_infos(&self, q: &Quorums) -> Vec<PreparedInfo> {
+        self.summaries(|slot| slot.prepared(q))
     }
 
     /// Summaries of batches this replica *voted* for (accepted the
@@ -381,21 +374,19 @@ impl Log {
     /// a bare vote that never fast-committed is harmless to adopt (it is
     /// a valid proposal from the old view, deduplicated on execution by
     /// the reply cache).
-    pub fn fast_vote_infos(
-        &self,
-        me: ReplicaId,
-        q: &Quorums,
-    ) -> Vec<crate::messages::PreparedInfo> {
+    pub fn fast_vote_infos(&self, me: ReplicaId, q: &Quorums) -> Vec<PreparedInfo> {
+        self.summaries(|slot| slot.prepare_sent || q.primary(slot.view) == me)
+    }
+
+    /// `(seq, view, digest)` of each non-null batch that `keep` selects.
+    fn summaries(&self, keep: impl Fn(&Slot) -> bool) -> Vec<PreparedInfo> {
+        let batch = |slot: &Slot| slot.digest.filter(|&d| d != NULL_DIGEST);
         self.iter()
-            .filter(|(_, slot)| {
-                slot.digest.is_some()
-                    && slot.digest != Some(NULL_DIGEST)
-                    && (slot.prepare_sent || q.primary(slot.view) == me)
-            })
-            .map(|(seq, slot)| crate::messages::PreparedInfo {
+            .filter(|(_, slot)| batch(slot).is_some() && keep(slot))
+            .map(|(seq, slot)| PreparedInfo {
                 seq,
                 view: slot.view,
-                batch_digest: slot.digest.expect("filtered on digest"),
+                batch_digest: batch(slot).expect("filtered on digest"),
             })
             .collect()
     }

@@ -1899,7 +1899,7 @@ impl<S: Service> Replica<S> {
             missing: BTreeSet::new(),
             cache_bytes: Vec::new(),
         });
-        self.send_to(ctx, target, Msg::FetchState(FetchState { seq }));
+        self.request_state(ctx);
     }
 
     /// Restarts execution at the adopted stable checkpoint `seq`. It may
@@ -1916,25 +1916,29 @@ impl<S: Service> Replica<S> {
         self.service.release_checkpoints_below(seq);
     }
 
-    /// Rotates the fetch target and re-sends the current phase's request
-    /// (STATE-META if the leaves are unverified, otherwise the missing
-    /// partitions). Also drives the resend-timer keep-alive.
+    /// Rotates the fetch target and re-sends the current phase's request.
+    /// Also drives the resend-timer keep-alive.
     fn retry_state_transfer(&mut self, ctx: &mut Context<'_, Packet>) {
-        let Some(fetch) = &mut self.fetching else {
+        if let Some(fetch) = &mut self.fetching {
+            fetch.target = (fetch.target + 1) % self.cfg.n();
+            self.request_state(ctx);
+        }
+    }
+
+    /// Sends the current phase's request to the fetch target: STATE-META
+    /// while the leaves are unverified, then the missing partitions.
+    fn request_state(&mut self, ctx: &mut Context<'_, Packet>) {
+        let Some(fetch) = &self.fetching else {
             return;
         };
-        let next = (fetch.target + 1) % self.cfg.n();
-        fetch.target = next;
-        let seq = fetch.seq;
+        let (seq, target) = (fetch.seq, fetch.target);
         let msg = if fetch.leaves.is_empty() {
             Msg::FetchState(FetchState { seq })
         } else {
-            Msg::FetchParts(FetchParts {
-                seq,
-                parts: fetch.missing.iter().copied().collect(),
-            })
+            let parts = fetch.missing.iter().copied().collect();
+            Msg::FetchParts(FetchParts { seq, parts })
         };
-        self.send_to(ctx, next, msg);
+        self.send_to(ctx, target, msg);
     }
 
     fn handle_fetch_state(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, fs: FetchState) {
@@ -1983,10 +1987,7 @@ impl<S: Service> Replica<S> {
         if fetch.missing.is_empty() {
             self.finish_state_transfer(ctx);
         } else {
-            let seq = fetch.seq;
-            let target = fetch.target;
-            let parts: Vec<u32> = fetch.missing.iter().copied().collect();
-            self.send_to(ctx, target, Msg::FetchParts(FetchParts { seq, parts }));
+            self.request_state(ctx);
         }
     }
 
@@ -2333,6 +2334,25 @@ impl<S: Service> Replica<S> {
         );
     }
 
+    /// The batch `want` from shipped `entries` — its references and
+    /// bodies — when every body travels inline and they hash to `want`.
+    fn inline_batch(
+        entries: Vec<BatchEntry>,
+        want: Digest,
+    ) -> Option<(Vec<RequestRef>, Vec<Arc<Request>>)> {
+        let digests: Vec<Digest> = entries.iter().map(BatchEntry::digest).collect();
+        if batch_digest_of(&digests) != want {
+            return None;
+        }
+        let refs = entries.iter().zip(digests);
+        let refs = refs.map(|(e, d)| RequestRef::new(e, d)).collect();
+        let bodies = entries.into_iter().map(|e| match e {
+            BatchEntry::Full(req) => Some(Arc::new(req)),
+            BatchEntry::Ref { .. } => None,
+        });
+        Some((refs, bodies.collect::<Option<_>>()?))
+    }
+
     fn handle_batch_data(&mut self, ctx: &mut Context<'_, Packet>, bd: BatchData) {
         if !self.log.in_window(bd.seq) {
             return;
@@ -2343,25 +2363,14 @@ impl<S: Service> Replica<S> {
         if slot.requests.is_some() || slot.digest.is_none() {
             return;
         }
-        let want = slot.digest.expect("checked");
         // The fetched bodies must hash to the digest we prepared against.
-        let digests: Vec<Digest> = bd.entries.iter().map(BatchEntry::digest).collect();
-        if batch_digest_of(&digests) != want {
+        let want = slot.digest.expect("checked");
+        let Some((refs, resolved)) = Self::inline_batch(bd.entries, want) else {
             return;
-        }
-        let mut refs = Vec::with_capacity(bd.entries.len());
-        let mut resolved = Vec::with_capacity(bd.entries.len());
-        for (entry, d) in bd.entries.into_iter().zip(digests) {
-            refs.push(RequestRef::new(&entry, d));
-            match entry {
-                BatchEntry::Full(req) => {
-                    if !self.keys.verify_request(ctx, &req, d) {
-                        return;
-                    }
-                    resolved.push(Arc::new(req));
-                }
-                BatchEntry::Ref { .. } => return, // fetch answers must inline
-            }
+        };
+        let mut checked = refs.iter().zip(&resolved);
+        if !checked.all(|(r, req)| self.keys.verify_request(ctx, req, r.digest)) {
+            return;
         }
         self.bodies.hold(bd.seq, &refs, &resolved);
         let slot = self.log.slot_mut(bd.seq);
@@ -2514,8 +2523,8 @@ impl<S: Service> Replica<S> {
         if plan.min_s > self.checkpoints.stable_seq() {
             if plan.min_s > self.last_executed {
                 self.start_state_transfer(ctx, plan.min_s, plan.min_s_digest);
-            } else if let Some(own) = self.checkpoints.own(plan.min_s) {
-                let digest = own.digest;
+            } else if self.checkpoints.own(plan.min_s).is_some() {
+                let digest = self.checkpoints.own(plan.min_s).expect("checked").digest;
                 self.checkpoints.make_stable(plan.min_s, digest);
             }
             if plan.min_s > self.log.low() {
@@ -2544,26 +2553,11 @@ impl<S: Service> Replica<S> {
                     slot.requests = Some(Vec::new());
                     slot.entries = Some(Vec::new());
                 } else if slot.requests.is_none() {
-                    if let Some(entries) = shipped.remove(&seq) {
-                        let digests: Vec<Digest> = entries.iter().map(BatchEntry::digest).collect();
-                        let all_inline = entries.iter().all(|e| matches!(e, BatchEntry::Full(_)));
-                        if all_inline && batch_digest_of(&digests) == d {
-                            let refs: Vec<RequestRef> = entries
-                                .iter()
-                                .zip(digests)
-                                .map(|(e, digest)| RequestRef::new(e, digest))
-                                .collect();
-                            let reqs: Vec<Arc<Request>> = entries
-                                .into_iter()
-                                .filter_map(|e| match e {
-                                    BatchEntry::Full(r) => Some(Arc::new(r)),
-                                    BatchEntry::Ref { .. } => None,
-                                })
-                                .collect();
-                            self.bodies.hold(seq, &refs, &reqs);
-                            slot.entries = Some(refs);
-                            slot.requests = Some(reqs);
-                        }
+                    let shipped = shipped.remove(&seq).and_then(|e| Self::inline_batch(e, d));
+                    if let Some((refs, reqs)) = shipped {
+                        self.bodies.hold(seq, &refs, &reqs);
+                        slot.entries = Some(refs);
+                        slot.requests = Some(reqs);
                     }
                 }
             }
@@ -2578,24 +2572,35 @@ impl<S: Service> Replica<S> {
                     replica: self.id,
                     piggy_commits: piggy,
                 };
-                let slot = self.log.slot_mut(seq);
-                slot.prepares.insert(prep.replica, d);
-                slot.prepare_sent = true;
+                {
+                    let me = self.id;
+                    let slot = self.log.slot_mut(seq);
+                    slot.prepares.insert(me, d);
+                    slot.prepare_sent = true;
+                }
                 self.multicast(ctx, Msg::Prepare(prep));
             }
             // Request any missing bodies.
-            if self.log.slot(seq).expect("just created").requests.is_none() {
+            let need_fetch = {
+                let slot = self.log.slot(seq).expect("just created");
+                slot.requests.is_none()
+            };
+            if need_fetch {
                 self.unresolved.insert(seq);
+                let primary = self.cfg.quorums.primary(view);
                 let target = if is_primary {
                     (self.id + 1) % self.cfg.n()
                 } else {
-                    self.cfg.quorums.primary(view)
+                    primary
                 };
-                let fb = FetchBatch {
-                    seq,
-                    batch_digest: d,
-                };
-                self.send_to(ctx, target, Msg::FetchBatch(fb));
+                self.send_to(
+                    ctx,
+                    target,
+                    Msg::FetchBatch(FetchBatch {
+                        seq,
+                        batch_digest: d,
+                    }),
+                );
             }
         }
         // A slot the new view did not re-adopt orders nothing any more:
@@ -3141,58 +3146,47 @@ impl<S: Service> Node<Packet> for Replica<S> {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Packet>, token: u64) {
-        if self.behavior == Behavior::Crashed {
-            // A crash may be followed by a chaos-plan restart, so the
-            // recurring timers must stay armed (doing no work), and
-            // one-shot timer handles must be cleared — the fired timer's
-            // id is consumed, and a stale `Some` would block re-arming
-            // after the restart.
-            match token {
-                TIMER_RESEND => {
-                    ctx.set_timer(self.cfg.resend_interval_ns, TIMER_RESEND);
-                }
-                TIMER_KEY_REFRESH => {
-                    ctx.set_timer(self.cfg.key_refresh_interval_ns, TIMER_KEY_REFRESH);
-                }
-                TIMER_RECOVERY => {
-                    ctx.set_timer(self.cfg.proactive_recovery_interval_ns, TIMER_RECOVERY);
-                }
-                TIMER_LEASE => self.arm_lease_tick(ctx),
-                TIMER_VIEW_CHANGE => {
-                    // Clears the spent handle; a crashed replica moves
-                    // to no view.
-                    self.vc.expired(self.view, false);
-                }
-                TIMER_PIGGY => {
-                    self.piggy_timer = None;
-                    self.piggy_queue.clear();
-                }
-                _ => {}
-            }
-            return;
-        }
+        // A crashed replica does no work, but a chaos-plan restart may
+        // follow it: its recurring timers stay armed, and its one-shot
+        // timer handles are cleared — the fired timer's id is consumed,
+        // and a stale `Some` would block re-arming after the restart.
+        let up = self.behavior != Behavior::Crashed;
         match token {
             TIMER_RESEND => {
-                self.on_resend_timer(ctx);
+                if up {
+                    self.on_resend_timer(ctx);
+                }
                 ctx.set_timer(self.cfg.resend_interval_ns, TIMER_RESEND);
             }
-            TIMER_VIEW_CHANGE => {
+            TIMER_VIEW_CHANGE if up => {
                 let pending = !self.pending_requests.is_empty();
                 if let Some(next) = self.vc.expired(self.view, pending) {
                     self.start_view_change(ctx, next);
                 }
             }
-            TIMER_PIGGY => self.flush_piggy(ctx),
+            TIMER_VIEW_CHANGE => self.vc.fired(),
+            TIMER_PIGGY if up => self.flush_piggy(ctx),
+            TIMER_PIGGY => {
+                self.piggy_timer = None;
+                self.piggy_queue.clear();
+            }
             TIMER_KEY_REFRESH => {
-                self.refresh_keys(ctx);
+                if up {
+                    self.refresh_keys(ctx);
+                }
                 ctx.set_timer(self.cfg.key_refresh_interval_ns, TIMER_KEY_REFRESH);
             }
-            TIMER_RECOVERY => self.on_recovery_timer(ctx),
+            TIMER_RECOVERY if up => self.on_recovery_timer(ctx),
+            TIMER_RECOVERY => {
+                ctx.set_timer(self.cfg.proactive_recovery_interval_ns, TIMER_RECOVERY);
+            }
             TIMER_LEASE => {
-                self.on_lease_timer(ctx);
+                if up {
+                    self.on_lease_timer(ctx);
+                }
                 self.arm_lease_tick(ctx);
             }
-            t if t >= TIMER_FASTPATH_BASE => {
+            t if up && t >= TIMER_FASTPATH_BASE => {
                 self.on_fastpath_timer(ctx, t - TIMER_FASTPATH_BASE);
             }
             _ => {}

@@ -53,21 +53,17 @@ pub fn compute_plan(view_changes: &[ViewChange], q: &Quorums) -> NewViewPlan {
 
     // For each sequence number above min_s, the certificate from the
     // highest view wins (certificates for the same (view, seq) cannot
-    // conflict among correct replicas).
+    // conflict among correct replicas); the first one in wins a tie.
     let mut best: BTreeMap<SeqNum, PreparedInfo> = BTreeMap::new();
-    for vc in view_changes {
-        for info in &vc.prepared {
-            if info.seq <= min_s {
-                continue;
-            }
-            match best.get(&info.seq) {
-                Some(cur) if cur.view >= info.view => {}
-                _ => {
-                    best.insert(info.seq, *info);
-                }
-            }
+    let mut adopt = |info: PreparedInfo| {
+        if best.get(&info.seq).is_none_or(|cur| cur.view < info.view) {
+            best.insert(info.seq, info);
         }
-    }
+    };
+    let prepared = view_changes.iter().flat_map(|vc| &vc.prepared);
+    prepared
+        .filter(|info| info.seq > min_s)
+        .for_each(|&info| adopt(info));
 
     // Fast-path candidates: a batch backed by `f+1` *distinct* replicas'
     // matching fast-vote reports is adopted like a prepared certificate.
@@ -95,22 +91,13 @@ pub fn compute_plan(view_changes: &[ViewChange], q: &Quorums) -> NewViewPlan {
                 .insert(vc.replica);
         }
     }
-    for (&(seq, view, digest), reporters) in &support {
-        if reporters.len() < q.witness_quorum() {
-            continue;
-        }
-        match best.get(&seq) {
-            Some(cur) if cur.view >= view => {}
-            _ => {
-                best.insert(
-                    seq,
-                    PreparedInfo {
-                        seq,
-                        view,
-                        batch_digest: digest,
-                    },
-                );
-            }
+    for (&(seq, view, batch_digest), reporters) in &support {
+        if reporters.len() >= q.witness_quorum() {
+            adopt(PreparedInfo {
+                seq,
+                view,
+                batch_digest,
+            });
         }
     }
     let max_s = best.keys().next_back().copied().unwrap_or(min_s);
@@ -256,11 +243,17 @@ impl ViewChanges {
         }
     }
 
-    /// The timer fired: its handle is spent. Returns the view to change
+    /// The timer fired: its handle is spent, so [`Self::arm`] may set it
+    /// again.
+    pub(crate) fn fired(&mut self) {
+        self.timer = None;
+    }
+
+    /// The timer fired on a running replica. Returns the view to change
     /// to — past a new primary that never produced a valid NEW-VIEW, or
     /// past the primary of `view` while work is `pending`.
     pub(crate) fn expired(&mut self, view: View, pending: bool) -> Option<View> {
-        self.timer = None;
+        self.fired();
         match self.changing_to {
             Some(target) => Some(target + 1),
             None => pending.then_some(view + 1),
@@ -641,7 +634,7 @@ mod tests {
 
         fn on_timer(&mut self, ctx: &mut Context<'_, Act>, token: u64) {
             assert_eq!(token, TIMER_VIEW_CHANGE);
-            self.vc.expired(0, true);
+            self.vc.fired();
             self.fired_ns.push(ctx.now().nanos());
         }
 
@@ -699,6 +692,27 @@ mod tests {
         assert_eq!(timer_delays_s(&[Start(1), Install(1)]), Vec::<u64>::new());
         // Arming is idempotent and waits out the running timer.
         assert_eq!(timer_delays_s(&[Arm, Arm]), vec![1]);
+    }
+
+    #[test]
+    fn install_drops_the_votes_through_its_view_and_keeps_the_rest() {
+        let mut r0 = changes(0);
+        for view in [1, 2, 5] {
+            assert_eq!(r0.on_vote(vc(1, view, 0, vec![]), 0), None);
+        }
+        let mut sim = bft_sim::Simulation::new(1, bft_sim::NetConfig::SWITCHED_100MBPS);
+        let probe = Probe {
+            vc: r0,
+            fired_ns: Vec::new(),
+        };
+        let id = sim.add_node(Box::new(probe));
+        sim.inject(id, id, Act::Install(2), 0);
+        sim.run_until(bft_sim::SimTime(1_000_000));
+        let r0 = &mut sim.node_as_mut::<Probe>(id).vc;
+        assert!(!r0.changing());
+        assert_eq!(r0.votes.keys().copied().collect::<Vec<_>>(), vec![5]);
+        // The kept vote still counts towards the f+1 join.
+        assert_eq!(r0.on_vote(vc(2, 5, 0, vec![]), 2), Some(5));
     }
 
     #[test]
