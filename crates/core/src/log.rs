@@ -360,29 +360,12 @@ impl Log {
         gone
     }
 
-    /// Summaries of prepared batches above the low water mark — the `P`
-    /// set for a view-change message.
+    /// `(seq, view, digest)` of each prepared non-null batch above the
+    /// low water mark — the `P` set for a view-change message.
     pub fn prepared_infos(&self, q: &Quorums) -> Vec<PreparedInfo> {
-        self.summaries(|slot| slot.prepared(q))
-    }
-
-    /// Summaries of batches this replica *voted* for (accepted the
-    /// pre-prepare and multicast its prepare, or proposed as primary) —
-    /// the fast-vote report for a view-change message. A fast-committed
-    /// batch is provable in the new view because all `n` replicas voted,
-    /// so any view-change quorum carries `f+1` correct matching reports;
-    /// a bare vote that never fast-committed is harmless to adopt (it is
-    /// a valid proposal from the old view, deduplicated on execution by
-    /// the reply cache).
-    pub fn fast_vote_infos(&self, me: ReplicaId, q: &Quorums) -> Vec<PreparedInfo> {
-        self.summaries(|slot| slot.prepare_sent || q.primary(slot.view) == me)
-    }
-
-    /// `(seq, view, digest)` of each non-null batch that `keep` selects.
-    fn summaries(&self, keep: impl Fn(&Slot) -> bool) -> Vec<PreparedInfo> {
         let batch = |slot: &Slot| slot.digest.filter(|&d| d != NULL_DIGEST);
         self.iter()
-            .filter(|(_, slot)| batch(slot).is_some() && keep(slot))
+            .filter(|(_, slot)| batch(slot).is_some() && slot.prepared(q))
             .map(|(seq, slot)| PreparedInfo {
                 seq,
                 view: slot.view,
@@ -588,30 +571,6 @@ pub(crate) mod tests {
         assert!(!slot.committed(&q()));
         slot.fast_committed = true;
         assert!(slot.committed(&q()));
-    }
-
-    #[test]
-    fn fast_vote_infos_reports_own_votes() {
-        let mut log = Log::new(256);
-        {
-            let s = log.slot_mut(5);
-            s.view = 0;
-            s.digest = Some(digest(7));
-            s.prepare_sent = true; // backup voted
-        }
-        {
-            let s = log.slot_mut(6);
-            s.view = 0;
-            s.digest = Some(digest(8));
-            // no prepare sent and not the primary: not a vote
-        }
-        // Backup 1's report: only seq 5.
-        let infos = log.fast_vote_infos(1, &q());
-        assert_eq!(infos.len(), 1);
-        assert_eq!(infos[0].seq, 5);
-        // Primary 0's report: both (its pre-prepares are its votes).
-        let infos = log.fast_vote_infos(0, &q());
-        assert_eq!(infos.len(), 2);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::messages::{BatchEntry, NewView, PreparedInfo, ViewChange, NULL_DIGEST
 use crate::types::{Quorums, ReplicaId, SeqNum, View};
 use bft_crypto::md5::Digest;
 use bft_sim::{Context, TimerId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The view-change timer's token.
 pub(crate) const TIMER_VIEW_CHANGE: u64 = 2;
@@ -44,7 +44,7 @@ pub struct NewViewPlan {
 }
 
 /// Computes the new-view plan from a quorum of view-change messages.
-pub fn compute_plan(view_changes: &[ViewChange], q: &Quorums) -> NewViewPlan {
+pub fn compute_plan(view_changes: &[ViewChange]) -> NewViewPlan {
     let (min_s, min_s_digest) = view_changes
         .iter()
         .map(|vc| (vc.last_stable, vc.stable_digest))
@@ -55,49 +55,10 @@ pub fn compute_plan(view_changes: &[ViewChange], q: &Quorums) -> NewViewPlan {
     // highest view wins (certificates for the same (view, seq) cannot
     // conflict among correct replicas); the first one in wins a tie.
     let mut best: BTreeMap<SeqNum, PreparedInfo> = BTreeMap::new();
-    let mut adopt = |info: PreparedInfo| {
+    let prepared = view_changes.iter().flat_map(|vc| &vc.prepared);
+    for &info in prepared.filter(|info| info.seq > min_s) {
         if best.get(&info.seq).is_none_or(|cur| cur.view < info.view) {
             best.insert(info.seq, info);
-        }
-    };
-    let prepared = view_changes.iter().flat_map(|vc| &vc.prepared);
-    prepared
-        .filter(|info| info.seq > min_s)
-        .for_each(|&info| adopt(info));
-
-    // Fast-path candidates: a batch backed by `f+1` *distinct* replicas'
-    // matching fast-vote reports is adopted like a prepared certificate.
-    // A fast-committed batch always clears this bar — all `n` replicas
-    // voted for it, so any `2f+1` view-change quorum carries at least
-    // `f+1` correct matching reports — while a conflicting candidate at
-    // the same view cannot: correct replicas vote once per (view, seq),
-    // so a second digest can only be backed by the `≤ f` Byzantine
-    // replicas. Candidates that merely gathered votes without
-    // fast-committing are safe to adopt too (they are valid proposals
-    // from the old view; the reply cache deduplicates re-execution).
-    // Classic certificates win ties at the same view: a classically
-    // committed batch is only guaranteed a certificate reporter — not
-    // `f+1` fast-vote reporters — in a worst-case quorum, so the
-    // certificate must not be outvoted by a bare-vote candidate.
-    let mut support: BTreeMap<(SeqNum, View, Digest), BTreeSet<ReplicaId>> = BTreeMap::new();
-    for vc in view_changes {
-        for info in &vc.fast_votes {
-            if info.seq <= min_s {
-                continue;
-            }
-            support
-                .entry((info.seq, info.view, info.batch_digest))
-                .or_default()
-                .insert(vc.replica);
-        }
-    }
-    for (&(seq, view, batch_digest), reporters) in &support {
-        if reporters.len() >= q.witness_quorum() {
-            adopt(PreparedInfo {
-                seq,
-                view,
-                batch_digest,
-            });
         }
     }
     let max_s = best.keys().next_back().copied().unwrap_or(min_s);
@@ -150,7 +111,7 @@ pub fn validate_new_view(nv: &NewView, q: &Quorums) -> Result<NewViewPlan, NewVi
     if nv.view_changes.iter().any(|vc| vc.new_view != nv.view) {
         return Err(NewViewError::MixedViews);
     }
-    let plan = compute_plan(&nv.view_changes, q);
+    let plan = compute_plan(&nv.view_changes);
     if plan.pre_prepares != nv.pre_prepares {
         return Err(NewViewError::WrongComputation);
     }
@@ -162,8 +123,6 @@ pub fn validate_new_view(nv: &NewView, q: &Quorums) -> Result<NewViewPlan, NewVi
 pub(crate) struct ViewChanges {
     id: ReplicaId,
     quorums: Quorums,
-    /// [`Config::fast_path`]: our VIEW-CHANGE reports fast votes.
-    fast_path: bool,
     base_timeout_ns: u64,
     max_timeout_ns: u64,
     /// Least gap between two NEW-VIEW retransmissions to one replica.
@@ -191,7 +150,6 @@ impl ViewChanges {
         ViewChanges {
             id,
             quorums: cfg.quorums,
-            fast_path: cfg.fast_path,
             base_timeout_ns: cfg.view_change_timeout_ns,
             max_timeout_ns: cfg.view_change_timeout_max_ns,
             retransmit_gap_ns: cfg.resend_interval_ns.max(20_000_000),
@@ -280,13 +238,6 @@ impl ViewChanges {
             last_stable,
             stable_digest,
             prepared: log.prepared_infos(&self.quorums),
-            // `f+1` matching fast-vote reports prove a fast-committed
-            // batch into the new view.
-            fast_votes: if self.fast_path {
-                log.fast_vote_infos(self.id, &self.quorums)
-            } else {
-                Vec::new()
-            },
             replica: self.id,
         };
         self.record(vc.clone());
@@ -340,7 +291,7 @@ impl ViewChanges {
         let voters = self.votes.get(&target).filter(|v| v.len() >= quorum)?;
         // The lowest replica ids: every replica derives the same set.
         let votes: Vec<ViewChange> = voters.values().take(quorum).cloned().collect();
-        let plan = compute_plan(&votes, &self.quorums);
+        let plan = compute_plan(&votes);
         let mut nv = NewView {
             view: target,
             view_changes: votes,
@@ -437,21 +388,7 @@ mod tests {
             last_stable,
             stable_digest: d(last_stable as u8),
             prepared,
-            fast_votes: vec![],
             replica,
-        }
-    }
-
-    fn vcf(
-        replica: ReplicaId,
-        new_view: View,
-        last_stable: SeqNum,
-        prepared: Vec<PreparedInfo>,
-        fast_votes: Vec<PreparedInfo>,
-    ) -> ViewChange {
-        ViewChange {
-            fast_votes,
-            ..vc(replica, new_view, last_stable, prepared)
         }
     }
 
@@ -581,7 +518,7 @@ mod tests {
             vc(1, 1, 0, vec![]),
             vc(2, 1, 0, vec![]),
         ];
-        let plan = compute_plan(&votes, &q());
+        let plan = compute_plan(&votes);
         let nv = NewView {
             view: 1,
             view_changes: votes,
@@ -722,7 +659,7 @@ mod tests {
             vc(1, 1, 100, vec![pi(132, 0, 9)]),
             vc(2, 1, 128, vec![]),
         ];
-        let plan = compute_plan(&votes, &q());
+        let plan = compute_plan(&votes);
         assert_eq!(plan.min_s, 128);
         assert_eq!(plan.max_s, 132);
         assert_eq!(
@@ -743,88 +680,8 @@ mod tests {
             vc(1, 2, 0, vec![pi(1, 1, 9)]),
             vc(2, 2, 0, vec![]),
         ];
-        let plan = compute_plan(&votes, &q());
+        let plan = compute_plan(&votes);
         assert_eq!(plan.pre_prepares, vec![(1, d(9))]);
-    }
-
-    #[test]
-    fn fast_candidate_with_witness_support_is_adopted() {
-        // No prepared certificate anywhere, but f+1 = 2 distinct replicas
-        // report having voted for the same batch: the plan must carry it
-        // (this is how a fast-committed batch survives the view change).
-        let votes = [
-            vcf(0, 1, 0, vec![], vec![pi(1, 0, 7)]),
-            vcf(1, 1, 0, vec![], vec![pi(1, 0, 7)]),
-            vcf(2, 1, 0, vec![], vec![]),
-        ];
-        let plan = compute_plan(&votes, &q());
-        assert_eq!(plan.pre_prepares, vec![(1, d(7))]);
-    }
-
-    #[test]
-    fn fast_candidate_below_witness_support_is_ignored() {
-        let votes = [
-            vcf(0, 1, 0, vec![], vec![pi(1, 0, 7)]),
-            vcf(1, 1, 0, vec![], vec![]),
-            vcf(2, 1, 0, vec![], vec![]),
-        ];
-        let plan = compute_plan(&votes, &q());
-        assert!(
-            plan.pre_prepares.is_empty(),
-            "a single report may be Byzantine; it must not enter the plan"
-        );
-    }
-
-    #[test]
-    fn classic_certificate_beats_fast_candidate_at_same_view() {
-        // An equivocating primary left a prepared certificate for d(7)
-        // and a victim's lone-plus-Byzantine fast votes for d(9) in the
-        // same view. The certificate must win: d(7) may be classically
-        // committed, while d(9) provably never fast-committed (a fast
-        // commit would have made every correct replica vote d(9)).
-        let votes = [
-            vcf(0, 1, 0, vec![pi(1, 0, 7)], vec![pi(1, 0, 9)]),
-            vcf(1, 1, 0, vec![], vec![pi(1, 0, 9)]),
-            vcf(2, 1, 0, vec![], vec![]),
-        ];
-        let plan = compute_plan(&votes, &q());
-        assert_eq!(plan.pre_prepares, vec![(1, d(7))]);
-    }
-
-    #[test]
-    fn higher_view_fast_candidate_beats_older_certificate() {
-        let votes = [
-            vcf(0, 2, 0, vec![pi(1, 0, 7)], vec![]),
-            vcf(1, 2, 0, vec![], vec![pi(1, 1, 9)]),
-            vcf(2, 2, 0, vec![], vec![pi(1, 1, 9)]),
-        ];
-        let plan = compute_plan(&votes, &q());
-        assert_eq!(plan.pre_prepares, vec![(1, d(9))]);
-    }
-
-    #[test]
-    fn duplicate_fast_reports_from_one_replica_do_not_inflate_support() {
-        // A Byzantine replica lists the same candidate twice in one
-        // message: support counts distinct reporters, so it stays at 1.
-        let votes = [
-            vcf(0, 1, 0, vec![], vec![pi(1, 0, 7), pi(1, 0, 7)]),
-            vcf(1, 1, 0, vec![], vec![]),
-            vcf(2, 1, 0, vec![], vec![]),
-        ];
-        let plan = compute_plan(&votes, &q());
-        assert!(plan.pre_prepares.is_empty());
-    }
-
-    #[test]
-    fn fast_votes_below_min_s_are_dropped() {
-        let votes = [
-            vcf(0, 1, 128, vec![], vec![pi(100, 0, 7)]),
-            vcf(1, 1, 128, vec![], vec![pi(100, 0, 7)]),
-            vcf(2, 1, 128, vec![], vec![]),
-        ];
-        let plan = compute_plan(&votes, &q());
-        assert_eq!(plan.max_s, 128);
-        assert!(plan.pre_prepares.is_empty());
     }
 
     #[test]
@@ -834,14 +691,14 @@ mod tests {
             vc(1, 1, 128, vec![]),
             vc(2, 1, 128, vec![]),
         ];
-        let plan = compute_plan(&votes, &q());
+        let plan = compute_plan(&votes);
         assert_eq!(plan.max_s, 128);
         assert!(plan.pre_prepares.is_empty());
     }
 
     #[test]
     fn empty_votes_plan_is_empty() {
-        let plan = compute_plan(&[], &q());
+        let plan = compute_plan(&[]);
         assert_eq!(plan.min_s, 0);
         assert!(plan.pre_prepares.is_empty());
     }
@@ -853,7 +710,7 @@ mod tests {
             vc(1, 1, 0, vec![]),
             vc(2, 1, 0, vec![]),
         ];
-        let plan = compute_plan(&votes, &q());
+        let plan = compute_plan(&votes);
         let nv = NewView {
             view: 1,
             view_changes: votes,
@@ -948,16 +805,9 @@ mod tests {
         outsider: ReplicaId,
     }
 
-    /// One sender's reports at one sequence number.
-    #[derive(Debug, Clone, Default)]
-    struct Sender {
-        prepared: Option<Report>,
-        fast: Vec<Report>,
-    }
-
-    /// What the three senders report at one sequence number, under its
-    /// history.
-    type Column = (Option<Commit>, [Sender; 3]);
+    /// What the three senders report at one sequence number (a prepared
+    /// certificate or none), under its history.
+    type Column = (Option<Commit>, [Option<Report>; 3]);
 
     /// A correct replica's highest prepared certificate under `history`:
     /// the committed batch's, from its view on, if it prepared it; if
@@ -972,25 +822,10 @@ mod tests {
         }
     }
 
-    /// A correct replica's fast vote under `history`: older than the
-    /// commit, for its digest, or — an equivocating primary's doing — for
-    /// another digest in its view from the replica that did not prepare.
-    fn may_vote(history: Option<Commit>, r: ReplicaId, (w, t): Report) -> bool {
-        history.is_none_or(|c| w < c.view || t == c.digest || (w == c.view && r == c.outsider))
-    }
-
     /// Every column for new view `target` with Byzantine replica `byz`
-    /// (3: outside the quorum); only prepared certificates if `classic`.
-    fn columns(target: View, byz: ReplicaId, classic: bool) -> Vec<Column> {
+    /// (3: outside the quorum).
+    fn columns(target: View, byz: ReplicaId) -> Vec<Column> {
         let reports: Vec<Report> = (0..target).flat_map(|w| [(w, A), (w, B)]).collect();
-        let subsets: Vec<Vec<Report>> = (0..1u32 << reports.len())
-            .map(|m| {
-                (0..reports.len())
-                    .filter(|i| m >> i & 1 == 1)
-                    .map(|i| reports[i])
-                    .collect()
-            })
-            .collect();
         let mut histories = vec![None];
         for &(view, digest) in &reports {
             histories.extend((0..4).map(|outsider| {
@@ -1003,40 +838,24 @@ mod tests {
         }
         let mut out = Vec::new();
         for h in histories {
-            let options = |r: ReplicaId| -> Vec<Sender> {
-                let fast: Vec<Vec<Report>> = if classic {
-                    vec![vec![]]
-                } else if r == byz {
-                    subsets.clone()
-                } else {
-                    let votes = reports.iter().filter(|&&f| may_vote(h, r, f));
-                    std::iter::once(vec![])
-                        .chain(votes.map(|&f| vec![f]))
-                        .collect()
-                };
-                let prepared = std::iter::once(None).chain(reports.iter().copied().map(Some));
-                prepared
+            let options = |r: ReplicaId| -> Vec<Option<Report>> {
+                std::iter::once(None)
+                    .chain(reports.iter().copied().map(Some))
                     // A Byzantine sender may also omit its certificate.
                     .filter(|&p| may_prepare(h, r, p) || (r == byz && p.is_none()))
-                    .flat_map(|prepared| {
-                        let fast = fast.clone();
-                        fast.into_iter().map(move |fast| Sender { prepared, fast })
-                    })
                     .collect()
             };
             let (o0, o1, o2) = (options(0), options(1), options(2));
-            for s0 in &o0 {
-                for s1 in &o1 {
-                    for s2 in &o2 {
-                        let senders = [s0.clone(), s1.clone(), s2.clone()];
-                        let certs: Vec<Report> =
-                            senders.iter().filter_map(|s| s.prepared).collect();
+            for &s0 in &o0 {
+                for &s1 in &o1 {
+                    for &s2 in &o2 {
+                        let certs: Vec<Report> = [s0, s1, s2].into_iter().flatten().collect();
                         // No two certificates for one view differ.
                         let agree = certs
                             .iter()
                             .all(|a| certs.iter().all(|b| a.0 != b.0 || a.1 == b.1));
                         if agree {
-                            out.push((h, senders));
+                            out.push((h, [s0, s1, s2]));
                         }
                     }
                 }
@@ -1075,15 +894,12 @@ mod tests {
             .map(|i| {
                 let mut vote = vc(i as ReplicaId, target, 0, vec![]);
                 for (seq, (_, senders)) in (1..).zip(cols) {
-                    let s = &senders[i];
-                    vote.prepared.extend(s.prepared.map(|(w, t)| pi(seq, w, t)));
-                    vote.fast_votes
-                        .extend(s.fast.iter().map(|&(w, t)| pi(seq, w, t)));
+                    vote.prepared.extend(senders[i].map(|(w, t)| pi(seq, w, t)));
                 }
                 vote
             })
             .collect();
-        let plan = compute_plan(&votes, &q());
+        let plan = compute_plan(&votes);
         let mut committed = 0;
         for (seq, (history, _)) in (1..).zip(cols) {
             if let Some(c) = history {
@@ -1123,29 +939,24 @@ mod tests {
     ///
     /// At each sequence number a history says whether a batch committed
     /// there (prepared by three replicas), and correct senders report only
-    /// what it allows ([`may_prepare`], [`may_vote`]). The Byzantine
-    /// sender's fast votes are any set; its prepared certificates are any
-    /// a correct sender could report, or none — a forged certificate is
-    /// the documented gap of summary view changes (DESIGN.md §5.7).
+    /// what it allows ([`may_prepare`]). The Byzantine sender's prepared
+    /// certificates are any a correct sender could report, or none — a
+    /// forged certificate is the documented gap of summary view changes
+    /// (DESIGN.md §5.7).
     ///
-    /// Every column is checked at each sequence number with the other
-    /// silent, and every pair of classic columns (no fast votes) at both.
-    /// Check 1: a committed batch is in the plan's `O` set with its
-    /// digest. Check 2: `validate_new_view` accepts exactly the `O` set
-    /// the plan computes, among it and its one-entry changes.
+    /// Every pair of columns is checked, one per sequence number (the
+    /// silent column is one of them). Check 1: a committed batch is in the
+    /// plan's `O` set with its digest. Check 2: `validate_new_view`
+    /// accepts exactly the `O` set the plan computes, among it and its
+    /// one-entry changes.
     #[test]
     fn every_input_of_a_small_scope_keeps_committed_batches_and_validates_exactly() {
-        let silent: Column = (None, Default::default());
         let (mut inputs, mut committed) = (0usize, 0usize);
         for target in 1..=2 {
             for byz in 0..4 {
-                for col in &columns(target, byz, false) {
-                    committed += check(target, [col, &silent]) + check(target, [&silent, col]);
-                    inputs += 2;
-                }
-                let classic = columns(target, byz, true);
-                for c1 in &classic {
-                    for c2 in &classic {
+                let cols = columns(target, byz);
+                for c1 in &cols {
+                    for c2 in &cols {
                         committed += check(target, [c1, c2]);
                         inputs += 1;
                     }
@@ -1153,6 +964,6 @@ mod tests {
             }
         }
         // The scope, pinned: a change that shrinks it fails here.
-        assert_eq!((inputs, committed), (642_052, 504_944));
+        assert_eq!((inputs, committed), (216_128, 287_120));
     }
 }

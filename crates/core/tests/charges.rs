@@ -284,9 +284,9 @@ fn a_view_change_and_a_state_transfer_charge_as_pinned() {
         &charges(&cluster),
         &[
             [101422920, 36895032, 0, 275854340, 0, 0],
-            [219882820, 82049752, 0, 576324538, 0, 0],
-            [208596180, 82057688, 0, 541319938, 0, 0],
-            [157553980, 63669672, 0, 423687262, 0, 0],
+            [219881860, 82049752, 0, 576324250, 0, 0],
+            [208595220, 82057688, 0, 541319650, 0, 0],
+            [157553020, 63669672, 0, 423686974, 0, 0],
             [32152020, 30542312, 0, 187462024, 0, 0],
             [32144860, 30484448, 0, 187420200, 0, 0],
         ],

@@ -148,26 +148,15 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                 }),
                 0..4,
             ),
-            proptest::collection::vec(
-                (any::<u64>(), any::<u64>(), arb_digest()).prop_map(|(seq, view, batch_digest)| {
-                    PreparedInfo {
-                        seq,
-                        view,
-                        batch_digest,
-                    }
-                }),
-                0..4,
-            ),
             any::<u32>(),
         )
             .prop_map(
-                |(new_view, last_stable, stable_digest, prepared, fast_votes, replica)| {
+                |(new_view, last_stable, stable_digest, prepared, replica)| {
                     Msg::ViewChange(ViewChange {
                         new_view,
                         last_stable,
                         stable_digest,
                         prepared,
-                        fast_votes,
                         replica,
                     })
                 }
