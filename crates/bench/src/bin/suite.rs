@@ -5,8 +5,8 @@
 //! 1. `fig2_latency` — single-client invocation latency at the paper's
 //!    Figure 2 operation shapes (0/0, 4096/0, 0/4096);
 //! 2. `saturation` — closed-loop throughput at 20 clients;
-//! 3. `breakdown` — traced 0/0 run, classic vs fast path: end-to-end
-//!    latency and tentative-execute → commit-certificate lag; the full
+//! 3. `breakdown` — traced 0/0 run: end-to-end latency and
+//!    tentative-execute → commit-certificate lag; the full
 //!    run adds 4096/0 and 0/4096, the mean of each request phase and the
 //!    replica CPU per request of each cost kind;
 //! 4. `readmix` — leased vs unleased read latency under a 1% write mix
@@ -122,11 +122,10 @@ fn saturation(quick: bool, out: &mut BenchDoc) {
 }
 
 /// Family 3: the per-phase breakdown of the paper's Tables 2 and 3,
-/// traced, classic three-phase vs fast path: end-to-end latency, the
-/// tentative-execute -> commit-certificate lag and the fast-path counts.
-/// The full run adds the 4096/0 and 0/4096 shapes and, on every row, the
-/// mean of each assembled request phase and the replica CPU per request
-/// of each [`CostKind`]. `tests/breakdown.rs` checks these traces.
+/// traced: end-to-end latency and the tentative-execute ->
+/// commit-certificate lag. The full run adds the 4096/0 and 0/4096
+/// shapes and, on every row, the mean of each assembled request phase
+/// and the replica CPU per request of each [`CostKind`]. `tests/breakdown.rs` checks these traces.
 fn breakdown(quick: bool, out: &mut BenchDoc) {
     let samples = if quick { 60 } else { 200 };
     let shapes: &[(&str, usize, usize)] = if quick {
@@ -135,62 +134,53 @@ fn breakdown(quick: bool, out: &mut BenchDoc) {
         &[("0/0", 0, 0), ("4096/0", 4096, 0), ("0/4096", 0, 4096)]
     };
     for &(shape, arg_bytes, result_bytes) in shapes {
-        for fast_path in [false, true] {
-            let mut cfg = Config::new(1);
-            cfg.fast_path = fast_path;
-            let replicas = cfg.n();
-            let mut cluster = Cluster::builder(cfg)
-                .seed(SEED)
-                .net(NetConfig::SWITCHED_100MBPS)
-                .trace_capacity(TRACE_CAPACITY)
-                .build(|_| SimpleService);
-            cluster.add_client(MicroDriver::new(arg_bytes, result_bytes, false));
-            let mut guard = 0;
-            while cluster.completed_ops() < samples && guard < 10_000 {
-                cluster.run_for(dur::millis(10));
-                guard += 1;
-            }
-            assert!(
-                cluster.completed_ops() >= samples,
-                "breakdown workload {shape} stalled"
-            );
-            let trace = cluster.sim.trace();
-            let b = trace_breakdown(&assemble(trace));
-            let commit_lag_us = if b.commit_observed > 0 {
-                b.commit_lag_total_ns as f64 / b.commit_observed as f64 / 1e3
-            } else {
-                0.0
-            };
-            let mean_us = cluster.sim.metrics().summary("client.latency").mean / 1e3;
-            let fast_commits = cluster.sim.health().total(bft_sim::Counter::FastCommits);
-            let fallbacks = cluster.sim.health().total(bft_sim::Counter::FastFallbacks);
-            let mut m = metrics(&[
-                ("e2e_mean_us", mean_us),
-                ("commit_lag_us", commit_lag_us),
-                ("fast_commits", fast_commits as f64),
-                ("fast_fallbacks", fallbacks as f64),
-            ]);
-            // The quick rows keep the metric set the CI baseline pins.
-            if !quick {
-                for (i, phase) in PHASE_LABELS.iter().enumerate() {
-                    m.insert(format!("phase_{phase}_us"), b.phase_mean_ns(i) / 1e3);
-                }
-                let requests = cluster.completed_ops() as f64;
-                for kind in CostKind::ALL {
-                    let ns: u64 = (0..replicas).map(|r| trace.cpu_ns(r, kind)).sum();
-                    m.insert(
-                        format!("cpu_{}_us", kind.name()),
-                        ns as f64 / requests / 1e3,
-                    );
-                }
-            }
-            out.results.push(BenchResult {
-                bench: "breakdown".to_string(),
-                workload: format!("{shape}-{}", if fast_path { "fast" } else { "classic" }),
-                metrics: m,
-            });
-            merge_counters(&mut out.counters, cluster.sim.health().flattened());
+        let cfg = Config::new(1);
+        let replicas = cfg.n();
+        let mut cluster = Cluster::builder(cfg)
+            .seed(SEED)
+            .net(NetConfig::SWITCHED_100MBPS)
+            .trace_capacity(TRACE_CAPACITY)
+            .build(|_| SimpleService);
+        cluster.add_client(MicroDriver::new(arg_bytes, result_bytes, false));
+        let mut guard = 0;
+        while cluster.completed_ops() < samples && guard < 10_000 {
+            cluster.run_for(dur::millis(10));
+            guard += 1;
         }
+        assert!(
+            cluster.completed_ops() >= samples,
+            "breakdown workload {shape} stalled"
+        );
+        let trace = cluster.sim.trace();
+        let b = trace_breakdown(&assemble(trace));
+        let commit_lag_us = if b.commit_observed > 0 {
+            b.commit_lag_total_ns as f64 / b.commit_observed as f64 / 1e3
+        } else {
+            0.0
+        };
+        let mean_us = cluster.sim.metrics().summary("client.latency").mean / 1e3;
+        let mut m = metrics(&[("e2e_mean_us", mean_us), ("commit_lag_us", commit_lag_us)]);
+        // The quick rows keep the metric set the CI baseline pins.
+        if !quick {
+            for (i, phase) in PHASE_LABELS.iter().enumerate() {
+                m.insert(format!("phase_{phase}_us"), b.phase_mean_ns(i) / 1e3);
+            }
+            let requests = cluster.completed_ops() as f64;
+            for kind in CostKind::ALL {
+                let ns: u64 = (0..replicas).map(|r| trace.cpu_ns(r, kind)).sum();
+                m.insert(
+                    format!("cpu_{}_us", kind.name()),
+                    ns as f64 / requests / 1e3,
+                );
+            }
+        }
+        out.results.push(BenchResult {
+            bench: "breakdown".to_string(),
+            // `-classic` keeps the row names the baselines pin.
+            workload: format!("{shape}-classic"),
+            metrics: m,
+        });
+        merge_counters(&mut out.counters, cluster.sim.health().flattened());
     }
 }
 

@@ -1,21 +1,16 @@
 //! The per-phase breakdown's checks. For each Figure 2 operation shape
-//! (0/0, 4 KiB request, 4 KiB reply), classic and fast path, a traced
-//! fault-free run must:
+//! (0/0, 4 KiB request, 4 KiB reply), a traced fault-free run must:
 //!
 //! 1. export a Chrome trace that parses into the trace-event subset
 //!    Perfetto needs;
 //! 2. assemble per-request phase chains whose mean sum is within 5 % of
-//!    the independently measured `client.latency` mean;
-//! 3. agree with the health counters on fast-path commits: the counters
-//!    and the trace observe the same window, so on the fast runs every
-//!    `FastCommits` closes one `fast-commit` span and nothing falls
-//!    back, and on the classic runs neither happens.
+//!    the independently measured `client.latency` mean.
 //!
-//! The 0/0 classic trace is left at `$CARGO_TARGET_TMPDIR/bft-trace.json`
+//! The 0/0 trace is left at `$CARGO_TARGET_TMPDIR/bft-trace.json`
 //! for loading into Perfetto or `chrome://tracing`.
 
 use bft_core::prelude::*;
-use bft_sim::trace::{assemble, breakdown, SpanEdge, TracePhase};
+use bft_sim::trace::{assemble, breakdown};
 use bft_workloads::micro::{MicroDriver, SimpleService};
 
 const SEED: u64 = 7;
@@ -45,10 +40,8 @@ struct ChromeEvent {
 
 /// Runs one traced closed-loop client at `arg_bytes`/`result_bytes`,
 /// checks the run, and returns its Chrome trace JSON.
-fn checked_run(label: &str, arg_bytes: usize, result_bytes: usize, fast_path: bool) -> String {
-    let tag = format!("{label} [{}]", if fast_path { "fast" } else { "classic" });
-    let mut cfg = Config::new(1);
-    cfg.fast_path = fast_path;
+fn checked_run(tag: &str, arg_bytes: usize, result_bytes: usize) -> String {
+    let cfg = Config::new(1);
     let node_count = u64::from(cfg.n()) + 1;
     let mut cluster = Cluster::builder(cfg)
         .seed(SEED)
@@ -112,50 +105,22 @@ fn checked_run(label: &str, arg_bytes: usize, result_bytes: usize, fast_path: bo
         measured / 1e3
     );
 
-    let closes = sink
-        .events()
-        .filter(|e| e.phase == TracePhase::FastCommit && e.edge == SpanEdge::Close)
-        .count() as u64;
-    let health = cluster.sim.health();
-    let (commits, fallbacks) = (
-        health.total(Counter::FastCommits),
-        health.total(Counter::FastFallbacks),
-    );
-    assert_eq!(
-        fallbacks, 0,
-        "{tag}: fast-path fallbacks in a fault-free run"
-    );
-    if fast_path {
-        assert!(commits > 0, "{tag}: no fast commits");
-        assert_eq!(
-            commits, closes,
-            "{tag}: fast commits counted vs fast-commit spans closed"
-        );
-    } else {
-        assert_eq!((commits, closes), (0, 0), "{tag}: fast-path activity");
-    }
     json
-}
-
-fn check_shape(label: &str, arg_bytes: usize, result_bytes: usize) -> String {
-    let classic = checked_run(label, arg_bytes, result_bytes, false);
-    checked_run(label, arg_bytes, result_bytes, true);
-    classic
 }
 
 #[test]
 fn null_op_breakdown_checks_and_exports_its_trace() {
-    let classic = check_shape("0/0", 0, 0);
+    let json = checked_run("0/0", 0, 0);
     let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/bft-trace.json");
-    std::fs::write(path, classic).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 #[test]
 fn large_request_breakdown_checks() {
-    check_shape("4/0", 4096, 0);
+    checked_run("4/0", 4096, 0);
 }
 
 #[test]
 fn large_reply_breakdown_checks() {
-    check_shape("0/4", 0, 4096);
+    checked_run("0/4", 0, 4096);
 }

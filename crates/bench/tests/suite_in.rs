@@ -6,7 +6,7 @@ use bft_bench::paper::CLAIMS;
 
 #[test]
 fn suite_in_rechecks_the_committed_baseline_without_simulating() {
-    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_49.json");
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_56.json");
     let out = Command::new(env!("CARGO_BIN_EXE_suite"))
         .args(["--in", baseline])
         .output()

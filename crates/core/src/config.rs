@@ -90,17 +90,6 @@ pub struct Config {
     /// protocol behaviour is identical, only the simulated CPU cost
     /// changes.
     pub incremental_checkpoints: bool,
-    /// *Optimistic fast path*: a slot commits in two rounds when every
-    /// replica's prepare vote arrives (a fast quorum,
-    /// [`Quorums::fast_quorum`]), skipping the commit phase entirely.
-    /// Each slot falls back to the classic three-phase path on timeout,
-    /// conflicting votes, or a peer's explicit COMMIT. Off by default:
-    /// the classic path is the paper's protocol.
-    pub fast_path: bool,
-    /// How long a prepared slot waits for the full fast quorum before
-    /// falling back to the classic commit phase. Only meaningful with
-    /// [`Config::fast_path`] on.
-    pub fast_path_timeout_ns: u64,
     /// CPU cost model for all principals.
     pub cost: CostModel,
     /// Backup timer: how long a request may stay un-executed before the
@@ -160,8 +149,6 @@ impl Config {
             max_batch_requests: 64,
             opts: Optimizations::LIBRARY,
             incremental_checkpoints: true,
-            fast_path: false,
-            fast_path_timeout_ns: dur::millis(1),
             cost: CostModel::PIII_600,
             view_change_timeout_ns: dur::millis(2_000),
             view_change_timeout_max_ns: dur::millis(16_000),
@@ -216,12 +203,6 @@ impl Config {
             crate::client::RETRY_TIMEOUT_MAX_NS >= self.client_retry_timeout_ns,
             "client retry cap must be at least the base timeout"
         );
-        if self.fast_path {
-            assert!(
-                self.fast_path_timeout_ns > 0,
-                "fast-path fallback timeout must be positive"
-            );
-        }
         if self.read_leases {
             assert!(
                 self.read_lease_ns > 0,

@@ -6,7 +6,7 @@
 //! one implementation with different budgets.
 //!
 //! Each chaos family is one row of the [`FuzzFamily`] table ([`CLASSIC`],
-//! [`RECOVERY`], [`FASTPATH`], [`LEASE`], [`OVERLOAD`], and [`ALL_ON`],
+//! [`RECOVERY`], [`LEASE`], [`OVERLOAD`], and [`ALL_ON`],
 //! which arms them all at once; [`FAMILIES`] lists them): the feature it
 //! arms, the fault vocabulary it draws from, and how its sweeps are
 //! seeded, budgeted and replayed. A fuzz iteration is a pure function of
@@ -215,24 +215,6 @@ pub const RECOVERY: FuzzFamily = FuzzFamily {
     ..CLASSIC
 };
 
-/// The optimistic fast path armed with a short fallback window, so the
-/// regular chaos vocabulary (partitions, loss, delay, crashes, Byzantine
-/// primaries) forces plenty of mid-stream fast→classic fallbacks per
-/// run, checked by the fast-commit safety invariant.
-pub const FASTPATH: FuzzFamily = FuzzFamily {
-    name: "fastpath",
-    config: |f| {
-        let mut cfg = CLASSIC.config(f);
-        cfg.fast_path = true;
-        cfg.fast_path_timeout_ns = dur::micros(800);
-        cfg
-    },
-    schedules_env: "CHAOS_FASTPATH_SCHEDULES",
-    seed_salt: 0xFA57,
-    replay_test: "replay_fastpath_one",
-    ..CLASSIC
-};
-
 /// Read leases (arXiv:2107.11144) on top of the recovery watchdogs and
 /// fault vocabulary: a 60 ms lease (renewed every 30 ms, expiring
 /// mid-read under partitions; `3 × 60 ms` fits the 400 ms view-change
@@ -278,20 +260,16 @@ pub const OVERLOAD: FuzzFamily = FuzzFamily {
     ..CLASSIC
 };
 
-/// Every feature at once: [`LEASE`]'s leases and recovery watchdogs,
-/// [`FASTPATH`]'s fast path and [`OVERLOAD`]'s admission gate (incremental
-/// checkpoints are on by default), under the union of the recovery and
-/// client fault vocabularies. The other rows arm one feature each, so
-/// only this one runs lease fencing against fast commit, BUSY shedding
-/// during recovery, and a lease wait-out across a view change with the
-/// admission gate armed.
+/// Every feature at once: [`LEASE`]'s leases and recovery watchdogs and
+/// [`OVERLOAD`]'s admission gate (incremental checkpoints are on by
+/// default), under the union of the recovery and client fault
+/// vocabularies. The other rows arm one feature each, so only this one
+/// runs BUSY shedding during recovery and a lease wait-out across a view
+/// change with the admission gate armed.
 pub const ALL_ON: FuzzFamily = FuzzFamily {
     name: "all-on",
     config: |f| {
         let mut cfg = LEASE.config(f);
-        let fast = FASTPATH.config(f);
-        cfg.fast_path = fast.fast_path;
-        cfg.fast_path_timeout_ns = fast.fast_path_timeout_ns;
         cfg.admission_control = true;
         cfg
     },
@@ -305,7 +283,7 @@ pub const ALL_ON: FuzzFamily = FuzzFamily {
 };
 
 /// Every chaos family, for table-driven sweeps.
-pub const FAMILIES: [&FuzzFamily; 6] = [&CLASSIC, &RECOVERY, &FASTPATH, &LEASE, &OVERLOAD, &ALL_ON];
+pub const FAMILIES: [&FuzzFamily; 5] = [&CLASSIC, &RECOVERY, &LEASE, &OVERLOAD, &ALL_ON];
 
 /// Per-node flight-recorder ring capacity used by traced fuzz re-runs.
 pub const FLIGHT_RING: usize = 256;

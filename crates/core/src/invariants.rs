@@ -176,9 +176,6 @@ impl AuditLog {
 pub struct ReplicaAudit {
     /// `(seq, batch digest)` for every batch executed as final.
     pub committed: Vec<(SeqNum, Digest)>,
-    /// `(seq, batch digest)` for every batch committed via the fast
-    /// path (the full fast quorum of prepare votes, no commit phase).
-    pub fast_committed: Vec<(SeqNum, Digest)>,
     /// `(seq, state digest)` for every checkpoint announced.
     pub checkpoints: Vec<(SeqNum, Digest)>,
     /// `(seq, state digest, completed at ns)` for every proactive
@@ -222,11 +219,6 @@ impl ReplicaAudit {
         Self::push_capped(&mut self.committed, (seq, digest));
     }
 
-    /// Records a fast-path commit.
-    pub fn note_fast_committed(&mut self, seq: SeqNum, digest: Digest) {
-        Self::push_capped(&mut self.fast_committed, (seq, digest));
-    }
-
     /// Records an announced checkpoint.
     pub fn note_checkpoint(&mut self, seq: SeqNum, digest: Digest) {
         Self::push_capped(&mut self.checkpoints, (seq, digest));
@@ -259,7 +251,6 @@ impl ReplicaAudit {
         });
         ReplicaAudit {
             committed: std::mem::take(&mut self.committed),
-            fast_committed: std::mem::take(&mut self.fast_committed),
             checkpoints: std::mem::take(&mut self.checkpoints),
             recoveries: std::mem::take(&mut self.recoveries),
             lease_reads,
@@ -341,17 +332,6 @@ impl OpEvent {
 pub enum Violation {
     /// Two replicas finalized different batches at one sequence number.
     Agreement {
-        /// The disputed sequence number.
-        seq: SeqNum,
-        /// First replica and its digest.
-        a: (ReplicaId, Digest),
-        /// Second replica and its conflicting digest.
-        b: (ReplicaId, Digest),
-    },
-    /// *Fast-commit safety*: two replicas fast-committed different
-    /// batches at one sequence number, or a fast commit disagrees with
-    /// what the cluster finalized there.
-    FastCommitDivergence {
         /// The disputed sequence number.
         seq: SeqNum,
         /// First replica and its digest.
@@ -460,12 +440,6 @@ impl fmt::Display for Violation {
             Violation::Agreement { seq, a, b } => write!(
                 f,
                 "agreement: replica {} finalized {} at seq {seq} but replica {} finalized {}",
-                a.0, a.1, b.0, b.1
-            ),
-            Violation::FastCommitDivergence { seq, a, b } => write!(
-                f,
-                "fast-commit divergence: replica {} fast-committed {} at seq {seq} but replica {} \
-                 holds {}",
                 a.0, a.1, b.0, b.1
             ),
             Violation::ViewRegression { replica, from, to } => {
@@ -792,7 +766,6 @@ impl CounterLinearizability {
 #[derive(Debug, Default)]
 pub struct InvariantChecker {
     committed: BTreeMap<SeqNum, (ReplicaId, Digest)>,
-    fast_committed: BTreeMap<SeqNum, (ReplicaId, Digest)>,
     checkpoints: BTreeMap<SeqNum, (ReplicaId, Digest)>,
     /// Last observed view of each replica, indexed by replica id.
     views: Vec<View>,
@@ -1012,51 +985,11 @@ impl InvariantChecker {
         }
         *prev = view;
         for (seq, digest) in audit.committed {
-            if let Some(&(other, other_digest)) = self.fast_committed.get(&seq) {
-                if other_digest != digest {
-                    return Err(Violation::FastCommitDivergence {
-                        seq,
-                        a: (other, other_digest),
-                        b: (i, digest),
-                    });
-                }
-            }
             match self.committed.entry(seq) {
                 Entry::Occupied(e) => {
                     let &(other, other_digest) = e.get();
                     if other_digest != digest {
                         return Err(Violation::Agreement {
-                            seq,
-                            a: (other, other_digest),
-                            b: (i, digest),
-                        });
-                    }
-                }
-                Entry::Vacant(v) => {
-                    v.insert((i, digest));
-                }
-            }
-        }
-        // *Fast-commit safety*: fast commits must agree across
-        // replicas and with whatever the cluster finalizes at the
-        // same sequence number — a per-slot fallback or a view
-        // change must never land a different batch there, and no two
-        // replicas may fast-commit different batches at one seq.
-        for (seq, digest) in audit.fast_committed {
-            if let Some(&(other, other_digest)) = self.committed.get(&seq) {
-                if other_digest != digest {
-                    return Err(Violation::FastCommitDivergence {
-                        seq,
-                        a: (i, digest),
-                        b: (other, other_digest),
-                    });
-                }
-            }
-            match self.fast_committed.entry(seq) {
-                Entry::Occupied(e) => {
-                    let &(other, other_digest) = e.get();
-                    if other_digest != digest {
-                        return Err(Violation::FastCommitDivergence {
                             seq,
                             a: (other, other_digest),
                             b: (i, digest),

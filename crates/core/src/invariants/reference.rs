@@ -16,7 +16,7 @@
 use super::*;
 use crate::cluster::derive_seed;
 use crate::fuzz::{
-    ChaosDriver, FuzzFamily, Workload, CLASSIC, FASTPATH, FAULT_HORIZON_NS, LEASE, LIVENESS_ROUNDS,
+    ChaosDriver, FuzzFamily, Workload, CLASSIC, FAULT_HORIZON_NS, LEASE, LIVENESS_ROUNDS,
     LIVENESS_ROUND_NS, OVERLOAD, RECOVERY,
 };
 use crate::replica::Behavior;
@@ -236,7 +236,6 @@ impl RefLin {
 #[derive(Debug, Default)]
 pub(super) struct RefChecker {
     committed: BTreeMap<SeqNum, (ReplicaId, Digest)>,
-    fast_committed: BTreeMap<SeqNum, (ReplicaId, Digest)>,
     checkpoints: BTreeMap<SeqNum, (ReplicaId, Digest)>,
     views: BTreeMap<ReplicaId, View>,
     starved_seen: BTreeMap<ClientId, u64>,
@@ -290,51 +289,11 @@ impl RefChecker {
             }
             *prev = view;
             for (seq, digest) in audit.committed {
-                if let Some(&(other, other_digest)) = self.fast_committed.get(&seq) {
-                    if other_digest != digest {
-                        return Err(Violation::FastCommitDivergence {
-                            seq,
-                            a: (other, other_digest),
-                            b: (i, digest),
-                        });
-                    }
-                }
                 match self.committed.entry(seq) {
                     Entry::Occupied(e) => {
                         let &(other, other_digest) = e.get();
                         if other_digest != digest {
                             return Err(Violation::Agreement {
-                                seq,
-                                a: (other, other_digest),
-                                b: (i, digest),
-                            });
-                        }
-                    }
-                    Entry::Vacant(v) => {
-                        v.insert((i, digest));
-                    }
-                }
-            }
-            // *Fast-commit safety*: fast commits must agree across
-            // replicas and with whatever the cluster finalizes at the
-            // same sequence number — a per-slot fallback or a view
-            // change must never land a different batch there, and no two
-            // replicas may fast-commit different batches at one seq.
-            for (seq, digest) in audit.fast_committed {
-                if let Some(&(other, other_digest)) = self.committed.get(&seq) {
-                    if other_digest != digest {
-                        return Err(Violation::FastCommitDivergence {
-                            seq,
-                            a: (i, digest),
-                            b: (other, other_digest),
-                        });
-                    }
-                }
-                match self.fast_committed.entry(seq) {
-                    Entry::Occupied(e) => {
-                        let &(other, other_digest) = e.get();
-                        if other_digest != digest {
-                            return Err(Violation::FastCommitDivergence {
                                 seq,
                                 a: (other, other_digest),
                                 b: (i, digest),
@@ -485,21 +444,20 @@ trait Side {
     /// How much the checker has taken in so far. The twin runs compare
     /// it after every event, so a record checked late is a difference
     /// even when the verdict is not.
-    fn progress(&self) -> [u64; 8];
+    fn progress(&self) -> [u64; 7];
 }
 
 fn progress(
-    maps: [&BTreeMap<SeqNum, (ReplicaId, Digest)>; 3],
+    maps: [&BTreeMap<SeqNum, (ReplicaId, Digest)>; 2],
     views: impl Iterator<Item = View>,
     starved: impl Iterator<Item = u64>,
     pending: usize,
     adds: usize,
     floor: u64,
-) -> [u64; 8] {
-    let [committed, fast_committed, checkpoints] = maps.map(|m| m.len() as u64);
+) -> [u64; 7] {
+    let [committed, checkpoints] = maps.map(|m| m.len() as u64);
     [
         committed,
-        fast_committed,
         checkpoints,
         views.sum(),
         starved.sum(),
@@ -519,9 +477,9 @@ impl Side for InvariantChecker {
     fn finish(&self) -> Result<(), Violation> {
         InvariantChecker::finish(self)
     }
-    fn progress(&self) -> [u64; 8] {
+    fn progress(&self) -> [u64; 7] {
         progress(
-            [&self.committed, &self.fast_committed, &self.checkpoints],
+            [&self.committed, &self.checkpoints],
             self.views.iter().copied(),
             self.starved_seen.iter().copied(),
             self.lin.pending.len(),
@@ -549,10 +507,10 @@ impl Side for Model {
     fn finish(&self) -> Result<(), Violation> {
         self.checker.lin.finish()
     }
-    fn progress(&self) -> [u64; 8] {
+    fn progress(&self) -> [u64; 7] {
         let c = &self.checker;
         progress(
-            [&c.committed, &c.fast_committed, &c.checkpoints],
+            [&c.committed, &c.checkpoints],
             c.views.values().copied(),
             c.starved_seen.values().copied(),
             c.lin.pending.len(),
@@ -649,7 +607,6 @@ fn assert_same_observations(new: &InvariantChecker, old: &Model) {
     assert_eq!(new.corrupted, old.marks.corrupted);
     assert_eq!(new.tainted_clients, old.marks.tainted_clients);
     assert_eq!(new.committed, old.checker.committed);
-    assert_eq!(new.fast_committed, old.checker.fast_committed);
     assert_eq!(new.checkpoints, old.checker.checkpoints);
     for (i, &view) in new.views.iter().enumerate() {
         let seen = old.checker.views.get(&(i as ReplicaId));
@@ -693,11 +650,6 @@ fn twins_agree_on_classic() {
 #[test]
 fn twins_agree_on_recovery() {
     twins_agree_on(&RECOVERY, 64);
-}
-
-#[test]
-fn twins_agree_on_fastpath() {
-    twins_agree_on(&FASTPATH, 64);
 }
 
 #[test]
@@ -808,7 +760,7 @@ fn twins_agree_on_audits_fed_by_hand() {
     let empty = FaultPlan::empty();
     for (k, (change, fault, expected)) in forgeries.into_iter().enumerate() {
         for seed in (0..8).map(|i| derive_seed(0xF0_96ED, i)) {
-            let family = [&CLASSIC, &RECOVERY, &FASTPATH][k];
+            let family = [&CLASSIC, &RECOVERY, &LEASE][k];
             let (clean, total, _) =
                 iteration(family, seed, &empty, &mut InvariantChecker::new(), None);
             assert_eq!(clean, Ok(()));

@@ -148,16 +148,6 @@ pub struct Slot {
     /// Set when `f+1` peers asserted this batch committed (backfill); the
     /// committed predicate then holds without local certificates.
     pub force_committed: bool,
-    /// Fast path: prepared and waiting for the full fast quorum of
-    /// prepare votes before committing (commit deliberately withheld).
-    pub fast_wait: bool,
-    /// Fast path: this slot fell back to the classic commit phase
-    /// (timeout, conflicting votes, or a peer's explicit commit) and
-    /// must not re-enter the fast wait.
-    pub fast_fallback: bool,
-    /// Fast path: the full fast quorum of matching prepare votes was
-    /// observed; the slot is committed without a commit certificate.
-    pub fast_committed: bool,
 }
 
 impl Slot {
@@ -174,25 +164,22 @@ impl Slot {
     /// The *prepared* predicate: an accepted pre-prepare plus `2f`
     /// matching prepares from replicas other than the view's primary.
     pub fn prepared(&self, q: &Quorums) -> bool {
-        self.backup_prepares(q, true) >= q.prepare_quorum()
+        self.backup_prepares(q) >= q.prepare_quorum()
     }
 
     /// Prepares from replicas other than the view's primary that match
-    /// the accepted digest (`matching`) or differ from it; none before a
-    /// pre-prepare is accepted.
-    fn backup_prepares(&self, q: &Quorums, matching: bool) -> usize {
+    /// the accepted digest; none before a pre-prepare is accepted.
+    fn backup_prepares(&self, q: &Quorums) -> usize {
         let Some(d) = self.digest else { return 0 };
         let primary = q.primary(self.view);
-        self.prepares
-            .count(Some(primary), |pd| (*pd == d) == matching)
+        self.prepares.count(Some(primary), |pd| *pd == d)
     }
 
     /// The *committed-local* predicate: prepared plus `2f+1` matching
-    /// commits (own commit included once sent), or a completed fast
-    /// quorum, or a backfill assertion.
+    /// commits (own commit included once sent), or a backfill assertion.
     pub fn committed(&self, q: &Quorums) -> bool {
         let Some(d) = self.digest else { return false };
-        if self.force_committed || self.fast_committed {
+        if self.force_committed {
             return true;
         }
         if !self.prepared(q) {
@@ -226,36 +213,6 @@ impl Slot {
     pub fn take_batch(&mut self) -> Option<Vec<RequestRef>> {
         self.requests = None;
         self.entries.take()
-    }
-
-    /// Number of fast-path prepare votes observed for the accepted
-    /// digest: the primary's pre-prepare counts as its vote, every
-    /// non-primary vote arrives as a prepare (own prepare included once
-    /// sent).
-    fn fast_votes(&self, q: &Quorums) -> usize {
-        if self.digest.is_none() {
-            return 0;
-        }
-        1 + self.backup_prepares(q, true)
-    }
-
-    /// True once every replica's prepare vote for the accepted digest has
-    /// been observed — the fast-path commit certificate.
-    pub fn fast_quorum_complete(&self, q: &Quorums) -> bool {
-        self.fast_votes(q) >= q.fast_quorum()
-    }
-
-    /// True when the fast quorum can no longer complete: some replica
-    /// voted for a *different* digest, so even with every missing vote
-    /// arriving the matching count stays short. (The primary cannot
-    /// conflict — its vote *is* the accepted pre-prepare.)
-    pub fn fast_quorum_unreachable(&self, q: &Quorums) -> bool {
-        if self.digest.is_none() {
-            return false;
-        }
-        // Max achievable votes = n - conflicting (conflicting voters
-        // never re-vote; correct replicas vote once per view and seq).
-        q.n as usize - self.backup_prepares(q, false) < q.fast_quorum()
     }
 }
 
@@ -385,9 +342,6 @@ impl Log {
             slot.prepare_sent = false;
             slot.commit_sent = false;
             slot.force_committed = false;
-            slot.fast_wait = false;
-            slot.fast_fallback = false;
-            slot.fast_committed = false;
             // requests/entries retained; executed_* retained.
         }
     }
@@ -539,53 +493,6 @@ pub(crate) mod tests {
             slot.commits.insert(r, digest(1));
         }
         assert!(!slot.committed(&q()), "no prepared certificate");
-    }
-
-    #[test]
-    fn fast_quorum_needs_every_vote() {
-        let mut slot = accepted_slot(0, digest(1));
-        // Primary of view 0 is replica 0: its vote is the pre-prepare.
-        slot.prepares.insert(1, digest(1));
-        slot.prepares.insert(2, digest(1));
-        assert!(slot.prepared(&q()));
-        assert!(!slot.fast_quorum_complete(&q()), "one vote still missing");
-        assert!(!slot.fast_quorum_unreachable(&q()));
-        slot.prepares.insert(3, digest(1));
-        assert!(slot.fast_quorum_complete(&q()));
-    }
-
-    #[test]
-    fn conflicting_vote_makes_fast_quorum_unreachable() {
-        let mut slot = accepted_slot(0, digest(1));
-        slot.prepares.insert(1, digest(1));
-        slot.prepares.insert(2, digest(1));
-        slot.prepares.insert(3, digest(2));
-        assert!(slot.prepared(&q()));
-        assert!(!slot.fast_quorum_complete(&q()));
-        assert!(slot.fast_quorum_unreachable(&q()), "3 voted elsewhere");
-    }
-
-    #[test]
-    fn fast_committed_flag_satisfies_committed() {
-        let mut slot = accepted_slot(0, digest(1));
-        assert!(!slot.committed(&q()));
-        slot.fast_committed = true;
-        assert!(slot.committed(&q()));
-    }
-
-    #[test]
-    fn reset_for_view_clears_fast_state() {
-        let mut log = Log::new(256);
-        {
-            let s = log.slot_mut(3);
-            s.digest = Some(digest(1));
-            s.fast_wait = true;
-            s.fast_fallback = true;
-            s.fast_committed = true;
-        }
-        log.reset_for_view();
-        let s = log.slot(3).expect("slot kept");
-        assert!(!s.fast_wait && !s.fast_fallback && !s.fast_committed);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub(super) struct Slot {
     pub executed_final: bool,
     pub is_null: bool,
     pub force_committed: bool,
-    pub fast_committed: bool,
 }
 
 impl Slot {
@@ -54,7 +53,7 @@ impl Slot {
 
     pub fn committed(&self, q: &Quorums) -> bool {
         let Some(d) = self.digest else { return false };
-        if self.force_committed || self.fast_committed {
+        if self.force_committed {
             return true;
         }
         if !self.prepared(q) {
@@ -67,31 +66,6 @@ impl Slot {
     pub fn take_batch(&mut self) -> Option<Vec<RequestRef>> {
         self.requests = None;
         self.entries.take()
-    }
-
-    fn fast_votes(&self, q: &Quorums) -> usize {
-        let Some(d) = self.digest else { return 0 };
-        let primary = q.primary(self.view);
-        1 + self
-            .prepares
-            .iter()
-            .filter(|&(&r, &pd)| r != primary && pd == d)
-            .count()
-    }
-
-    pub fn fast_quorum_complete(&self, q: &Quorums) -> bool {
-        self.fast_votes(q) >= q.fast_quorum()
-    }
-
-    pub fn fast_quorum_unreachable(&self, q: &Quorums) -> bool {
-        let Some(d) = self.digest else { return false };
-        let primary = q.primary(self.view);
-        let conflicting = self
-            .prepares
-            .iter()
-            .filter(|&(&r, &pd)| r != primary && pd != d)
-            .count();
-        q.n as usize - conflicting < q.fast_quorum()
     }
 }
 
@@ -152,7 +126,6 @@ impl Log {
             slot.prepares.clear();
             slot.commits.clear();
             slot.force_committed = false;
-            slot.fast_committed = false;
         }
     }
 
@@ -244,11 +217,10 @@ mod differential {
             tag: u8,
             commit: bool,
         },
-        /// Execution and fast-path markers a replica sets on a slot.
+        /// Execution and backfill markers a replica sets on a slot.
         Mark {
             seq: SeqNum,
             executed: bool,
-            fast_committed: bool,
             force_committed: bool,
         },
         /// Garbage-collect this far above the low water mark.
@@ -296,13 +268,10 @@ mod differential {
             vote(),
             vote(),
             vote(),
-            (seq(), any::<bool>(), 0u8..4, 0u8..8).prop_map(|(seq, executed, fast, force)| {
-                Op::Mark {
-                    seq,
-                    executed,
-                    fast_committed: fast == 0,
-                    force_committed: force == 0,
-                }
+            (seq(), any::<bool>(), 0u8..8).prop_map(|(seq, executed, force)| Op::Mark {
+                seq,
+                executed,
+                force_committed: force == 0,
             }),
             (0..WINDOW / 2).prop_map(Op::Gc),
             Just(Op::ResetForView),
@@ -390,7 +359,6 @@ mod differential {
                 Op::Mark {
                     seq,
                     executed,
-                    fast_committed,
                     force_committed,
                 } => {
                     let seq = low + seq;
@@ -398,7 +366,6 @@ mod differential {
                         let slot = log.slot_mut(seq);
                         slot.executed_tentative = executed;
                         slot.executed_final = executed;
-                        slot.fast_committed |= fast_committed;
                         slot.force_committed |= force_committed;
                     }
                     None
@@ -435,8 +402,6 @@ mod differential {
         commits: Vec<(ReplicaId, Digest)>,
         prepared: bool,
         committed: bool,
-        fast_complete: bool,
-        fast_unreachable: bool,
     }
 
     macro_rules! slot_view {
@@ -453,8 +418,6 @@ mod differential {
                 commits: $votes(&slot.commits),
                 prepared: slot.prepared($q),
                 committed: slot.committed($q),
-                fast_complete: slot.fast_quorum_complete($q),
-                fast_unreachable: slot.fast_quorum_unreachable($q),
             }
         }};
     }

@@ -8,7 +8,7 @@ use crate::checkpoint::{self, CheckpointSet, CheckpointTracker, OwnCheckpoint};
 use crate::config::Config;
 use crate::invariants::ReplicaAudit;
 use crate::lease::{Facts, Fence, Leases, Tick};
-use crate::log::{Log, RequestRef, Slot};
+use crate::log::{Log, RequestRef};
 use crate::messages::*;
 use crate::recovery::{RecoveryManager, RecoveryStage};
 use crate::service::Service;
@@ -33,9 +33,6 @@ const TIMER_PIGGY: u64 = 3;
 const TIMER_KEY_REFRESH: u64 = 4;
 const TIMER_RECOVERY: u64 = 5;
 const TIMER_LEASE: u64 = 6;
-/// One-shot fast-path fallback timers: token is `TIMER_FASTPATH_BASE + seq`
-/// (well above every sequence number a log window can reach).
-const TIMER_FASTPATH_BASE: u64 = 1 << 32;
 
 /// How long pending piggybacked commits may wait for a carrier message
 /// before being flushed as explicit commits.
@@ -371,7 +368,6 @@ impl<S: Service> Replica<S> {
             waiting_lease_ro: parked as u64,
             lease_held: lease_expiry.is_some(),
             lease_expiry_ns: lease_expiry.unwrap_or(0),
-            fast_path: self.cfg.fast_path,
             backlog_high_watermark: self.backlog_high_watermark,
         }
     }
@@ -1333,12 +1329,8 @@ impl<S: Service> Replica<S> {
         let Some(slot) = self.log.slot(seq) else {
             return;
         };
-        if !slot.prepared(&q) || slot.commit_sent || slot.fast_committed {
+        if !slot.prepared(&q) || slot.commit_sent {
             self.try_execute(ctx);
-            return;
-        }
-        if self.cfg.fast_path && !slot.fast_fallback {
-            self.advance_fast_path(ctx, seq);
             return;
         }
         let d = slot.digest.expect("prepared implies digest");
@@ -1368,110 +1360,6 @@ impl<S: Service> Replica<S> {
         self.try_execute(ctx);
     }
 
-    /// Fast-path bookkeeping for a prepared slot that is withholding its
-    /// commit: arm the fallback timer on first entry, fast-commit once
-    /// every replica's vote is in, fall back early once a conflicting
-    /// vote proves the fast quorum can never complete.
-    fn advance_fast_path(&mut self, ctx: &mut Context<'_, Packet>, seq: SeqNum) {
-        let q = self.cfg.quorums;
-        if self.log.slot(seq).is_none_or(|slot| !slot.prepared(&q)) {
-            return;
-        }
-        if !self.log.slot(seq).expect("checked above").fast_wait {
-            let meta = TraceMeta::slot(self.view, seq);
-            ctx.trace(SpanEdge::Close, TracePhase::PrePrepare, meta);
-            ctx.trace(SpanEdge::Open, TracePhase::FastCommit, meta);
-            ctx.set_timer(self.cfg.fast_path_timeout_ns, TIMER_FASTPATH_BASE + seq);
-            self.log.slot_mut(seq).fast_wait = true;
-        }
-        let slot = self.log.slot(seq).expect("checked above");
-        if slot.fast_quorum_complete(&q) {
-            let d = slot.digest.expect("prepared implies digest");
-            self.log.slot_mut(seq).fast_committed = true;
-            ctx.count(Counter::FastCommits);
-            self.audit.note_fast_committed(seq, d);
-            self.try_execute(ctx);
-        } else if slot.fast_quorum_unreachable(&q) {
-            self.fall_back_to_classic(ctx, seq);
-        } else {
-            self.try_execute(ctx);
-        }
-    }
-
-    /// Classic fallback for a fast-waiting slot: multicast the commit the
-    /// fast path was withholding and proceed three-phase. Idempotent.
-    fn fall_back_to_classic(&mut self, ctx: &mut Context<'_, Packet>, seq: SeqNum) {
-        let q = self.cfg.quorums;
-        let Some(slot) = self.log.slot(seq) else {
-            return;
-        };
-        if slot.commit_sent || slot.fast_committed || !slot.prepared(&q) {
-            return;
-        }
-        let d = slot.digest.expect("prepared implies digest");
-        let was_waiting = slot.fast_wait;
-        {
-            let me = self.id;
-            let slot = self.log.slot_mut(seq);
-            slot.fast_fallback = true;
-            slot.commit_sent = true;
-            slot.commits.insert(me, d);
-        }
-        ctx.count(Counter::FastFallbacks);
-        let meta = TraceMeta::slot(self.view, seq);
-        if was_waiting {
-            ctx.trace(SpanEdge::Close, TracePhase::FastCommit, meta);
-        }
-        ctx.trace(SpanEdge::Open, TracePhase::Commit, meta);
-        let commit = Commit {
-            view: self.view,
-            seq,
-            batch_digest: d,
-            replica: self.id,
-        };
-        self.multicast(ctx, Msg::Commit(commit));
-        self.try_execute(ctx);
-    }
-
-    /// Fast-path reaction to a peer's commit for `seq` in the current
-    /// view: the sender abandoned (or never entered) the fast path on
-    /// that slot, so waiting for the full fast quorum can only lose time
-    /// — join the fallback. And a replica that already fast-committed
-    /// never multicast a commit; it must answer once so the peer's
-    /// classic certificate can complete (fast-committed implies
-    /// prepared, so the commit is valid).
-    fn note_peer_commit(&mut self, ctx: &mut Context<'_, Packet>, seq: SeqNum) {
-        if !self.cfg.fast_path {
-            return;
-        }
-        let Some(slot) = self.log.slot(seq) else {
-            return;
-        };
-        if slot.commit_sent {
-            return;
-        }
-        if slot.fast_committed {
-            let d = slot.digest.expect("fast-committed implies digest");
-            let me = self.id;
-            {
-                let slot = self.log.slot_mut(seq);
-                slot.commit_sent = true;
-                slot.commits.insert(me, d);
-            }
-            let commit = Commit {
-                view: self.view,
-                seq,
-                batch_digest: d,
-                replica: me,
-            };
-            self.multicast(ctx, Msg::Commit(commit));
-        } else if slot.fast_wait {
-            self.fall_back_to_classic(ctx, seq);
-        } else {
-            self.log.slot_mut(seq).fast_fallback = true;
-        }
-    }
-
     fn handle_commit(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, c: Commit) {
         if !self.sent_by_replica(ctx, c.replica, from) {
             return;
@@ -1484,7 +1372,6 @@ impl<S: Service> Replica<S> {
             .slot_mut(c.seq)
             .commits
             .insert(c.replica, c.batch_digest);
-        self.note_peer_commit(ctx, c.seq);
         self.try_execute(ctx);
     }
 
@@ -1499,7 +1386,6 @@ impl<S: Service> Replica<S> {
                 continue;
             }
             self.log.slot_mut(seq).commits.insert(from, d);
-            self.note_peer_commit(ctx, seq);
         }
         if !piggy.is_empty() {
             self.try_execute(ctx);
@@ -1510,18 +1396,6 @@ impl<S: Service> Replica<S> {
     // Execution
     // ------------------------------------------------------------------
 
-    /// Which ordering span is open on `slot` when finality arrives: the
-    /// fast-commit span while the fast path is in charge, the classic
-    /// commit span otherwise (including after fallback, which closed the
-    /// fast span and opened a commit span).
-    fn commit_close_phase(slot: &Slot) -> TracePhase {
-        if slot.fast_wait && !slot.fast_fallback {
-            TracePhase::FastCommit
-        } else {
-            TracePhase::Commit
-        }
-    }
-
     fn try_execute(&mut self, ctx: &mut Context<'_, Packet>) {
         let q = self.cfg.quorums;
         // Deliberate fault injection: skip the quorum checks entirely.
@@ -1530,13 +1404,16 @@ impl<S: Service> Replica<S> {
         // completes (it sits *at* last_executed, before the loop's range).
         if self.last_executed > self.last_final {
             let seq = self.last_executed;
-            let close_phase = self
+            let committed = self
                 .log
                 .slot(seq)
-                .filter(|slot| slot.committed(&q) || broken)
-                .map(Self::commit_close_phase);
-            if let Some(phase) = close_phase {
-                ctx.trace(SpanEdge::Close, phase, TraceMeta::slot(self.view, seq));
+                .is_some_and(|slot| slot.committed(&q) || broken);
+            if committed {
+                ctx.trace(
+                    SpanEdge::Close,
+                    TracePhase::Commit,
+                    TraceMeta::slot(self.view, seq),
+                );
                 self.finalize_tentative(seq);
                 self.note_exec_progress(seq);
             }
@@ -1564,8 +1441,11 @@ impl<S: Service> Replica<S> {
             }
             if slot.committed(&q) || broken {
                 if slot.executed_tentative {
-                    let phase = Self::commit_close_phase(slot);
-                    ctx.trace(SpanEdge::Close, phase, TraceMeta::slot(self.view, next));
+                    ctx.trace(
+                        SpanEdge::Close,
+                        TracePhase::Commit,
+                        TraceMeta::slot(self.view, next),
+                    );
                     self.finalize_tentative(next);
                 } else if self.last_executed > self.last_final && !broken {
                     // A tentative batch is pending at `last_executed`
@@ -1650,8 +1530,11 @@ impl<S: Service> Replica<S> {
         };
         if !tentative {
             // Executing final means the commit certificate just completed.
-            let phase = Self::commit_close_phase(slot);
-            ctx.trace(SpanEdge::Close, phase, TraceMeta::slot(self.view, seq));
+            ctx.trace(
+                SpanEdge::Close,
+                TracePhase::Commit,
+                TraceMeta::slot(self.view, seq),
+            );
         }
         ctx.trace(
             SpanEdge::Open,
@@ -3032,23 +2915,6 @@ impl<S: Service> Replica<S> {
         }
     }
 
-    /// One-shot fast-path fallback timer fired for `seq`. Stale firings
-    /// (the slot fast-committed, fell back already, or the view changed
-    /// and cleared its fast state) are no-ops.
-    fn on_fastpath_timer(&mut self, ctx: &mut Context<'_, Packet>, seq: SeqNum) {
-        if self.vc.changing() || !self.log.in_window(seq) {
-            return;
-        }
-        let waiting = self
-            .log
-            .slot(seq)
-            .is_some_and(|slot| slot.fast_wait && !slot.fast_committed && !slot.commit_sent);
-        if waiting {
-            ctx.count(Counter::FastTimeouts);
-            self.fall_back_to_classic(ctx, seq);
-        }
-    }
-
     fn flush_piggy(&mut self, ctx: &mut Context<'_, Packet>) {
         self.piggy_timer = None;
         let queue = std::mem::take(&mut self.piggy_queue);
@@ -3185,9 +3051,6 @@ impl<S: Service> Node<Packet> for Replica<S> {
                     self.on_lease_timer(ctx);
                 }
                 self.arm_lease_tick(ctx);
-            }
-            t if up && t >= TIMER_FASTPATH_BASE => {
-                self.on_fastpath_timer(ctx, t - TIMER_FASTPATH_BASE);
             }
             _ => {}
         }

@@ -79,24 +79,6 @@ impl Quorums {
         2 * self.f as usize + 1
     }
 
-    /// Prepare votes (the primary's pre-prepare counted as its vote)
-    /// needed to commit a slot on the optimistic fast path: all `n`
-    /// replicas (`= 3f + 1` at f-minimal sizing).
-    ///
-    /// The threshold must be `n`, not the `n − f` of protocols sized
-    /// `n ≥ 5f + 1`: this implementation's view-change quorum is
-    /// `2f + 1`, and a fast certificate is only recoverable when every
-    /// view-change quorum is guaranteed `f + 1` *correct* reporters of
-    /// the fast vote. With all `n` voting, at least `n − f` voters are
-    /// correct, and any `2f + 1` view-change quorum intersects them in
-    /// `≥ (n − f) + (2f + 1) − n = f + 1` replicas. A quorum of `n − f`
-    /// voters would leave that intersection as small as one replica —
-    /// an equivocating primary could then cancel the lone report with a
-    /// conflicting vote and lose a client-visible commit.
-    pub fn fast_quorum(&self) -> usize {
-        self.n as usize
-    }
-
     /// Revoke acks the primary needs before the write fence lifts: all
     /// `n − 1` backups (arXiv:2107.11144).
     ///
@@ -156,29 +138,12 @@ mod tests {
         assert_eq!(q.commit_quorum(), 3);
         assert_eq!(q.reply_quorum(), 2);
         assert_eq!(q.tentative_reply_quorum(), 3);
-        assert_eq!(q.fast_quorum(), 4);
         assert_eq!(q.lease_revoke_quorum(), 3);
 
         let q2 = Quorums::minimal(2);
         assert_eq!(q2.n, 7);
         assert_eq!(q2.commit_quorum(), 5);
-        assert_eq!(q2.fast_quorum(), 7);
         assert_eq!(q2.lease_revoke_quorum(), 6);
-    }
-
-    #[test]
-    fn fast_quorum_survives_every_view_change_quorum() {
-        // A fast certificate must be reported by at least f+1 correct
-        // replicas inside *any* 2f+1 view-change quorum: with all n
-        // voting and at most f Byzantine, the worst-case intersection of
-        // correct fast voters with a view-change quorum is
-        // (n - f) + (2f + 1) - n = f + 1.
-        for f in 1..5u32 {
-            let q = Quorums::minimal(f);
-            let correct_voters = q.fast_quorum() as i64 - q.f as i64;
-            let overlap = correct_voters + q.view_change_quorum() as i64 - q.n as i64;
-            assert!(overlap > q.f as i64, "f={f}");
-        }
     }
 
     #[test]

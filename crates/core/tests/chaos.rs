@@ -17,7 +17,6 @@
 //! |---|---|---|---|
 //! | `CLASSIC` | `CHAOS_SCHEDULES` (120) | `fuzz_smoke_a`..`d` | `replay_one` |
 //! | `RECOVERY` | `CHAOS_RECOVERY_SCHEDULES` (24) | `fuzz_smoke_recovery` | `replay_recovery_one` |
-//! | `FASTPATH` | `CHAOS_FASTPATH_SCHEDULES` (24) | `fuzz_smoke_fastpath` | `replay_fastpath_one` |
 //! | `LEASE` | `CHAOS_LEASE_SCHEDULES` (24) | `fuzz_smoke_lease` | `replay_lease_one` |
 //! | `OVERLOAD` | `CHAOS_OVERLOAD_SCHEDULES` (24) | `fuzz_smoke_overload` | `replay_overload_one` |
 //! | `ALL_ON` | `CHAOS_ALL_ON_SCHEDULES` (24) | `fuzz_smoke_all_on` | `replay_all_on_one` |
@@ -25,11 +24,11 @@
 //! What each family arms and checks is documented on its table row.
 
 use bft_core::fuzz::{
-    env_u64, ChaosDriver, FuzzFamily, Workload, ALL_ON, CLASSIC, FAMILIES, FASTPATH,
-    FLIGHT_DUMP_LAST, FLIGHT_RING, LEASE, OVERLOAD, RECOVERY,
+    env_u64, ChaosDriver, FuzzFamily, Workload, ALL_ON, CLASSIC, FAMILIES, FLIGHT_DUMP_LAST,
+    FLIGHT_RING, LEASE, OVERLOAD, RECOVERY,
 };
 use bft_core::prelude::*;
-use bft_sim::chaos::{ByzMode, ClientFault, Fault, FaultEvent, NetFault, NodeFault};
+use bft_sim::chaos::{ClientFault, Fault, FaultEvent, NetFault, NodeFault};
 use bft_sim::dur;
 use bft_sim::trace::{SpanEdge, TracePhase};
 
@@ -108,16 +107,6 @@ fn fuzz_smoke_recovery() {
 #[test]
 fn replay_recovery_one() {
     replay(&RECOVERY);
-}
-
-#[test]
-fn fuzz_smoke_fastpath() {
-    smoke(&FASTPATH, 24, 0, 1);
-}
-
-#[test]
-fn replay_fastpath_one() {
-    replay(&FASTPATH);
 }
 
 #[test]
@@ -294,9 +283,9 @@ fn busy_driven_read_fallbacks_are_not_timer_fallbacks() {
 }
 
 /// `ALL_ON` arms every feature in one cluster, not just in its config:
-/// with one client flooding from 300 ms on, the same run must
-/// fast-commit, serve reads under a lease, recover on the watchdog and
-/// shed at the admission gate, with every invariant checked throughout.
+/// with one client flooding from 300 ms on, the same run must serve
+/// reads under a lease, recover on the watchdog and shed at the
+/// admission gate, with every invariant checked throughout.
 #[test]
 fn all_on_runs_every_feature_at_once() {
     let seed = 0xA110;
@@ -323,84 +312,12 @@ fn all_on_runs_every_feature_at_once() {
         .expect("no invariant may break");
     let health = cluster.sim.health();
     for counter in [
-        Counter::FastCommits,
         Counter::LeaseReads,
         Counter::Recoveries,
         Counter::RequestsShed,
     ] {
         assert!(health.total(counter) > 0, "{counter:?} never fired");
     }
-}
-
-/// Fault-free fast path: with no faults every slot should assemble its
-/// fast quorum (all n prepare votes) and commit in two rounds — no
-/// replica ever falls back, no commit messages are sent for fast slots,
-/// and all client ops still complete.
-#[test]
-fn fastpath_fault_free_commits_without_commit_round() {
-    let mut cluster = Cluster::builder(FASTPATH.config(1))
-        .seed(0xFA_01)
-        .build_counter();
-    cluster.add_client(ChaosDriver::new(0xFA_02, 40, Workload::Adds));
-    cluster.add_client(ChaosDriver::new(0xFA_03, 40, Workload::Mixed));
-    let mut checker = InvariantChecker::new();
-    cluster
-        .run_with_plan::<CounterService, ChaosDriver>(
-            &FaultPlan::empty(),
-            dur::secs(8),
-            &mut checker,
-        )
-        .expect("no invariant may break");
-    checker.finish().expect("linearizability must hold");
-    assert_eq!(cluster.completed_ops(), 80, "all ops must complete");
-    let health = cluster.sim.health();
-    assert!(
-        health.total(Counter::FastCommits) > 0,
-        "fault-free slots must fast-commit"
-    );
-    assert_eq!(
-        health.total(Counter::FastFallbacks),
-        0,
-        "no fault-free slot may fall back to the classic path"
-    );
-}
-
-/// A silent Byzantine backup caps participation at `n - 1` prepare
-/// votes, one short of the fast quorum: every slot arms its fast-path
-/// timer, times out, and falls back to the classic three-phase path.
-/// All ops must still complete (2f + 1 honest votes suffice for a
-/// classic commit) and the fast-commit safety invariant must hold
-/// across the mixed fast/classic history.
-#[test]
-fn silent_backup_forces_classic_fallback() {
-    let mut cluster = Cluster::builder(FASTPATH.config(1))
-        .seed(0xFA_11)
-        .build_counter();
-    cluster.add_client(ChaosDriver::new(0xFA_12, 30, Workload::Adds));
-    let plan = FaultPlan {
-        events: vec![FaultEvent {
-            at_ns: 0,
-            fault: Fault::Node {
-                node: 3,
-                fault: NodeFault::Byzantine(ByzMode::Silent),
-            },
-        }],
-    };
-    let mut checker = InvariantChecker::new();
-    cluster
-        .run_with_plan::<CounterService, ChaosDriver>(&plan, dur::secs(10), &mut checker)
-        .expect("no invariant may break");
-    checker.finish().expect("linearizability must hold");
-    assert_eq!(cluster.completed_ops(), 30, "all ops must complete");
-    let health = cluster.sim.health();
-    assert!(
-        health.total(Counter::FastFallbacks) > 0,
-        "sub-fast-quorum participation must fall back to the classic path"
-    );
-    assert!(
-        health.total(Counter::FastTimeouts) > 0,
-        "the per-slot fast-path timer must have fired"
-    );
 }
 
 /// Acceptance scenario for proactive recovery: a schedule that silently

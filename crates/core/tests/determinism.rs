@@ -235,7 +235,7 @@ fn admission_runs_match_their_pinned_counts() {
             100,
             [4999, 17, 34, 596, 33, 0, 0, 0],
         ),
-        (&ALL_ON, 0xA110_0001, 50, [5405, 17, 37, 1089, 0, 0, 0, 0]),
+        (&ALL_ON, 0xA110_0001, 50, [5815, 17, 37, 1095, 0, 0, 0, 0]),
     ] {
         let client = |at_ns, fault| FaultEvent {
             at_ns,

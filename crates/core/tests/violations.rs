@@ -29,22 +29,6 @@ fn agreement_report_names_both_replicas_and_digests() {
 }
 
 #[test]
-fn fast_commit_divergence_report_names_the_fast_committer() {
-    let (a, b) = (digest(0x01), digest(0x02));
-    let v = Violation::FastCommitDivergence {
-        seq: 7,
-        a: (1, a),
-        b: (2, b),
-    };
-    assert_eq!(
-        v.to_string(),
-        format!(
-            "fast-commit divergence: replica 1 fast-committed {a} at seq 7 but replica 2 holds {b}"
-        )
-    );
-}
-
-#[test]
 fn view_regression_report_shows_the_backwards_step() {
     let v = Violation::ViewRegression {
         replica: 2,
@@ -176,11 +160,11 @@ fn violations_are_distinguishable_by_equality() {
         a: (0, d),
         b: (1, d),
     };
-    let fast = Violation::FastCommitDivergence {
+    let checkpoint = Violation::CheckpointDivergence {
         seq: 1,
         a: (0, d),
         b: (1, d),
     };
-    assert_ne!(agreement, fast);
+    assert_ne!(agreement, checkpoint);
     assert_eq!(agreement.clone(), agreement);
 }

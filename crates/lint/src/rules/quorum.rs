@@ -84,12 +84,12 @@ pub(crate) fn run(
         }
     }
 
-    // `n… - f…`: a participation threshold derived by hand. `n - f` is
-    // the classic wrong fast quorum — its intersection with a 2f+1
-    // view-change quorum can be a single (possibly Byzantine) replica —
-    // and the correct value (`n`, see `Quorums::fast_quorum`) is easy to
-    // get wrong when rederived inline, so any `n - f` outside `Quorums`
-    // is a finding. Anchored on a terminal `n` (not a path segment),
+    // `n… - f…`: a participation threshold derived by hand. Whether a
+    // threshold is safe turns on how it intersects the 2f+1 quorums —
+    // `n - f` voters can meet a view-change quorum in a single (possibly
+    // Byzantine) replica — so the argument belongs beside the one
+    // `Quorums` method that names the threshold, and any `n - f` outside
+    // `Quorums` is a finding. Anchored on a terminal `n` (not a path segment),
     // allowing a call `()` and `as <ty>` casts before the `-`.
     for i in 0..toks.len() {
         if !(toks[i].kind == Kind::Ident && toks[i].text == "n") {

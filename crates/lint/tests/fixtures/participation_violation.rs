@@ -1,7 +1,7 @@
 //! Fixture: inline `n - f` participation arithmetic (rule: quorum-math).
-//! `n - f` is the classic wrong fast quorum: with 2f+1 view-change
-//! quorums its intersection can be a single replica. Prose like `n - f`
-//! in comments must NOT be flagged.
+//! A threshold derived by hand belongs in `Quorums`, where one audited
+//! method names it. Prose like `n - f` in comments must NOT be
+//! flagged.
 
 pub struct Cfg {
     pub n: u32,
@@ -17,15 +17,15 @@ impl Cfg {
     }
 }
 
-pub fn fast_quorum_inline(cfg: &Cfg) -> usize {
+pub fn threshold_inline(cfg: &Cfg) -> usize {
     cfg.n as usize - cfg.f as usize
 }
 
-pub fn fast_quorum_inline_calls(cfg: &Cfg) -> u32 {
+pub fn threshold_inline_calls(cfg: &Cfg) -> u32 {
     cfg.n() - cfg.f()
 }
 
-pub fn fast_quorum_inline_locals(n: u32, f: u32) -> u32 {
+pub fn threshold_inline_locals(n: u32, f: u32) -> u32 {
     n - f
 }
 

@@ -9,7 +9,7 @@ use bft_lint::{
 
 const DETERMINISM_FIXTURE: &str = include_str!("fixtures/determinism_violation.rs");
 const QUORUM_FIXTURE: &str = include_str!("fixtures/quorum_violation.rs");
-const FASTQUORUM_FIXTURE: &str = include_str!("fixtures/fastquorum_violation.rs");
+const PARTICIPATION_FIXTURE: &str = include_str!("fixtures/participation_violation.rs");
 const CATCHALL_FIXTURE: &str = include_str!("fixtures/catchall_violation.rs");
 const DECODE_FIXTURE: &str = include_str!("fixtures/decode_violation.rs");
 const SEAM_FIXTURE: &str = include_str!("fixtures/seam_violation.rs");
@@ -51,8 +51,8 @@ fn quorum_rule_catches_inline_thresholds() {
 }
 
 #[test]
-fn quorum_rule_catches_inline_fast_quorum() {
-    let findings = check_source("fixture.rs", FASTQUORUM_FIXTURE, Scope::all());
+fn quorum_rule_catches_inline_n_minus_f() {
+    let findings = check_source("fixture.rs", PARTICIPATION_FIXTURE, Scope::all());
     let lines = lines_for(&findings, RULE_QUORUM);
     assert!(lines.contains(&21), "cfg.n as usize - cfg.f: {findings:#?}");
     assert!(lines.contains(&25), "cfg.n() - cfg.f()");

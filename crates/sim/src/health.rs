@@ -12,8 +12,7 @@
 //!
 //! - [`Counters`]: a per-node registry of messages sent/received by
 //!   wire tag plus every protocol event the simulation counts
-//!   ([`Counter`]) — completions, retransmissions, fast-path fallbacks,
-//!   lease grants, view changes, recoveries, drops, and the Byzantine
+//!   ([`Counter`]) — completions, retransmissions, lease grants, view changes, recoveries, drops, and the Byzantine
 //!   evidence replicas reject. It is the only counter store:
 //!   [`crate::Metrics::counter`] reads it by dotted name. It is bumped
 //!   from the hot paths via `Context::count_*` (the engine books its own
@@ -108,12 +107,10 @@ pub enum Counter {
     ReadOnlyExecs,
     /// Batches the primary pre-prepared.
     BatchesProposed,
-    /// Slots committed on the optimistic fast path (all `n` prepares).
+    /// Never counted: every slot commits in three phases. Kept because
+    /// the standalone benchmark reads it, as a share that is then 0.
+    // bft-lint: allow(counter-coverage) -- read by the standalone benchmark, whose sources stay unedited until its next change
     FastCommits,
-    /// Fast-path slots that fell back to the classic commit round.
-    FastFallbacks,
-    /// Fast-path timers that fired before the fast quorum formed.
-    FastTimeouts,
     /// Reads answered locally under a held lease.
     LeaseReads,
     /// Parked lease reads evicted (and answered BUSY) at the cap.
@@ -200,8 +197,6 @@ impl Counter {
         "replica.read_only_execs",
         "replica.batches_proposed",
         "replica.fast_commits",
-        "replica.fast_fallbacks",
-        "replica.fast_timeouts",
         "replica.lease_reads",
         "replica.lease_reads_evicted",
         "replica.lease_grants",
@@ -449,8 +444,6 @@ pub struct HealthSnapshot {
     pub lease_held: bool,
     /// Lease expiry (ns), 0 when no lease is held.
     pub lease_expiry_ns: u64,
-    /// Fast-path commit enabled in this replica's config.
-    pub fast_path: bool,
     /// Peak depth the ingest backlog (pending batch + pending
     /// requests) ever reached — the high-watermark admission control
     /// is judged against.
@@ -596,7 +589,6 @@ mod tests {
             waiting_lease_ro: 0,
             lease_held: false,
             lease_expiry_ns: 0,
-            fast_path: true,
             backlog_high_watermark: 1,
         }
     }
@@ -607,11 +599,11 @@ mod tests {
         c.count_sent(0, 1);
         c.count_sent(0, 1);
         c.count_received(2, 1);
-        c.count(1, Counter::FastCommits);
+        c.count(1, Counter::LeaseReads);
         c.count_add(1, Counter::StateTransferBytes, 4096);
         assert_eq!(c.node(0).sent[1], 2);
         assert_eq!(c.node(2).received[1], 1);
-        assert_eq!(c.node(1).event(Counter::FastCommits), 1);
+        assert_eq!(c.node(1).event(Counter::LeaseReads), 1);
         assert_eq!(c.total(Counter::StateTransferBytes), 4096);
         assert_eq!(c.sent_by_tag()[1], 2);
         // Unknown node ids read as zero; out-of-range tags are ignored.

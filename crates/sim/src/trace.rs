@@ -47,10 +47,6 @@ pub enum TracePhase {
     /// Ordering phase two: prepared → committed (the commit quorum; off
     /// the critical path under tentative execution).
     Commit,
-    /// Optimistic fast path: prepared → fast-committed (the full fast
-    /// quorum of prepare votes; replaces the commit phase when the fast
-    /// path completes, closes into a Commit span on fallback).
-    FastCommit,
     /// Committed batch execution.
     Execute,
     /// Tentative batch execution (before the commit quorum).
@@ -79,7 +75,6 @@ impl TracePhase {
             TracePhase::RequestRecv => "request-recv",
             TracePhase::PrePrepare => "pre-prepare",
             TracePhase::Commit => "commit",
-            TracePhase::FastCommit => "fast-commit",
             TracePhase::Execute => "execute",
             TracePhase::ExecuteTentative => "execute-tentative",
             TracePhase::ExecuteRequest => "execute-request",
@@ -95,7 +90,7 @@ impl TracePhase {
     pub fn category(self) -> &'static str {
         match self {
             TracePhase::Request | TracePhase::RequestRecv | TracePhase::LeaseRead => "request",
-            TracePhase::PrePrepare | TracePhase::Commit | TracePhase::FastCommit => "ordering",
+            TracePhase::PrePrepare | TracePhase::Commit => "ordering",
             TracePhase::Execute | TracePhase::ExecuteTentative | TracePhase::ExecuteRequest => {
                 "execution"
             }
@@ -366,10 +361,9 @@ impl TraceSink {
                 SpanEdge::Instant => "i",
             };
             let tid = match ev.phase {
-                TracePhase::PrePrepare
-                | TracePhase::Commit
-                | TracePhase::FastCommit
-                | TracePhase::ExecuteRequest => ev.meta.seq,
+                TracePhase::PrePrepare | TracePhase::Commit | TracePhase::ExecuteRequest => {
+                    ev.meta.seq
+                }
                 _ => 0,
             };
             let us_whole = ev.at_ns / 1_000;
@@ -539,7 +533,7 @@ pub fn assemble(sink: &TraceSink) -> Vec<RequestPath> {
             (TracePhase::PrePrepare, SpanEdge::Close) => {
                 prepared.entry((ev.node, ev.meta.seq)).or_insert(ev.at_ns);
             }
-            (TracePhase::Commit | TracePhase::FastCommit, SpanEdge::Close) => {
+            (TracePhase::Commit, SpanEdge::Close) => {
                 committed.entry((ev.node, ev.meta.seq)).or_insert(ev.at_ns);
             }
             _ => {}

@@ -186,7 +186,7 @@ fn chaos_seed_4_with_byzantine_replica() {
 // after every event. Two tests split the classic budget so they run in
 // parallel (`CHAOS_SCHEDULES` scales it; nightly CI), and a third gives
 // every family of the table a small fixed budget so tier-1 arms proactive
-// recovery, the fast path, read leases and overload armor at all. On
+// recovery, read leases and overload armor at all. On
 // failure each panics with the seed, the minimized fault plan, and the
 // family's replay command (`CHAOS_SEED=… cargo test -p bft-core --test
 // chaos replay_…`).
