@@ -2581,15 +2581,20 @@ impl<S: Service> Replica<S> {
     // become faulty within a window of vulnerability")
     // ------------------------------------------------------------------
 
-    /// Watchdog fire: start a recovery, unless one is already running or
-    /// another replica holds the single in-recovery slot (its lease).
-    /// Deferral re-arms the timer for just past the blocking lease's
-    /// expiry, so staggered recoveries never overlap — the same ≤f budget
-    /// discipline the chaos engine enforces for injected faults.
+    /// Watchdog fire: restart a recovery still running, or start one
+    /// unless another replica holds the single in-recovery slot (its
+    /// lease). Deferral re-arms the timer for just past the blocking
+    /// lease's expiry, so staggered recoveries never overlap — the same
+    /// ≤f budget discipline the chaos engine enforces for injected faults.
     fn on_recovery_timer(&mut self, ctx: &mut Context<'_, Packet>) {
         let interval = self.cfg.proactive_recovery_interval_ns;
         if self.recovery.in_progress() {
-            // A stalled recovery keeps its slot; try again next period.
+            // A recovery still running a period later keeps its slot and
+            // starts over from the attestations: the checkpoint it audits
+            // against may be one every peer has since garbage-collected,
+            // and then no STATE-META for it will ever come.
+            self.recovery.begin();
+            self.announce_recover(ctx, false);
             ctx.set_timer(interval, TIMER_RECOVERY);
             return;
         }

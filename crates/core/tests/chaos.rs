@@ -28,7 +28,7 @@ use bft_core::fuzz::{
     FLIGHT_RING, LEASE, OVERLOAD, RECOVERY,
 };
 use bft_core::prelude::*;
-use bft_sim::chaos::{ClientFault, Fault, FaultEvent, NetFault, NodeFault};
+use bft_sim::chaos::{ByzMode, ClientFault, Fault, FaultEvent, NetFault, NodeFault};
 use bft_sim::dur;
 use bft_sim::trace::{SpanEdge, TracePhase};
 
@@ -385,6 +385,57 @@ fn silent_corruption_converges_after_recovery() {
             "replica {r} partition digests diverge after the heal window"
         );
     }
+}
+
+/// A recovery whose audit target every peer has garbage-collected starts
+/// over. Replica 3 goes silent, so no checkpoint becomes stable and no
+/// batch commits without replica 0. Replica 0 is corrupted while its
+/// watchdog's recovery collects attestations, starts auditing against
+/// the attested checkpoint, and moments later the other two replicas
+/// make the next checkpoint stable and drop the audited one: no peer
+/// can serve its STATE-META any more. Found by the `ALL_ON` sweep at
+/// `CHAOS_BASE_SEED=211812390` (this is its minimized plan). The
+/// watchdog's next period must restart the recovery from fresh
+/// attestations, or the corruption never heals.
+#[test]
+fn a_recovery_whose_audit_target_was_collected_starts_over() {
+    let seed = 14_990_673_625_183_846_075;
+    let event = |at_ns, fault| FaultEvent { at_ns, fault };
+    let plan = FaultPlan {
+        events: vec![
+            event(
+                1_078_352_064,
+                Fault::Node {
+                    node: 3,
+                    fault: NodeFault::Byzantine(ByzMode::Silent),
+                },
+            ),
+            event(1_112_202_786, Fault::Net(NetFault::Loss(22))),
+            event(
+                1_170_353_934,
+                Fault::Client {
+                    client: 6,
+                    fault: ClientFault::Flood {
+                        interval_ns: 169_152,
+                    },
+                },
+            ),
+            event(1_223_478_196, Fault::Net(NetFault::Duplicate(137))),
+            event(1_739_473_845, Fault::Net(NetFault::ExtraDelay(4_396_387))),
+            event(
+                2_098_263_941,
+                Fault::Node {
+                    node: 0,
+                    fault: NodeFault::SilentCorruption {
+                        salt: 7_644_580_084_928_671_061,
+                    },
+                },
+            ),
+        ],
+    };
+    ALL_ON
+        .run(seed, 1, &plan)
+        .expect("the corrupted replica must heal inside the deadline");
 }
 
 /// A deliberately broken replica (quorum checks disabled behind the
