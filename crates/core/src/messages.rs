@@ -1273,9 +1273,9 @@ mod tests {
     }
 
     /// The wire format did not move: MD5 over the concatenated encodings
-    /// of the samples, computed with the hand-written codec this table
-    /// replaced (commit bebce04), and again when VIEW-CHANGE dropped the
-    /// second `PreparedInfo` list that followed `prepared`.
+    /// of the samples, first computed with the hand-written codec this
+    /// table replaced (commit bebce04). Only a deliberate wire change
+    /// re-derives it.
     #[test]
     fn golden_bytes_are_unchanged() {
         let bytes: Vec<u8> = samples().iter().flat_map(Wire::to_bytes).collect();
