@@ -573,9 +573,9 @@ wire_struct! {
 
 wire_struct! {
     /// NEW-KEY: a replica announces a fresh inbound-key epoch. In the real
-    /// system this carries RSA-encrypted per-sender keys and a signature (see
-    /// `bft-crypto`'s `rsa` module and the `key_exchange` integration test);
-    /// in the simulation the directional keys derive from the epoch itself.
+    /// system this carries RSA-encrypted per-sender keys and a signature; in
+    /// the simulation the directional keys derive from the epoch itself, and
+    /// the RSA work is a `CostKind::Rsa` charge at each end.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct NewKey {
         /// The announcing replica.

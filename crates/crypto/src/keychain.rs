@@ -12,11 +12,11 @@
 //! Keys follow BFT's ownership rule: the *receiver* chooses the keys used
 //! to authenticate messages sent **to** it, and announces a new *epoch*
 //! with a `NEW-KEY` message (in the real system, RSA-encrypted per sender
-//! and signed — implemented in [`crate::rsa`] and exercised by the
-//! `key_exchange` integration test). Within the simulation the directional
-//! key for `sender → receiver` at epoch `e` derives deterministically from
+//! and signed). Within the simulation the directional key for
+//! `sender → receiver` at epoch `e` derives deterministically from
 //! `(sender, receiver, e)`, which is equivalent to every sender having
-//! completed the exchange for epoch `e`.
+//! completed the exchange for epoch `e`; the replica charges the RSA work
+//! as `CostKind::Rsa` instead of doing it.
 //!
 //! To avoid dropping in-flight traffic at a refresh boundary, receivers
 //! accept MACs under the current and the immediately preceding epoch

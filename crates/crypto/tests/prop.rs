@@ -1,6 +1,5 @@
 //! Property-based tests for the crypto substrate.
 
-use bft_crypto::bignum::UBig;
 use bft_crypto::md5::{digest, Md5};
 use bft_crypto::umac::MacKey;
 use proptest::prelude::*;
@@ -69,73 +68,4 @@ proptest! {
         let mac = MacKey::from_bytes(k1).mac(&msg, nonce);
         prop_assert!(!MacKey::from_bytes(k2).verify(&msg, nonce, &mac.tag));
     }
-
-    /// Bignum arithmetic agrees with u128 where both are defined.
-    #[test]
-    fn bignum_matches_u128(a in any::<u64>(), b in any::<u64>()) {
-        let (ba, bb) = (UBig::from(a), UBig::from(b));
-        // add
-        let sum = a as u128 + b as u128;
-        prop_assert_eq!(ba.add(&bb).to_bytes_be(), u128_bytes(sum));
-        // mul
-        let prod = a as u128 * b as u128;
-        prop_assert_eq!(ba.mul(&bb).to_bytes_be(), u128_bytes(prod));
-        // div/rem
-        if let (Some(q_ref), Some(r_ref)) = (a.checked_div(b), a.checked_rem(b)) {
-            let (q, r) = ba.div_rem(&bb);
-            prop_assert_eq!(q.to_bytes_be(), u128_bytes(q_ref as u128));
-            prop_assert_eq!(r.to_bytes_be(), u128_bytes(r_ref as u128));
-        }
-        // sub (ordered)
-        if a >= b {
-            prop_assert_eq!(ba.sub(&bb).to_bytes_be(), u128_bytes((a - b) as u128));
-        }
-    }
-
-    /// Byte-string round trip is the identity (modulo leading zeros).
-    #[test]
-    fn bignum_bytes_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let n = UBig::from_bytes_be(&bytes);
-        let out = n.to_bytes_be();
-        let mut trimmed = bytes.clone();
-        while trimmed.first() == Some(&0) {
-            trimmed.remove(0);
-        }
-        prop_assert_eq!(out, trimmed);
-    }
-
-    /// Shifts are inverses and match u128 semantics.
-    #[test]
-    fn bignum_shifts(a in any::<u64>(), shift in 0usize..48) {
-        let n = UBig::from(a);
-        prop_assert_eq!(n.shl(shift).shr(shift).to_bytes_be(), n.to_bytes_be());
-        let shifted = (a as u128) << shift;
-        prop_assert_eq!(n.shl(shift).to_bytes_be(), u128_bytes(shifted));
-    }
-
-    /// mod_pow matches a naive implementation for small operands.
-    #[test]
-    fn bignum_mod_pow_matches_naive(base in 0u64..1000, exp in 0u64..40, modulus in 2u64..10_000) {
-        let want = naive_mod_pow(base as u128, exp, modulus as u128);
-        let got = UBig::from(base).mod_pow(&UBig::from(exp), &UBig::from(modulus));
-        prop_assert_eq!(got.to_bytes_be(), u128_bytes(want));
-    }
-}
-
-fn u128_bytes(v: u128) -> Vec<u8> {
-    let bytes = v.to_be_bytes().to_vec();
-    let mut out = bytes;
-    while out.first() == Some(&0) {
-        out.remove(0);
-    }
-    out
-}
-
-fn naive_mod_pow(mut base: u128, exp: u64, modulus: u128) -> u128 {
-    let mut result = 1u128 % modulus;
-    base %= modulus;
-    for _ in 0..exp {
-        result = result * base % modulus;
-    }
-    result
 }

@@ -109,7 +109,8 @@ pub enum CostKind {
     Digest,
     /// MAC computation and verification (authenticators).
     Mac,
-    /// RSA signature generation / verification (view changes, new keys).
+    /// RSA encryption, decryption, signing and verification of NEW-KEY
+    /// messages (charged, not computed).
     Rsa,
     /// Send/receive system-call and wire-handling time.
     Net,

@@ -6,7 +6,7 @@
 //!
 //! See the component crates for the real content:
 //! - [`bft_core`] — the BFT replication library (the paper's contribution)
-//! - [`bft_crypto`] — MD5 / UMAC-style MAC / RSA substrate
+//! - [`bft_crypto`] — MD5 / UMAC-style MAC / authenticator substrate
 //! - [`bft_sim`] — deterministic discrete-event network + CPU simulator
 //! - [`bft_fs`] — BFS, the replicated NFS-like file service, and baselines
 //! - [`bft_workloads`] — micro-benchmark, Andrew and PostMark workloads
