@@ -1760,7 +1760,7 @@ impl<S: Service> Replica<S> {
                 return;
             }
         }
-        self.fetch_state(ctx, seq, digest, (self.id + 1) % self.cfg.n());
+        self.fetch_state(ctx, seq, digest, self.next_peer(self.id));
         let span = TraceMeta::slot(self.view, seq);
         ctx.trace(SpanEdge::Open, TracePhase::StateTransfer, span);
     }
@@ -1799,13 +1799,26 @@ impl<S: Service> Replica<S> {
         self.service.release_checkpoints_below(seq);
     }
 
+    /// The replica after `r` in id order, stepping past this one: a
+    /// request for state or bodies never names its own sender.
+    fn next_peer(&self, r: ReplicaId) -> ReplicaId {
+        let next = (r + 1) % self.cfg.n();
+        if next == self.id {
+            (next + 1) % self.cfg.n()
+        } else {
+            next
+        }
+    }
+
     /// Rotates the fetch target and re-sends the current phase's request.
     /// Also drives the resend-timer keep-alive.
     fn retry_state_transfer(&mut self, ctx: &mut Context<'_, Packet>) {
-        if let Some(fetch) = &mut self.fetching {
-            fetch.target = (fetch.target + 1) % self.cfg.n();
-            self.request_state(ctx);
-        }
+        let Some(fetch) = &self.fetching else {
+            return;
+        };
+        let target = self.next_peer(fetch.target);
+        self.fetching.as_mut().expect("checked above").target = target;
+        self.request_state(ctx);
     }
 
     /// Sends the current phase's request to the fetch target: STATE-META
@@ -1983,7 +1996,7 @@ impl<S: Service> Replica<S> {
             // Partition layout mismatch or a service restore bug; restart
             // the transfer from scratch against another peer.
             ctx.count(Counter::StateTransferBadSnapshot);
-            self.fetch_state(ctx, seq, digest, (fetch.target + 1) % self.cfg.n());
+            self.fetch_state(ctx, seq, digest, self.next_peer(fetch.target));
             return;
         }
         // The adopted state is final; undo information for any lingering
@@ -2472,7 +2485,7 @@ impl<S: Service> Replica<S> {
                 self.unresolved.insert(seq);
                 let primary = self.cfg.quorums.primary(view);
                 let target = if is_primary {
-                    (self.id + 1) % self.cfg.n()
+                    self.next_peer(self.id)
                 } else {
                     primary
                 };
@@ -2793,7 +2806,7 @@ impl<S: Service> Replica<S> {
             ctx.count(Counter::RecoveryAuditRefetch);
             let span = TraceMeta::slot(self.view, seq);
             ctx.trace(SpanEdge::Open, TracePhase::StateTransfer, span);
-            self.fetch_state(ctx, seq, digest, (self.id + 1) % self.cfg.n());
+            self.fetch_state(ctx, seq, digest, self.next_peer(self.id));
         }
     }
 
@@ -3557,6 +3570,41 @@ mod tests {
             assert_eq!(replica(&c, r).stable_proof(), reference, "replica {r}");
         }
         assert_eq!(replica(&c, 3).service().value(), 60);
+    }
+
+    /// Replica 3 comes back behind two stable checkpoints with its own
+    /// packets cut off, so nobody answers its state transfer and it
+    /// retries on every status tick. Each retry moves to the next peer
+    /// and never to replica 3 itself: rotating with `(target + 1) % n`
+    /// sent every n-th request back to the fetcher.
+    #[test]
+    fn state_transfer_retries_never_name_the_fetcher() {
+        let mut c = Cluster::builder(small_window())
+            .seed(22)
+            .net(NetConfig::SWITCHED_100MBPS)
+            .build_counter();
+        let n = c.cfg.n();
+        c.replica_mut::<CounterService>(3)
+            .set_behavior(Behavior::Crashed);
+        c.add_client(BigAdds { left: 60 });
+        run_until(&mut c, 2_000, |c| replica(c, 0).stable_checkpoint() >= 16);
+        for peer in 0..3 {
+            c.sim.network_mut().partition_one_way(3, peer);
+        }
+        c.replica_mut::<CounterService>(3)
+            .set_behavior(Behavior::Correct);
+        let mut targets = Vec::new();
+        let deadline = c.sim.now().after(dur::secs(60));
+        while targets.len() <= 3 * n as usize && c.sim.now() < deadline && c.sim.step() {
+            if let Some(fetch) = &replica(&c, 3).fetching {
+                if targets.last() != Some(&fetch.target) {
+                    targets.push(fetch.target);
+                }
+            }
+        }
+        assert!(targets.len() > 3 * n as usize, "{targets:?}");
+        assert!(!targets.contains(&3), "{targets:?}");
+        assert_eq!(targets[..3], [0, 1, 2], "{targets:?}");
     }
 
     /// The other side of the fence: a replica that lags by *less* than a
