@@ -2,7 +2,7 @@
 //! ablation of the DSN 2001 evaluation as gated sim-clock rows, plus one
 //! table of the shapes the paper claims for them.
 //!
-//! Each distinct simulation is one [`Cell`]. Figures that plot the same
+//! Each distinct simulation is one `Cell`. Figures that plot the same
 //! simulation name equal cells — Fig. 4's 0/0 RW column *is* Fig. 6's
 //! batched column — and [`run`] runs each once, fanned out over
 //! `std::thread::scope` and collected by key, so the document is

@@ -5,7 +5,7 @@
 //! `O` from the included view-change messages and refuse the new view if
 //! the primary computed it wrong.
 //!
-//! [`ViewChanges`] is the protocol as a state machine whose only I/O is
+//! `ViewChanges` is the protocol as a state machine whose only I/O is
 //! its timer. It owns every view-change field, is told the replica facts
 //! its rules read, and returns the message to send; authentication,
 //! sending, CPU charges, counters and trace events stay with the replica,
