@@ -3575,8 +3575,8 @@ mod tests {
     /// Replica 3 comes back behind two stable checkpoints with its own
     /// packets cut off, so nobody answers its state transfer and it
     /// retries on every status tick. Each retry moves to the next peer
-    /// and never to replica 3 itself: rotating with `(target + 1) % n`
-    /// sent every n-th request back to the fetcher.
+    /// and never to replica 3 itself, whose answer could only come from
+    /// the state it is replacing.
     #[test]
     fn state_transfer_retries_never_name_the_fetcher() {
         let mut c = Cluster::builder(small_window())
