@@ -40,6 +40,9 @@ impl Wire for FileKind {
             t => Err(WireError::BadTag(t)),
         }
     }
+    fn wire_len(&self) -> usize {
+        1
+    }
 }
 
 /// File attributes (the subset BFS maintains; there is deliberately no
@@ -72,13 +75,24 @@ impl Wire for Fattr {
             mtime: u64::decode(r)?,
         })
     }
+    fn wire_len(&self) -> usize {
+        self.fh.wire_len() + self.kind.wire_len() + self.size.wire_len() + self.mtime.wire_len()
+    }
 }
 
-fn encode_str(s: &str, buf: &mut Vec<u8>) {
-    s.as_bytes().to_vec().encode(buf);
+/// Appends `s` as its UTF-8 bytes with a `u64` length prefix: the
+/// encoding of `s.as_bytes().to_vec()`, without the copy.
+pub(crate) fn encode_str(s: &str, buf: &mut Vec<u8>) {
+    (s.len() as u64).encode(buf);
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn decode_str(r: &mut Reader<'_>) -> Result<String, WireError> {
+/// [`encode_str`]'s length.
+fn str_wire_len(s: &str) -> usize {
+    8 + s.len()
+}
+
+pub(crate) fn decode_str(r: &mut Reader<'_>) -> Result<String, WireError> {
     let bytes = Vec::<u8>::decode(r)?;
     String::from_utf8(bytes).map_err(|_| WireError::BadTag(0xfe))
 }
@@ -372,6 +386,41 @@ impl Wire for NfsOp {
             t => return Err(WireError::BadTag(t)),
         })
     }
+
+    fn wire_len(&self) -> usize {
+        1 + match self {
+            NfsOp::Lookup { dir, name }
+            | NfsOp::Create { dir, name }
+            | NfsOp::Remove { dir, name }
+            | NfsOp::Mkdir { dir, name }
+            | NfsOp::Rmdir { dir, name } => dir.wire_len() + str_wire_len(name),
+            NfsOp::GetAttr { fh } | NfsOp::ReadLink { fh } | NfsOp::ReadDir { dir: fh } => {
+                fh.wire_len()
+            }
+            NfsOp::SetAttr { fh, size } => fh.wire_len() + size.wire_len(),
+            NfsOp::Read { fh, offset, count } => {
+                fh.wire_len() + offset.wire_len() + count.wire_len()
+            }
+            NfsOp::Write { fh, offset, data } => {
+                fh.wire_len() + offset.wire_len() + data.wire_len()
+            }
+            NfsOp::Rename {
+                from_dir,
+                from_name,
+                to_dir,
+                to_name,
+            } => {
+                from_dir.wire_len()
+                    + str_wire_len(from_name)
+                    + to_dir.wire_len()
+                    + str_wire_len(to_name)
+            }
+            NfsOp::Symlink { dir, name, target } => {
+                dir.wire_len() + str_wire_len(name) + str_wire_len(target)
+            }
+            NfsOp::Link { fh, dir, name } => fh.wire_len() + dir.wire_len() + str_wire_len(name),
+        }
+    }
 }
 
 /// NFS error codes (the subset BFS produces).
@@ -416,6 +465,9 @@ impl Wire for NfsError {
             6 => NfsError::Inval,
             t => return Err(WireError::BadTag(t)),
         })
+    }
+    fn wire_len(&self) -> usize {
+        1
     }
 }
 
@@ -544,6 +596,22 @@ impl Wire for NfsResult {
             6 => NfsResult::Err(NfsError::decode(r)?),
             t => return Err(WireError::BadTag(t)),
         })
+    }
+
+    fn wire_len(&self) -> usize {
+        1 + match self {
+            NfsResult::Attr(a) | NfsResult::Handle(a) => a.wire_len(),
+            NfsResult::Data { data, attr } => data.wire_len() + attr.wire_len(),
+            NfsResult::Ok => 0,
+            NfsResult::Entries(entries) => {
+                8 + entries
+                    .iter()
+                    .map(|(name, fh)| str_wire_len(name) + fh.wire_len())
+                    .sum::<usize>()
+            }
+            NfsResult::Link(target) => str_wire_len(target),
+            NfsResult::Err(e) => e.wire_len(),
+        }
     }
 }
 

@@ -219,6 +219,28 @@ mod tests {
     }
 
     #[test]
+    fn read_only_read_past_the_offset_space_is_inval() {
+        let mut svc = FsService::in_memory();
+        let res = svc.execute(
+            1,
+            &op_bytes(&NfsOp::Create {
+                dir: ROOT_FH,
+                name: "f".into(),
+            }),
+        );
+        let fh = result_of(&res).handle().expect("created");
+        let res = svc.execute_read_only(
+            1,
+            &op_bytes(&NfsOp::Read {
+                fh,
+                offset: u64::MAX - 10,
+                count: 4096,
+            }),
+        );
+        assert_eq!(result_of(&res), NfsResult::Err(crate::ops::NfsError::Inval));
+    }
+
+    #[test]
     fn garbage_ops_fail_gracefully() {
         let mut svc = FsService::in_memory();
         let res = svc.execute(1, &[0xff, 0xff]);

@@ -3,6 +3,13 @@
 //! incrementally maintained state fingerprint (for cheap checkpoints), and
 //! canonical snapshot/restore (for state transfer).
 //!
+//! An operation pays for what it changes. It edits the inodes it touches
+//! in place, re-fingerprints only those, and records inverse steps to undo
+//! itself: a directory's entries are undone one name at a time, never by
+//! copying the entry map. Inodes are stored by checkpoint partition, so
+//! encoding one partition (a copy-on-write save, a state-transfer reply)
+//! walks that partition alone.
+//!
 //! Two data modes: [`DataMode::Store`] keeps real file bytes (used by
 //! correctness tests), [`DataMode::MetadataOnly`] keeps only sizes and a
 //! content fingerprint — reads return zero-filled data. The benchmarks use
@@ -11,10 +18,12 @@
 //! digests, determinism) is identical because the workloads write
 //! zero-filled data anyway.
 
-use crate::ops::{Fattr, Fh, FileKind, NfsError, NfsOp, NfsResult, ROOT_FH};
+use crate::ops::{
+    decode_str, encode_str, Fattr, Fh, FileKind, NfsError, NfsOp, NfsResult, ROOT_FH,
+};
 use bft_core::service::RestoreError;
 use bft_core::wire::{Reader, Wire, WireError};
-use bft_crypto::md5::{digest_parts, Digest};
+use bft_crypto::md5::{digest_parts, Digest, Md5};
 use std::collections::{BTreeMap, HashMap};
 
 /// Number of fixed state partitions for incremental checkpointing. Inodes
@@ -83,37 +92,37 @@ impl Inode {
         }
     }
 
-    /// A stable hash of this inode for the incremental state fingerprint.
+    /// A stable hash of this inode for the incremental state fingerprint:
+    /// the MD5 of its handle, kind, size, mtime, link count, content
+    /// (the first 8 bytes of the data's MD5, or the print), each entry's
+    /// name, a zero byte and its handle, then the symlink target.
     fn fingerprint(&self, fh: Fh) -> u128 {
-        let mut meta = Vec::with_capacity(64 + self.entries.len() * 16);
-        meta.extend_from_slice(&fh.to_le_bytes());
-        meta.push(match self.kind {
+        let mut h = Md5::new();
+        h.update(&fh.to_le_bytes());
+        h.update(&[match self.kind {
             FileKind::File => 0,
             FileKind::Dir => 1,
             FileKind::Symlink => 2,
-        });
-        meta.extend_from_slice(&self.size.to_le_bytes());
-        meta.extend_from_slice(&self.mtime.to_le_bytes());
-        meta.extend_from_slice(&self.nlink.to_le_bytes());
+        }]);
+        h.update(&self.size.to_le_bytes());
+        h.update(&self.mtime.to_le_bytes());
+        h.update(&self.nlink.to_le_bytes());
         match &self.content {
-            Content::Bytes(b) => {
-                let d = bft_crypto::digest(b);
-                meta.extend_from_slice(&d.as_bytes()[..8]);
-            }
-            Content::Print(p) => meta.extend_from_slice(&p.to_le_bytes()),
+            Content::Bytes(b) => h.update(&bft_crypto::digest(b).as_bytes()[..8]),
+            Content::Print(p) => h.update(&p.to_le_bytes()),
         }
         for (name, child) in &self.entries {
-            meta.extend_from_slice(name.as_bytes());
-            meta.push(0);
-            meta.extend_from_slice(&child.to_le_bytes());
+            h.update(name.as_bytes());
+            h.update(&[0]);
+            h.update(&child.to_le_bytes());
         }
-        meta.extend_from_slice(self.target.as_bytes());
-        let d = bft_crypto::digest(&meta);
-        u128::from_le_bytes(*d.as_bytes())
+        h.update(self.target.as_bytes());
+        u128::from_le_bytes(*h.finish().as_bytes())
     }
 
     /// Approximate canonical-encoding size, tracked per partition so
-    /// checkpoint CPU charges scale with the bytes actually re-hashed.
+    /// checkpoint CPU charges scale with the bytes actually re-hashed. It
+    /// exceeds the encoding by 8 bytes.
     fn approx_encoded_size(&self) -> u64 {
         let content = match &self.content {
             Content::Bytes(b) => 8 + b.len() as u64,
@@ -145,10 +154,10 @@ impl Inode {
         }
         (self.entries.len() as u64).encode(buf);
         for (name, child) in &self.entries {
-            name.as_bytes().to_vec().encode(buf);
+            encode_str(name, buf);
             child.encode(buf);
         }
-        self.target.as_bytes().to_vec().encode(buf);
+        encode_str(&self.target, buf);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<(Fh, Inode), WireError> {
@@ -165,12 +174,10 @@ impl Inode {
         let n_entries = u64::decode(r)?;
         let mut entries = BTreeMap::new();
         for _ in 0..n_entries {
-            let name =
-                String::from_utf8(Vec::<u8>::decode(r)?).map_err(|_| WireError::BadTag(0xfe))?;
+            let name = decode_str(r)?;
             entries.insert(name, u64::decode(r)?);
         }
-        let target =
-            String::from_utf8(Vec::<u8>::decode(r)?).map_err(|_| WireError::BadTag(0xfe))?;
+        let target = decode_str(r)?;
         Ok((
             fh,
             Inode {
@@ -186,11 +193,81 @@ impl Inode {
     }
 }
 
+/// One inode in its partition, with its cached fingerprint.
+#[derive(Debug, Clone)]
+struct Slot {
+    fh: Fh,
+    /// `inode.fingerprint(fh)`: the inode's term in the print sums.
+    print: u128,
+    inode: Inode,
+}
+
+/// One of the [`FS_PARTITIONS`] partitions: its inodes and the leaf state
+/// a checkpoint reads, kept current by every change.
+#[derive(Debug, Clone, Default)]
+struct Partition {
+    /// The partition's inodes, sorted by handle.
+    slots: Vec<Slot>,
+    /// Wrapping sum of the slots' prints: an incremental set hash.
+    sum: u128,
+    /// Sum of the slots' approximate encoded sizes.
+    bytes: u64,
+    /// Modified since the last [`FsState::take_dirty_partitions`].
+    dirty: bool,
+}
+
+impl Partition {
+    /// The index of `fh`'s slot, or the index where it would go.
+    fn find(&self, fh: Fh) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&fh, |s| s.fh)
+    }
+
+    fn get(&self, fh: Fh) -> Option<&Inode> {
+        self.find(fh).ok().map(|i| &self.slots[i].inode)
+    }
+
+    /// Adds inode `fh`, which must not be present, to the slots, the sum
+    /// and the size, and returns its print.
+    fn insert(&mut self, fh: Fh, inode: Inode) -> u128 {
+        let at = self.find(fh).expect_err("a new inode");
+        let print = inode.fingerprint(fh);
+        self.sum = self.sum.wrapping_add(print);
+        self.bytes += inode.approx_encoded_size();
+        self.slots.insert(at, Slot { fh, print, inode });
+        print
+    }
+
+    /// Sum of the file sizes in the partition.
+    fn data_bytes(&self) -> u64 {
+        self.slots.iter().map(|s| s.inode.size).sum()
+    }
+}
+
+/// One inverse step of an operation. Undoing the operation replays its
+/// steps newest first.
+#[derive(Debug, Clone)]
+enum Step {
+    /// The operation created inode `fh`.
+    Created(Fh),
+    /// The operation destroyed this inode (moved here, not copied).
+    Destroyed(Fh, Inode),
+    /// A non-directory's prior inode.
+    File(Fh, Inode),
+    /// A directory's prior scalar fields. Its entries are undone one
+    /// [`Step::Entry`] at a time, so no undo copies an entry map.
+    DirAttrs { fh: Fh, mtime: u64, nlink: u32 },
+    /// The prior binding of `name` in directory `dir` (`None`: unbound).
+    Entry {
+        dir: Fh,
+        name: String,
+        prior: Option<Fh>,
+    },
+}
+
 /// Undo information for one executed operation.
 #[derive(Debug, Clone)]
 struct UndoRecord {
-    /// Inodes touched, with their prior contents (`None` = did not exist).
-    touched: Vec<(Fh, Option<Inode>)>,
+    steps: Vec<Step>,
     next_fh: Fh,
     clock: u64,
     data_bytes: u64,
@@ -200,26 +277,17 @@ struct UndoRecord {
 #[derive(Debug, Clone)]
 pub struct FsState {
     mode: DataMode,
-    inodes: HashMap<Fh, Inode>,
+    /// The inodes, stored by partition.
+    parts: Vec<Partition>,
     next_fh: Fh,
     /// Logical clock stamped into mtimes (deterministic across replicas).
     clock: u64,
-    /// Wrapping sum of per-inode fingerprints: an incremental set hash.
+    /// Wrapping sum of every inode's print (of the partition sums).
     print_sum: u128,
-    /// Cached per-inode fingerprints backing `print_sum`.
-    prints: HashMap<Fh, u128>,
     /// Total file data bytes resident (drives the disk/cache cost model).
     data_bytes: u64,
     /// Undo log for uncommitted operations, oldest first.
     undo: Vec<UndoRecord>,
-    /// Per-partition wrapping fingerprint sums (incremental leaf hashes).
-    part_sums: Vec<u128>,
-    /// Per-partition inode counts.
-    part_counts: Vec<u64>,
-    /// Per-partition approximate encoded sizes.
-    part_bytes: Vec<u64>,
-    /// Partitions modified since the last [`FsState::take_dirty_partitions`].
-    dirty: Vec<bool>,
     /// Retained copy-on-write checkpoints: token -> partition encodings
     /// saved at the first mutation after the token was retained. A
     /// partition absent from every retained map at or above a token is
@@ -232,17 +300,12 @@ impl FsState {
     pub fn new(mode: DataMode) -> FsState {
         let mut fs = FsState {
             mode,
-            inodes: HashMap::new(),
+            parts: vec![Partition::default(); FS_PARTITIONS as usize],
             next_fh: ROOT_FH + 1,
             clock: 0,
             print_sum: 0,
-            prints: HashMap::new(),
             data_bytes: 0,
             undo: Vec::new(),
-            part_sums: vec![0; FS_PARTITIONS as usize],
-            part_counts: vec![0; FS_PARTITIONS as usize],
-            part_bytes: vec![0; FS_PARTITIONS as usize],
-            dirty: vec![false; FS_PARTITIONS as usize],
             retained: BTreeMap::new(),
         };
         let root = Inode::new(FileKind::Dir, 0, mode);
@@ -257,7 +320,7 @@ impl FsState {
 
     /// Number of inodes (including the root).
     pub fn inode_count(&self) -> usize {
-        self.inodes.len()
+        self.parts.iter().map(|p| p.slots.len()).sum()
     }
 
     /// Total file data bytes (logical, both modes).
@@ -268,6 +331,10 @@ impl FsState {
     /// Number of uncommitted operations in the undo log.
     pub fn uncommitted_ops(&self) -> usize {
         self.undo.len()
+    }
+
+    fn inode(&self, fh: Fh) -> Option<&Inode> {
+        self.parts[partition_of(fh) as usize].get(fh)
     }
 
     /// Saves partition `p`'s current encoding into the newest retained
@@ -295,46 +362,97 @@ impl FsState {
     /// change, preserving any retained version first.
     fn touch_meta(&mut self) {
         self.cow_guard(0);
-        self.dirty[0] = true;
+        self.parts[0].dirty = true;
     }
 
+    /// Creates inode `fh`, which must not exist.
     fn install(&mut self, fh: Fh, inode: Inode) {
-        let part = partition_of(fh);
-        self.cow_guard(part);
-        self.dirty[part as usize] = true;
-        let old_bytes = self.inodes.get(&fh).map_or(0, Inode::approx_encoded_size);
-        match self.prints.remove(&fh) {
-            Some(old) => {
-                self.print_sum = self.print_sum.wrapping_sub(old);
-                self.part_sums[part as usize] = self.part_sums[part as usize].wrapping_sub(old);
-            }
-            None => self.part_counts[part as usize] += 1,
-        }
-        let p = inode.fingerprint(fh);
-        self.print_sum = self.print_sum.wrapping_add(p);
-        self.part_sums[part as usize] = self.part_sums[part as usize].wrapping_add(p);
-        self.part_bytes[part as usize] =
-            self.part_bytes[part as usize] - old_bytes + inode.approx_encoded_size();
-        self.prints.insert(fh, p);
-        self.inodes.insert(fh, inode);
+        let p = partition_of(fh);
+        self.cow_guard(p);
+        let part = &mut self.parts[p as usize];
+        let print = part.insert(fh, inode);
+        part.dirty = true;
+        self.print_sum = self.print_sum.wrapping_add(print);
     }
 
-    fn uninstall(&mut self, fh: Fh) {
-        let part = partition_of(fh);
-        self.cow_guard(part);
-        if let Some(old) = self.prints.remove(&fh) {
-            self.print_sum = self.print_sum.wrapping_sub(old);
-            self.part_sums[part as usize] = self.part_sums[part as usize].wrapping_sub(old);
-            self.part_counts[part as usize] -= 1;
-            self.part_bytes[part as usize] -=
-                self.inodes.get(&fh).map_or(0, Inode::approx_encoded_size);
-            self.dirty[part as usize] = true;
-        }
-        self.inodes.remove(&fh);
+    /// Destroys inode `fh`, which must exist, and returns it.
+    fn uninstall(&mut self, fh: Fh) -> Inode {
+        let p = partition_of(fh);
+        self.cow_guard(p);
+        let part = &mut self.parts[p as usize];
+        let at = part.find(fh).expect("uninstall destroys a live inode");
+        let Slot { print, inode, .. } = part.slots.remove(at);
+        part.sum = part.sum.wrapping_sub(print);
+        part.bytes -= inode.approx_encoded_size();
+        part.dirty = true;
+        self.print_sum = self.print_sum.wrapping_sub(print);
+        inode
+    }
+
+    /// Changes live inode `fh` in place through `f`, then re-fingerprints
+    /// it and brings the print sums and the partition's size up to date.
+    /// Every change to an existing inode goes through here.
+    fn modify<R>(&mut self, fh: Fh, f: impl FnOnce(&mut Inode) -> R) -> R {
+        let p = partition_of(fh);
+        self.cow_guard(p);
+        let part = &mut self.parts[p as usize];
+        let at = part.find(fh).expect("modify changes a live inode");
+        let slot = &mut part.slots[at];
+        let old_bytes = slot.inode.approx_encoded_size();
+        let out = f(&mut slot.inode);
+        let print = slot.inode.fingerprint(fh);
+        let old_print = std::mem::replace(&mut slot.print, print);
+        let new_bytes = slot.inode.approx_encoded_size();
+        part.sum = part.sum.wrapping_sub(old_print).wrapping_add(print);
+        part.bytes = part.bytes - old_bytes + new_bytes;
+        part.dirty = true;
+        self.print_sum = self.print_sum.wrapping_sub(old_print).wrapping_add(print);
+        out
+    }
+
+    /// Records how to restore live inode `fh`'s own fields before a change
+    /// to them: a directory's scalars (an entry change records its own
+    /// [`Step::Entry`]), any other inode whole.
+    fn save(&self, fh: Fh, steps: &mut Vec<Step>) {
+        let inode = self.inode(fh).expect("save records a live inode");
+        steps.push(match inode.kind {
+            FileKind::Dir => Step::DirAttrs {
+                fh,
+                mtime: inode.mtime,
+                nlink: inode.nlink,
+            },
+            FileKind::File | FileKind::Symlink => Step::File(fh, inode.clone()),
+        });
+    }
+
+    /// Binds `name` in directory `dir` to `to`, or unbinds it for `None`,
+    /// and stamps the directory's mtime, recording the inverse of both.
+    /// Returns what `name` was bound to before.
+    fn relink(
+        &mut self,
+        steps: &mut Vec<Step>,
+        dir: Fh,
+        name: &str,
+        to: Option<Fh>,
+        mtime: u64,
+    ) -> Option<Fh> {
+        self.save(dir, steps);
+        let (name, prior) = self.modify(dir, |d| {
+            d.mtime = mtime;
+            match to {
+                Some(fh) => (name.to_owned(), d.entries.insert(name.to_owned(), fh)),
+                None => {
+                    let (name, fh) = d.entries.remove_entry(name).expect("a bound name");
+                    (name, Some(fh))
+                }
+            }
+        });
+        steps.push(Step::Entry { dir, name, prior });
+        prior
     }
 
     fn attr_of(&self, fh: Fh) -> Option<Fattr> {
-        self.inodes.get(&fh).map(|i| Fattr {
+        self.inode(fh).map(|i| Fattr {
             fh,
             kind: i.kind,
             size: i.size,
@@ -345,23 +463,14 @@ impl FsState {
     /// Applies a mutating operation, recording undo information.
     pub fn apply(&mut self, op: &NfsOp) -> NfsResult {
         let mut undo = UndoRecord {
-            touched: Vec::new(),
+            steps: Vec::new(),
             next_fh: self.next_fh,
             clock: self.clock,
             data_bytes: self.data_bytes,
         };
-        let result = self.apply_inner(op, &mut undo);
+        let result = self.apply_inner(op, &mut undo.steps);
         self.undo.push(undo);
         result
-    }
-
-    /// Saves the prior state of `fh` into the undo record (first touch
-    /// only).
-    fn touch(&self, fh: Fh, undo: &mut UndoRecord) {
-        if undo.touched.iter().any(|(f, _)| *f == fh) {
-            return;
-        }
-        undo.touched.push((fh, self.inodes.get(&fh).cloned()));
     }
 
     fn tick(&mut self) -> u64 {
@@ -370,7 +479,7 @@ impl FsState {
         self.clock
     }
 
-    fn apply_inner(&mut self, op: &NfsOp, undo: &mut UndoRecord) -> NfsResult {
+    fn apply_inner(&mut self, op: &NfsOp, steps: &mut Vec<Step>) -> NfsResult {
         match op {
             NfsOp::Lookup { .. }
             | NfsOp::GetAttr { .. }
@@ -378,75 +487,79 @@ impl FsState {
             | NfsOp::ReadDir { .. }
             | NfsOp::ReadLink { .. } => self.query(op),
             NfsOp::SetAttr { fh, size } => {
-                let Some(inode) = self.inodes.get(fh) else {
+                let Some(inode) = self.inode(*fh) else {
                     return NfsResult::Err(NfsError::Stale);
                 };
                 if inode.kind == FileKind::Dir && size.is_some() {
                     return NfsResult::Err(NfsError::IsDir);
                 }
-                self.touch(*fh, undo);
+                let old = inode.size;
+                self.save(*fh, steps);
                 let mtime = self.tick();
-                let mut inode = self.inodes.get(fh).cloned().expect("checked");
-                if let Some(new_size) = size {
-                    let old = inode.size;
-                    inode.size = *new_size;
-                    match &mut inode.content {
-                        Content::Bytes(b) => b.resize(*new_size as usize, 0),
-                        Content::Print(p) => *p = mix(*p, 0x5e7a_77f1, *new_size),
+                self.modify(*fh, |inode| {
+                    if let Some(new_size) = *size {
+                        inode.size = new_size;
+                        match &mut inode.content {
+                            Content::Bytes(b) => b.resize(new_size as usize, 0),
+                            Content::Print(p) => *p = mix(*p, 0x5e7a_77f1, new_size),
+                        }
                     }
-                    self.data_bytes = self.data_bytes + *new_size
-                        - old.min(*new_size)
-                        - old.saturating_sub(*new_size);
+                    inode.mtime = mtime;
+                });
+                if let Some(new_size) = *size {
+                    self.data_bytes = self.data_bytes + new_size
+                        - old.min(new_size)
+                        - old.saturating_sub(new_size);
                 }
-                inode.mtime = mtime;
-                self.install(*fh, inode);
                 NfsResult::Attr(self.attr_of(*fh).expect("present"))
             }
             NfsOp::Write { fh, offset, data } => {
-                let Some(inode) = self.inodes.get(fh) else {
+                let Some(inode) = self.inode(*fh) else {
                     return NfsResult::Err(NfsError::Stale);
                 };
                 if inode.kind != FileKind::File {
                     return NfsResult::Err(NfsError::IsDir);
                 }
-                self.touch(*fh, undo);
+                let Some(end) = offset.checked_add(data.len() as u64) else {
+                    return NfsResult::Err(NfsError::Inval);
+                };
+                self.save(*fh, steps);
                 let mtime = self.tick();
-                let mut inode = self.inodes.get(fh).cloned().expect("checked");
-                let end = offset + data.len() as u64;
-                let old_size = inode.size;
-                match &mut inode.content {
-                    Content::Bytes(b) => {
-                        if b.len() < end as usize {
-                            b.resize(end as usize, 0);
+                let grown = self.modify(*fh, |inode| {
+                    match &mut inode.content {
+                        Content::Bytes(b) => {
+                            if b.len() < end as usize {
+                                b.resize(end as usize, 0);
+                            }
+                            b[*offset as usize..end as usize].copy_from_slice(data);
                         }
-                        b[*offset as usize..end as usize].copy_from_slice(data);
+                        Content::Print(p) => {
+                            let chunk = bft_crypto::digest(data).short();
+                            *p = mix(mix(*p, *offset, data.len() as u64), chunk, 0);
+                        }
                     }
-                    Content::Print(p) => {
-                        let chunk = bft_crypto::digest(data).short();
-                        *p = mix(mix(*p, *offset, data.len() as u64), chunk, 0);
-                    }
-                }
-                inode.size = inode.size.max(end);
-                inode.mtime = mtime;
-                let grown = inode.size - old_size;
+                    let old_size = inode.size;
+                    inode.size = inode.size.max(end);
+                    inode.mtime = mtime;
+                    inode.size - old_size
+                });
                 self.data_bytes += grown;
-                self.install(*fh, inode);
                 NfsResult::Attr(self.attr_of(*fh).expect("present"))
             }
-            NfsOp::Create { dir, name } => self.make_entry(undo, *dir, name, FileKind::File, ""),
-            NfsOp::Mkdir { dir, name } => self.make_entry(undo, *dir, name, FileKind::Dir, ""),
+            NfsOp::Create { dir, name } => self.make_entry(steps, *dir, name, FileKind::File, ""),
+            NfsOp::Mkdir { dir, name } => self.make_entry(steps, *dir, name, FileKind::Dir, ""),
             NfsOp::Symlink { dir, name, target } => {
-                self.make_entry(undo, *dir, name, FileKind::Symlink, target)
+                self.make_entry(steps, *dir, name, FileKind::Symlink, target)
             }
             NfsOp::Link { fh, dir, name } => {
-                let Some(existing) = self.inodes.get(fh) else {
+                let Some(existing) = self.inode(*fh) else {
                     return NfsResult::Err(NfsError::Stale);
                 };
                 if existing.kind == FileKind::Dir {
                     // NFS forbids hard links to directories.
                     return NfsResult::Err(NfsError::IsDir);
                 }
-                let Some(parent) = self.inodes.get(dir) else {
+                let Some(parent) = self.inode(*dir) else {
                     return NfsResult::Err(NfsError::Stale);
                 };
                 if parent.kind != FileKind::Dir {
@@ -458,28 +571,24 @@ impl FsState {
                 if name.is_empty() || name.contains('/') {
                     return NfsResult::Err(NfsError::Inval);
                 }
-                self.touch(*dir, undo);
-                self.touch(*fh, undo);
                 let mtime = self.tick();
-                let mut target = self.inodes.get(fh).cloned().expect("checked");
-                target.nlink += 1;
-                target.mtime = mtime;
-                self.install(*fh, target);
-                let mut parent = self.inodes.get(dir).cloned().expect("checked");
-                parent.entries.insert(name.clone(), *fh);
-                parent.mtime = mtime;
-                self.install(*dir, parent);
+                self.save(*fh, steps);
+                self.modify(*fh, |target| {
+                    target.nlink += 1;
+                    target.mtime = mtime;
+                });
+                self.relink(steps, *dir, name, Some(*fh), mtime);
                 NfsResult::Handle(self.attr_of(*fh).expect("present"))
             }
-            NfsOp::Remove { dir, name } => self.remove_entry(undo, *dir, name, false),
-            NfsOp::Rmdir { dir, name } => self.remove_entry(undo, *dir, name, true),
+            NfsOp::Remove { dir, name } => self.remove_entry(steps, *dir, name, false),
+            NfsOp::Rmdir { dir, name } => self.remove_entry(steps, *dir, name, true),
             NfsOp::Rename {
                 from_dir,
                 from_name,
                 to_dir,
                 to_name,
             } => {
-                let Some(src) = self.inodes.get(from_dir) else {
+                let Some(src) = self.inode(*from_dir) else {
                     return NfsResult::Err(NfsError::Stale);
                 };
                 if src.kind != FileKind::Dir {
@@ -488,7 +597,7 @@ impl FsState {
                 let Some(&moved) = src.entries.get(from_name) else {
                     return NfsResult::Err(NfsError::NoEnt);
                 };
-                let Some(dst) = self.inodes.get(to_dir) else {
+                let Some(dst) = self.inode(*to_dir) else {
                     return NfsResult::Err(NfsError::Stale);
                 };
                 if dst.kind != FileKind::Dir {
@@ -496,30 +605,18 @@ impl FsState {
                 }
                 // Replacing a non-empty directory is refused.
                 if let Some(&existing) = dst.entries.get(to_name) {
-                    if let Some(e) = self.inodes.get(&existing) {
+                    if let Some(e) = self.inode(existing) {
                         if e.kind == FileKind::Dir && !e.entries.is_empty() {
                             return NfsResult::Err(NfsError::NotEmpty);
                         }
                     }
                 }
-                self.touch(*from_dir, undo);
-                self.touch(*to_dir, undo);
                 let mtime = self.tick();
-                let displaced = {
-                    let mut src_inode = self.inodes.get(from_dir).cloned().expect("checked");
-                    src_inode.entries.remove(from_name);
-                    src_inode.mtime = mtime;
-                    self.install(*from_dir, src_inode);
-                    let mut dst_inode = self.inodes.get(to_dir).cloned().expect("checked");
-                    let displaced = dst_inode.entries.insert(to_name.clone(), moved);
-                    dst_inode.mtime = mtime;
-                    self.install(*to_dir, dst_inode);
-                    displaced
-                };
+                self.relink(steps, *from_dir, from_name, None, mtime);
+                let displaced = self.relink(steps, *to_dir, to_name, Some(moved), mtime);
                 if let Some(old) = displaced {
                     if old != moved {
-                        self.touch(old, undo);
-                        self.unlink_inode(old, mtime);
+                        self.unlink_inode(steps, old, mtime);
                     }
                 }
                 NfsResult::Ok
@@ -529,13 +626,13 @@ impl FsState {
 
     fn make_entry(
         &mut self,
-        undo: &mut UndoRecord,
+        steps: &mut Vec<Step>,
         dir: Fh,
         name: &str,
         kind: FileKind,
         target: &str,
     ) -> NfsResult {
-        let Some(parent) = self.inodes.get(&dir) else {
+        let Some(parent) = self.inode(dir) else {
             return NfsResult::Err(NfsError::Stale);
         };
         if parent.kind != FileKind::Dir {
@@ -547,29 +644,25 @@ impl FsState {
         if name.is_empty() || name.contains('/') {
             return NfsResult::Err(NfsError::Inval);
         }
-        self.touch(dir, undo);
         let mtime = self.tick();
         let fh = self.next_fh;
         self.next_fh += 1;
-        self.touch(fh, undo); // records "did not exist"
         let mut inode = Inode::new(kind, mtime, self.mode);
         inode.target = target.to_owned();
         self.install(fh, inode);
-        let mut parent = self.inodes.get(&dir).cloned().expect("checked");
-        parent.entries.insert(name.to_owned(), fh);
-        parent.mtime = mtime;
-        self.install(dir, parent);
+        steps.push(Step::Created(fh));
+        self.relink(steps, dir, name, Some(fh), mtime);
         NfsResult::Handle(self.attr_of(fh).expect("just installed"))
     }
 
     fn remove_entry(
         &mut self,
-        undo: &mut UndoRecord,
+        steps: &mut Vec<Step>,
         dir: Fh,
         name: &str,
         want_dir: bool,
     ) -> NfsResult {
-        let Some(parent) = self.inodes.get(&dir) else {
+        let Some(parent) = self.inode(dir) else {
             return NfsResult::Err(NfsError::Stale);
         };
         if parent.kind != FileKind::Dir {
@@ -578,7 +671,7 @@ impl FsState {
         let Some(&fh) = parent.entries.get(name) else {
             return NfsResult::Err(NfsError::NoEnt);
         };
-        let victim = self.inodes.get(&fh).expect("directory entries are valid");
+        let victim = self.inode(fh).expect("directory entries are valid");
         match (want_dir, victim.kind) {
             (true, FileKind::Dir) => {
                 if !victim.entries.is_empty() {
@@ -589,31 +682,28 @@ impl FsState {
             (false, FileKind::Dir) => return NfsResult::Err(NfsError::IsDir),
             (false, _) => {}
         }
-        self.touch(dir, undo);
-        self.touch(fh, undo);
         let mtime = self.tick();
-        self.unlink_inode(fh, mtime);
-        let mut parent = self.inodes.get(&dir).cloned().expect("checked");
-        parent.entries.remove(name);
-        parent.mtime = mtime;
-        self.install(dir, parent);
+        self.unlink_inode(steps, fh, mtime);
+        self.relink(steps, dir, name, None, mtime);
         NfsResult::Ok
     }
 
     /// Drops one name referring to `fh`: decrements the link count and
     /// destroys the inode when the last name goes away.
-    fn unlink_inode(&mut self, fh: Fh, mtime: u64) {
-        let Some(inode) = self.inodes.get(&fh) else {
+    fn unlink_inode(&mut self, steps: &mut Vec<Step>, fh: Fh, mtime: u64) {
+        let Some(&Inode { nlink, size, .. }) = self.inode(fh) else {
             return;
         };
-        if inode.nlink <= 1 {
-            self.data_bytes -= inode.size;
-            self.uninstall(fh);
+        if nlink <= 1 {
+            self.data_bytes -= size;
+            let dead = self.uninstall(fh);
+            steps.push(Step::Destroyed(fh, dead));
         } else {
-            let mut inode = inode.clone();
-            inode.nlink -= 1;
-            inode.mtime = mtime;
-            self.install(fh, inode);
+            self.save(fh, steps);
+            self.modify(fh, |inode| {
+                inode.nlink -= 1;
+                inode.mtime = mtime;
+            });
         }
     }
 
@@ -621,7 +711,7 @@ impl FsState {
     pub fn query(&self, op: &NfsOp) -> NfsResult {
         match op {
             NfsOp::Lookup { dir, name } => {
-                let Some(parent) = self.inodes.get(dir) else {
+                let Some(parent) = self.inode(*dir) else {
                     return NfsResult::Err(NfsError::Stale);
                 };
                 if parent.kind != FileKind::Dir {
@@ -637,14 +727,17 @@ impl FsState {
                 None => NfsResult::Err(NfsError::Stale),
             },
             NfsOp::Read { fh, offset, count } => {
-                let Some(inode) = self.inodes.get(fh) else {
+                let Some(inode) = self.inode(*fh) else {
                     return NfsResult::Err(NfsError::Stale);
                 };
                 if inode.kind == FileKind::Dir {
                     return NfsResult::Err(NfsError::IsDir);
                 }
+                let Some(end) = offset.checked_add(u64::from(*count)) else {
+                    return NfsResult::Err(NfsError::Inval);
+                };
                 let start = (*offset).min(inode.size);
-                let end = (offset + *count as u64).min(inode.size);
+                let end = end.min(inode.size);
                 let data = match &inode.content {
                     Content::Bytes(b) => b[start as usize..end as usize].to_vec(),
                     Content::Print(_) => vec![0u8; (end - start) as usize],
@@ -655,7 +748,7 @@ impl FsState {
                 }
             }
             NfsOp::ReadDir { dir } => {
-                let Some(inode) = self.inodes.get(dir) else {
+                let Some(inode) = self.inode(*dir) else {
                     return NfsResult::Err(NfsError::Stale);
                 };
                 if inode.kind != FileKind::Dir {
@@ -664,7 +757,7 @@ impl FsState {
                 NfsResult::Entries(inode.entries.iter().map(|(n, &f)| (n.clone(), f)).collect())
             }
             NfsOp::ReadLink { fh } => {
-                let Some(inode) = self.inodes.get(fh) else {
+                let Some(inode) = self.inode(*fh) else {
                     return NfsResult::Err(NfsError::Stale);
                 };
                 if inode.kind != FileKind::Symlink {
@@ -687,11 +780,25 @@ impl FsState {
     pub fn rollback_suffix(&mut self, ops: usize) {
         for _ in 0..ops {
             let Some(rec) = self.undo.pop() else { break };
-            // Restore newest-first within the record too.
-            for (fh, prior) in rec.touched.into_iter().rev() {
-                match prior {
-                    Some(inode) => self.install(fh, inode),
-                    None => self.uninstall(fh),
+            for step in rec.steps.into_iter().rev() {
+                match step {
+                    Step::Created(fh) => {
+                        self.uninstall(fh);
+                    }
+                    Step::Destroyed(fh, inode) => self.install(fh, inode),
+                    Step::File(fh, prior) => self.modify(fh, |inode| *inode = prior),
+                    Step::DirAttrs { fh, mtime, nlink } => self.modify(fh, |d| {
+                        d.mtime = mtime;
+                        d.nlink = nlink;
+                    }),
+                    Step::Entry { dir, name, prior } => self.modify(dir, |d| match prior {
+                        Some(fh) => {
+                            d.entries.insert(name, fh);
+                        }
+                        None => {
+                            d.entries.remove(&name);
+                        }
+                    }),
                 }
             }
             if rec.next_fh != self.next_fh || rec.clock != self.clock {
@@ -710,11 +817,12 @@ impl FsState {
             &self.print_sum.to_le_bytes(),
             &self.next_fh.to_le_bytes(),
             &self.clock.to_le_bytes(),
-            &(self.inodes.len() as u64).to_le_bytes(),
+            &(self.inode_count() as u64).to_le_bytes(),
         ])
     }
 
-    /// Serializes the full state canonically.
+    /// Serializes the full state canonically: the mode, `next_fh`, the
+    /// clock, then every inode in handle order.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.push(match self.mode {
@@ -723,11 +831,11 @@ impl FsState {
         });
         self.next_fh.encode(&mut buf);
         self.clock.encode(&mut buf);
-        let mut fhs: Vec<&Fh> = self.inodes.keys().collect();
-        fhs.sort_unstable();
-        (fhs.len() as u64).encode(&mut buf);
-        for &fh in fhs {
-            self.inodes[&fh].encode(fh, &mut buf);
+        let mut slots: Vec<&Slot> = self.parts.iter().flat_map(|p| &p.slots).collect();
+        slots.sort_unstable_by_key(|s| s.fh);
+        (slots.len() as u64).encode(&mut buf);
+        for s in slots {
+            s.inode.encode(s.fh, &mut buf);
         }
         buf
     }
@@ -736,8 +844,8 @@ impl FsState {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on malformed input; the state is then
-    /// unspecified.
+    /// Returns a [`WireError`] on malformed input, including inodes out of
+    /// handle order; the state is then unchanged.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::new(bytes);
         let mode = match u8::decode(&mut r)? {
@@ -748,40 +856,34 @@ impl FsState {
         let next_fh = u64::decode(&mut r)?;
         let clock = u64::decode(&mut r)?;
         let count = u64::decode(&mut r)?;
-        let mut inodes = HashMap::with_capacity(count as usize);
+        let mut parts = vec![Partition::default(); FS_PARTITIONS as usize];
+        let mut print_sum = 0u128;
         let mut data_bytes = 0u64;
+        let mut last_fh = None;
         for _ in 0..count {
             let (fh, inode) = Inode::decode(&mut r)?;
+            if last_fh.is_some_and(|prev| fh <= prev) {
+                return Err(WireError::BadTag(0xfd));
+            }
+            last_fh = Some(fh);
             data_bytes += inode.size;
-            inodes.insert(fh, inode);
+            let print = parts[partition_of(fh) as usize].insert(fh, inode);
+            print_sum = print_sum.wrapping_add(print);
         }
         if r.remaining() != 0 {
             return Err(WireError::TrailingBytes);
         }
+        for part in &mut parts {
+            part.dirty = true;
+        }
         self.mode = mode;
         self.next_fh = next_fh;
         self.clock = clock;
-        self.inodes = inodes;
+        self.parts = parts;
+        self.print_sum = print_sum;
         self.data_bytes = data_bytes;
         self.undo.clear();
         self.retained.clear();
-        self.prints.clear();
-        self.print_sum = 0;
-        self.part_sums = vec![0; FS_PARTITIONS as usize];
-        self.part_counts = vec![0; FS_PARTITIONS as usize];
-        self.part_bytes = vec![0; FS_PARTITIONS as usize];
-        self.dirty = vec![true; FS_PARTITIONS as usize];
-        let fhs: Vec<Fh> = self.inodes.keys().copied().collect();
-        for fh in fhs {
-            let part = partition_of(fh) as usize;
-            let inode = &self.inodes[&fh];
-            let p = inode.fingerprint(fh);
-            self.print_sum = self.print_sum.wrapping_add(p);
-            self.part_sums[part] = self.part_sums[part].wrapping_add(p);
-            self.part_counts[part] += 1;
-            self.part_bytes[part] += inode.approx_encoded_size();
-            self.prints.insert(fh, p);
-        }
         Ok(())
     }
 
@@ -798,12 +900,8 @@ impl FsState {
         } else {
             None
         };
-        Self::partition_digest_of(
-            p,
-            self.part_sums[p as usize],
-            self.part_counts[p as usize],
-            meta,
-        )
+        let part = &self.parts[p as usize];
+        Self::partition_digest_of(p, part.sum, part.slots.len() as u64, meta)
     }
 
     fn partition_digest_of(p: u32, sum: u128, count: u64, meta: Option<(u64, u64)>) -> Digest {
@@ -821,27 +919,23 @@ impl FsState {
     /// Approximate encoded size of partition `p` in bytes.
     pub fn partition_byte_size(&self, p: u32) -> usize {
         let meta = if p == 0 { 16 } else { 0 };
-        self.part_bytes[p as usize] as usize + meta
+        self.parts[p as usize].bytes as usize + meta
     }
 
     /// Serializes partition `p` canonically: metadata (partition 0 only),
     /// then the partition's inodes sorted by handle.
     pub fn encode_partition(&self, p: u32) -> Vec<u8> {
-        let mut buf = Vec::new();
+        // The approximate size exceeds the encoding by 8 bytes an inode,
+        // so adding the count's 8 covers it.
+        let mut buf = Vec::with_capacity(self.partition_byte_size(p) + 8);
         if p == 0 {
             self.next_fh.encode(&mut buf);
             self.clock.encode(&mut buf);
         }
-        let mut fhs: Vec<Fh> = self
-            .inodes
-            .keys()
-            .copied()
-            .filter(|&fh| partition_of(fh) == p)
-            .collect();
-        fhs.sort_unstable();
-        (fhs.len() as u64).encode(&mut buf);
-        for fh in fhs {
-            self.inodes[&fh].encode(fh, &mut buf);
+        let slots = &self.parts[p as usize].slots;
+        (slots.len() as u64).encode(&mut buf);
+        for s in slots {
+            s.inode.encode(s.fh, &mut buf);
         }
         buf
     }
@@ -873,42 +967,35 @@ impl FsState {
             None
         };
         let count = u64::decode(&mut r).map_err(wire)?;
-        let mut incoming = Vec::with_capacity(count as usize);
-        let mut sum = 0u128;
-        let mut last_fh = None;
+        let mut incoming = Partition {
+            dirty: true,
+            ..Partition::default()
+        };
         for _ in 0..count {
             let (fh, inode) = Inode::decode(&mut r).map_err(wire)?;
             if partition_of(fh) != p {
                 return Err(RestoreError(format!("inode {fh} outside partition {p}")));
             }
-            if last_fh.is_some_and(|prev| fh <= prev) {
+            if incoming.slots.last().is_some_and(|prev| fh <= prev.fh) {
                 return Err(RestoreError("partition inodes not sorted".into()));
             }
-            last_fh = Some(fh);
-            sum = sum.wrapping_add(inode.fingerprint(fh));
-            incoming.push((fh, inode));
+            incoming.insert(fh, inode);
         }
         if r.remaining() != 0 {
             return Err(RestoreError("trailing bytes in partition".into()));
         }
-        if Self::partition_digest_of(p, sum, count, meta) != *expect {
+        if Self::partition_digest_of(p, incoming.sum, count, meta) != *expect {
             return Err(RestoreError("partition digest mismatch".into()));
         }
-        // Verified: replace the partition's inodes through install/
-        // uninstall so fingerprint sums and retained copies stay correct.
-        let current: Vec<Fh> = self
-            .inodes
-            .keys()
-            .copied()
-            .filter(|&fh| partition_of(fh) == p)
-            .collect();
-        for fh in current {
-            self.data_bytes -= self.inodes[&fh].size;
-            self.uninstall(fh);
-        }
-        for (fh, inode) in incoming {
-            self.data_bytes += inode.size;
-            self.install(fh, inode);
+        // Verified: swap the partition in (saving a retained version
+        // first) and bring the whole-state sums up to date.
+        if !(incoming.slots.is_empty() && self.parts[p as usize].slots.is_empty()) {
+            self.cow_guard(p);
+            let data = incoming.data_bytes();
+            let sum = incoming.sum;
+            let old = std::mem::replace(&mut self.parts[p as usize], incoming);
+            self.print_sum = self.print_sum.wrapping_sub(old.sum).wrapping_add(sum);
+            self.data_bytes = self.data_bytes - old.data_bytes() + data;
         }
         if let Some((next_fh, clock)) = meta {
             self.touch_meta();
@@ -923,8 +1010,8 @@ impl FsState {
     /// Partitions modified since the previous call; resets the dirty set.
     pub fn take_dirty_partitions(&mut self) -> Vec<u32> {
         let mut out = Vec::new();
-        for (p, d) in self.dirty.iter_mut().enumerate() {
-            if std::mem::take(d) {
+        for (p, part) in self.parts.iter_mut().enumerate() {
+            if std::mem::take(&mut part.dirty) {
                 out.push(p as u32);
             }
         }
@@ -1055,6 +1142,66 @@ mod tests {
             panic!("read failed");
         };
         assert_eq!(data.len(), 2);
+    }
+
+    #[test]
+    fn read_past_the_end_of_the_offset_space_is_inval() {
+        for mode in [DataMode::Store, DataMode::MetadataOnly] {
+            let mut fs = FsState::new(mode);
+            let f = create(&mut fs, ROOT_FH, "f");
+            fs.apply(&NfsOp::Write {
+                fh: f,
+                offset: 0,
+                data: vec![1; 16],
+            });
+            for (offset, count) in [(u64::MAX - 10, 64), (u64::MAX, 1)] {
+                assert_eq!(
+                    fs.query(&NfsOp::Read {
+                        fh: f,
+                        offset,
+                        count
+                    }),
+                    NfsResult::Err(NfsError::Inval),
+                    "{mode:?} offset {offset}"
+                );
+            }
+            // At the very end of the offset space, without overflow, a
+            // read is empty.
+            let NfsResult::Data { data, .. } = fs.query(&NfsOp::Read {
+                fh: f,
+                offset: u64::MAX - 10,
+                count: 10,
+            }) else {
+                panic!("{mode:?}: an in-range read succeeds");
+            };
+            assert!(data.is_empty());
+        }
+    }
+
+    #[test]
+    fn write_past_the_end_of_the_offset_space_is_inval_and_changes_nothing() {
+        for mode in [DataMode::Store, DataMode::MetadataOnly] {
+            let mut fs = FsState::new(mode);
+            let f = create(&mut fs, ROOT_FH, "f");
+            fs.commit_prefix(1);
+            fs.take_dirty_partitions();
+            let digest = fs.state_digest();
+            let snapshot = fs.snapshot();
+            assert_eq!(
+                fs.apply(&NfsOp::Write {
+                    fh: f,
+                    offset: u64::MAX - 10,
+                    data: vec![1; 64],
+                }),
+                NfsResult::Err(NfsError::Inval),
+                "{mode:?}"
+            );
+            assert_eq!(fs.state_digest(), digest, "{mode:?}: nothing ticked");
+            assert_eq!(fs.snapshot(), snapshot, "{mode:?}");
+            assert!(fs.take_dirty_partitions().is_empty(), "{mode:?}");
+            fs.rollback_suffix(1);
+            assert_eq!(fs.snapshot(), snapshot, "{mode:?}: the undo is empty");
+        }
     }
 
     #[test]
@@ -1562,6 +1709,45 @@ mod tests {
             .restore_partition(other, &good, &fs.partition_digest(other).clone())
             .is_err());
         assert_eq!(fs.state_digest(), digest_before);
+    }
+
+    #[test]
+    fn restore_rejects_counts_and_orders_the_bytes_cannot_hold() {
+        let mut fs = fs();
+        let f = create(&mut fs, ROOT_FH, "f");
+        let digest = fs.state_digest();
+        // A count far beyond the bytes that follow is an error, not an
+        // allocation of that many inodes.
+        let p = partition_of(f);
+        let mut huge = Vec::new();
+        u64::MAX.encode(&mut huge);
+        assert!(fs
+            .restore_partition(p, &huge, &fs.partition_digest(p).clone())
+            .is_err());
+        let mut snap = fs.snapshot()[..17].to_vec();
+        u64::MAX.encode(&mut snap);
+        assert!(fs.restore(&snap).is_err());
+        assert_eq!(fs.state_digest(), digest);
+        // A snapshot must list its inodes in handle order.
+        let g = create(&mut fs, ROOT_FH, "g");
+        let snap = fs.snapshot();
+        let (head, inodes) = snap.split_at(25);
+        let mut swapped = head.to_vec();
+        let mut r = Reader::new(inodes);
+        let decoded: Vec<(Fh, Inode)> = (0..3)
+            .map(|_| Inode::decode(&mut r).expect("decodes"))
+            .collect();
+        assert_eq!(
+            decoded.iter().map(|(fh, _)| *fh).collect::<Vec<_>>(),
+            [ROOT_FH, f, g]
+        );
+        for (fh, inode) in decoded.iter().rev() {
+            inode.encode(*fh, &mut swapped);
+        }
+        let mut other = FsState::new(DataMode::Store);
+        assert!(other.restore(&swapped).is_err());
+        other.restore(&snap).expect("the ordered snapshot restores");
+        assert_eq!(other.state_digest(), fs.state_digest());
     }
 
     #[test]
